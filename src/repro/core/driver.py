@@ -60,7 +60,7 @@ from repro.errors import DriverError
 from repro.faults import FaultClock, StallFault
 from repro.faults.plan import PointFault
 from repro.observability import NULL_TRACER
-from repro.workloads.generators import KV_OPERATIONS, QueryBatch
+from repro.workloads.generators import QueryBatch
 
 
 @dataclass
@@ -428,8 +428,9 @@ class VirtualClockDriver:
         total_queries = 0
         # Lazily interned op codes: op_map[batch code] -> recorder code,
         # filled in first-occurrence order so both driver paths build the
-        # same operations vocabulary.
-        op_map = np.full(len(KV_OPERATIONS), -1, dtype=np.int32)
+        # same operations vocabulary. Sized from the first batch: the op
+        # vocabulary belongs to the batch type (``batch.op_names``).
+        op_map: Optional[np.ndarray] = None
         for seg_index, segment in enumerate(scenario.segments):
             seg_end = seg_start + segment.duration
             if shard is not None:
@@ -504,6 +505,8 @@ class VirtualClockDriver:
                         ]
                     batch = workload.next_batch(arrivals)
                 total_queries += arrivals.size
+                if op_map is None:
+                    op_map = np.full(len(batch.op_names), -1, dtype=np.int32)
                 recorder.reserve(arrivals.size)
                 segment_code = recorder.intern_segment(segment.label)
                 tracer.counter("driver.segments")
@@ -581,7 +584,7 @@ class VirtualClockDriver:
                 arrival,
                 start,
                 completion,
-                recorder.intern_op(query.op.value),
+                recorder.intern_op(batch.op_names[batch.ops[i]]),
                 segment_code,
             )
         # Remaining interrupts to the end of the segment.
@@ -722,7 +725,7 @@ class VirtualClockDriver:
         uniq, first = np.unique(sub.ops, return_index=True)
         for u in uniq[np.argsort(first)]:
             if op_map[u] < 0:
-                op_map[u] = recorder.intern_op(KV_OPERATIONS[int(u)].value)
+                op_map[u] = recorder.intern_op(batch.op_names[int(u)])
         recorder.append_block(
             sub.arrivals, starts, completions, op_map[sub.ops], segment_code
         )

@@ -8,35 +8,40 @@ component — Bao-style bandit steering, optionally fed by a learned
 cardinality model that trains online from executed queries' observed
 cardinalities.
 
-The analytic path has its own small driver (:class:`AnalyticDriver`)
-because its queries are plans, not KV operations; it produces the same
-:class:`~repro.core.results.RunResult` records, so every Fig 1 metric
-applies unchanged.
+Analytic SUTs are ordinary :class:`~repro.core.sut.SystemUnderTest`
+subclasses whose queries are plans instead of KV operations, and they
+run on the one benchmark driver: :class:`AnalyticDriver` only adapts a
+``(label, workload, duration, rate)`` schedule into a
+:class:`~repro.core.scenario.Scenario` of plan-shaped batches
+(:class:`PlanBatch`) and hands it to
+:class:`~repro.core.driver.VirtualClockDriver`. Segment slicing, fault
+injection, queueing, recording and streaming are the shared core's, so
+every Fig 1 metric applies unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.queueing import fifo_single_server
-from repro.core.results import ColumnarRecorder, RunResult
-from repro.core.sut import TrainingSummary
+from repro.core.driver import DriverConfig, VirtualClockDriver
+from repro.core.results import RunResult
+from repro.core.scenario import Scenario, Segment
+from repro.core.sut import SystemUnderTest
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
 from repro.engine.optimizer_base import CostBasedOptimizer
 from repro.engine.plans import Aggregate, Filter, Join, LogicalPlan, Scan
 from repro.errors import ConfigurationError
-from repro.faults import FaultClock, FaultPlan, StallFault
-from repro.faults.plan import PointFault
+from repro.faults import FaultPlan
 from repro.learned.cardinality import HistogramEstimator, LearnedCardinalityEstimator
 from repro.learned.optimizer import BanditPlanSteering
-from repro.observability import NULL_TRACER
 from repro.suts.cost_models import WORK_UNIT_SECONDS
 from repro.workloads.drift import DriftModel
+from repro.workloads.patterns import ConstantArrivals
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,32 @@ class AnalyticQuery:
     plan: LogicalPlan
     arrival_time: float
     kind: str
+
+
+@dataclass
+class PlanBatch:
+    """Plan-shaped counterpart of :class:`~repro.workloads.generators.QueryBatch`.
+
+    Carries what the driver reads from a batch — ascending ``arrivals``,
+    ``ops`` codes into the class-level ``op_names``, :meth:`slice`,
+    :meth:`query` — with the plans riding along as the payload.
+    """
+
+    op_names: ClassVar[Tuple[str, ...]] = ("filter", "join")
+    queries: List[AnalyticQuery]
+    arrivals: np.ndarray
+    ops: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.arrivals.size)
+
+    def query(self, i: int) -> AnalyticQuery:
+        """Row ``i`` as the :class:`AnalyticQuery` a SUT executes."""
+        return self.queries[i]
+
+    def slice(self, a: int, b: int) -> "PlanBatch":
+        """Rows ``[a, b)`` (array columns are views)."""
+        return PlanBatch(self.queries[a:b], self.arrivals[a:b], self.ops[a:b])
 
 
 class AnalyticWorkload:
@@ -79,6 +110,7 @@ class AnalyticWorkload:
         join_fraction: float = 0.5,
         seed: int = 0,
     ) -> None:
+        """Bind the templates to a seeded private RNG."""
         if not 0.0 <= join_fraction <= 1.0:
             raise ConfigurationError("join_fraction must be in [0,1]")
         self.threshold_drift = threshold_drift
@@ -92,7 +124,7 @@ class AnalyticWorkload:
         use_join = bool(self._rng.uniform() < self.join_fraction)
         return self._build(t, theta, use_join)
 
-    def next_batch(self, times: np.ndarray) -> List[AnalyticQuery]:
+    def next_batch(self, times: np.ndarray) -> PlanBatch:
         """Generate the queries arriving at ``times`` in one pass.
 
         Thresholds are drawn in bulk from the drift model, then the
@@ -103,10 +135,12 @@ class AnalyticWorkload:
         times = np.asarray(times, dtype=np.float64)
         thetas = self.threshold_drift.sample_at(self._rng, times)
         joins = self._rng.uniform(0.0, 1.0, times.size) < self.join_fraction
-        return [
+        queries = [
             self._build(float(t), float(theta), bool(use_join))
             for t, theta, use_join in zip(times, thetas, joins)
         ]
+        # ``joins`` doubles as the op-code column: op_names[1] == "join".
+        return PlanBatch(queries, times, joins.astype(np.int8))
 
     def _build(self, t: float, theta: float, use_join: bool) -> AnalyticQuery:
         predicate = col("amount").between(theta, theta + self.window)
@@ -121,57 +155,22 @@ class AnalyticWorkload:
         return AnalyticQuery(plan=plan, arrival_time=t, kind=kind)
 
 
-class AnalyticSUT:
-    """Base analytic system: owns a catalog, executes chosen plans."""
+class AnalyticSUT(SystemUnderTest):
+    """Base analytic system: owns a catalog, executes chosen plans.
+
+    Plan optimization and execution are inherently per-plan, so the
+    inherited ``execute_batch`` loop is the batch hook: the batched
+    driver's win comes from queueing and recording, not from the SUT.
+    """
 
     def __init__(self, name: str, catalog: Catalog) -> None:
-        self.name = name
+        """Register ``name`` and build an executor over ``catalog``."""
+        super().__init__(name)
         self.catalog = catalog
         self.executor = Executor(catalog)
-        self.training = TrainingSummary()
-        self.tracer = NULL_TRACER
 
-    def attach_tracer(self, tracer) -> None:
-        """Adopt the driver's tracer for the duration of a run."""
-        self.tracer = tracer
-
-    def setup(self) -> None:
-        """Called once before a run (statistics collection etc.)."""
-
-    def execute(self, query: AnalyticQuery, now: float) -> float:
-        """Optimize + execute; return virtual service time."""
-        raise NotImplementedError
-
-    def execute_batch(
-        self, queries: List[AnalyticQuery], arrivals: np.ndarray
-    ) -> np.ndarray:
-        """Execute a batch of queries; returns per-query service times.
-
-        The default loops over :meth:`execute` with each query's arrival
-        time as ``now`` — plan optimization and execution are inherently
-        per-plan, so the batched driver's win comes from queueing and
-        recording, not from this hook.
-        """
-        return np.asarray(
-            [
-                self.execute(q, float(t))
-                for q, t in zip(queries, np.asarray(arrivals, dtype=np.float64))
-            ],
-            dtype=np.float64,
-        )
-
-    def on_crash(self, now: float) -> Optional[float]:
-        """Crash/restart hook (see :class:`~repro.faults.CrashFault`).
-
-        Discard warm state that would not survive a process restart;
-        return nominal seconds of extra blocking recovery work, or
-        ``None``. Default: stateless restart.
-        """
-        return None
-
-    def describe(self) -> dict:
-        """JSON-friendly description."""
-        return {"name": self.name, "class": type(self).__name__}
+    def setup(self, pairs=()) -> None:
+        """Collect statistics; ``pairs`` (the KV initial load) is ignored."""
 
 
 class TraditionalOptimizerSUT(AnalyticSUT):
@@ -193,16 +192,19 @@ class TraditionalOptimizerSUT(AnalyticSUT):
         name: str = "traditional-optimizer",
         plan_overhead_s: float = 100e-6,
     ) -> None:
+        """Wire a histogram estimator into a cost-based optimizer."""
         super().__init__(name, catalog)
         self.estimator = HistogramEstimator()
         self.optimizer = CostBasedOptimizer(self.estimator)
         self.plan_overhead_s = plan_overhead_s
 
-    def setup(self) -> None:
+    def setup(self, pairs=()) -> None:
+        """``ANALYZE`` every table once; statistics go stale afterwards."""
         for table_name in self.catalog.names():
             self.estimator.analyze(self.catalog, table_name)
 
     def execute(self, query: AnalyticQuery, now: float) -> float:
+        """Optimize + execute ``query.plan``; return virtual service time."""
         chosen = self.optimizer.optimize(query.plan, self.catalog)
         result = self.executor.execute(chosen.plan)
         return self.plan_overhead_s + result.work * WORK_UNIT_SECONDS
@@ -237,6 +239,7 @@ class LearnedOptimizerSUT(AnalyticSUT):
         plan_overhead_s: float = 150e-6,
         warmup_queries: int = 50,
     ) -> None:
+        """Build the bandit over histograms plus the idle learned model."""
         super().__init__(name, catalog)
         self.histograms = HistogramEstimator()
         self.use_learned_cardinality = use_learned_cardinality
@@ -254,12 +257,14 @@ class LearnedOptimizerSUT(AnalyticSUT):
         super().attach_tracer(tracer)
         self.steering.tracer = tracer
 
-    def setup(self) -> None:
+    def setup(self, pairs=()) -> None:
+        """Collect histograms and bind them to the learned model."""
         for table_name in self.catalog.names():
             self.histograms.analyze(self.catalog, table_name)
         self.learned_cards.bind_statistics(self.catalog)
 
     def execute(self, query: AnalyticQuery, now: float) -> float:
+        """Steer, execute, and learn from one plan; return service time."""
         if (
             self.use_learned_cardinality
             and self._observed >= self.warmup_queries
@@ -305,6 +310,7 @@ class LearnedOptimizerSUT(AnalyticSUT):
         return None
 
     def describe(self) -> dict:
+        """Base description plus the learned state's size."""
         out = super().describe()
         out.update(
             arm_counts=self.steering.arm_counts,
@@ -313,33 +319,76 @@ class LearnedOptimizerSUT(AnalyticSUT):
         return out
 
 
+class _ScheduleArrivals(ConstantArrivals):
+    """``int(rate * duration)`` sorted uniform draws from the run-wide RNG.
+
+    The driver asks for segment-local times and adds the segment start;
+    ``uniform(0, d) + s`` is bit-equal to ``uniform(s, s + d)`` whenever
+    ``(s + d) - s == d`` in float64, which holds for every in-tree
+    schedule (golden, perf, bench, example).
+    """
+
+    def __init__(self, rate: float, rng: np.random.Generator) -> None:
+        super().__init__(rate)
+        self._rng = rng
+
+    def projected_count(self, start: float, end: float) -> int:
+        return int(self._rate * (end - start))
+
+    def arrivals(self, rng, start: float, end: float, jitter: bool = True):
+        # The driver's per-segment ``rng`` goes unused: every segment
+        # draws from the one generator seeded with the run seed.
+        count = self.projected_count(start, end)
+        return np.sort(self._rng.uniform(start, end, count))
+
+
+class _ScheduleSegment:
+    """One ``(label, workload, duration, rate)`` entry as the driver sees it.
+
+    Both the segment's spec (``name``, ``arrivals``, ``describe()``,
+    ``build_workload(seed)``) and the workload that spec builds
+    (``spec``, ``next_batch``): an :class:`AnalyticWorkload` is a live,
+    RNG-owning object, so there is nothing to construct per run.
+    """
+
+    def __init__(self, label, workload, arrivals, hook) -> None:
+        self.name = label
+        self.arrivals = arrivals
+        self.next_batch = workload.next_batch
+        self._hook = hook
+
+    @property
+    def spec(self) -> "_ScheduleSegment":
+        return self
+
+    def build_workload(self, seed: int = 0) -> "_ScheduleSegment":
+        """Segment start: fire the hook before any arrival or query draw."""
+        if self._hook is not None:
+            self._hook()
+        return self
+
+    def describe(self) -> dict:
+        return {"name": self.name, "arrivals": self.arrivals.describe()}
+
+
 class AnalyticDriver:
-    """Virtual-clock driver for analytic SUTs.
+    """Runs a ``(label, workload, duration, rate)`` schedule on the shared driver.
 
-    Mirrors :class:`~repro.core.driver.VirtualClockDriver` (open-loop
-    arrivals into a single-server FIFO queue) for plan-shaped queries.
-
-    Segments are ``(label, workload, duration, rate)`` tuples executed
-    back to back.
+    A thin adaptor: the schedule becomes a :class:`Scenario` that
+    :class:`VirtualClockDriver` executes. Analytic SUTs have no
+    ``on_tick``, so it ticks once per segment (``tick_interval`` = the
+    longest duration) and a fault-free segment is one ``execute_batch``.
+    The schedule is validated up front, before the SUT is set up or any
+    hook fires: ``rate < 0`` raises :class:`ConfigurationError`; a
+    ``duration <= 0`` or an empty schedule raises ``ScenarioError``.
 
     Args:
         seed: Arrival-process seed.
-        use_batching: Serve each segment as one batch (``execute_batch``
-            + vectorized FIFO + block append). ``False`` keeps the
-            scalar reference loop; both consume the same query batch, so
-            results are bit-identical at a fixed seed.
-        tracer: Observability sink (defaults to the no-op
-            :data:`~repro.observability.NULL_TRACER`); spans are emitted
-            per segment, never per query, so tracing stays off the
-            batched hot path.
-        fault_plan: Optional :class:`~repro.faults.FaultPlan` applied
-            during the run. Window faults perturb service times via the
-            shared :class:`~repro.faults.FaultClock` kernel; point
-            faults block the single server (a crash also fires
-            ``sut.on_crash``, and any returned nominal recovery seconds
-            extend the outage directly — this driver has no hardware
-            scaling). Both paths split execution at fault times, so
-            results stay bit-identical at a fixed seed.
+        use_batching: ``False`` selects the shared driver's scalar
+            reference loop; results are bit-identical at a fixed seed.
+        tracer: Observability sink (default: no-op tracer).
+        fault_plan: Optional :class:`~repro.faults.FaultPlan` injected
+            during the run.
     """
 
     def __init__(
@@ -349,10 +398,12 @@ class AnalyticDriver:
         tracer=None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
+        """Bind the knobs to a :class:`VirtualClockDriver`."""
         self.seed = seed
-        self.use_batching = use_batching
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._fault_clock = FaultClock(fault_plan) if fault_plan else None
+        self.fault_plan = fault_plan
+        self._driver = VirtualClockDriver(
+            DriverConfig(use_batching=use_batching), tracer=tracer
+        )
 
     def run(
         self,
@@ -368,17 +419,8 @@ class AnalyticDriver:
                 once when its segment starts (e.g., to inject data into
                 the catalog mid-run — the stale-statistics scenario).
         """
-        recorder = ColumnarRecorder()
-        boundaries = self._execute(sut, segments, segment_hooks, recorder)
-        with self.tracer.span("collect-result", phase="report"):
-            return RunResult(
-                sut_name=sut.name,
-                scenario_name=scenario_name,
-                columns=recorder.build(),
-                segments=boundaries,
-                training_events=[],
-                sut_description=sut.describe(),
-            )
+        scenario = self._scenario(segments, scenario_name, segment_hooks)
+        return self._driver.run(sut, scenario)
 
     def run_streaming(
         self,
@@ -386,235 +428,34 @@ class AnalyticDriver:
         segments: List[Tuple[str, AnalyticWorkload, float, float]],
         scenario_name: str = "analytic",
         segment_hooks: Optional[dict] = None,
-        accumulators=None,
-        sla: Optional[float] = None,
-        spill_dir=None,
-        spill_format: str = "npz",
+        **streaming,
     ):
         """Run the schedule in bounded memory; return the summary.
 
-        Same execution as :meth:`run` (same RNG streams and fault
-        semantics), but completed blocks fold into online metric
-        accumulators instead of a result buffer. Analytic schedules
-        carry no :class:`~repro.core.scenario.Scenario`, so the default
-        accumulator set is the scenario-free subset: throughput, the
-        cumulative curve, latency stats, plus SLA bands when ``sla`` is
-        given and a recovery probe at the first segment boundary when
-        the schedule has several segments.
+        ``streaming`` (``accumulators``, ``sla``, ``spill_dir``,
+        ``spill_format``) passes straight to
+        :meth:`~repro.core.driver.VirtualClockDriver.run_streaming`.
         """
-        from repro.core.streaming import (
-            ColumnSpiller,
-            StreamingRecorder,
-            StreamingRunSummary,
-        )
+        scenario = self._scenario(segments, scenario_name, segment_hooks)
+        return self._driver.run_streaming(sut, scenario, **streaming)
 
-        if accumulators is None:
-            from repro.metrics import (
-                OnlineCumulativeCurve,
-                OnlineLatencyBands,
-                OnlineLatencyStats,
-                OnlineRecovery,
-                OnlineThroughput,
-            )
-
-            accumulators = [
-                OnlineThroughput(),
-                OnlineCumulativeCurve(),
-                OnlineLatencyStats(),
-            ]
-            if len(segments) > 1:
-                accumulators.append(OnlineRecovery(float(segments[0][2])))
-            if sla is not None:
-                accumulators.append(OnlineLatencyBands(sla))
-        spiller = (
-            ColumnSpiller(spill_dir, fmt=spill_format)
-            if spill_dir is not None
-            else None
-        )
-        recorder = StreamingRecorder(accumulators=accumulators, spiller=spiller)
-        boundaries = self._execute(sut, segments, segment_hooks, recorder)
-        recorder.flush()
-        with self.tracer.span("collect-result", phase="report"):
-            duration = boundaries[-1][2] if boundaries else 0.0
-            horizon = max(duration, recorder.max_completion)
-            return StreamingRunSummary(
-                sut_name=sut.name,
-                scenario_name=scenario_name,
-                segments=boundaries,
-                training_events=[],
-                sut_description=sut.describe(),
-                num_queries=recorder.count,
-                max_completion=recorder.max_completion,
-                op_counts=recorder.op_counts(),
-                segment_counts=recorder.segment_counts(),
-                metrics={
-                    acc.name: acc.finalize(horizon)
-                    for acc in recorder.accumulators
-                },
-                spill=(
-                    spiller.finish(recorder.op_vocab, recorder.segment_vocab)
-                    if spiller is not None
-                    else None
-                ),
-            )
-
-    def _execute(
-        self,
-        sut: AnalyticSUT,
-        segments: List[Tuple[str, AnalyticWorkload, float, float]],
-        segment_hooks: Optional[dict],
-        recorder,
-    ) -> List[Tuple[str, float, float]]:
-        """Drive the schedule, appending into ``recorder``.
-
-        Recorder-agnostic core shared by :meth:`run` and
-        :meth:`run_streaming`; returns the segment boundaries.
-        """
-        tracer = self.tracer
-        sut.attach_tracer(tracer)
-        with tracer.span("setup", phase="serve", sut=sut.name):
-            sut.setup()
-        rng = np.random.default_rng(self.seed)
-        boundaries: List[Tuple[str, float, float]] = []
-        server_free = 0.0
-        seg_start = 0.0
+    def _scenario(self, segments, name: str, segment_hooks) -> Scenario:
+        """Validate the schedule and wrap it as a :class:`Scenario`."""
         hooks = segment_hooks or {}
-        for seg_index, (label, workload, duration, rate) in enumerate(segments):
-            with tracer.span(f"segment:{label}", phase="serve", index=seg_index):
-                if label in hooks:
-                    hooks[label]()
-                if duration <= 0 or rate < 0:
-                    raise ConfigurationError("duration must be > 0 and rate >= 0")
-                count = int(rate * duration)
-                arrivals = np.sort(
-                    rng.uniform(seg_start, seg_start + duration, count)
-                )
-                recorder.reserve(arrivals.size)
-                segment_code = recorder.intern_segment(label)
-                queries = workload.next_batch(arrivals)
-                tracer.counter("driver.segments")
-                tracer.counter("driver.queries", arrivals.size)
-                fault_clock = self._fault_clock
-                seg_faults: List[PointFault] = (
-                    fault_clock.point_faults_in(seg_start, seg_start + duration)
-                    if fault_clock is not None
-                    else []
-                )
-                if self.use_batching:
-                    tracer.counter("driver.batches")
-                    tracer.counter("driver.batched_queries", arrivals.size)
-                    with tracer.span("batch", phase="serve", queries=len(queries)):
-                        services = np.maximum(
-                            1e-9,
-                            np.asarray(
-                                sut.execute_batch(queries, arrivals),
-                                dtype=np.float64,
-                            ),
-                        )
-                    if fault_clock is not None and fault_clock.has_window_faults:
-                        services = np.maximum(
-                            1e-9, fault_clock.perturb_batch(services, arrivals)
-                        )
-                    # Split the segment batch at point-fault times so the
-                    # FIFO kernel sees the same server-blocking sequence
-                    # as the scalar loop (fault fires before any query
-                    # with arrival >= fault time).
-                    n = arrivals.size
-                    starts = np.empty(n, dtype=np.float64)
-                    completions = np.empty(n, dtype=np.float64)
-                    pos = 0
-                    for fault in seg_faults:
-                        cut = int(np.searchsorted(arrivals, fault.at, side="left"))
-                        if cut > pos:
-                            (
-                                starts[pos:cut],
-                                completions[pos:cut],
-                                server_free,
-                            ) = fifo_single_server(
-                                arrivals[pos:cut], services[pos:cut], server_free
-                            )
-                            pos = cut
-                        server_free = self._fire_fault(sut, fault, server_free)
-                    if pos < n:
-                        (
-                            starts[pos:],
-                            completions[pos:],
-                            server_free,
-                        ) = fifo_single_server(
-                            arrivals[pos:], services[pos:], server_free
-                        )
-                    op_codes = np.asarray(
-                        [recorder.intern_op(q.kind) for q in queries],
-                        dtype=np.int32,
-                    )
-                    recorder.append_block(
-                        arrivals, starts, completions, op_codes, segment_code
-                    )
-                else:
-                    fi = 0
-                    for i, query in enumerate(queries):
-                        arrival = float(arrivals[i])
-                        while fi < len(seg_faults) and seg_faults[fi].at <= arrival:
-                            server_free = self._fire_fault(
-                                sut, seg_faults[fi], server_free
-                            )
-                            fi += 1
-                        start = max(arrival, server_free)
-                        service = max(1e-9, sut.execute(query, arrival))
-                        if fault_clock is not None:
-                            service = max(
-                                1e-9, fault_clock.perturb(service, arrival)
-                            )
-                        completion = start + service
-                        server_free = completion
-                        recorder.append(
-                            arrival,
-                            start,
-                            completion,
-                            recorder.intern_op(query.kind),
-                            segment_code,
-                        )
-                    while fi < len(seg_faults):
-                        server_free = self._fire_fault(
-                            sut, seg_faults[fi], server_free
-                        )
-                        fi += 1
-                boundaries.append((label, seg_start, seg_start + duration))
-                seg_start += duration
-        return boundaries
-
-    def _fire_fault(
-        self, sut: AnalyticSUT, fault: PointFault, server_free: float
-    ) -> float:
-        """Apply one point fault to the single server; return its free time.
-
-        New service is blocked until the outage ends; a crash fires
-        ``sut.on_crash`` and any returned nominal recovery seconds extend
-        the outage directly (this driver charges nominal == wall).
-        """
-        self.tracer.counter("driver.faults")
-        if isinstance(fault, StallFault):
-            self.tracer.counter("driver.fault_stalls")
-            self.tracer.start_span(
-                "fault:stall", phase="fault", at=fault.at, duration=fault.duration
+        rng = np.random.default_rng(self.seed)
+        schedule = []
+        for label, workload, duration, rate in segments:
+            spec = _ScheduleSegment(
+                label, workload, _ScheduleArrivals(rate, rng), hooks.get(label)
             )
-            self.tracer.end_span()
-            return max(server_free, fault.at + fault.duration)
-        self.tracer.counter("driver.fault_crashes")
-        self.tracer.start_span(
-            "fault:crash",
-            phase="fault",
-            at=fault.at,
-            recovery_seconds=fault.recovery_seconds,
+            schedule.append(Segment(spec=spec, duration=duration, label=label))
+        return Scenario(
+            name=name,
+            segments=schedule,
+            tick_interval=max((s.duration for s in schedule), default=1.0),
+            seed=self.seed,
+            fault_plan=self.fault_plan,
         )
-        try:
-            nominal = sut.on_crash(fault.at)
-        finally:
-            self.tracer.end_span()
-        resume = max(server_free, fault.at + fault.recovery_seconds)
-        if nominal and nominal > 0:
-            resume += float(nominal)
-        return resume
 
 
 def build_analytic_catalog(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,8 +74,11 @@ class QueryBatch:
         keys: float64 target keys (scan start keys for scans).
         scan_lengths: int64 scan lengths (0 for non-scans).
         arrivals: float64 virtual arrival timestamps, ascending.
+        op_names: Class-level vocabulary ``ops`` indexes into; the driver
+            records ``op_names[code]``, so any batch type brings its own.
     """
 
+    op_names: ClassVar[Tuple[str, ...]] = tuple(op.value for op in KV_OPERATIONS)
     ops: np.ndarray
     keys: np.ndarray
     scan_lengths: np.ndarray

@@ -19,6 +19,7 @@ from repro.faults import (
     LatencyFault,
     StallFault,
 )
+from repro.metrics import cost_breakdown
 from repro.observability import Tracer
 from repro.suts.analytic import (
     AnalyticDriver,
@@ -297,18 +298,27 @@ class TestAnalyticDriverFaults:
             seed=9,
         )
 
-    def _run(self, plan, use_batching):
+    def _run(self, plan, use_batching, sut_cls=TraditionalOptimizerSUT):
         catalog = build_analytic_catalog(n_orders=1200, n_customers=120, seed=4)
-        sut = TraditionalOptimizerSUT(catalog)
+        sut = sut_cls(catalog)
         driver = AnalyticDriver(
             seed=1, use_batching=use_batching, fault_plan=plan
         )
         return driver.run(sut, [("seg", self._workload(), 8.0, 12.0)])
 
-    def test_scalar_batched_identical_under_faults(self):
-        batched = self._run(self.PLAN, True)
-        scalar = self._run(self.PLAN, False)
+    @pytest.mark.parametrize(
+        "sut_cls",
+        [TraditionalOptimizerSUT, LearnedOptimizerSUT],
+        ids=["static", "learned"],
+    )
+    def test_scalar_batched_identical_under_faults(self, sut_cls):
+        # The learned SUT is stateful: the mid-segment crash must reset
+        # it *between* the queries around t=6, on both paths — columns
+        # and the end-of-run learned state (in sut_description) agree.
+        batched = self._run(self.PLAN, True, sut_cls)
+        scalar = self._run(self.PLAN, False, sut_cls)
         assert _columns_equal(batched, scalar)
+        assert batched.sut_description == scalar.sut_description
 
     def test_crash_resets_learned_optimizer(self):
         catalog = build_analytic_catalog(n_orders=1200, n_customers=120, seed=4)
@@ -321,3 +331,21 @@ class TestAnalyticDriverFaults:
         )
         driver.run(sut, [("seg", self._workload(), 8.0, 10.0)])
         assert tracer.finish().counter("optimizer.crash_resets") == 1
+
+    def test_crash_retrain_is_recorded_and_priced(self):
+        """Nominal seconds returned by ``on_crash`` on the analytic path
+        extend the outage *and* land in ``training_events``."""
+        result = AnalyticDriver(
+            seed=1,
+            fault_plan=FaultPlan([CrashFault(at=4.0, recovery_seconds=0.5)]),
+        ).run(
+            ConstantSUT(crash_retrain_seconds=2.0),
+            [("seg", self._workload(), 8.0, 10.0)],
+        )
+        (event,) = result.training_events
+        assert event.label == "crash-retrain" and event.online
+        assert event.start >= 4.5 and event.nominal_seconds == 2.0
+        cols = result.columns
+        after = cols.arrivals >= 4.0
+        assert after.any() and (cols.starts[after] >= event.start + 2.0).all()
+        assert cost_breakdown(result).training_cost > 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, ScenarioError
+from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.suts.analytic import (
     AnalyticDriver,
     AnalyticWorkload,
@@ -114,8 +116,39 @@ class TestAnalyticDriver:
         assert late <= early * 1.5
 
 
+    def test_schedule_validated_before_anything_runs(self, catalog, workload):
+        """A bad later segment must not let earlier hooks mutate state."""
+        fired = []
+        hooks = {"a": lambda: fired.append("a")}
+        for bad, error in [
+            (("b", workload, 0.0, 10.0), ScenarioError),
+            (("b", workload, 3.0, -1.0), ConfigurationError),
+        ]:
+            with pytest.raises(error):
+                AnalyticDriver(seed=1).run(
+                    TraditionalOptimizerSUT(catalog),
+                    [("a", workload, 3.0, 10.0), bad],
+                    segment_hooks=hooks,
+                )
+        assert fired == []
+
+
 class TestAnalyticDriverStreaming:
-    def test_streaming_matches_in_memory(self, catalog, tmp_path):
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            None,
+            FaultPlan(
+                [
+                    LatencyFault(start=0.5, end=2.0, multiplier=4.0),
+                    StallFault(at=2.5, duration=0.4),
+                    CrashFault(at=4.0, recovery_seconds=0.5),
+                ]
+            ),
+        ],
+        ids=["fault-free", "faulted"],
+    )
+    def test_streaming_matches_in_memory(self, catalog, tmp_path, plan):
         from repro.core.streaming import load_spilled_columns
 
         def schedule():
@@ -129,10 +162,10 @@ class TestAnalyticDriverStreaming:
             )
             return [("a", workload, 3.0, 10.0), ("b", workload, 3.0, 10.0)]
 
-        reference = AnalyticDriver(seed=1).run(
+        reference = AnalyticDriver(seed=1, fault_plan=plan).run(
             TraditionalOptimizerSUT(catalog), schedule()
         )
-        summary = AnalyticDriver(seed=1).run_streaming(
+        summary = AnalyticDriver(seed=1, fault_plan=plan).run_streaming(
             TraditionalOptimizerSUT(catalog),
             schedule(),
             sla=0.5,

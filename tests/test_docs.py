@@ -132,6 +132,7 @@ class TestDocstringGate:
                 os.path.join(REPO_ROOT, "src", "repro", "faults"),
                 os.path.join(REPO_ROOT, "src", "repro", "metrics"),
                 os.path.join(REPO_ROOT, "src", "repro", "workloads"),
+                os.path.join(REPO_ROOT, "src", "repro", "suts", "analytic.py"),
             ],
             capture_output=True,
             text=True,
