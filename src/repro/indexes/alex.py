@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.indexes.models import LinearModel, fit_linear
 
 
@@ -109,6 +110,8 @@ class AdaptiveLearnedIndex(OrderedIndex):
         first.rebuild([], density)
         self._nodes: List[_DataNode] = [first]
         self._boundaries: List[float] = []  # boundaries[i] = min key of nodes[i+1]
+        # float64 copy of ``_boundaries`` for ``bulk_lookup`` routing.
+        self._boundary_flat = SortedKeyBuffer()
         self._size = 0
 
     @property
@@ -174,8 +177,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
         snap = self.stats.snapshot()
         comps = np.empty(m, dtype=np.int64)
         me = np.empty(m, dtype=np.int64)
-        barr = np.asarray(self._boundaries, dtype=np.float64)
-        node_idx = np.searchsorted(barr, keys, side="right")
+        node_idx = np.searchsorted(self._boundary_flat.view, keys, side="right")
         for i in range(m):
             c0 = self.stats.comparisons
             e0 = self.stats.model_evaluations
@@ -281,6 +283,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
         right.rebuild(right_pairs, self._density)
         self._nodes.insert(node_idx + 1, right)
         self._boundaries.insert(node_idx, right_pairs[0][0])
+        self._boundary_flat.insert_at(node_idx, right_pairs[0][0])
 
     # -- delete ------------------------------------------------------------------
 
@@ -328,6 +331,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
                 dedup.append((k, v))
         self._nodes = []
         self._boundaries = []
+        self._boundary_flat = SortedKeyBuffer()
         self._size = len(dedup)
         self.stats.inserts += len(dedup)
         chunk_size = max(8, int(self._node_capacity * self._density))
@@ -343,6 +347,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
             if self._nodes:
                 self._boundaries.append(chunk[0][0])
             self._nodes.append(node)
+        self._boundary_flat = SortedKeyBuffer(self._boundaries)
         self.stats.retrains += 1
 
     def size_bytes(self) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 class _Node:
@@ -96,13 +97,23 @@ class BPlusTree(OrderedIndex):
         flattened separators. Per-leaf comparison/node-access totals are
         precomputed along each root-to-leaf path. Returns ``False`` if the
         separator invariant does not hold (unsupported shape).
+
+        This walk is the definition of the view: ``bulk_load`` and
+        non-splitting inserts maintain the same arrays incrementally, a
+        split or delete drops the view so the next bulk read rebuilds it
+        here, and the tests compare the maintained view against a fresh
+        walk.
         """
         seps: List[float] = []
-        leaves: List[Tuple[_Node, int, int]] = []
+        leaves: List[_Node] = []
+        path_comps: List[int] = []
+        depths: List[int] = []
 
         def dfs(node: _Node, comps: int, depth: int) -> None:
             if node.leaf:
-                leaves.append((node, comps, depth))
+                leaves.append(node)
+                path_comps.append(comps)
+                depths.append(depth)
                 return
             step = max(1, len(node.keys).bit_length())
             for i, child in enumerate(node.children):
@@ -111,26 +122,46 @@ class BPlusTree(OrderedIndex):
                 dfs(child, comps + step, depth + 1)
 
         dfs(self._root, 0, 0)
+        return self._flat_view(
+            seps,
+            [k for leaf in leaves for k in leaf.keys],
+            [len(leaf.keys) for leaf in leaves],
+            path_comps,
+            depths,
+        )
+
+    @staticmethod
+    def _flat_view(seps, keys, sizes, path_comps, depths):
+        """Assemble the view arrays from per-leaf facts in leaf order.
+
+        ``path_comps`` / ``depths`` are each leaf's inner-node comparison
+        total and inner-node count on the way down from the root.
+        """
         sep_arr = np.asarray(seps, dtype=np.float64)
         if sep_arr.size and (np.diff(sep_arr) < 0).any():
             return False
-        sizes = np.asarray([len(leaf.keys) for leaf, _, _ in leaves], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        all_keys = np.asarray(
-            [k for leaf, _, _ in leaves for k in leaf.keys], dtype=np.float64
-        )
+        all_keys = np.asarray(keys, dtype=np.float64)
         if all_keys.size > 1 and (np.diff(all_keys) < 0).any():
             return False
-        leaf_comps = np.asarray(
-            [
-                comps + max(1, len(leaf.keys).bit_length())
-                for leaf, comps, _ in leaves
-            ],
-            dtype=np.int64,
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # frexp's exponent of a positive integer is its bit_length.
+        leaf_bits = np.frexp(sizes.astype(np.float64))[1].astype(np.int64)
+        leaf_comps = np.asarray(path_comps, dtype=np.int64) + np.maximum(1, leaf_bits)
+        leaf_na = np.asarray(depths, dtype=np.int64) + 1
+        return sep_arr, SortedKeyBuffer(all_keys), starts, ends, leaf_comps, leaf_na
+
+    def _grow_view(self, key: float, idx: int, leaf_size: int) -> None:
+        """Patch the view for ``key`` landing at ``idx`` of an unsplit leaf."""
+        sep_arr, all_keys, starts, ends, leaf_comps, _ = self._bulk_cache
+        leaf = int(sep_arr.searchsorted(key, side="right"))
+        all_keys.insert_at(int(starts[leaf]) + idx, key)
+        ends[leaf:] += 1
+        starts[leaf + 1 :] += 1
+        leaf_comps[leaf] += max(1, leaf_size.bit_length()) - max(
+            1, (leaf_size - 1).bit_length()
         )
-        leaf_na = np.asarray([depth + 1 for _, _, depth in leaves], dtype=np.int64)
-        return sep_arr, all_keys, starts, ends, leaf_comps, leaf_na
 
     def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Vectorized point lookups via one global separator search."""
@@ -139,7 +170,8 @@ class BPlusTree(OrderedIndex):
         cache = self._bulk_cache
         if cache is False:
             return None
-        sep_arr, all_keys, starts, ends, leaf_comps, leaf_na = cache
+        sep_arr, key_buf, starts, ends, leaf_comps, leaf_na = cache
+        all_keys = key_buf.view
         if all_keys.size == 0:
             return None
         keys = np.ascontiguousarray(keys, dtype=np.float64)
@@ -160,7 +192,6 @@ class BPlusTree(OrderedIndex):
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: float, value: Any) -> None:
-        self._bulk_cache = None
         self.stats.inserts += 1
         root = self._root
         result = self._insert_into(root, key, value)
@@ -187,7 +218,12 @@ class BPlusTree(OrderedIndex):
             node.values.insert(idx, value)
             self._size += 1
             if len(node.keys) > self._order:
+                # Every split (inner and root ones follow a leaf split)
+                # changes the leaf layout: the next bulk read re-walks.
+                self._bulk_cache = None
                 return self._split_leaf(node)
+            if self._bulk_cache:  # a live view: neither dropped nor unsupported
+                self._grow_view(key, idx, len(node.keys))
             return None
 
         idx = bisect.bisect_right(node.keys, key)
@@ -268,36 +304,44 @@ class BPlusTree(OrderedIndex):
             leaf = leaf.next
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        """Build bottom-up from sorted pairs (deduplicated by last wins)."""
-        self._bulk_cache = None
+        """Build bottom-up from sorted pairs (deduplicated by last wins).
+
+        The flat view is assembled from the same sorted keys and level
+        shapes, so the first bulk read does not have to walk the tree.
+        """
         ordered = sorted(pairs, key=lambda kv: kv[0])
-        dedup: List[Tuple[float, Any]] = []
+        keys: List[float] = []
+        values: List[Any] = []
         for k, v in ordered:
-            if dedup and dedup[-1][0] == k:
-                dedup[-1] = (k, v)
+            if keys and keys[-1] == k:
+                values[-1] = v
             else:
-                dedup.append((k, v))
+                keys.append(k)
+                values.append(v)
         self._root = _Node(leaf=True)
         self._size = 0
         self._height = 1
-        if not dedup:
+        if not keys:
+            self._bulk_cache = None
             return
         per_leaf = max(1, (self._order + 1) // 2)
         leaves: List[_Node] = []
-        for start in range(0, len(dedup), per_leaf):
-            chunk = dedup[start : start + per_leaf]
+        for start in range(0, len(keys), per_leaf):
             leaf = _Node(leaf=True)
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
+            leaf.keys = keys[start : start + per_leaf]
+            leaf.values = values[start : start + per_leaf]
             if leaves:
                 leaves[-1].next = leaf
             leaves.append(leaf)
-        self._size = len(dedup)
-        self.stats.inserts += len(dedup)
+        self._size = len(keys)
+        self.stats.inserts += len(keys)
         level: List[_Node] = leaves
+        spans = [1] * len(leaves)  # leaves below each node of ``level``
+        path_comps = np.zeros(len(leaves), dtype=np.int64)
         height = 1
         while len(level) > 1:
             parents: List[_Node] = []
+            parent_spans: List[int] = []
             per_inner = max(2, (self._order + 1) // 2 + 1)
             for start in range(0, len(level), per_inner):
                 group = level[start : start + per_inner]
@@ -305,15 +349,27 @@ class BPlusTree(OrderedIndex):
                     # Fold a lone trailing child into the previous parent.
                     parents[-1].keys.append(self._min_key(group[0]))
                     parents[-1].children.append(group[0])
+                    parent_spans[-1] += spans[start]
                     continue
                 parent = _Node(leaf=False)
                 parent.children = group
                 parent.keys = [self._min_key(child) for child in group[1:]]
                 parents.append(parent)
-            level = parents
+                parent_spans.append(sum(spans[start : start + per_inner]))
+            path_comps += np.repeat(
+                [max(1, len(p.keys).bit_length()) for p in parents], parent_spans
+            )
+            level, spans = parents, parent_spans
             height += 1
         self._root = level[0]
         self._height = height
+        self._bulk_cache = self._flat_view(
+            keys[per_leaf::per_leaf],
+            keys,
+            [len(leaf.keys) for leaf in leaves],
+            path_comps,
+            np.full(len(leaves), height - 1),
+        )
 
     @staticmethod
     def _min_key(node: _Node) -> float:

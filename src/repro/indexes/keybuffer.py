@@ -1,0 +1,62 @@
+"""Growable sorted float64 key buffer.
+
+The vectorised read path (``bulk_lookup``, ``KVStoreBase._snap_batch``)
+searches a flat sorted array of the stored keys. Writes patch that array
+in place instead of dropping and rebuilding it: a new key is one slice
+move inside a buffer with spare capacity, so the flat view is never
+stale and never costs O(n) Python work per write.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class SortedKeyBuffer:
+    """Sorted, duplicate-free float64 keys in a capacity-doubling buffer.
+
+    Args:
+        keys: Initial keys, already sorted and unique. The first buffer
+            is exactly this size; capacity doubles when an insert finds
+            it full.
+    """
+
+    __slots__ = ("_buf", "_n")
+
+    def __init__(self, keys=()) -> None:
+        self._buf = np.array(keys, dtype=np.float64)
+        self._n = self._buf.size
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def view(self) -> np.ndarray:
+        """The live keys (a view: valid until the next write)."""
+        return self._buf[: self._n]
+
+    def insert_at(self, pos: int, key: float) -> None:
+        """Insert ``key`` at ``pos``, its sorted insertion point."""
+        n = self._n
+        if n == self._buf.size:
+            grown = np.empty(max(16, 2 * n), dtype=np.float64)
+            grown[:n] = self._buf
+            self._buf = grown
+        buf = self._buf
+        buf[pos + 1 : n + 1] = buf[pos:n]
+        buf[pos] = key
+        self._n = n + 1
+
+    def delete_at(self, pos: int) -> None:
+        """Remove the key at ``pos``."""
+        n = self._n
+        buf = self._buf
+        buf[pos : n - 1] = buf[pos + 1 : n]
+        self._n = n - 1
+
+    def add(self, key: float) -> None:
+        """Insert ``key`` unless it is already present."""
+        view = self.view
+        pos = int(view.searchsorted(key))
+        if pos == self._n or view[pos] != key:
+            self.insert_at(pos, key)

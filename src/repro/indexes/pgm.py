@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,8 @@ class PGMIndex(OrderedIndex):
         # _level_keys[k] = the key0 array of level k's segments.
         self._level_keys: List[np.ndarray] = []
         self._delta_keys: List[float] = []
+        # float64 copy of ``_delta_keys`` for ``bulk_lookup``, patched by writes.
+        self._delta_flat = SortedKeyBuffer()
         self._delta_values: List[Any] = []
         self._tombstones: set = set()
         # (retrains, gathered per-level segment params) for bulk lookups.
@@ -141,6 +144,7 @@ class PGMIndex(OrderedIndex):
         self._keys = np.asarray(keys, dtype=np.float64)
         self._values = values
         self._delta_keys = []
+        self._delta_flat = SortedKeyBuffer()
         self._delta_values = []
         self._tombstones = set()
         self.stats.inserts += len(keys)
@@ -161,6 +165,7 @@ class PGMIndex(OrderedIndex):
             self._keys = np.asarray([k for k, _ in ordered], dtype=np.float64)
             self._values = [v for _, v in ordered]
             self._delta_keys = []
+            self._delta_flat = SortedKeyBuffer()
             self._delta_values = []
             self._tombstones = set()
         self._train()
@@ -299,7 +304,7 @@ class PGMIndex(OrderedIndex):
         me = np.zeros(m, dtype=np.int64)
         last_window = None
         if d:
-            darr = np.asarray(self._delta_keys, dtype=np.float64)
+            darr = self._delta_flat.view
             dpos = np.searchsorted(darr, keys)
             delta_hit = (dpos < d) & (darr[np.minimum(dpos, d - 1)] == keys)
         else:
@@ -359,6 +364,7 @@ class PGMIndex(OrderedIndex):
             self._delta_values[dpos] = value
         else:
             self._delta_keys.insert(dpos, key)
+            self._delta_flat.insert_at(dpos, key)
             self._delta_values.insert(dpos, value)
         self.stats.node_accesses += 1
         if self._max_delta is not None and len(self._delta_keys) > self._max_delta:
@@ -368,6 +374,7 @@ class PGMIndex(OrderedIndex):
         dpos = bisect.bisect_left(self._delta_keys, key)
         if dpos < len(self._delta_keys) and self._delta_keys[dpos] == key:
             del self._delta_keys[dpos]
+            self._delta_flat.delete_at(dpos)
             del self._delta_values[dpos]
             self.stats.deletes += 1
             return

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError, NotTrainedError
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.indexes.models import LinearModel, fit_linear, max_abs_error
 
 
@@ -48,6 +49,8 @@ class RecursiveModelIndex(OrderedIndex):
         self._leaves: List[LinearModel] = []
         self._errors: List[Tuple[int, int]] = []
         self._delta_keys: List[float] = []
+        # float64 copy of ``_delta_keys`` for ``bulk_lookup``, patched by writes.
+        self._delta_flat = SortedKeyBuffer()
         self._delta_values: List[Any] = []
         self._tombstones: set = set()
         # Optional workload-aware routing: leaf boundary keys derived
@@ -114,6 +117,7 @@ class RecursiveModelIndex(OrderedIndex):
         self._keys = np.asarray(keys, dtype=np.float64)
         self._values = values
         self._delta_keys = []
+        self._delta_flat = SortedKeyBuffer()
         self._delta_values = []
         self._tombstones = set()
         self._boundaries = None
@@ -160,6 +164,7 @@ class RecursiveModelIndex(OrderedIndex):
             self._keys = np.asarray(merged_keys, dtype=np.float64)
             self._values = merged_values
             self._delta_keys = []
+            self._delta_flat = SortedKeyBuffer()
             self._delta_values = []
             self._tombstones = set()
         self._train(access_sample)
@@ -299,7 +304,7 @@ class RecursiveModelIndex(OrderedIndex):
         na = np.zeros(m, dtype=np.int64)
         me = np.zeros(m, dtype=np.int64)
         if d:
-            darr = np.asarray(self._delta_keys, dtype=np.float64)
+            darr = self._delta_flat.view
             dpos = np.searchsorted(darr, keys)
             delta_hit = (dpos < d) & (darr[np.minimum(dpos, d - 1)] == keys)
         else:
@@ -371,6 +376,7 @@ class RecursiveModelIndex(OrderedIndex):
             self._delta_values[dpos] = value
         else:
             self._delta_keys.insert(dpos, key)
+            self._delta_flat.insert_at(dpos, key)
             self._delta_values.insert(dpos, value)
         self.stats.node_accesses += 1
         if self._max_delta is not None and len(self._delta_keys) > self._max_delta:
@@ -381,6 +387,7 @@ class RecursiveModelIndex(OrderedIndex):
         in_delta = dpos < len(self._delta_keys) and self._delta_keys[dpos] == key
         if in_delta:
             del self._delta_keys[dpos]
+            self._delta_flat.delete_at(dpos)
             del self._delta_values[dpos]
             self.stats.deletes += 1
             return

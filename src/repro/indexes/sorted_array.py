@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import KeyNotFoundError
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 class SortedArrayIndex(OrderedIndex):
@@ -24,7 +25,8 @@ class SortedArrayIndex(OrderedIndex):
         super().__init__()
         self._keys: List[float] = []
         self._values: List[Any] = []
-        self._bulk_cache: Optional[np.ndarray] = None
+        # float64 copy of ``_keys`` for ``bulk_lookup``, patched by writes.
+        self._flat = SortedKeyBuffer()
 
     def _locate(self, key: float) -> int:
         """Return the insertion point for ``key``, counting comparisons."""
@@ -55,9 +57,7 @@ class SortedArrayIndex(OrderedIndex):
         n = len(self._keys)
         if n == 0:
             return None
-        if self._bulk_cache is None:
-            self._bulk_cache = np.asarray(self._keys, dtype=np.float64)
-        arr = self._bulk_cache
+        arr = self._flat.view
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         m = keys.size
         lo = np.zeros(m, dtype=np.int64)
@@ -86,7 +86,7 @@ class SortedArrayIndex(OrderedIndex):
         else:
             self._keys.insert(pos, key)
             self._values.insert(pos, value)
-            self._bulk_cache = None
+            self._flat.insert_at(pos, key)
         self.stats.inserts += 1
         self.stats.node_accesses += 1
 
@@ -96,7 +96,7 @@ class SortedArrayIndex(OrderedIndex):
             raise KeyNotFoundError(key)
         del self._keys[pos]
         del self._values[pos]
-        self._bulk_cache = None
+        self._flat.delete_at(pos)
         self.stats.deletes += 1
 
     def range(self, low: float, high: float) -> List[Tuple[float, Any]]:
@@ -114,13 +114,13 @@ class SortedArrayIndex(OrderedIndex):
         ordered = sorted(pairs, key=lambda kv: kv[0])
         self._keys = []
         self._values = []
-        self._bulk_cache = None
         for key, value in ordered:
             if self._keys and self._keys[-1] == key:
                 self._values[-1] = value  # last value wins
             else:
                 self._keys.append(key)
                 self._values.append(value)
+        self._flat = SortedKeyBuffer(self._keys)
         self.stats.inserts += len(self._keys)
 
     def __len__(self) -> int:

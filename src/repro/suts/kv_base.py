@@ -10,13 +10,13 @@ index; the index's stats delta is what gets priced into service time.
 
 from __future__ import annotations
 
-import bisect
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sut import SystemUnderTest
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.suts.cost_models import KVCostModel
 from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryBatch
 
@@ -45,22 +45,22 @@ class KVStoreBase(SystemUnderTest):
         self.index = index
         self.cost_model = cost_model or KVCostModel()
         self.tuning_level = tuning_level
-        self._mirror: List[float] = []
-        self._mirror_arr: Optional[np.ndarray] = None
+        # Sorted copy of the index's key set, for snapping and scan bounds.
+        self._mirror = SortedKeyBuffer()
 
     # -- lifecycle --------------------------------------------------------------
 
     def setup(self, pairs: List[Tuple[float, object]]) -> None:
         self.index.bulk_load(pairs)
-        self._mirror = sorted(k for k, _ in pairs)
-        self._mirror_arr = None
+        self._mirror = SortedKeyBuffer(
+            np.unique(np.fromiter((k for k, _ in pairs), np.float64, len(pairs)))
+        )
 
     def inject(self, pairs: List[Tuple[float, object]]) -> None:
         """Bulk data injection: loads the index, skips the clock."""
         for key, value in pairs:
             self.index.insert(key, value)
-            bisect.insort(self._mirror, key)
-        self._mirror_arr = None
+            self._mirror.add(key)
 
     def teardown(self) -> None:
         # Flush the index's cumulative work counters into the run's
@@ -70,28 +70,27 @@ class KVStoreBase(SystemUnderTest):
         self.tracer.counter("index.model_evaluations", stats.model_evaluations)
         self.tracer.counter("index.retrains", stats.retrains)
         self.tracer.counter("index.node_accesses", stats.node_accesses)
-        self._mirror = []
-        self._mirror_arr = None
+        self._mirror = SortedKeyBuffer()
 
     # -- key snapping --------------------------------------------------------------
 
     def _snap(self, key: float) -> Optional[float]:
         """Nearest stored key to ``key`` (None when the store is empty)."""
-        if not self._mirror:
+        keys = self._mirror.view
+        n = keys.size
+        if not n:
             return None
-        pos = bisect.bisect_left(self._mirror, key)
-        if pos >= len(self._mirror):
-            return self._mirror[-1]
+        pos = int(keys.searchsorted(key))
+        if pos >= n:
+            return keys.item(n - 1)
         if pos == 0:
-            return self._mirror[0]
-        before, after = self._mirror[pos - 1], self._mirror[pos]
+            return keys.item(0)
+        before, after = keys.item(pos - 1), keys.item(pos)
         return before if key - before <= after - key else after
 
     def _snap_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_snap` (caller guarantees a non-empty store)."""
-        if self._mirror_arr is None:
-            self._mirror_arr = np.asarray(self._mirror, dtype=np.float64)
-        arr = self._mirror_arr
+        arr = self._mirror.view
         n = arr.size
         pos = np.searchsorted(arr, keys, side="left")
         before = arr[np.clip(pos - 1, 0, n - 1)]
@@ -102,10 +101,10 @@ class KVStoreBase(SystemUnderTest):
 
     def _scan_bounds(self, key: float, length: int) -> Tuple[float, float]:
         """Start/end stored keys covering ``length`` items from ``key``."""
-        pos = bisect.bisect_left(self._mirror, key)
-        pos = min(pos, len(self._mirror) - 1)
-        end = min(pos + max(1, length) - 1, len(self._mirror) - 1)
-        return self._mirror[pos], self._mirror[end]
+        keys = self._mirror.view
+        pos = min(int(keys.searchsorted(key)), keys.size - 1)
+        end = min(pos + max(1, length) - 1, keys.size - 1)
+        return keys.item(pos), keys.item(end)
 
     # -- execution --------------------------------------------------------------
 
@@ -125,8 +124,7 @@ class KVStoreBase(SystemUnderTest):
                 writes = 1
         elif query.op == KVOperation.INSERT:
             self.index.insert(query.key, now)
-            bisect.insort(self._mirror, query.key)
-            self._mirror_arr = None
+            self._mirror.add(query.key)
             writes = 1
         elif query.op == KVOperation.SCAN:
             if self._mirror:

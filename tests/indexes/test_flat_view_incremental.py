@@ -1,0 +1,290 @@
+"""The flat key view is maintained across writes, never rebuilt per write.
+
+``BPlusTree._build_bulk_cache()`` (a full tree walk) is the definition of
+the view ``bulk_lookup`` searches. ``bulk_load`` and non-splitting inserts
+maintain the same arrays incrementally; these tests drive random write /
+read interleavings and demand, after *every* write, that the maintained
+view equals a fresh walk array for array, and that bulk reads still count
+exactly what the scalar ``get`` sequence counts. The KV-level tests do the
+same for ``execute_batch`` against the ``execute`` loop, and the last test
+counts full rebuilds so per-write O(n) work cannot return unnoticed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.benchmark import Benchmark
+from repro.core.scenario import Scenario, Segment
+from repro.indexes.btree import BPlusTree
+from repro.indexes.sorted_array import SortedArrayIndex
+from repro.suts.kv_base import KVStoreBase
+from repro.suts.kv_learned import LearnedKVStore
+from repro.suts.kv_traditional import TraditionalKVStore
+from repro.suts.kv_variants import AlexKVStore, PGMKVStore
+from repro.workloads.distributions import UniformDistribution
+from repro.workloads.drift import NoDrift
+from repro.workloads.generators import KVOperation, OperationMix, WorkloadSpec
+from repro.workloads.patterns import ConstantArrivals
+
+ORDERS = (3, 4, 8, 64)  # small orders force leaf, inner and root splits
+
+# ("insert", k): new key or overwrite, whichever k turns out to be;
+# ("delete", i) / ("overwrite", i): the i-th stored key (mod size);
+# ("lookup", i): bulk-read a stride of the stored keys starting at i.
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert", "overwrite", "delete", "lookup"]),
+        st.integers(min_value=0, max_value=400),
+    ),
+    min_size=10,
+    max_size=150,
+)
+INITIAL = st.lists(st.integers(min_value=0, max_value=400), max_size=150)
+SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _view_arrays(view):
+    """The view tuple with the key buffer unwrapped to its live array."""
+    sep_arr, key_buf, starts, ends, leaf_comps, leaf_na = view
+    return sep_arr, key_buf.view, starts, ends, leaf_comps, leaf_na
+
+
+def _assert_view_is_fresh(tree: BPlusTree) -> None:
+    kept = tree._bulk_cache
+    if kept is None:  # dropped by a split or delete; the next read re-walks
+        return
+    fresh = tree._build_bulk_cache()
+    assert kept is not False and fresh is not False
+    for got, want in zip(_view_arrays(kept), _view_arrays(fresh)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def _assert_flat_is_fresh(index: SortedArrayIndex) -> None:
+    np.testing.assert_array_equal(
+        index._flat.view, np.asarray(index._keys, dtype=np.float64)
+    )
+
+
+def _scalar_rows(index, probe):
+    """Per-key (comparisons, node_accesses, model_evals) via scalar gets."""
+    rows = []
+    for key in probe:
+        before = index.stats.snapshot()
+        index.get(float(key))
+        diff = index.stats.diff(before)
+        rows.append((diff.comparisons, diff.node_accesses, diff.model_evaluations))
+    return rows
+
+
+def _drive(make_index, assert_fresh, initial, ops):
+    """Apply ``ops`` to a bulk-read index and its scalar-read twin."""
+    bulk, scalar = make_index(), make_index()
+    pairs = [(float(k), i) for i, k in enumerate(initial)]
+    bulk.bulk_load(pairs)
+    scalar.bulk_load(pairs)
+    assert_fresh(bulk)
+    stored = sorted({float(k) for k in initial})
+    for step, (op, arg) in enumerate(ops):
+        if op == "insert":
+            key = float(arg) + 0.5 * (step % 2)
+        elif stored:
+            key = stored[arg % len(stored)]
+        else:
+            continue
+        if op in ("insert", "overwrite"):
+            bulk.insert(key, step)
+            scalar.insert(key, step)
+            if key not in stored:
+                stored.append(key)
+                stored.sort()
+        elif op == "delete":
+            bulk.delete(key)
+            scalar.delete(key)
+            stored.remove(key)
+        if op != "lookup":
+            assert_fresh(bulk)
+            continue
+        probe = np.asarray(stored[arg % len(stored) :: 3], dtype=np.float64)
+        out = bulk.bulk_lookup(probe)
+        assert out is not None
+        assert_fresh(bulk)
+        rows = list(zip(*(col.tolist() for col in out)))
+        assert rows == _scalar_rows(scalar, probe)
+        assert bulk.stats == scalar.stats
+    assert len(bulk) == len(stored)
+    if stored:
+        everything = np.asarray(stored, dtype=np.float64)
+        out = bulk.bulk_lookup(everything)
+        assert out is not None
+        assert list(zip(*(col.tolist() for col in out))) == _scalar_rows(
+            scalar, everything
+        )
+    assert bulk.stats == scalar.stats
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(initial=INITIAL, ops=OPS)
+@SETTINGS
+def test_btree_view_tracks_every_write(order, initial, ops):
+    _drive(lambda: BPlusTree(order=order), _assert_view_is_fresh, initial, ops)
+
+
+@given(initial=INITIAL, ops=OPS)
+@SETTINGS
+def test_sorted_array_view_tracks_every_write(initial, ops):
+    _drive(SortedArrayIndex, _assert_flat_is_fresh, initial, ops)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 33, 64, 65, 500, 2311])
+def test_bulk_load_builds_the_walked_view(order, n):
+    """Covers the folded trailing child and every tree height up to 2311 keys."""
+    tree = BPlusTree(order=order)
+    tree.bulk_load([(float(k), k) for k in range(n)])
+    if n == 0:
+        assert tree._bulk_cache is None
+        return
+    assert tree._bulk_cache is not None
+    _assert_view_is_fresh(tree)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_non_split_inserts_patch_instead_of_rebuilding(order, monkeypatch):
+    tree = BPlusTree(order=order)
+    tree.bulk_load([(float(k), k) for k in range(0, 2000, 2)])
+    walks = []
+    real = BPlusTree._build_bulk_cache
+    monkeypatch.setattr(
+        BPlusTree, "_build_bulk_cache", lambda self: walks.append(1) or real(self)
+    )
+    # bulk_load leaves every leaf half full: one more key fits everywhere.
+    for k in range(1, 2000, 8):
+        tree.insert(float(k), "new")
+        tree.insert(float(k - 1), "overwritten")
+        assert tree.bulk_lookup(np.asarray([float(k), float(k - 1)])) is not None
+    assert walks == []
+    monkeypatch.undo()
+    _assert_view_is_fresh(tree)
+
+
+def test_unsupported_shape_is_reevaluated_on_structural_change():
+    """``False`` must not outlive the shape that caused it."""
+    probe = np.asarray([2.0, 4.0])
+
+    def unsupported_tree():
+        tree = BPlusTree(order=4)
+        tree.bulk_load([(float(k), k) for k in range(0, 40, 2)])
+        tree._bulk_cache = False  # as left by a walk over an unsupported shape
+        assert tree.bulk_lookup(probe) is None
+        tree.insert(2.0, "overwrite")
+        tree.insert(1.0, "fits in its leaf")
+        assert tree.bulk_lookup(probe) is None  # nothing structural happened
+        return tree
+
+    tree = unsupported_tree()
+    height = tree.height
+    key = 100.0
+    while tree.height == height:  # append until leaf, inner and root split
+        tree.insert(key, None)
+        key += 1.0
+    assert tree.bulk_lookup(probe) is not None
+
+    tree = unsupported_tree()
+    tree.delete(6.0)
+    assert tree.bulk_lookup(probe) is not None
+
+    tree = unsupported_tree()
+    tree.bulk_load([(2.0, "a"), (4.0, "b")])
+    assert tree.bulk_lookup(probe) is not None
+
+
+# -- KV level: execute_batch == execute loop -------------------------------------
+
+WRITE_MIX = {KVOperation.READ: 0.5, KVOperation.UPDATE: 0.3, KVOperation.INSERT: 0.2}
+SCAN_MIX = {
+    KVOperation.READ: 0.7,
+    KVOperation.INSERT: 0.15,
+    KVOperation.SCAN: 0.1,
+    KVOperation.UPDATE: 0.05,
+}
+STORES = {
+    "btree": lambda: TraditionalKVStore(order=8),
+    "sorted-array": lambda: KVStoreBase("sorted-kv", SortedArrayIndex()),
+    "rmi-delta": lambda: LearnedKVStore(max_fanout=16, delta_threshold=64),
+    "pgm": lambda: PGMKVStore(epsilon=8, max_delta=32),
+    "alex": lambda: AlexKVStore(node_capacity=16),
+}
+
+
+def _spec(mix, rate):
+    return WorkloadSpec(
+        name="mix",
+        mix=OperationMix(mix),
+        key_drift=NoDrift(UniformDistribution(0.0, 1000.0)),
+        arrivals=ConstantArrivals(rate),
+        scan_length_mean=8,
+    )
+
+
+@pytest.mark.parametrize("mix", [WRITE_MIX, SCAN_MIX], ids=["50r30u20i", "70r15i10s5u"])
+@pytest.mark.parametrize("store", sorted(STORES))
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_execute_batch_equals_execute_loop(store, mix, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(float(k), None) for k in np.unique(rng.uniform(0.0, 1000.0, 300))]
+    batch = _spec(mix, 400.0).build_workload(seed).next_batch(
+        np.sort(rng.uniform(0.0, 1.0, 400))
+    )
+    batched, looped = STORES[store](), STORES[store]()
+    batched.setup(pairs)
+    looped.setup(pairs)
+    services = batched.execute_batch(batch, 0.0)
+    expected = [
+        looped.execute(batch.query(i), float(batch.arrivals[i]))
+        for i in range(len(batch))
+    ]
+    assert services.tolist() == expected
+    assert batched.index.stats == looped.index.stats
+    assert batched.stored_keys == looped.stored_keys == len(batched.index)
+
+
+# -- no clock needed: count the full rebuilds ------------------------------------
+
+
+@pytest.mark.parametrize("order", [64, 3])
+def test_write_mix_rebuilds_only_after_splits(order, monkeypatch):
+    """50r/30u/20i over 2k keys, ~600 queries: the view is walked at most
+    once per node split (plus once to exist at all), not once per write."""
+    counts = {"walks": 0, "splits": 0}
+
+    def counted(name, key):
+        real = getattr(BPlusTree, name)
+
+        def wrapper(self, *args):
+            counts[key] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(BPlusTree, name, wrapper)
+
+    counted("_build_bulk_cache", "walks")
+    counted("_split_leaf", "splits")
+    counted("_split_inner", "splits")
+    scenario = Scenario(
+        name="write-mix",
+        segments=[Segment(spec=_spec(WRITE_MIX, 600.0), duration=1.0)],
+        seed=5,
+        initial_keys=np.linspace(0.0, 1000.0, 2000),
+    )
+    result = Benchmark().run(TraditionalKVStore(order=order), scenario)
+    assert result.num_queries >= 500
+    assert counts["walks"] <= 1 + counts["splits"]
+    if order == 3:
+        assert counts["splits"] > 0  # the bound was exercised, not vacuous

@@ -66,6 +66,19 @@ class TestKVBase:
         sut.inject([(1e9, None), (2e9, None)])
         assert sut.stored_keys == len(pairs) + 2
 
+    def test_duplicate_keys_are_stored_once(self):
+        """The snap mirror follows the index: a re-inserted key overwrites."""
+        sut = TraditionalKVStore()
+        sut.setup([(float(k), None) for k in range(10)] + [(7.0, "again")])
+        assert sut.stored_keys == len(sut.index) == 10
+        for _ in range(2):
+            sut.execute(_query(KVOperation.INSERT, 3.0), 0.0)
+        assert sut.stored_keys == len(sut.index) == 10
+        sut.inject([(3.0, None), (4.0, None), (10.5, None), (10.5, None)])
+        assert sut.stored_keys == len(sut.index) == 11
+        # Scan bounds step over distinct stored keys, not over duplicates.
+        assert sut._scan_bounds(3.0, 3) == (3.0, 5.0)
+
 
 class TestTraditional:
     def test_tuning_speeds_up(self, pairs):
