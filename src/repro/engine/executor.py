@@ -8,12 +8,20 @@ work it does — rows scanned, rows joined, hash probes — in
 analytic cost model converts into virtual service time: a bad plan does
 more work, so it is charged more time, exactly the feedback loop a
 learned optimizer needs.
+
+Both join methods find their matches with one vectorised kernel,
+:func:`_match` (stable argsort of the inner keys, ``searchsorted`` of the
+outer keys, ``repeat``/``cumsum`` expansion), which emits pairs ordered by
+outer row, then inner row. They differ in which side is outer and in the
+work they charge: a hash join charges ``build + probe + matches`` with
+the smaller side built (ties build on the right) and the other probing;
+nested loops charge ``left * max(1, right)`` with ``left`` outermost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -157,67 +165,34 @@ class Executor:
         return self._nl_join(plan, left, right)
 
     def _hash_join(self, plan: Join, left: Table, right: Table) -> Tuple[Table, float]:
-        # Build on the smaller side.
-        build, probe = (right, left) if right.row_count <= left.row_count else (left, right)
-        build_col = plan.right_col if build is right else plan.left_col
-        probe_col = plan.left_col if build is right else plan.right_col
-        ht: Dict[Any, List[int]] = {}
-        build_keys = build.column(build_col)
-        for i in range(build.row_count):
-            ht.setdefault(self._key(build_keys, i), []).append(i)
-        probe_keys = probe.column(probe_col)
-        probe_idx: List[int] = []
-        build_idx: List[int] = []
-        for i in range(probe.row_count):
-            for j in ht.get(self._key(probe_keys, i), ()):
-                probe_idx.append(i)
-                build_idx.append(j)
-        work = float(build.row_count + probe.row_count + len(probe_idx))
-        left_idx = probe_idx if probe is left else build_idx
-        right_idx = build_idx if build is right else probe_idx
+        left_keys, right_keys = _join_keys(plan, left, right)
+        # Build on the smaller side (ties build on right); the probe side
+        # is the kernel's outer, so rows come out in probe order.
+        if right.row_count <= left.row_count:
+            left_idx, right_idx = _match(left_keys, right_keys)
+        else:
+            right_idx, left_idx = _match(right_keys, left_keys)
+        work = float(left.row_count + right.row_count + left_idx.size)
         return self._materialize_join(left, right, left_idx, right_idx), work
 
     def _nl_join(self, plan: Join, left: Table, right: Table) -> Tuple[Table, float]:
-        left_keys = left.column(plan.left_col)
-        right_keys = right.column(plan.right_col)
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        for i in range(left.row_count):
-            ki = self._key(left_keys, i)
-            for j in range(right.row_count):
-                if ki == self._key(right_keys, j):
-                    left_idx.append(i)
-                    right_idx.append(j)
+        left_idx, right_idx = _match(*_join_keys(plan, left, right))
         work = float(left.row_count * max(1, right.row_count))
         return self._materialize_join(left, right, left_idx, right_idx), work
 
     @staticmethod
-    def _key(column: Any, i: int) -> Any:
-        value = column[i]
-        return float(value) if isinstance(value, (int, float, np.integer, np.floating)) else value
-
-    @staticmethod
     def _materialize_join(
-        left: Table, right: Table, left_idx: List[int], right_idx: List[int]
+        left: Table, right: Table, left_idx: np.ndarray, right_idx: np.ndarray
     ) -> Table:
         schema = left.schema.concat(right.schema, left.name, right.name)
         out_cols: Dict[str, Any] = {}
-        names = schema.names
-        pos = 0
-        for col in left.schema.columns:
-            data = left.column(col.name)
-            if isinstance(data, list):
-                out_cols[names[pos]] = [data[i] for i in left_idx]
-            else:
-                out_cols[names[pos]] = data[np.asarray(left_idx, dtype=np.int64)] if left_idx else data[:0]
-            pos += 1
-        for col in right.schema.columns:
-            data = right.column(col.name)
-            if isinstance(data, list):
-                out_cols[names[pos]] = [data[j] for j in right_idx]
-            else:
-                out_cols[names[pos]] = data[np.asarray(right_idx, dtype=np.int64)] if right_idx else data[:0]
-            pos += 1
+        names = iter(schema.names)
+        for table, idx in ((left, left_idx), (right, right_idx)):
+            for col in table.schema.columns:
+                data = table.column(col.name)
+                out_cols[next(names)] = (
+                    [data[i] for i in idx.tolist()] if isinstance(data, list) else data[idx]
+                )
         return Table.from_columns("join", schema, out_cols)
 
     @staticmethod
@@ -236,3 +211,45 @@ class Executor:
         if plan.agg == "min":
             return float(np.min(data))
         return float(np.max(data))
+
+
+def _join_keys(plan: Join, left: Table, right: Table) -> Tuple[np.ndarray, np.ndarray]:
+    """Both join columns as float64 keys that are equal exactly when the rows join.
+
+    Numeric columns compare as float64 whatever their declared type.
+    String columns get integer codes from one shared dictionary. A string
+    column never equals a numeric one, which all-NaN keys express.
+    """
+    left_col = left.column(plan.left_col)
+    right_col = right.column(plan.right_col)
+    left_is_str = isinstance(left_col, list)
+    if left_is_str != isinstance(right_col, list):
+        return np.full(len(left_col), np.nan), np.full(len(right_col), np.nan)
+    if left_is_str:
+        codes: Dict[str, int] = {}
+        left_col = [codes.setdefault(v, len(codes)) for v in left_col]
+        right_col = [codes.setdefault(v, len(codes)) for v in right_col]
+    return (
+        np.asarray(left_col, dtype=np.float64),
+        np.asarray(right_col, dtype=np.float64),
+    )
+
+
+def _match(outer: np.ndarray, inner: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Equi-join match kernel: every ``(outer_idx, inner_idx)`` with equal keys.
+
+    Pairs are ordered by outer row, then by inner row — the order a hash
+    join emits (probe order, build insertion order) and the order of a
+    nested double loop. NaN equals nothing, itself included; ``-0.0``
+    equals ``0.0``.
+    """
+    order = np.argsort(inner, kind="stable")
+    # NaNs sort last: cut them off, and a NaN outer key finds an empty range.
+    sorted_inner = inner[order][: inner.size - np.count_nonzero(np.isnan(inner))]
+    lo = np.searchsorted(sorted_inner, outer, side="left")
+    counts = np.searchsorted(sorted_inner, outer, side="right") - lo
+    outer_idx = np.repeat(np.arange(outer.size), counts)
+    # Sorted-inner position of each pair: its range start + rank in the range.
+    starts = np.cumsum(counts) - counts
+    inner_pos = np.repeat(lo - starts, counts) + np.arange(outer_idx.size)
+    return outer_idx, order[inner_pos]

@@ -13,7 +13,9 @@ work difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
+
+import numpy as np
 
 from repro.engine.catalog import Catalog
 from repro.engine.plans import (
@@ -66,9 +68,12 @@ class CostBasedOptimizer:
         candidates = self.enumerate_candidates(plan)
         if not candidates:
             raise PlanError("no candidate plans generated")
+        # Candidates share subtree objects, and nothing an estimate depends
+        # on changes inside one call: cost each distinct node once.
+        memo: Dict[int, Tuple[float, float]] = {}
         best: Optional[PlanCost] = None
         for candidate in candidates:
-            cost, rows = self._cost(candidate, catalog)
+            cost, rows = self._cost(candidate, catalog, memo)
             if best is None or cost < best.cost:
                 best = PlanCost(plan=candidate, cost=cost, estimated_rows=rows)
         assert best is not None
@@ -115,29 +120,38 @@ class CostBasedOptimizer:
 
     # -- costing ---------------------------------------------------------------------
 
-    def _cost(self, plan: LogicalPlan, catalog: Catalog) -> Tuple[float, float]:
-        """(estimated work, estimated output rows) for a physical plan."""
+    def _cost(
+        self, plan: LogicalPlan, catalog: Catalog, memo: Dict[int, Tuple[float, float]]
+    ) -> Tuple[float, float]:
+        """(estimated work, estimated output rows) for a physical plan.
+
+        ``memo`` maps ``id(node)`` to its result; the caller keeps every
+        node alive for as long as it keeps the memo.
+        """
+        known = memo.get(id(plan))
+        if known is not None:
+            return known
         rows = max(0.0, self.estimator.estimate(plan, catalog))
         if isinstance(plan, Scan):
-            return float(catalog.row_count(plan.table_name)), rows
-        if isinstance(plan, (Filter, Aggregate)):
-            child_cost, child_rows = self._cost(plan.children()[0], catalog)
-            return child_cost + child_rows, rows
-        if isinstance(plan, Sort):
-            child_cost, child_rows = self._cost(plan.children()[0], catalog)
-            import numpy as np
-
-            sort_work = child_rows * max(1.0, np.log2(max(2.0, child_rows)))
-            return child_cost + sort_work, rows
-        if isinstance(plan, Project):
-            child_cost, child_rows = self._cost(plan.children()[0], catalog)
-            return child_cost + 0.1 * child_rows, rows
-        if isinstance(plan, Join):
-            left_cost, left_rows = self._cost(plan.left, catalog)
-            right_cost, right_rows = self._cost(plan.right, catalog)
+            cost = float(catalog.row_count(plan.table_name))
+        elif isinstance(plan, (Filter, Aggregate)):
+            child_cost, child_rows = self._cost(plan.child, catalog, memo)
+            cost = child_cost + child_rows
+        elif isinstance(plan, Sort):
+            child_cost, child_rows = self._cost(plan.child, catalog, memo)
+            cost = child_cost + child_rows * max(1.0, np.log2(max(2.0, child_rows)))
+        elif isinstance(plan, Project):
+            child_cost, child_rows = self._cost(plan.child, catalog, memo)
+            cost = child_cost + 0.1 * child_rows
+        elif isinstance(plan, Join):
+            left_cost, left_rows = self._cost(plan.left, catalog, memo)
+            right_cost, right_rows = self._cost(plan.right, catalog, memo)
             if plan.method == "nl":
                 join_work = left_rows * max(1.0, right_rows)
             else:
                 join_work = left_rows + right_rows + rows
-            return left_cost + right_cost + join_work, rows
-        raise PlanError(f"unknown plan node {type(plan).__name__}")
+            cost = left_cost + right_cost + join_work
+        else:
+            raise PlanError(f"unknown plan node {type(plan).__name__}")
+        memo[id(plan)] = (cost, rows)
+        return cost, rows

@@ -39,6 +39,11 @@ from repro.engine.schema import ColumnType
 from repro.errors import NotTrainedError
 
 
+def _clip_unit(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` of one scalar, bit for bit (NaN and ``-0.0`` stay)."""
+    return min(max(x, 0.0), 1.0)
+
+
 class HistogramEstimator:
     """Per-column equi-width histograms + independence assumption.
 
@@ -217,8 +222,8 @@ class LearnedCardinalityEstimator:
                 bound = self._bounds.get(key)
                 if bound and bound[1] > bound[0]:
                     span = bound[1] - bound[0]
-                    lo_n = float(np.clip((lo - bound[0]) / span, 0.0, 1.0))
-                    hi_n = float(np.clip((hi - bound[0]) / span, 0.0, 1.0))
+                    lo_n = _clip_unit(float((lo - bound[0]) / span))
+                    hi_n = _clip_unit(float((hi - bound[0]) / span))
             base = 4 + 3 * i
             features[base] = lo_n
             features[base + 1] = hi_n
@@ -248,14 +253,13 @@ class LearnedCardinalityEstimator:
             if isinstance(node, Filter):
                 filters.append(node)
             stack.extend(node.children())
+        tracked = set(self.tracked_columns)
         for filt in filters:
             tables = filt.tables()
             for column, op, value in filt.predicate.selectivity_features():
                 for table in tables:
                     key = (table, column)
-                    if key not in dict.fromkeys(
-                        (t, c) for t, c in self.tracked_columns
-                    ):
+                    if key not in tracked:
                         continue
                     lo, hi = ranges.get(key, (-np.inf, np.inf))
                     if op in (">", ">="):

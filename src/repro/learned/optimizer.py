@@ -20,6 +20,7 @@ transient cost is precisely what the paper's adaptability metrics (Fig
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -67,16 +68,21 @@ class _BayesianLinearArm:
         self._A = np.eye(dim) / prior
         self._b = np.zeros(dim)
         self._noise = noise
+        # (mean, noise * cov) of the posterior; dropped by ``update``.
+        self._posterior: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def sample_prediction(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        cov = np.linalg.inv(self._A)
-        mean = cov @ self._b
-        theta = rng.multivariate_normal(mean, self._noise * cov)
+        if self._posterior is None:
+            cov = np.linalg.inv(self._A)
+            self._posterior = (cov @ self._b, self._noise * cov)
+        mean, scaled_cov = self._posterior
+        theta = rng.multivariate_normal(mean, scaled_cov)
         return float(theta @ x)
 
     def update(self, x: np.ndarray, reward: float) -> None:
         self._A += np.outer(x, x)
         self._b += reward * x
+        self._posterior = None
 
 
 class BanditPlanSteering:
@@ -106,10 +112,8 @@ class BanditPlanSteering:
     ) -> None:
         self._estimator = estimator
         self._rng = np.random.default_rng(seed)
-        self._arms = [
-            _BayesianLinearArm(self._FEATURE_DIM, noise=exploration_noise)
-            for _ in self.ARMS
-        ]
+        self._exploration_noise = exploration_noise
+        self.reset_learning()
         self._decisions = 0
         self._arm_counts = [0] * len(self.ARMS)
         # Observability sink; the owning SUT swaps in the run tracer.
@@ -127,9 +131,9 @@ class BanditPlanSteering:
 
     def reset_learning(self) -> None:
         """Forget learned rewards (used after detected drift)."""
-        noise = 1.0
         self._arms = [
-            _BayesianLinearArm(self._FEATURE_DIM, noise=noise) for _ in self.ARMS
+            _BayesianLinearArm(self._FEATURE_DIM, noise=self._exploration_noise)
+            for _ in self.ARMS
         ]
 
     # -- features ---------------------------------------------------------------
@@ -154,7 +158,7 @@ class BanditPlanSteering:
     # -- choose / learn --------------------------------------------------------------
 
     def _optimizer_for_arm(self, arm: int) -> CostBasedOptimizer:
-        _, method, join_factor = self.ARMS[arm]
+        _, _, join_factor = self.ARMS[arm]
         estimator: CardinalityEstimator = self._estimator
         if join_factor != 1.0:
             estimator = _ScaledEstimator(estimator, join_factor)
@@ -178,8 +182,6 @@ class BanditPlanSteering:
         if not for_children:
             return plan
         # Project/Aggregate: single child.
-        import copy
-
         clone = copy.copy(plan)
         clone.child = self._restrict(for_children[0], method)  # type: ignore[attr-defined]
         return clone

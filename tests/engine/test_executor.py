@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
 from repro.engine.plans import Aggregate, Filter, Join, Project, Scan
+from repro.engine.schema import ColumnType, Schema
+from repro.engine.table import Table
 from repro.errors import PlanError, SchemaError
 
 
@@ -50,7 +55,11 @@ class TestJoins:
         nl_result = executor.execute(
             Join(Scan("orders_small"), Scan("customers"), "cid", "cid", "nl")
         )
-        assert hash_result.table.row_count == nl_result.table.row_count
+        # Same rows in every column; the order differs (hash probes with
+        # the larger side, customers; nested loops run orders_small outermost).
+        assert hash_result.table.schema == nl_result.table.schema
+        assert hash_result.table.row_count == 80
+        assert sorted(hash_result.table.rows()) == sorted(nl_result.table.rows())
 
     def test_nl_costs_more_work(self, executor, orders_catalog):
         small = orders_catalog.get("orders").select_rows(np.arange(80))
@@ -76,6 +85,100 @@ class TestJoins:
         )
         names = result.table.schema.names
         assert "cid" in names and any(n.endswith("_cid") for n in names)
+
+
+def _ref_key(column, i):
+    value = column[i]
+    return float(value) if isinstance(value, (int, float, np.integer, np.floating)) else value
+
+
+def _reference_join(method, left_keys, right_keys):
+    """The row-at-a-time joins the executor used before its match kernel:
+    a dict hash join (build on the smaller side, ties on right) and a
+    nested double loop. Returns (left_idx, right_idx, work)."""
+    n_left, n_right = len(left_keys), len(right_keys)
+    left_idx, right_idx = [], []
+    if method == "nl":
+        for i in range(n_left):
+            ki = _ref_key(left_keys, i)
+            for j in range(n_right):
+                if ki == _ref_key(right_keys, j):
+                    left_idx.append(i)
+                    right_idx.append(j)
+        return left_idx, right_idx, float(n_left * max(1, n_right))
+    build_is_right = n_right <= n_left
+    build, probe = (right_keys, left_keys) if build_is_right else (left_keys, right_keys)
+    ht = {}
+    for i in range(len(build)):
+        ht.setdefault(_ref_key(build, i), []).append(i)
+    probe_idx, build_idx = [], []
+    for i in range(len(probe)):
+        for j in ht.get(_ref_key(probe, i), ()):
+            probe_idx.append(i)
+            build_idx.append(j)
+    work = float(n_left + n_right + len(probe_idx))
+    if build_is_right:
+        return probe_idx, build_idx, work
+    return build_idx, probe_idx, work
+
+
+_KEY_POOLS = {
+    ColumnType.INT: st.sampled_from([-2, -1, 0, 1, 2, 3, 2**53, 2**53 + 1]),
+    ColumnType.FLOAT: st.sampled_from(
+        [float("nan"), 0.0, -0.0, 1.0, 1.5, -2.0, 3.0, float("inf"), float(2**53)]
+    ),
+    ColumnType.STRING: st.sampled_from(["a", "b", "", "a\x00", "1.0", "nan"]),
+}
+
+_key_columns = st.sampled_from(list(_KEY_POOLS)).flatmap(
+    lambda ctype: st.tuples(st.just(ctype), st.lists(_KEY_POOLS[ctype], max_size=9))
+)
+
+
+def _keyed_table(name, id_col, ctype, keys):
+    return Table.from_columns(
+        name,
+        Schema.of((id_col, ColumnType.INT), ("k", ctype)),
+        {id_col: np.arange(len(keys)), "k": keys},
+    )
+
+
+class TestJoinOracle:
+    """The match kernel emits exactly the rows, in exactly the order, and
+    charges exactly the work of the row-at-a-time joins it replaced."""
+
+    @pytest.mark.parametrize("method", ["hash", "nl"])
+    @settings(max_examples=150, deadline=None)
+    @given(left=_key_columns, right=_key_columns)
+    # Build-side orientation: left smaller, right smaller, equal; an empty side.
+    @example(left=(ColumnType.INT, [1, 2]), right=(ColumnType.INT, [2, 1, 2, 1]))
+    @example(left=(ColumnType.INT, [2, 1, 2, 1]), right=(ColumnType.FLOAT, [1.0, 2.0]))
+    @example(left=(ColumnType.FLOAT, [0.0, -0.0]), right=(ColumnType.FLOAT, [-0.0, 0.0]))
+    @example(left=(ColumnType.FLOAT, [float("nan"), 1.0]), right=(ColumnType.FLOAT, [float("nan")]))
+    @example(left=(ColumnType.STRING, ["a", "b", "a"]), right=(ColumnType.STRING, ["a", "a"]))
+    @example(left=(ColumnType.STRING, ["1.0"]), right=(ColumnType.FLOAT, [1.0]))
+    @example(left=(ColumnType.INT, []), right=(ColumnType.INT, [1, 1]))
+    @example(left=(ColumnType.STRING, ["a"]), right=(ColumnType.STRING, []))
+    def test_rows_order_and_work_match_reference(self, method, left, right):
+        catalog = Catalog()
+        left_table = _keyed_table("l", "lid", *left)
+        right_table = _keyed_table("r", "rid", *right)
+        catalog.register(left_table)
+        catalog.register(right_table)
+        result = Executor(catalog).execute(Join(Scan("l"), Scan("r"), "k", "k", method))
+
+        left_keys, right_keys = left_table.column("k"), right_table.column("k")
+        left_idx, right_idx, work = _reference_join(method, left_keys, right_keys)
+        out = result.table
+        assert out.schema.names == ["lid", "k", "rid", "r_k"]
+        assert out.column("lid").tolist() == left_idx
+        assert out.column("rid").tolist() == right_idx
+        # repr tells -0.0 from 0.0, which == does not.
+        assert list(map(repr, out.column("k"))) == [repr(left_keys[i]) for i in left_idx]
+        assert list(map(repr, out.column("r_k"))) == [repr(right_keys[j]) for j in right_idx]
+        # The two scans below the join charge one unit per row.
+        assert result.work == len(left_keys) + len(right_keys) + work
+        assert result.cardinalities[f"Join[k=k;{method}](Scan[l],Scan[r])"] == len(left_idx)
 
 
 class TestAggregates:

@@ -49,13 +49,18 @@ class TestSubtrees:
         assert plan.tables() == ["a", "b"]
 
 
+@pytest.fixture
+def histograms(orders_catalog):
+    estimator = HistogramEstimator()
+    estimator.analyze(orders_catalog, "orders")
+    estimator.analyze(orders_catalog, "customers")
+    return estimator
+
+
 class TestOptimizer:
     @pytest.fixture
-    def optimizer(self, orders_catalog):
-        estimator = HistogramEstimator()
-        estimator.analyze(orders_catalog, "orders")
-        estimator.analyze(orders_catalog, "customers")
-        return CostBasedOptimizer(estimator)
+    def optimizer(self, histograms):
+        return CostBasedOptimizer(histograms)
 
     def test_prefers_hash_join_on_large_inputs(self, optimizer, orders_catalog):
         plan = Join(Scan("orders"), Scan("customers"), "cid", "cid")
@@ -109,3 +114,53 @@ class TestOptimizer:
         hist_work = executor.execute(hist_choice.plan).work
         oracle_work = executor.execute(oracle_choice.plan).work
         assert oracle_work <= hist_work * 1.05
+
+
+class _CountingEstimator:
+    """Delegates to ``inner`` and keeps every node it was asked about."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.asked = []  # the nodes themselves: alive, so ids stay distinct
+
+    def estimate(self, plan, catalog):
+        self.asked.append(plan)
+        return self.inner.estimate(plan, catalog)
+
+
+class _NoReuseOptimizer(CostBasedOptimizer):
+    """Reference: costs every candidate from scratch."""
+
+    def _cost(self, plan, catalog, memo):
+        return super()._cost(plan, catalog, {})
+
+
+class TestCostReuse:
+    @pytest.fixture
+    def plan(self):
+        # Two open joins: 4 x 4 = 16 candidates over shared subtrees.
+        inner = Join(
+            Filter(Scan("orders"), col("amount") > 400.0), Scan("customers"), "cid", "cid"
+        )
+        return Aggregate(Join(inner, Scan("customers"), "cid", "cid"), "count")
+
+    def test_each_subtree_object_estimated_once(self, histograms, plan, orders_catalog):
+        counting = _CountingEstimator(histograms)
+        optimizer = CostBasedOptimizer(counting)
+        optimizer.optimize(plan, orders_catalog)
+        distinct = {id(node) for node in counting.asked}
+        assert len(counting.asked) == len(distinct)
+        # ... and sharing is real: from-scratch costing asks far more often.
+        unshared = _CountingEstimator(histograms)
+        _NoReuseOptimizer(unshared).optimize(plan, orders_catalog)
+        assert {n.canonical() for n in unshared.asked} == {
+            n.canonical() for n in counting.asked
+        }
+        assert len(unshared.asked) > 2 * len(counting.asked)
+
+    def test_choice_equal_with_and_without_reuse(self, histograms, plan, orders_catalog):
+        shared = CostBasedOptimizer(histograms).optimize(plan, orders_catalog)
+        unshared = _NoReuseOptimizer(histograms).optimize(plan, orders_catalog)
+        assert shared.plan.canonical() == unshared.plan.canonical()
+        assert shared.cost == unshared.cost
+        assert shared.estimated_rows == unshared.estimated_rows

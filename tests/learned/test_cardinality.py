@@ -13,6 +13,7 @@ from repro.learned.cardinality import (
     HistogramEstimator,
     LearnedCardinalityEstimator,
     TrueCardinalityOracle,
+    _clip_unit,
 )
 
 
@@ -131,6 +132,16 @@ class TestLearned:
                 model.observe(plan, card, orders_catalog)
         q_after = model.q_error(test_plan, test_card, orders_catalog)
         assert q_after < q_before
+
+
+class TestClipUnit:
+    @pytest.mark.parametrize(
+        "x",
+        [float("nan"), -0.0, 0.0, -1.0, 5e-324, 0.3, 1.0, 1.0 + 2**-52, 2.0,
+         float("inf"), float("-inf")],
+    )
+    def test_bit_equal_to_np_clip(self, x):
+        assert repr(_clip_unit(x)) == repr(float(np.clip(x, 0.0, 1.0)))
 
 
 class TestOracle:

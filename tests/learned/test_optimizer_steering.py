@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
 from repro.engine.plans import Filter, Join, Scan
 from repro.learned.cardinality import HistogramEstimator
-from repro.learned.optimizer import BanditPlanSteering
+from repro.learned.optimizer import BanditPlanSteering, _BayesianLinearArm
+from repro.suts.analytic import AnalyticWorkload, build_analytic_catalog
+from repro.workloads.distributions import UniformDistribution
+from repro.workloads.drift import AbruptDrift
 
 
 @pytest.fixture
@@ -73,6 +77,12 @@ class TestLearning:
         choice = steering.choose(plan, catalog)
         assert choice.arm in range(len(steering.ARMS))
 
+    def test_reset_learning_keeps_exploration_noise(self):
+        steering = BanditPlanSteering(HistogramEstimator(), exploration_noise=3.0)
+        assert {arm._noise for arm in steering._arms} == {3.0}
+        steering.reset_learning()
+        assert {arm._noise for arm in steering._arms} == {3.0}
+
     def test_deterministic_with_seed(self, orders_catalog):
         estimator = HistogramEstimator()
         estimator.analyze(orders_catalog, "orders")
@@ -80,3 +90,68 @@ class TestLearning:
         a = BanditPlanSteering(estimator, seed=7).choose(plan, orders_catalog)
         b = BanditPlanSteering(estimator, seed=7).choose(plan, orders_catalog)
         assert a.arm == b.arm
+
+
+class _RecomputingArm(_BayesianLinearArm):
+    """Reference arm: inverts ``A`` on every sample, keeps nothing."""
+
+    def sample_prediction(self, x, rng):
+        cov = np.linalg.inv(self._A)
+        mean = cov @ self._b
+        theta = rng.multivariate_normal(mean, self._noise * cov)
+        return float(theta @ x)
+
+
+class TestPosteriorReuse:
+    ROUNDS = 200
+
+    def _drive(self, recompute: bool):
+        """``ROUNDS`` choose/learn rounds on the stale-statistics schedule:
+        ANALYZE once, bulk-load an unseen value region half way, and move
+        the predicates there."""
+        catalog = build_analytic_catalog(n_orders=600, n_customers=60, seed=9)
+        estimator = HistogramEstimator()
+        for name in catalog.names():
+            estimator.analyze(catalog, name)
+        steering = BanditPlanSteering(estimator, seed=5)
+        if recompute:
+            steering._arms = [
+                _RecomputingArm(steering._FEATURE_DIM) for _ in steering.ARMS
+            ]
+        half = self.ROUNDS // 2
+        drift = AbruptDrift(
+            [UniformDistribution(0.0, 150.0), UniformDistribution(1000.0, 1120.0)],
+            [float(half)],
+        )
+        workload = AnalyticWorkload(drift, window=80.0, join_fraction=0.8, seed=3)
+        executor = Executor(catalog)
+        load_rng = np.random.default_rng(29)
+        chosen = []
+        for i in range(self.ROUNDS):
+            if i == half:
+                catalog.get("orders").append_rows(
+                    [
+                        {
+                            "oid": 100_000 + j,
+                            "cid": int(load_rng.integers(0, 60)),
+                            "amount": float(load_rng.uniform(1000.0, 1200.0)),
+                        }
+                        for j in range(200)
+                    ]
+                )
+            plan = workload.next_query(float(i)).plan
+            choice = steering.choose(plan, catalog)
+            result = executor.execute(choice.plan_cost.plan)
+            steering.learn(choice, result.work, plan, catalog)
+            chosen.append(
+                (choice.arm, choice.plan_cost.plan.canonical(), choice.plan_cost.cost)
+            )
+        return steering.arm_counts, chosen
+
+    def test_kept_posterior_chooses_what_recomputing_chooses(self):
+        counts, chosen = self._drive(recompute=False)
+        ref_counts, ref_chosen = self._drive(recompute=True)
+        assert sum(counts) == self.ROUNDS
+        assert len({arm for arm, _, _ in chosen}) > 1  # it did explore
+        assert counts == ref_counts
+        assert chosen == ref_chosen
