@@ -18,7 +18,9 @@ Scale knob: ``REPRO_BENCH_STREAM_QUERIES=100000000`` locally pushes the
 same test to 100M queries, which must stay under 2 GB.
 
 Writes ``BENCH_streaming.json`` into ``benchmarks/results/`` (query
-counts, wall seconds, queries/second, peak RSS vs budget).
+counts, wall seconds, queries/second, peak RSS vs budget, and the
+overlap run's spill cost — seconds inside ``spill-write`` spans and
+bytes per query, both read from the run's own trace).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
 from repro.core.streaming import StreamBlock, load_spilled_columns
 from repro.metrics import streaming_accumulators
+from repro.observability import Tracer
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import HotspotDistribution, UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -59,6 +62,10 @@ KEY_DOMAIN = 100_000.0
 BLOCK_SIZE = 65_536
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: Spill cost of the overlap run, filled by the equivalence test and
+#: written into ``BENCH_streaming.json`` by the memory gate after it.
+_OVERLAP_SPILL: dict = {}
 
 
 def _maxrss_mb() -> float:
@@ -160,7 +167,10 @@ def test_streaming_matches_in_memory_bit_for_bit(tmp_path, figure_sink):
     in_memory = VirtualClockDriver(DriverConfig())
     result = in_memory.run(TraditionalKVStore(), _overlap_scenario())
 
-    streaming = VirtualClockDriver(DriverConfig(block_size=BLOCK_SIZE))
+    tracer = Tracer()
+    streaming = VirtualClockDriver(
+        DriverConfig(block_size=BLOCK_SIZE), tracer=tracer
+    )
     t0 = time.perf_counter()
     summary = streaming.run_streaming(
         TraditionalKVStore(),
@@ -180,6 +190,14 @@ def test_streaming_matches_in_memory_bit_for_bit(tmp_path, figure_sink):
         )
     assert spilled.op_vocab == cols.op_vocab
     assert spilled.segment_vocab == cols.segment_vocab
+
+    trace = tracer.finish()
+    _OVERLAP_SPILL["spill_write_s"] = round(
+        sum(s.duration for s in trace.walk() if s.name == "spill-write"), 4
+    )
+    _OVERLAP_SPILL["spill_bytes_per_query"] = round(
+        trace.counter("spill.bytes") / cols.size, 3
+    )
 
     # Metric path: many small blocks == one giant block, byte for byte.
     reference = _one_block_metrics(cols, _overlap_scenario(), sla, summary.horizon)
@@ -206,7 +224,9 @@ def test_streaming_matches_in_memory_bit_for_bit(tmp_path, figure_sink):
                 "  spilled columns : bit-identical (5 columns + vocabs)",
                 f"  metric payloads : byte-identical ({len(summary.metrics)} "
                 "accumulators, block size unobservable)",
-                f"  streaming wall  : {stream_s:6.2f}s",
+                f"  streaming wall  : {stream_s:6.2f}s "
+                f"(spill {_OVERLAP_SPILL['spill_write_s']:.2f}s, "
+                f"{_OVERLAP_SPILL['spill_bytes_per_query']:.2f} B/query)",
             ]
         ),
     )
@@ -251,6 +271,7 @@ def test_streaming_memory_gate(benchmark, figure_sink):
         "rss_budget_mb": RSS_BUDGET_MB,
         "overlap_queries": OVERLAP_QUERIES,
         "identical_overlap": True,
+        **_OVERLAP_SPILL,
     }
     os.makedirs(_RESULTS_DIR, exist_ok=True)
     with open(os.path.join(_RESULTS_DIR, "BENCH_streaming.json"), "w") as handle:

@@ -266,6 +266,8 @@ class VirtualClockDriver:
             if spill_dir is not None
             else None
         )
+        if spiller is not None:
+            spiller.tracer = self.tracer
         recorder = StreamingRecorder(accumulators=accumulators, spiller=spiller)
         training_events, _ = self._execute(sut, scenario, recorder)
         recorder.flush()
@@ -331,6 +333,8 @@ class VirtualClockDriver:
         """
         from repro.core.streaming import StreamingRecorder
 
+        if spiller is not None:
+            spiller.tracer = self.tracer
         recorder = StreamingRecorder(
             accumulators=list(accumulators), spiller=spiller
         )

@@ -230,6 +230,14 @@ class TestMergeEquivalence:
             spill_dir=str(sharded_dir),
         )
         assert merged.spill is not None and merged.spill["sharded"] is True
+        # The column encoding is each shard directory's own business:
+        # the merged manifest names directories, theirs name the encoding.
+        assert "encoding" not in merged.spill
+        for entry in merged.spill["shards"]:
+            sub = json.loads(
+                (sharded_dir / entry["directory"] / "manifest.json").read_text()
+            )
+            assert sub["encoding"] == "delta-byteplanes"
         reference = load_spilled_columns(reference_dir)
         stitched = load_spilled_columns(sharded_dir)
         assert stitched.op_vocab == reference.op_vocab

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
@@ -17,6 +22,8 @@ from repro.core.streaming import (
     load_spilled_columns,
 )
 from repro.errors import ConfigurationError, DriverError
+from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
+from repro.observability import Tracer
 from repro.serialization import (
     streaming_summary_from_dict,
     streaming_summary_to_dict,
@@ -225,6 +232,352 @@ class TestColumnSpiller:
             assert cols.size == 10
 
 
+COLUMN_NAMES = ("arrivals", "starts", "completions", "op_codes", "segment_codes")
+
+
+def _assert_bit_identical(loaded, reference):
+    """All five columns equal; floats compared on their uint64 view, so
+    NaN payloads and the sign of zero count (``==`` would miss both)."""
+    for name in COLUMN_NAMES:
+        got, want = getattr(loaded, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        if want.dtype == np.float64:
+            got, want = got.view(np.uint64), want.view(np.uint64)
+        assert np.array_equal(got, want), f"column {name!r} differs"
+
+
+def _spill_floats(directory, values, shard_rows):
+    """Spill ``values`` / ``-values`` / ``|values|`` as the three float
+    columns in blocks of 7 rows (shard boundaries fall inside and between
+    blocks), reload, and compare every column on its bit pattern."""
+    spiller = ColumnSpiller(directory, shard_rows=shard_rows)
+    codes = np.zeros(values.size, np.int32)
+    with np.errstate(all="ignore"):  # StreamBlock derives inf - inf latencies
+        for lo in range(0, values.size, 7):
+            part = values[lo : lo + 7]
+            spiller.write(
+                StreamBlock(
+                    part, -part, np.abs(part), codes[: part.size], codes[: part.size]
+                )
+            )
+    spiller.finish(["read"], ["a"])
+    loaded = load_spilled_columns(directory)
+    for got, want in (
+        (loaded.arrivals, values),
+        (loaded.starts, -values),
+        (loaded.completions, np.abs(values)),
+    ):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return loaded
+
+
+#: Every float64 bit pattern, drawn from the bits so NaN payloads,
+#: subnormals, infinities and both zeros all occur.
+_any_float64 = st.integers(0, 2**64 - 1)
+
+SHARD_ROWS = 16
+
+
+class TestSpillCodec:
+    @pytest.mark.parametrize(
+        "size", [0, 1, SHARD_ROWS - 1, SHARD_ROWS, SHARD_ROWS + 1, 3 * SHARD_ROWS + 5]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_exact_for_any_float64(
+        self, tmp_path_factory, size, data
+    ):
+        bits = data.draw(st.lists(_any_float64, min_size=size, max_size=size))
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        loaded = _spill_floats(
+            tmp_path_factory.mktemp("codec"), values, shard_rows=SHARD_ROWS
+        )
+        assert loaded.size == size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(0, 3 * SHARD_ROWS),
+            elements=st.floats(allow_nan=True, allow_infinity=True, width=64),
+        ),
+        descending=st.booleans(),
+    )
+    def test_round_trip_of_sorted_and_unsorted_columns(
+        self, tmp_path_factory, values, descending
+    ):
+        # Multi-server and faulted runs are not sorted by completion;
+        # a descending column makes every delta wrap around.
+        if descending:
+            values = np.sort(values)[::-1].copy()
+        _spill_floats(tmp_path_factory.mktemp("codec"), values, shard_rows=SHARD_ROWS)
+
+    def test_special_values_survive(self, tmp_path):
+        nan_payload = np.array([0x7FF8_0000_DEAD_BEEF], np.uint64).view(np.float64)[0]
+        values = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, nan_payload, 5e-324, -5e-324,
+             1.7976931348623157e308, 1.0, 0.5, 0.5, -3.0]
+        )
+        loaded = _spill_floats(tmp_path / "s", values, shard_rows=4)
+        assert np.signbit(loaded.arrivals[1]) and not np.signbit(loaded.arrivals[0])
+
+    def test_shards_are_standard_npz_with_recorded_encoding(self, tmp_path):
+        spiller = ColumnSpiller(tmp_path / "s", shard_rows=8)
+        spiller.write(_block(8))
+        manifest = spiller.finish(["read"], ["a"])
+        assert manifest["encoding"] == "delta-byteplanes"
+        with np.load(tmp_path / "s" / "shard-00000.npz", allow_pickle=False) as shard:
+            assert set(shard.files) == set(COLUMN_NAMES)
+            assert shard["arrivals"].dtype == np.uint8
+            assert shard["arrivals"].shape == (8, 8)
+            assert shard["op_codes"].dtype == np.int32
+
+    def test_encoded_fifo_run_is_smaller_than_raw(self, tmp_path):
+        # Clock-free size guard: a FIFO-shaped run (sorted arrivals, each
+        # start the previous completion or the arrival) must land well
+        # under its raw 3 x 8 + 2 x 4 = 32 bytes per query.
+        rng = np.random.default_rng(5)
+        n = 40_000
+        arrivals = np.cumsum(rng.exponential(1 / 2500.0, n))
+        service = rng.exponential(3e-4, n)
+        completions = np.empty(n)
+        free = 0.0
+        for i in range(n):
+            free = max(free, arrivals[i]) + service[i]
+            completions[i] = free
+        starts = completions - service
+        codes = np.zeros(n, np.int32)
+        spiller = ColumnSpiller(tmp_path / "s")
+        spiller.write(StreamBlock(arrivals, starts, completions, codes, codes))
+        spiller.finish(["read"], ["a"])
+        size = sum(f.stat().st_size for f in (tmp_path / "s").glob("shard-*.npz"))
+        assert size < 0.6 * 32 * n
+
+
+def _write_plain_spill(directory, shards, rows=None, **manifest_extra):
+    """A spill as written before the byte-plane encoding existed:
+    ``np.savez_compressed`` float64 columns, manifest without ``encoding``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    names = []
+    for i, columns in enumerate(shards):
+        names.append(f"shard-{i:05d}.npz")
+        np.savez_compressed(directory / names[-1], **columns)
+    manifest = {
+        "format": "npz",
+        "rows": sum(c["arrivals"].size for c in shards) if rows is None else rows,
+        "shards": names,
+        "op_vocab": ["read"],
+        "segment_vocab": ["a"],
+        "directory": str(directory),
+        **manifest_extra,
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _plain_columns(n, offset=0.0, **override):
+    block = _block(n, offset)
+    columns = {name: getattr(block, name) for name in COLUMN_NAMES}
+    columns.update(override)
+    return columns
+
+
+class TestLoadSpilledColumns:
+    def test_spill_without_encoding_loads_as_plain_float64(self, tmp_path):
+        rng = np.random.default_rng(2)
+        shards = [
+            _plain_columns(10, arrivals=rng.normal(size=10)),
+            _plain_columns(10, 10.0, completions=np.full(10, -0.0)),
+        ]
+        _write_plain_spill(tmp_path / "old", shards)
+        loaded = load_spilled_columns(tmp_path / "old")
+        assert loaded.size == 20
+        _assert_bit_identical(
+            loaded,
+            SimpleNamespace(
+                **{
+                    name: np.concatenate([shard[name] for shard in shards])
+                    for name in COLUMN_NAMES
+                }
+            ),
+        )
+
+    def test_unknown_encoding_rejected(self, tmp_path):
+        _write_plain_spill(tmp_path / "s", [_plain_columns(4)], encoding="xor-v9")
+        with pytest.raises(ConfigurationError, match="unknown spill encoding 'xor-v9'"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_ragged_shard_rejected(self, tmp_path):
+        # Reproduced before the fix: 3/3/2 rows in one shard loaded as
+        # arrivals.size == 15, completions.size == 14, silently.
+        ragged = _plain_columns(3, completions=np.zeros(2))
+        _write_plain_spill(
+            tmp_path / "s",
+            [ragged, _plain_columns(6), _plain_columns(6)],
+            rows=20,
+        )
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*unequal"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_row_total_must_match_manifest(self, tmp_path):
+        _write_plain_spill(
+            tmp_path / "s", [_plain_columns(10), _plain_columns(5)], rows=20
+        )
+        with pytest.raises(ConfigurationError, match="15 rows, manifest says 20"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_truncated_shard_rejected(self, tmp_path):
+        spiller = ColumnSpiller(tmp_path / "s", shard_rows=64)
+        spiller.write(_block(100))
+        spiller.finish(["read"], ["a"])
+        victim = tmp_path / "s" / "shard-00001.npz"
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        with pytest.raises(ConfigurationError, match="shard-00001.npz"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_corrupt_member_rejected(self, tmp_path):
+        # Valid zip directory, damaged deflate stream inside it.
+        spiller = ColumnSpiller(tmp_path / "s")
+        spiller.write(_block(4000))
+        spiller.finish(["read"], ["a"])
+        victim = tmp_path / "s" / "shard-00000.npz"
+        data = bytearray(victim.read_bytes())
+        data[100:140] = bytes(40)
+        victim.write_bytes(bytes(data))
+        with pytest.raises(ConfigurationError, match="shard-00000.npz"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_shard_that_is_not_an_archive_rejected(self, tmp_path):
+        _write_plain_spill(tmp_path / "s", [_plain_columns(4)])
+        with open(tmp_path / "s" / "shard-00000.npz", "wb") as fh:
+            np.save(fh, np.arange(4.0))
+        with pytest.raises(ConfigurationError, match="shard-00000.npz"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_missing_column_rejected(self, tmp_path):
+        columns = _plain_columns(4)
+        del columns["starts"]
+        _write_plain_spill(tmp_path / "s", [columns])
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*starts"):
+            load_spilled_columns(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "name", ["../x.npz", "/tmp/x.npz", "sub/x.npz", "..", "", None, 3]
+    )
+    def test_shard_names_cannot_leave_the_directory(self, tmp_path, name):
+        _write_plain_spill(tmp_path / "s", [_plain_columns(4)])
+        np.savez_compressed(tmp_path / "x.npz", **_plain_columns(4))
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        manifest["shards"] = [name]
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="plain file name"):
+            load_spilled_columns(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            np.zeros((8, 4), np.int8),
+            np.zeros((4, 8), np.uint8),
+            np.zeros(32, np.uint8),
+            np.zeros(4, np.float64),
+        ],
+    )
+    def test_encoded_planes_must_be_uint8_8_by_n(self, tmp_path, planes):
+        _write_plain_spill(
+            tmp_path / "s",
+            [_plain_columns(4, arrivals=planes)],
+            rows=4,
+            encoding="delta-byteplanes",
+        )
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'arrivals'"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_plain_columns_must_be_float64_vectors(self, tmp_path):
+        _write_plain_spill(
+            tmp_path / "s", [_plain_columns(4, arrivals=np.zeros((8, 4), np.uint8))]
+        )
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'arrivals'"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_code_columns_must_be_integers(self, tmp_path):
+        _write_plain_spill(
+            tmp_path / "s", [_plain_columns(4, op_codes=np.full(4, 0.9))]
+        )
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'op_codes'"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_pickled_members_are_refused(self, tmp_path):
+        _write_plain_spill(
+            tmp_path / "s",
+            [_plain_columns(4, op_codes=np.array([0, 0, 0, None], dtype=object))],
+        )
+        with pytest.raises(ConfigurationError, match="shard-00000.npz"):
+            load_spilled_columns(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]", '{"format": "npz", "rows": 1}',
+                 '{"format": "npz", "rows": "many", "shards": [], '
+                 '"op_vocab": [], "segment_vocab": []}']
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ConfigurationError, match="malformed spill manifest"):
+            load_spilled_columns(tmp_path)
+
+    def test_unknown_format_in_manifest_rejected(self, tmp_path):
+        _write_plain_spill(tmp_path / "s", [_plain_columns(4)])
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        manifest["format"] = "csv"
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="unknown spill format 'csv'"):
+            load_spilled_columns(tmp_path / "s")
+
+
+class TestSpillTracing:
+    def test_flushes_are_spans_and_counters_match_disk(self, tmp_path):
+        tracer = Tracer()
+        driver = VirtualClockDriver(DriverConfig(block_size=64), tracer=tracer)
+        scenario = TestDriverStreaming()._scenario()
+        summary = driver.run_streaming(
+            TraditionalKVStore(), scenario, spill_dir=tmp_path / "s"
+        )
+        trace = tracer.finish()
+        shards = sorted((tmp_path / "s").glob("shard-*.npz"))
+        spans = [s for s in trace.walk() if s.name == "spill-write"]
+        assert len(spans) == len(shards) == len(summary.spill["shards"])
+        assert all(s.phase == "report" for s in spans)
+        assert [s.attrs["bytes"] for s in spans] == [
+            f.stat().st_size for f in shards
+        ]
+        assert sum(s.attrs["rows"] for s in spans) == summary.num_queries
+        assert trace.counter("spill.shards") == len(shards)
+        assert trace.counter("spill.rows") == summary.num_queries
+        assert trace.counter("spill.bytes") == sum(f.stat().st_size for f in shards)
+
+    def test_shard_runs_hand_their_tracer_over_too(self, tmp_path):
+        from repro.core.sharded import plan_shards
+        from repro.metrics import streaming_accumulators
+
+        tracer = Tracer()
+        scenario = TestDriverStreaming()._scenario()
+        spiller = ColumnSpiller(tmp_path / "s", shard_rows=100)
+        payload = VirtualClockDriver(DriverConfig(), tracer=tracer).run_streaming_shard(
+            TraditionalKVStore(),
+            scenario,
+            plan_shards(scenario, 2)[0],
+            streaming_accumulators(scenario),
+            spiller,
+        )
+        assert tracer.counters["spill.rows"] == payload["num_queries"]
+        assert tracer.counters["spill.shards"] == len(payload["spill"]["shards"])
+
+    def test_untraced_spiller_is_silent(self, tmp_path):
+        spiller = ColumnSpiller(tmp_path / "s", shard_rows=8)
+        spiller.write(_block(20))
+        spiller.finish(["read"], ["a"])
+        assert spiller.tracer.enabled is False
+
+
 class TestDriverStreaming:
     def _scenario(self):
         spec = simple_spec("steady", UniformDistribution(0, 1000), rate=150.0)
@@ -282,6 +635,46 @@ class TestDriverStreaming:
         spilled = load_spilled_columns(summary.spill["directory"])
         assert np.array_equal(spilled.arrivals, reference.columns.arrivals)
         assert np.array_equal(spilled.completions, reference.columns.completions)
+
+    def test_multi_server_spill_equals_in_memory_run(self, tmp_path):
+        # servers > 1 with scans among the reads: a short query overtakes
+        # a long one, so completions are not sorted in arrival order.
+        spec = simple_spec(
+            "scans",
+            UniformDistribution(0, 1000),
+            rate=4000.0,
+            scan_fraction=0.3,
+            scan_length_mean=200,
+        )
+        scenario = replace(
+            self._scenario(), segments=[Segment(spec=spec, duration=1.0, label="a")]
+        )
+        config = DriverConfig(servers=3, block_size=64)
+        summary = VirtualClockDriver(config).run_streaming(
+            TraditionalKVStore(), scenario, spill_dir=tmp_path / "s"
+        )
+        reference = VirtualClockDriver(config).run(TraditionalKVStore(), scenario)
+        assert np.any(np.diff(reference.columns.completions) < 0)
+        spilled = load_spilled_columns(summary.spill["directory"])
+        _assert_bit_identical(spilled, reference.columns)
+
+    def test_faulted_spill_equals_in_memory_run(self, tmp_path):
+        scenario = replace(
+            self._scenario(),
+            fault_plan=FaultPlan([
+                LatencyFault(start=0.5, end=1.0, multiplier=25.0),
+                StallFault(at=1.5, duration=0.4),
+                CrashFault(at=3.0, recovery_seconds=0.3),
+            ]),
+        )
+        summary = VirtualClockDriver(DriverConfig(block_size=64)).run_streaming(
+            TraditionalKVStore(), scenario, spill_dir=tmp_path / "s"
+        )
+        reference = VirtualClockDriver(DriverConfig()).run(
+            TraditionalKVStore(), scenario
+        )
+        spilled = load_spilled_columns(summary.spill["directory"])
+        _assert_bit_identical(spilled, reference.columns)
 
     def test_summary_round_trip(self, tmp_path):
         driver = VirtualClockDriver(DriverConfig(block_size=32))
