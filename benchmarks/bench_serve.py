@@ -32,6 +32,7 @@ from bench_common import bench_once
 from repro.cli import main as cli_main
 from repro.core.scenario import Scenario, Segment
 from repro.core.tenancy import BenchmarkServer, TenantSpec
+from repro.observability import Tracer
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -163,12 +164,18 @@ def test_tenants_vs_throughput_scaling(benchmark, figure_sink):
 
     def sweep():
         for n in (1, 2, 4, 8):
-            server = BenchmarkServer(workers=min(4, max(1, cpus)))
+            tracer = Tracer()
+            server = BenchmarkServer(workers=min(4, max(1, cpus)), tracer=tracer)
             t0 = time.perf_counter()
             report = server.serve(_tenants(n), sla=SLA)
             wall = time.perf_counter() - t0
             assert report.completed == n and report.dropped == 0
             queries = sum(t.summary.num_queries for t in report.tenants)
+            # Resident workers: with no failed attempt a window forks
+            # once per slot it can fill (one inline slot forks nothing).
+            forks = tracer.counters.get("pool.forks", 0)
+            slots = min(report.workers, n)
+            assert forks == (slots if report.workers > 1 else 0)
             rows.append(
                 {
                     "tenants": n,
@@ -176,6 +183,7 @@ def test_tenants_vs_throughput_scaling(benchmark, figure_sink):
                     "wall_s": round(wall, 2),
                     "service_qps": round(queries / wall, 1),
                     "workers": report.workers,
+                    "pool_forks": forks,
                 }
             )
 

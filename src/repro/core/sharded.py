@@ -233,6 +233,7 @@ class ShardedStreamingExecutor:
         sla: Optional[float] = None,
         spill_dir=None,
         spill_format: str = "npz",
+        tracer=None,
     ) -> StreamingRunSummary:
         """Execute ``scenario`` across shards; return the merged summary.
 
@@ -250,6 +251,8 @@ class ShardedStreamingExecutor:
                 the merged manifest stitches them back together (see
                 :func:`~repro.core.streaming.write_sharded_manifest`).
             spill_format: ``"npz"`` (default) or ``"parquet"``.
+            tracer: Optional :class:`~repro.observability.Tracer` handed
+                to the worker pool (``pool.*`` counters).
         """
         template = _build_accumulators(scenario, accumulator_factory, sla)
         ensure_merge_protocol(template)
@@ -279,6 +282,7 @@ class ShardedStreamingExecutor:
                 sla,
                 spill_dir,
                 spill_format,
+                tracer,
             )
         return merge_shard_payloads(
             scenario, shards, payloads, attempts, template, spill_dir
@@ -295,6 +299,7 @@ class ShardedStreamingExecutor:
         sla,
         spill_dir,
         spill_format,
+        tracer,
     ):
         """Run every shard on the shared :class:`WorkerPool`, fail-fast.
 
@@ -344,7 +349,9 @@ class ShardedStreamingExecutor:
                     f"{outcome.attempts} attempts: {outcome.error}"
                 )
 
-        outcomes = pool.run(tasks, on_attempt=on_attempt, on_outcome=on_outcome)
+        outcomes = pool.run(
+            tasks, on_attempt=on_attempt, on_outcome=on_outcome, tracer=tracer
+        )
         payloads = [outcome.payload for outcome in outcomes]
         attempts = [outcome.attempts for outcome in outcomes]
         missing = [i for i, payload in enumerate(payloads) if payload is None]

@@ -659,7 +659,7 @@ class BenchmarkServer:
                     ignore_errors=True,
                 )
 
-        outcomes = pool.run(tasks, on_attempt=on_attempt)
+        outcomes = pool.run(tasks, on_attempt=on_attempt, tracer=self._tracer)
         for outcome, (session, shard) in zip(outcomes, entries):
             session.outcomes[shard.index] = outcome
 

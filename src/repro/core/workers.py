@@ -5,10 +5,18 @@ runner's job pool (:class:`~repro.core.runner.MatrixRunner`), the
 sharded streaming executor
 (:class:`~repro.core.sharded.ShardedStreamingExecutor`), and the
 multi-tenant service (:class:`~repro.core.tenancy.BenchmarkServer`) —
-needs the same hardening: one process per attempt with a one-shot pipe
-home, ``connection.wait`` multiplexing, wall-clock kill deadlines,
-an exponential-backoff retry budget shared by raises, crashes, and
-timeouts, and per-job :class:`~repro.observability.Tracer` threading.
+needs the same hardening: resident worker processes fed task indexes
+over one duplex pipe each, ``connection.wait`` multiplexing, wall-clock
+kill deadlines, an exponential-backoff retry budget shared by raises,
+crashes, and timeouts, and per-job
+:class:`~repro.observability.Tracer` threading.
+
+A worker serves attempt after attempt for as long as every one of them
+succeeds, so a task gets fresh arguments (callers build a fresh SUT per
+attempt through ``sut_factory()``) but not a fresh interpreter, and
+must not depend on one. An attempt that raised, crashed or hit its
+deadline retires its worker for good: every retry — and whatever would
+have run next on that worker — lands in a fresh fork.
 
 :class:`WorkerPool` is that machinery, factored out once. Callers
 submit :class:`WorkerTask` s (a picklable ``fn`` plus positional args)
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 from collections import deque
@@ -49,7 +58,7 @@ from multiprocessing import connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.observability import Tracer
+from repro.observability import NULL_TRACER, Tracer
 
 __all__ = [
     "WorkerOutcome",
@@ -170,28 +179,43 @@ def _attempt(task: WorkerTask) -> Tuple[Any, Optional[str], float, Optional[dict
         return None, format_task_error(exc), wall, None
 
 
-def _worker_main(conn, task: WorkerTask) -> None:
-    """Child-process entry point: run one attempt, ship the result home.
+def _worker_main(conn, tasks: Sequence[WorkerTask]) -> None:
+    """Resident child-process entry point: serve attempts until told to stop.
 
-    The parent detects a hard crash (segfault, OOM-kill, timeout kill)
-    as EOF on the pipe — the child only closes it after a successful
-    ``send``, so a readable-but-empty pipe always means the attempt
-    never finished.
+    The parent sends the index of the task to run (the list itself is
+    inherited under ``fork``, and rides in as the process argument
+    elsewhere) and ``None`` to shut down: siblings forked later hold
+    copies of the pipe's parent end, so its EOF cannot be the signal.
+    A parent that died without saying so is seen on its sentinel.
     """
-    outcome = _attempt(task)
+    parent = multiprocessing.parent_process().sentinel
+    pid = os.getpid()
     try:
-        conn.send((*outcome, os.getpid()))
+        while parent not in connection.wait([conn, parent]):
+            index = conn.recv()
+            if index is None:
+                break
+            conn.send((*_attempt(tasks[index]), pid))
     finally:
         conn.close()
+
+
+def _retire(conn, proc) -> None:
+    """Shut one worker down for good: sentinel, close, join."""
+    try:
+        conn.send(None)
+    except OSError:  # it crashed: nobody left to tell
+        pass
+    conn.close()
+    proc.join()
 
 
 @dataclass
 class _TaskState:
     """Parent-side scheduling state for one submitted task."""
 
+    ready_at: float
     attempts: int = 0
-    ready_at: float = 0.0
-    outcome: Optional[WorkerOutcome] = None
 
 
 class WorkerPool:
@@ -242,6 +266,7 @@ class WorkerPool:
         tasks: Sequence[WorkerTask],
         on_attempt: Optional[Callable[[int, int], None]] = None,
         on_outcome: Optional[Callable[[WorkerOutcome], None]] = None,
+        tracer=None,
     ) -> List[WorkerOutcome]:
         """Execute every task; return outcomes aligned with the input.
 
@@ -256,13 +281,21 @@ class WorkerPool:
                 exception raised here aborts the pool: running workers
                 are killed and the exception propagates — the fail-fast
                 hook for callers that treat one failure as fatal.
+            tracer: Optional :class:`~repro.observability.Tracer`; process
+                mode counts ``pool.forks``, ``pool.recycled`` (workers
+                retired by a failed attempt), ``pool.dispatches``,
+                ``pool.attempts.{ok,raised,crashed,timed_out}``,
+                ``pool.queue_wait_s`` (ready → dispatched) and
+                ``pool.result_bytes`` (pickled results read) on it.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         if self.workers == 1 and self.timeout is None:
             return self._run_inline(tasks, on_attempt, on_outcome)
-        return self._run_processes(tasks, on_attempt, on_outcome)
+        return self._run_processes(
+            tasks, on_attempt, on_outcome, NULL_TRACER if tracer is None else tracer
+        )
 
     # -- inline mode -----------------------------------------------------------------
 
@@ -305,21 +338,42 @@ class WorkerPool:
         tasks: List[WorkerTask],
         on_attempt: Optional[Callable[[int, int], None]],
         on_outcome: Optional[Callable[[WorkerOutcome], None]],
+        tracer,
     ) -> List[WorkerOutcome]:
-        """Fan tasks across worker processes; survive bad tasks.
+        """Fan tasks across resident worker processes; survive bad tasks.
 
-        Each attempt runs in its own process with a one-shot pipe back
-        to the parent; ``connection.wait`` multiplexes completions, so
+        A worker is forked only when a ready task finds none idle, so a
+        run costs at most ``min(workers, tasks)`` forks plus one per
+        failed attempt; ``connection.wait`` multiplexes the pipes, so
         the scheduler notices a finished attempt immediately and a
-        *hard* crash as EOF on its pipe. Crashes, timeouts, and
-        structured in-task errors all feed the same retry budget.
+        *hard* crash as EOF. Crashes, timeouts, and structured in-task
+        errors all retire their worker and feed the same retry budget.
         """
         context = mp_context()
-        states = [_TaskState() for _ in tasks]
+        states = [_TaskState(ready_at=time.monotonic()) for _ in tasks]
         queue: Deque[int] = deque(range(len(tasks)))
+        idle: List[Tuple[Any, Any]] = []  # (conn, process), no attempt in flight
         # conn -> (task index, process, kill deadline or None)
         running: Dict[Any, Tuple[int, Any, Optional[float]]] = {}
         outcomes: List[Optional[WorkerOutcome]] = [None] * len(tasks)
+
+        def settle(kind: str, outcome: WorkerOutcome) -> None:
+            """Re-queue a failed attempt with backoff, or resolve the task."""
+            tracer.counter(f"pool.attempts.{kind}")
+            state = states[outcome.index]
+            if outcome.error is not None:
+                tracer.counter("pool.recycled")
+                if state.attempts < self.max_attempts:
+                    state.ready_at = time.monotonic() + (
+                        self.retry_backoff * (2 ** (state.attempts - 1))
+                    )
+                    queue.append(outcome.index)
+                    return
+            outcome.attempts = state.attempts
+            outcomes[outcome.index] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
+
         try:
             while queue or running:
                 while len(running) < self.workers:
@@ -327,20 +381,33 @@ class WorkerPool:
                     if index is None:
                         break
                     states[index].attempts += 1
+                    tracer.counter("pool.dispatches")
+                    tracer.counter(
+                        "pool.queue_wait_s",
+                        time.monotonic() - states[index].ready_at,
+                    )
                     if on_attempt is not None:
                         on_attempt(index, states[index].attempts)
-                    parent_end, child_end = context.Pipe(duplex=False)
-                    proc = context.Process(
-                        target=_worker_main, args=(child_end, tasks[index])
-                    )
-                    proc.start()
-                    child_end.close()  # child owns the write end now
+                    if idle:
+                        conn, proc = idle.pop()
+                    else:
+                        conn, child_end = context.Pipe()
+                        proc = context.Process(
+                            target=_worker_main, args=(child_end, tasks)
+                        )
+                        proc.start()
+                        child_end.close()  # the worker owns that end now
+                        tracer.counter("pool.forks")
+                    try:
+                        conn.send(index)
+                    except OSError:
+                        pass  # died while idle: reads as EOF below
                     deadline = (
                         time.monotonic() + self.timeout
                         if self.timeout is not None
                         else None
                     )
-                    running[parent_end] = (index, proc, deadline)
+                    running[conn] = (index, proc, deadline)
 
                 if not running:
                     # Everything left is backing off; sleep to the
@@ -357,93 +424,57 @@ class WorkerPool:
                 for conn in readable:
                     index, proc, _deadline = running.pop(conn)
                     try:
-                        message = conn.recv()
-                    except EOFError:
-                        # The child only closes the pipe after a
-                        # successful send, so EOF == hard crash.
-                        message = None
-                    conn.close()
-                    proc.join()
-                    if message is None:
-                        self._resolve_failure(
-                            index,
-                            f"worker crashed (exit code {proc.exitcode})",
-                            0.0,
-                            proc.pid or 0,
-                            states, queue, outcomes, on_outcome,
+                        data = conn.recv_bytes()
+                    except (EOFError, OSError):
+                        # A worker answers every index it is sent, so
+                        # EOF (OSError: mid-message) == hard crash.
+                        _retire(conn, proc)
+                        settle(
+                            "crashed",
+                            WorkerOutcome(
+                                index,
+                                error=f"worker crashed (exit code {proc.exitcode})",
+                                worker=proc.pid or 0,
+                            ),
                         )
                         continue
-                    payload, error, wall, trace, pid = message
+                    tracer.counter("pool.result_bytes", len(data))
+                    idle.append((conn, proc))  # owned, even if loads() raises
+                    payload, error, wall, trace, pid = pickle.loads(data)
                     if error is not None:
-                        self._resolve_failure(
-                            index, error, wall, pid, states, queue,
-                            outcomes, on_outcome,
-                        )
-                    else:
-                        outcome = WorkerOutcome(
-                            index=index,
-                            payload=payload,
-                            attempts=states[index].attempts,
-                            wall_seconds=wall,
-                            worker=pid,
-                            trace=trace,
-                        )
-                        outcomes[index] = outcome
-                        states[index].outcome = outcome
-                        if on_outcome is not None:
-                            on_outcome(outcome)
+                        _retire(*idle.pop())
+                    settle(
+                        "ok" if error is None else "raised",
+                        WorkerOutcome(
+                            index, payload, error,
+                            wall_seconds=wall, worker=pid, trace=trace,
+                        ),
+                    )
                 now = time.monotonic()
                 for conn, (index, proc, deadline) in list(running.items()):
                     if deadline is not None and now >= deadline:
                         del running[conn]
                         kill_process(proc)
                         conn.close()
-                        self._resolve_failure(
-                            index,
-                            f"TimeoutError: job exceeded the {self.timeout}s "
-                            f"wall-clock budget (killed)",
-                            self.timeout or 0.0,
-                            proc.pid or 0,
-                            states, queue, outcomes, on_outcome,
+                        settle(
+                            "timed_out",
+                            WorkerOutcome(
+                                index,
+                                error=f"TimeoutError: job exceeded the "
+                                f"{self.timeout}s wall-clock budget (killed)",
+                                wall_seconds=self.timeout or 0.0,
+                                worker=proc.pid or 0,
+                            ),
                         )
         finally:
-            # Interrupted (KeyboardInterrupt, fail-fast hook, …): never
-            # leak worker processes.
+            # Done or interrupted (KeyboardInterrupt, fail-fast hook, …):
+            # never leak worker processes.
             for conn, (_index, proc, _deadline) in running.items():
                 kill_process(proc)
                 conn.close()
+            for conn, proc in idle:
+                _retire(conn, proc)
         return [outcome for outcome in outcomes if outcome is not None]
-
-    def _resolve_failure(
-        self,
-        index: int,
-        error: str,
-        wall: float,
-        worker: int,
-        states: List[_TaskState],
-        queue: Deque[int],
-        outcomes: List[Optional[WorkerOutcome]],
-        on_outcome: Optional[Callable[[WorkerOutcome], None]],
-    ) -> None:
-        """Re-queue a failed attempt with backoff, or resolve as failed."""
-        state = states[index]
-        if state.attempts < self.max_attempts:
-            state.ready_at = time.monotonic() + (
-                self.retry_backoff * (2 ** (state.attempts - 1))
-            )
-            queue.append(index)
-            return
-        outcome = WorkerOutcome(
-            index=index,
-            error=error,
-            attempts=state.attempts,
-            wall_seconds=wall,
-            worker=worker,
-        )
-        outcomes[index] = outcome
-        state.outcome = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
 
     @staticmethod
     def _next_ready(

@@ -24,6 +24,7 @@ from repro.core.streaming import (
     load_spilled_columns,
 )
 from repro.errors import ConfigurationError, RunnerError
+from repro.observability import Tracer
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -214,6 +215,17 @@ class TestMergeEquivalence:
         reference = self._reference(_multi_segment_scenario())
         assert merged.num_queries == reference.num_queries
         _assert_metrics_match(reference.metrics, merged.metrics)
+
+    def test_run_hands_its_tracer_to_the_pool(self):
+        tracer = Tracer()
+        executor = ShardedStreamingExecutor(n_shards=2)
+        traced = executor.run(
+            TraditionalKVStore, _multi_segment_scenario(), tracer=tracer
+        )
+        plain = executor.run(TraditionalKVStore, _multi_segment_scenario())
+        assert tracer.counters["pool.forks"] == 2
+        assert tracer.counters["pool.attempts.ok"] == 2
+        assert traced.to_dict() == plain.to_dict()
 
     def test_merged_spill_reassembles_in_arrival_order(self, tmp_path):
         reference_dir = tmp_path / "reference"

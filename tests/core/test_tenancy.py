@@ -8,9 +8,12 @@ gates on.
 """
 
 import json
+from functools import partial
 
+import numpy as np
 import pytest
 
+from repro.core import tenancy
 from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.scenario import Scenario, Segment
 from repro.core.streaming import load_spilled_columns
@@ -24,8 +27,18 @@ from repro.core.tenancy import (
     sla_accounting,
 )
 from repro.errors import TenancyError
+from repro.observability import Tracer
+from repro.suts.kv_learned import LearnedKVStore
+from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import simple_spec
+
+# As in test_workers.py: whatever a serve leaves open now lives as long
+# as its resident workers.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def _scenario(name="serve-1", rate=20.0, duration=2.0, seed=3):
@@ -77,6 +90,21 @@ def _tenants(n, shards=1, seed_base=10, arrival_spacing=0.0):
         )
         for i in range(n)
     ]
+
+
+def _probe_tenant(name, sut_factory):
+    """A two-shard tenant whose second shard starts on a drift boundary."""
+    wide, hot = UniformDistribution(0, 1000), UniformDistribution(600, 650)
+    scenario = Scenario(
+        name=name,
+        segments=[
+            Segment(spec=simple_spec(label, dist, rate=300.0), duration=4.0)
+            for label, dist in (("a", wide), ("b", hot), ("c", wide), ("d", hot))
+        ],
+        seed=7,
+        initial_keys=np.linspace(0.0, 1000.0, 2000),
+    )
+    return TenantSpec(name=name, sut_factory=sut_factory, scenario=scenario, shards=2)
 
 
 class TestTokenBucket:
@@ -192,6 +220,60 @@ class TestServeDeterminism:
         second = BenchmarkServer(workers=2).serve(_tenants(3), sla=0.01)
         for a, b in zip(first.tenants, second.tenants):
             assert a.summary.to_dict() == b.summary.to_dict()
+
+    def test_traced_serve_counts_the_pool_and_changes_no_summary(self):
+        tracer = Tracer()
+        traced = BenchmarkServer(workers=2, tracer=tracer).serve(
+            _tenants(3, shards=2), sla=0.01
+        )
+        plain = BenchmarkServer(workers=2).serve(_tenants(3, shards=2), sla=0.01)
+        assert tracer.counters["pool.forks"] == 2
+        assert tracer.counters["pool.attempts.ok"] == 6
+        for a, b in zip(traced.tenants, plain.tenants):
+            assert a.summary.to_dict() == b.summary.to_dict()
+
+    def test_shard_payloads_do_not_depend_on_worker_position(self, monkeypatch):
+        # Resident workers run shard after shard in one interpreter, so
+        # a shard's payload must not depend on what its worker ran
+        # before: first task or twelfth, alone on the pool or not. The
+        # adaptive learned store covers tick/retrain state.
+        probes = [
+            _probe_tenant("probe-btree", TraditionalKVStore),
+            _probe_tenant(
+                "probe-learned",
+                partial(LearnedKVStore, retrain_cooldown=1.0, drift_window=128),
+            ),
+        ]
+        fillers = _tenants(4, shards=2)
+        seen = {}
+
+        def spy(scenario, plan, payloads, *rest):
+            fields = [
+                repr((p["states"], p["op_counts"], p["training_events"]))
+                for p in payloads
+            ]
+            seen.setdefault(scenario.name, []).append(fields)
+            return merge(scenario, plan, payloads, *rest)
+
+        merge = tenancy.merge_shard_payloads
+        monkeypatch.setattr(tenancy, "merge_shard_payloads", spy)
+        for workers in (1, 2, 4):
+            for window in (probes + fillers, fillers + probes[::-1]):
+                tracer = Tracer()
+                # A deadline forces process mode even at one worker.
+                report = BenchmarkServer(
+                    workers=workers, tenant_timeout=120.0, tracer=tracer
+                ).serve(window, sla=0.01)
+                assert report.completed == len(window)
+                # 12 tasks on `workers` resident processes: at pool size
+                # 1 the last probe shard is its worker's twelfth task.
+                assert tracer.counters["pool.forks"] == workers
+                assert tracer.counters["pool.dispatches"] == 12
+        for probe in probes:
+            runs = seen[probe.name]
+            assert len(runs) == 6 and len(runs[0]) == 2
+            assert all(run == runs[0] for run in runs[1:])
+        assert "TrainingEvent" in seen["probe-learned"][0][1]
 
     def test_distinct_seeds_distinct_streams(self):
         report = BenchmarkServer(workers=1).serve(_tenants(2))
