@@ -412,8 +412,8 @@ class VirtualClockDriver:
         with tracer.span("setup", phase="serve", sut=sut.name,
                          scenario=scenario.name):
             if scenario.initial_keys is not None and scenario.initial_keys.size:
-                pairs = [(float(k), i) for i, k in enumerate(scenario.initial_keys)]
-                sut.setup(pairs)
+                keys = np.asarray(scenario.initial_keys, dtype=np.float64)
+                sut.setup(list(zip(keys.tolist(), range(keys.size))))
             else:
                 sut.setup([])
         if scenario.initial_training is not None:
@@ -724,15 +724,16 @@ class VirtualClockDriver:
                 heapq.heappush(server_free, completion)
                 starts[i] = start
                 completions[i] = completion
-        # Intern any new ops in first-occurrence order (matches the
-        # scalar path's lazy first-sight vocabulary).
-        uniq, first = np.unique(sub.ops, return_index=True)
-        for u in uniq[np.argsort(first)]:
-            if op_map[u] < 0:
-                op_map[u] = recorder.intern_op(batch.op_names[int(u)])
-        recorder.append_block(
-            sub.arrivals, starts, completions, op_map[sub.ops], segment_code
-        )
+        op_codes = op_map[sub.ops]
+        if (op_codes < 0).any():
+            # Intern the new ops in first-occurrence order (matches the
+            # scalar path's lazy first-sight vocabulary).
+            uniq, first = np.unique(sub.ops, return_index=True)
+            for u in uniq[np.argsort(first)]:
+                if op_map[u] < 0:
+                    op_map[u] = recorder.intern_op(batch.op_names[int(u)])
+            op_codes = op_map[sub.ops]
+        recorder.append_block(sub.arrivals, starts, completions, op_codes, segment_code)
         return server_free
 
     # -- helpers ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.indexes.base import OrderedIndex
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs
 from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.indexes.models import LinearModel, fit_linear
 
@@ -162,7 +162,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
             raise KeyNotFoundError(key)
         return node.vals[slot]
 
-    def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Batched lookups: vectorized routing + per-node probe loop.
 
         Routing (the boundary bisect) is one ``searchsorted``; the gapped
@@ -322,13 +322,8 @@ class AdaptiveLearnedIndex(OrderedIndex):
                 yield k, v
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        ordered = sorted(pairs, key=lambda kv: kv[0])
-        dedup: List[Tuple[float, Any]] = []
-        for k, v in ordered:
-            if dedup and dedup[-1][0] == k:
-                dedup[-1] = (k, v)
-            else:
-                dedup.append((k, v))
+        keys, values = sorted_unique_pairs(pairs)
+        dedup: List[Tuple[float, Any]] = list(zip(keys.tolist(), values))
         self._nodes = []
         self._boundaries = []
         self._boundary_flat = SortedKeyBuffer()

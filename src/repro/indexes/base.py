@@ -14,7 +14,43 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
+
+import numpy as np
+
+
+def sorted_unique_pairs(pairs) -> Tuple[np.ndarray, List[Any]]:
+    """Ascending unique float64 keys of ``pairs`` and their values.
+
+    The one load-time sort every ``bulk_load`` shares: a stable argsort
+    keeps equal keys in input order, so keeping the last of each run is
+    "last value wins".
+    """
+    keys = np.fromiter((k for k, _ in pairs), np.float64, len(pairs))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    values = [v for _, v in pairs]
+    return keys[last], [values[i] for i in order[last].tolist()]
+
+
+def verified_ranks(ranks, sorted_keys: np.ndarray, keys: np.ndarray) -> Optional[np.ndarray]:
+    """``ranks`` if it provably is where each of ``keys`` sits, else ``None``.
+
+    ``ranks`` is an untrusted hint. It is returned only after its type,
+    shape and bounds have been checked and ``sorted_keys[ranks] == keys``
+    holds for every key, which on a strictly ascending ``sorted_keys``
+    makes it equal to ``searchsorted(sorted_keys, keys)``.
+    """
+    proven = (
+        isinstance(ranks, np.ndarray)
+        and ranks.dtype.kind in "iu"
+        and ranks.shape == keys.shape
+        and (not keys.size or (ranks.min() >= 0 and ranks.max() < sorted_keys.size))
+        and bool((sorted_keys[ranks] == keys).all())
+    )
+    return ranks.astype(np.intp, copy=False) if proven else None
 
 
 @dataclass
@@ -121,17 +157,24 @@ class OrderedIndex(ABC):
 
     # -- optional interface --------------------------------------------------
 
-    def bulk_lookup(self, keys) -> "Any":
+    def bulk_lookup(self, keys, ranks=None) -> "Any":
         """Vectorized point lookups over a float64 key array, or ``None``.
 
         Contract: when supported and *every* key is found, perform the
         lookups, commit exactly the counter increments the equivalent
         sequence of :meth:`get` calls would have made to :attr:`stats`,
         and return a ``(comparisons, node_accesses, model_evaluations)``
-        tuple of per-key int arrays. Return ``None`` — with :attr:`stats`
-        untouched — when the bulk path is unsupported or any key would
-        miss; the caller then falls back to scalar :meth:`get` calls.
-        Default: unsupported.
+        tuple of per-key int arrays, in query order. Return ``None`` —
+        with :attr:`stats` untouched — when the bulk path is unsupported
+        or any key would miss; the caller then falls back to scalar
+        :meth:`get` calls. Default: unsupported.
+
+        ``ranks`` is an optional, *untrusted* hint: the caller's belief
+        of each key's position among the stored keys in ascending order
+        (the SUT learns it while snapping). It never changes the result.
+        An index may skip its own search for the keys only after
+        :func:`verified_ranks` has proved the hint; a hint that is
+        missing, malformed or wrong is ignored and the index searches.
         """
         return None
 

@@ -18,8 +18,8 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.indexes.base import OrderedIndex
-from repro.indexes.keybuffer import SortedKeyBuffer
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_ranks
+from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
 
 
 class _Node:
@@ -91,12 +91,13 @@ class BPlusTree(OrderedIndex):
     def _build_bulk_cache(self):
         """Flatten the tree for vectorized routing.
 
-        An in-order walk yields every inner separator in sorted order (one
-        per leaf boundary), which makes the per-node ``bisect_right``
-        descent equivalent to one global ``searchsorted`` over the
-        flattened separators. Per-leaf comparison/node-access totals are
-        precomputed along each root-to-leaf path. Returns ``False`` if the
-        separator invariant does not hold (unsupported shape).
+        An in-order walk yields every stored key in sorted order, so a
+        key's position among them names its leaf, and every inner
+        separator in sorted order (one per leaf boundary), which is what
+        the per-node ``bisect_right`` descent routes by. Per-leaf
+        comparison/node-access totals are precomputed along each
+        root-to-leaf path. Returns ``False`` if the two routings could
+        disagree (unsupported shape).
 
         This walk is the definition of the view: ``bulk_load`` and
         non-splitting inserts maintain the same arrays incrementally, a
@@ -141,47 +142,54 @@ class BPlusTree(OrderedIndex):
         if sep_arr.size and (np.diff(sep_arr) < 0).any():
             return False
         all_keys = np.asarray(keys, dtype=np.float64)
-        if all_keys.size > 1 and (np.diff(all_keys) < 0).any():
+        # Strictly ascending: what lets ``bulk_lookup`` verify a rank hint.
+        if not (all_keys[1:] > all_keys[:-1]).all():
             return False
         sizes = np.asarray(sizes, dtype=np.int64)
         ends = np.cumsum(sizes)
-        starts = ends - sizes
+        # The descent routes by separators, the view by position: they
+        # agree iff every separator's insertion point is its leaf boundary.
+        if not np.array_equal(np.searchsorted(all_keys, sep_arr), ends[:-1]):
+            return False
+        leaf_of = PositionTagBuffer(np.repeat(np.arange(sizes.size), sizes))
         # frexp's exponent of a positive integer is its bit_length.
         leaf_bits = np.frexp(sizes.astype(np.float64))[1].astype(np.int64)
         leaf_comps = np.asarray(path_comps, dtype=np.int64) + np.maximum(1, leaf_bits)
         leaf_na = np.asarray(depths, dtype=np.int64) + 1
-        return sep_arr, SortedKeyBuffer(all_keys), starts, ends, leaf_comps, leaf_na
+        return sep_arr, SortedKeyBuffer(all_keys), leaf_of, ends, leaf_comps, leaf_na
 
     def _grow_view(self, key: float, idx: int, leaf_size: int) -> None:
         """Patch the view for ``key`` landing at ``idx`` of an unsplit leaf."""
-        sep_arr, all_keys, starts, ends, leaf_comps, _ = self._bulk_cache
+        sep_arr, all_keys, leaf_of, ends, leaf_comps, _ = self._bulk_cache
         leaf = int(sep_arr.searchsorted(key, side="right"))
-        all_keys.insert_at(int(starts[leaf]) + idx, key)
+        pos = (int(ends[leaf - 1]) if leaf else 0) + idx
+        all_keys.insert_at(pos, key)
+        leaf_of.insert_at(pos, leaf)
         ends[leaf:] += 1
-        starts[leaf + 1 :] += 1
         leaf_comps[leaf] += max(1, leaf_size.bit_length()) - max(
             1, (leaf_size - 1).bit_length()
         )
 
-    def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized point lookups via one global separator search."""
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Vectorized point lookups: each key's position names its leaf."""
         if self._bulk_cache is None:
             self._bulk_cache = self._build_bulk_cache()
         cache = self._bulk_cache
         if cache is False:
             return None
-        sep_arr, key_buf, starts, ends, leaf_comps, leaf_na = cache
+        _, key_buf, leaf_of, _, leaf_comps, leaf_na = cache
         all_keys = key_buf.view
-        if all_keys.size == 0:
+        n = all_keys.size
+        if n == 0:
             return None
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        leaf_idx = np.searchsorted(sep_arr, keys, side="right")
-        pos = np.searchsorted(all_keys, keys, side="left")
-        ok = pos < all_keys.size
-        ok &= all_keys[np.minimum(pos, all_keys.size - 1)] == keys
-        ok &= (pos >= starts[leaf_idx]) & (pos < ends[leaf_idx])
-        if not ok.all():
-            return None
+        pos = verified_ranks(ranks, all_keys, keys)
+        if pos is None:
+            pos = np.searchsorted(all_keys, keys)
+            # A key past the end is compared with the last key and differs.
+            if not (all_keys[np.minimum(pos, n - 1)] == keys).all():
+                return None
+        leaf_idx = leaf_of.view[pos]
         comps = leaf_comps[leaf_idx]
         na = leaf_na[leaf_idx]
         self.stats.lookups += keys.size
@@ -309,15 +317,8 @@ class BPlusTree(OrderedIndex):
         The flat view is assembled from the same sorted keys and level
         shapes, so the first bulk read does not have to walk the tree.
         """
-        ordered = sorted(pairs, key=lambda kv: kv[0])
-        keys: List[float] = []
-        values: List[Any] = []
-        for k, v in ordered:
-            if keys and keys[-1] == k:
-                values[-1] = v
-            else:
-                keys.append(k)
-                values.append(v)
+        key_arr, values = sorted_unique_pairs(pairs)
+        keys: List[float] = key_arr.tolist()
         self._root = _Node(leaf=True)
         self._size = 0
         self._height = 1
@@ -364,8 +365,8 @@ class BPlusTree(OrderedIndex):
         self._root = level[0]
         self._height = height
         self._bulk_cache = self._flat_view(
-            keys[per_leaf::per_leaf],
-            keys,
+            key_arr[per_leaf::per_leaf],
+            key_arr,
             [len(leaf.keys) for leaf in leaves],
             path_comps,
             np.full(len(leaves), height - 1),

@@ -22,9 +22,10 @@ class SortedKeyBuffer:
     """
 
     __slots__ = ("_buf", "_n")
+    _dtype = np.float64
 
     def __init__(self, keys=()) -> None:
-        self._buf = np.array(keys, dtype=np.float64)
+        self._buf = np.array(keys, dtype=self._dtype)
         self._n = self._buf.size
 
     def __len__(self) -> int:
@@ -39,7 +40,7 @@ class SortedKeyBuffer:
         """Insert ``key`` at ``pos``, its sorted insertion point."""
         n = self._n
         if n == self._buf.size:
-            grown = np.empty(max(16, 2 * n), dtype=np.float64)
+            grown = np.empty(max(16, 2 * n), dtype=self._dtype)
             grown[:n] = self._buf
             self._buf = grown
         buf = self._buf
@@ -60,3 +61,14 @@ class SortedKeyBuffer:
         pos = int(view.searchsorted(key))
         if pos == self._n or view[pos] != key:
             self.insert_at(pos, key)
+
+
+class PositionTagBuffer(SortedKeyBuffer):
+    """One ``intp`` tag per position of a key buffer, moved in step with it.
+
+    The B+ tree keeps each flat-view position's leaf number here; tags of
+    consecutive positions are non-decreasing, not unique.
+    """
+
+    __slots__ = ()
+    _dtype = np.intp

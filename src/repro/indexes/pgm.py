@@ -21,7 +21,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.indexes.base import OrderedIndex
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs
 from repro.indexes.keybuffer import SortedKeyBuffer
 
 
@@ -132,22 +132,12 @@ class PGMIndex(OrderedIndex):
     # -- build -----------------------------------------------------------------
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        ordered = sorted(pairs, key=lambda kv: kv[0])
-        keys: List[float] = []
-        values: List[Any] = []
-        for k, v in ordered:
-            if keys and keys[-1] == k:
-                values[-1] = v
-            else:
-                keys.append(k)
-                values.append(v)
-        self._keys = np.asarray(keys, dtype=np.float64)
-        self._values = values
+        self._keys, self._values = sorted_unique_pairs(pairs)
         self._delta_keys = []
         self._delta_flat = SortedKeyBuffer()
         self._delta_values = []
         self._tombstones = set()
-        self.stats.inserts += len(keys)
+        self.stats.inserts += len(self._keys)
         self._train()
 
     def retrain(self) -> None:
@@ -287,7 +277,7 @@ class PGMIndex(OrderedIndex):
         pos = np.clip(np.searchsorted(seg_keys, lk), lo, hi)
         return pos, window
 
-    def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Vectorized :meth:`get` over found keys; stats match exactly.
 
         The level descent runs breadth-wise: every key advances one level

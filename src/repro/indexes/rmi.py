@@ -23,7 +23,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError, NotTrainedError
-from repro.indexes.base import OrderedIndex
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_ranks
 from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.indexes.models import LinearModel, fit_linear, max_abs_error
 
@@ -105,23 +105,13 @@ class RecursiveModelIndex(OrderedIndex):
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
         """Sort, dedupe (last value wins) and train on ``pairs``."""
-        ordered = sorted(pairs, key=lambda kv: kv[0])
-        keys: List[float] = []
-        values: List[Any] = []
-        for k, v in ordered:
-            if keys and keys[-1] == k:
-                values[-1] = v
-            else:
-                keys.append(k)
-                values.append(v)
-        self._keys = np.asarray(keys, dtype=np.float64)
-        self._values = values
+        self._keys, self._values = sorted_unique_pairs(pairs)
         self._delta_keys = []
         self._delta_flat = SortedKeyBuffer()
         self._delta_values = []
         self._tombstones = set()
         self._boundaries = None
-        self.stats.inserts += len(keys)
+        self.stats.inserts += len(self._keys)
         self._train()
 
     def retrain(self, access_sample: Optional[np.ndarray] = None) -> None:
@@ -285,7 +275,7 @@ class RecursiveModelIndex(OrderedIndex):
         self._param_cache = (self.stats.retrains, payload)
         return payload
 
-    def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Vectorized :meth:`get` over found keys; stats match exactly.
 
         Routing, truncation, window clamping, and the bounded search all
@@ -293,6 +283,9 @@ class RecursiveModelIndex(OrderedIndex):
         equals ``clip(searchsorted(keys, k), lo, hi)`` on a sorted array),
         so per-key comparison / node-access / model-evaluation counts are
         the ones the equivalent ``get`` sequence would have produced.
+        A verified ``ranks`` hint stands in for that ``searchsorted``; it
+        counts positions among *all* stored keys, so while the delta
+        buffer holds keys it fails verification and the array is searched.
         """
         if self._tombstones:
             return None
@@ -343,7 +336,8 @@ class RecursiveModelIndex(OrderedIndex):
             window = hi - lo  # always >= 1 after the clamp
             lcomps = np.frexp(window.astype(np.float64))[1].astype(np.int64)
             lna = (window + 255) // 256
-            ss = np.searchsorted(self._keys, lk)
+            hinted = verified_ranks(ranks, self._keys, keys)
+            ss = np.searchsorted(self._keys, lk) if hinted is None else hinted[learned]
             idx = np.clip(ss, lo, hi)
             found = (idx < n) & (self._keys[np.minimum(idx, n - 1)] == lk)
             fail = ~found

@@ -14,7 +14,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import KeyNotFoundError
-from repro.indexes.base import OrderedIndex
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs
 from repro.indexes.keybuffer import SortedKeyBuffer
 
 
@@ -48,7 +48,7 @@ class SortedArrayIndex(OrderedIndex):
             return self._values[pos]
         raise KeyNotFoundError(key)
 
-    def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Vectorized masked binary search replicating :meth:`_locate`.
 
         The lockstep search takes the same branch per key per round as
@@ -111,16 +111,9 @@ class SortedArrayIndex(OrderedIndex):
         return iter(zip(list(self._keys), list(self._values)))
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        ordered = sorted(pairs, key=lambda kv: kv[0])
-        self._keys = []
-        self._values = []
-        for key, value in ordered:
-            if self._keys and self._keys[-1] == key:
-                self._values[-1] = value  # last value wins
-            else:
-                self._keys.append(key)
-                self._values.append(value)
-        self._flat = SortedKeyBuffer(self._keys)
+        keys, self._values = sorted_unique_pairs(pairs)  # last value wins
+        self._keys = keys.tolist()
+        self._flat = SortedKeyBuffer(keys)
         self.stats.inserts += len(self._keys)
 
     def __len__(self) -> int:

@@ -88,16 +88,24 @@ class KVStoreBase(SystemUnderTest):
         before, after = keys.item(pos - 1), keys.item(pos)
         return before if key - before <= after - key else after
 
-    def _snap_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_snap` (caller guarantees a non-empty store)."""
+    def _snap_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`_snap` (caller guarantees a non-empty store).
+
+        Returns the snapped keys and each one's rank in the mirror, so the
+        index can be told where its keys are instead of searching again.
+        The needles are searched in sorted order, which walks the mirror
+        front to back instead of jumping through it, and scattered back.
+        """
         arr = self._mirror.view
-        n = arr.size
-        pos = np.searchsorted(arr, keys, side="left")
-        before = arr[np.clip(pos - 1, 0, n - 1)]
-        after = arr[np.clip(pos, 0, n - 1)]
-        snapped = np.where(keys - before <= after - keys, before, after)
-        snapped = np.where(pos >= n, arr[-1], snapped)
-        return np.where(pos == 0, arr[0], snapped)
+        order = np.argsort(keys)
+        pos = np.empty(keys.size, dtype=np.intp)
+        pos[order] = np.searchsorted(arr, keys[order])
+        # Clamped neighbours make both ends fall out of the tie rule:
+        # below the first key or past the last, ``lo`` and ``hi`` coincide.
+        lo = np.maximum(pos - 1, 0)
+        hi = np.minimum(pos, arr.size - 1)
+        ranks = np.where(keys - arr[lo] <= arr[hi] - keys, lo, hi)
+        return arr[ranks], ranks
 
     def _scan_bounds(self, key: float, length: int) -> Tuple[float, float]:
         """Start/end stored keys covering ``length`` items from ``key``."""
@@ -186,8 +194,7 @@ class KVStoreBase(SystemUnderTest):
             )
             self._after_execute_slice(batch, a, b)
             return
-        snapped = self._snap_batch(batch.keys[a:b])
-        res = self.index.bulk_lookup(snapped)
+        res = self.index.bulk_lookup(*self._snap_batch(batch.keys[a:b]))
         if res is None:
             # Fast-path miss: the run falls back to scalar ``get`` calls.
             self.tracer.counter("kv.bulk_fallback_runs")

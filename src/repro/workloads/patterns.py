@@ -39,7 +39,7 @@ class ArrivalProcess(ABC):
         """
         if end <= start:
             return np.empty(0, dtype=np.float64)
-        times: List[float] = []
+        slices: List[np.ndarray] = []
         carry = 0.0
         t = start
         while t < end:
@@ -52,9 +52,11 @@ class ArrivalProcess(ABC):
                     offsets = np.sort(rng.uniform(0.0, step, count))
                 else:
                     offsets = (np.arange(count) + 0.5) * (step / count)
-                times.extend((t + offsets).tolist())
+                slices.append(t + offsets)
             t += step
-        return np.asarray(times, dtype=np.float64)
+        if not slices:
+            return np.empty(0, dtype=np.float64)
+        return np.concatenate(slices)
 
     def projected_count(self, start: float, end: float) -> int:
         """Exact number of arrivals :meth:`arrivals` would generate.

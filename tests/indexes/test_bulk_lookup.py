@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.indexes.alex import AdaptiveLearnedIndex
+from repro.indexes.base import sorted_unique_pairs
 from repro.indexes.btree import BPlusTree
 from repro.indexes.pgm import PGMIndex
 from repro.indexes.rmi import RecursiveModelIndex
@@ -129,3 +132,167 @@ def test_empty_index_unsupported():
     for name, factory in FACTORIES.items():
         index = factory()
         assert index.bulk_lookup(np.asarray([1.0])) is None, name
+
+
+# -- the rank hint is untrusted: it may save a search, never change an answer ----
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+STORED = st.lists(
+    st.integers(min_value=0, max_value=600), min_size=1, max_size=200, unique=True
+)
+PICKS = st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60)
+
+
+def _call(index, probe, *hint):
+    """One ``bulk_lookup``: its arrays as lists, and the whole stats delta."""
+    before = index.stats.snapshot()
+    out = index.bulk_lookup(probe, *hint)
+    delta = index.stats.diff(before)
+    return (None if out is None else [col.tolist() for col in out]), delta
+
+
+def _hints(ranks, n, rng):
+    """A correct hint, then every way a caller could get one wrong."""
+    shuffled = rng.permutation(ranks)
+    return {
+        "correct": ranks,
+        "correct int32": ranks.astype(np.int32),
+        "correct uint64": ranks.astype(np.uint64),
+        "off by one up": ranks + 1,
+        "off by one down": ranks - 1,
+        "one negative": np.where(np.arange(ranks.size) == 0, -1, ranks),
+        "one past the end": np.where(np.arange(ranks.size) == ranks.size - 1, n, ranks),
+        "far out of range": np.full(ranks.size, 2**40),
+        "too short": ranks[:-1],
+        "too long": np.append(ranks, ranks[-1]),
+        "two dimensional": ranks.reshape(1, -1),
+        "float dtype": ranks.astype(np.float64),
+        "bool dtype": ranks.astype(bool),
+        "a list": ranks.tolist(),
+        "another key set": shuffled,
+        "all zero": np.zeros_like(ranks),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@given(stored=STORED, picks=PICKS, seed=st.integers(0, 2**16))
+@SETTINGS
+def test_hint_never_changes_the_answer(name, stored, picks, seed):
+    stored = sorted(stored)
+    ranks = np.asarray([p % len(stored) for p in picks], dtype=np.intp)
+    probe = np.asarray(stored, dtype=np.float64)[ranks]
+
+    scalar_index = _loaded(FACTORIES[name], stored)
+    scalar_rows = _scalar_counts(scalar_index, probe)
+    index = _loaded(FACTORIES[name], stored)
+    plain, plain_delta = _call(index, probe)
+    assert plain is not None
+    assert list(zip(*plain)) == scalar_rows
+    assert plain_delta.last_search_window == scalar_index.stats.last_search_window
+    for label, hint in _hints(ranks, len(stored), np.random.default_rng(seed)).items():
+        assert _call(index, probe, hint) == (plain, plain_delta), label
+    assert index.bulk_lookup(probe, ranks=ranks) is not None  # also by keyword
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@given(stored=STORED, picks=PICKS, absent_at=st.integers(0, 10_000))
+@SETTINGS
+def test_one_absent_key_is_none_whatever_the_hint(name, stored, picks, absent_at):
+    stored = sorted(stored)
+    ranks = np.asarray([p % len(stored) for p in picks], dtype=np.intp)
+    probe = np.asarray(stored, dtype=np.float64)[ranks]
+    probe[absent_at % probe.size] += 0.5  # stored keys are whole numbers
+    index = _loaded(FACTORIES[name], stored)
+    untouched = index.stats.snapshot()
+    for label, hint in _hints(ranks, len(stored), np.random.default_rng(0)).items():
+        assert index.bulk_lookup(probe, hint) is None, label
+        assert index.stats == untouched, label
+    assert index.bulk_lookup(probe) is None
+    assert index.stats == untouched
+
+
+@given(stored=STORED, extra=STORED, picks=PICKS)
+@SETTINGS
+def test_rmi_hint_with_a_live_delta_buffer(stored, extra, picks):
+    """With buffered inserts the caller's ranks count keys the learned
+    array does not hold yet: the hint must fail verification, not shift
+    the search window of the keys behind the first buffered one."""
+
+    def loaded():
+        index = RecursiveModelIndex(fanout=8, max_delta=None)
+        index.bulk_load([(float(k), i) for i, k in enumerate(sorted(stored))])
+        for k in extra:
+            index.insert(k + 0.5, "buffered")  # new keys
+            index.insert(float(k), "shadowed")  # buffered or overwriting
+        return index
+
+    everything = sorted(set(map(float, stored)) | {float(k) for k in extra}
+                        | {k + 0.5 for k in extra})
+    ranks = np.asarray([p % len(everything) for p in picks], dtype=np.intp)
+    probe = np.asarray(everything)[ranks]
+    index = loaded()
+    assert index.delta_size > 0
+    plain, plain_delta = _call(index, probe)
+    assert plain is not None
+    assert list(zip(*plain)) == _scalar_counts(loaded(), probe)
+    for label, hint in _hints(ranks, len(everything), np.random.default_rng(1)).items():
+        assert _call(index, probe, hint) == (plain, plain_delta), label
+
+
+# -- one load-time sort for all five structures ----------------------------------
+
+
+def _reference_sorted_unique(pairs):
+    """The loop every ``bulk_load`` used to carry: sort, last value wins."""
+    out = []
+    for k, v in sorted(pairs, key=lambda kv: kv[0]):
+        if out and out[-1][0] == k:
+            out[-1] = (k, v)
+        else:
+            out.append((k, v))
+    return out
+
+
+MESSY = st.lists(
+    st.tuples(st.integers(min_value=-50, max_value=50), st.integers()), max_size=120
+)
+
+
+@given(pairs=MESSY)
+@SETTINGS
+def test_sorted_unique_pairs_is_the_reference_loop(pairs):
+    pairs = [(k / 4.0, v) for k, v in pairs]
+    keys, values = sorted_unique_pairs(pairs)
+    assert keys.dtype == np.float64
+    assert list(zip(keys.tolist(), values)) == _reference_sorted_unique(pairs)
+    tagged = [(k, object()) for k, _ in pairs]  # values come back by identity
+    assert all(
+        got is want
+        for got, (_, want) in zip(
+            sorted_unique_pairs(tagged)[1], _reference_sorted_unique(tagged)
+        )
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@given(pairs=MESSY)
+@SETTINGS
+def test_bulk_load_of_unsorted_duplicated_input(name, pairs):
+    """Shuffled input with repeats loads exactly what its sorted, deduped
+    form loads: contents, counters, and the trained state lookups price."""
+    pairs = [(k / 4.0, v) for k, v in pairs]
+    reference = _reference_sorted_unique(pairs)
+    messy, clean = FACTORIES[name](), FACTORIES[name]()
+    messy.bulk_load(pairs)
+    clean.bulk_load(reference)
+    assert messy.stats == clean.stats
+    assert messy.stats.inserts == len(reference)
+    # (``items`` is a counted range scan on the delta-buffered structures.)
+    assert list(messy.items()) == list(clean.items()) == reference
+    assert len(messy) == len(reference)
+    assert messy.size_bytes() == clean.size_bytes()
+    probe = np.asarray([k for k, _ in reference], dtype=np.float64)
+    assert _call(messy, probe) == _call(clean, probe)
+    assert _scalar_counts(messy, probe) == _scalar_counts(clean, probe)

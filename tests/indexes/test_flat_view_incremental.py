@@ -50,9 +50,9 @@ SETTINGS = settings(
 
 
 def _view_arrays(view):
-    """The view tuple with the key buffer unwrapped to its live array."""
-    sep_arr, key_buf, starts, ends, leaf_comps, leaf_na = view
-    return sep_arr, key_buf.view, starts, ends, leaf_comps, leaf_na
+    """The view tuple with both buffers unwrapped to their live arrays."""
+    sep_arr, key_buf, leaf_of, ends, leaf_comps, leaf_na = view
+    return sep_arr, key_buf.view, leaf_of.view, ends, leaf_comps, leaf_na
 
 
 def _assert_view_is_fresh(tree: BPlusTree) -> None:
@@ -142,6 +142,101 @@ def test_sorted_array_view_tracks_every_write(initial, ops):
     _drive(SortedArrayIndex, _assert_flat_is_fresh, initial, ops)
 
 
+def _hint_variants(ranks, n):
+    """The true ranks, then ways of getting them wrong."""
+    return {
+        "correct": ranks,
+        "off by one up": ranks + 1,
+        "off by one down": ranks - 1,
+        "negative": -ranks - 1,
+        "past the end": ranks + n,
+        "wrong length": ranks[:-1],
+        "float dtype": ranks.astype(np.float64),
+        "another key set": ranks[::-1].copy(),
+    }
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(initial=INITIAL, ops=OPS)
+@SETTINGS
+def test_btree_rank_hint_after_every_kind_of_write(order, initial, ops):
+    """Non-splitting inserts patch the leaf map, splits and deletes drop
+    it: wherever the view came from, a hinted bulk read returns and counts
+    what the unhinted one and the scalar ``get`` loop do — for true ranks
+    and for wrong ones, and ``None`` with nothing counted on a miss."""
+    tree, scalar = BPlusTree(order=order), BPlusTree(order=order)
+    pairs = [(float(k), i) for i, k in enumerate(initial)]
+    tree.bulk_load(pairs)
+    scalar.bulk_load(pairs)
+    stored = sorted({float(k) for k in initial})
+    for step, (op, arg) in enumerate(ops):
+        if op == "insert":
+            key = float(arg) + 0.5 * (step % 2)
+        elif stored:
+            key = stored[arg % len(stored)]
+        else:
+            continue
+        if op in ("insert", "overwrite"):
+            tree.insert(key, step)
+            scalar.insert(key, step)
+            if key not in stored:
+                stored.append(key)
+                stored.sort()
+            continue
+        if op == "delete":
+            tree.delete(key)
+            scalar.delete(key)
+            stored.remove(key)
+            continue
+        ranks = np.arange(arg % len(stored), len(stored), 3, dtype=np.intp)
+        probe = np.asarray(stored, dtype=np.float64)[ranks]
+        before = scalar.stats.snapshot()
+        want = _scalar_rows(scalar, probe)
+        want_delta = scalar.stats.diff(before)
+        hints = _hint_variants(ranks, len(stored))
+        for label, hint in [("none", None), *hints.items()]:
+            before = tree.stats.snapshot()
+            out = tree.bulk_lookup(probe, hint)
+            assert out is not None, label
+            assert list(zip(*(col.tolist() for col in out))) == want, label
+            assert tree.stats.diff(before) == want_delta, label
+            _assert_view_is_fresh(tree)
+        probe[-1] += 0.25  # no stored key ends in .25 or .75
+        before = tree.stats.snapshot()
+        for label, hint in [("none", None), *hints.items()]:
+            assert tree.bulk_lookup(probe, hint) is None, label
+            assert tree.stats == before, label
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=60), st.integers()), max_size=150
+    )
+)
+@SETTINGS
+def test_bulk_load_of_shuffled_duplicated_pairs(order, pairs):
+    """Array-built load == the sort-and-dedupe loop it replaced: same
+    contents, same counters, and a view that equals a fresh walk."""
+    pairs = [(float(k), v) for k, v in pairs]
+    reference = {}
+    for k, v in pairs:
+        reference[k] = v  # last value wins
+    tree, clean = BPlusTree(order=order), BPlusTree(order=order)
+    tree.bulk_load(pairs)
+    clean.bulk_load(sorted(reference.items()))
+    assert list(tree.items()) == sorted(reference.items())
+    assert len(tree) == len(reference)
+    assert tree.stats == clean.stats
+    assert tree.stats.inserts == len(reference)
+    assert tree.height == clean.height
+    _assert_view_is_fresh(tree)
+    if reference:
+        probe = np.asarray(sorted(reference), dtype=np.float64)
+        out = tree.bulk_lookup(probe, np.arange(probe.size))
+        assert list(zip(*(col.tolist() for col in out))) == _scalar_rows(clean, probe)
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 33, 64, 65, 500, 2311])
 def test_bulk_load_builds_the_walked_view(order, n):
@@ -203,6 +298,24 @@ def test_unsupported_shape_is_reevaluated_on_structural_change():
     tree = unsupported_tree()
     tree.bulk_load([(2.0, "a"), (4.0, "b")])
     assert tree.bulk_lookup(probe) is not None
+
+
+def test_view_refuses_separators_that_disagree_with_positions():
+    """Reads route by position, the descent by separators: the walk checks
+    once that the two agree and otherwise declares the shape unsupported."""
+    tree = BPlusTree(order=4)
+    tree.bulk_load([(float(k), k) for k in range(20)])  # leaves of two keys
+    node = tree._root
+    while not node.children[0].leaf:
+        node = node.children[0]
+    assert node.keys[0] == 2.0
+    node.keys[0] = 0.5  # the descent now looks for 1.0 in the second leaf
+    assert tree._build_bulk_cache() is False
+    tree._bulk_cache = None
+    before = tree.stats.snapshot()
+    assert tree.bulk_lookup(np.asarray([0.0, 7.0]), np.asarray([0, 7])) is None
+    assert tree.stats == before
+    assert tree.get(0.0) == 0  # the scalar path still serves what it can reach
 
 
 # -- KV level: execute_batch == execute loop -------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.suts.kv_learned import LearnedKVStore, StaticLearnedKVStore
@@ -78,6 +80,53 @@ class TestKVBase:
         assert sut.stored_keys == len(sut.index) == 11
         # Scan bounds step over distinct stored keys, not over duplicates.
         assert sut._scan_bounds(3.0, 3) == (3.0, 5.0)
+
+
+class TestSnapBatch:
+    """``_snap_batch`` is ``_snap`` per key, plus where each key sits."""
+
+    # Whole-number stored keys and needles on a quarter grid reaching past
+    # both ends: exact hits, exact ties at the halves, and repeats are common.
+    STORED = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30)
+    NEEDLES = st.lists(st.integers(min_value=-12, max_value=172), min_size=1, max_size=80)
+
+    @staticmethod
+    def _store(keys):
+        sut = TraditionalKVStore()
+        sut.setup([(float(k), None) for k in keys])
+        return sut
+
+    def _check(self, sut, needles):
+        needles = np.asarray(needles, dtype=np.float64)
+        snapped, ranks = sut._snap_batch(needles)
+        assert snapped.tolist() == [sut._snap(float(k)) for k in needles]
+        assert snapped.dtype == np.float64 and ranks.dtype == np.intp
+        mirror = sut._mirror.view
+        assert mirror[ranks].tolist() == snapped.tolist()
+        assert ranks.tolist() == np.searchsorted(mirror, snapped).tolist()
+
+    @given(stored=STORED, needles=NEEDLES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_snap(self, stored, needles):
+        self._check(self._store(stored), [k / 4.0 for k in needles])
+
+    def test_ties_ends_and_a_one_key_store(self):
+        sut = self._store([10, 20, 30])
+        # Ties go to the lower neighbour; both ends clamp; duplicates repeat.
+        needles = [15.0, 25.0, 15.0, -1e300, 1e300, 10.0, 30.0, 5.0, 35.0, 15.0]
+        self._check(sut, needles)
+        snapped, ranks = sut._snap_batch(np.asarray(needles))
+        assert snapped.tolist() == [10.0, 20.0, 10.0, 10.0, 30.0, 10.0, 30.0, 10.0, 30.0, 10.0]
+        assert ranks.tolist() == [0, 1, 0, 0, 2, 0, 2, 0, 2, 0]
+        lone = self._store([7])
+        self._check(lone, [-3.0, 7.0, 7.0, 99.0])
+        self._check(lone, [7.0])
+
+    def test_follows_writes(self):
+        sut = self._store(range(0, 40, 4))
+        for k in (1.0, 39.0, -5.0, 18.0):
+            sut.execute(_query(KVOperation.INSERT, k), 0.0)
+        self._check(sut, np.arange(-8.0, 48.0, 0.5))
 
 
 class TestTraditional:

@@ -31,7 +31,32 @@ class TestConstant:
         assert gaps.std() < 0.02
 
     def test_zero_rate(self, rng):
-        assert len(ConstantArrivals(0.0).arrivals(rng, 0, 100)) == 0
+        times = ConstantArrivals(0.0).arrivals(rng, 0, 100)
+        assert len(times) == 0 and times.dtype == np.float64
+
+    @pytest.mark.parametrize("jitter", [True, False])
+    def test_bitwise_equal_to_the_per_second_loop(self, jitter):
+        """Fractional carry, seconds with no arrival, a partial last second."""
+        start, end, rate = 3.25, 17.6, 0.7
+
+        def per_second_loop(rng):
+            times, carry, t = [], 0.0, start
+            while t < end:
+                step = min(1.0, end - t)
+                expected = rate * step + carry
+                count = int(expected)
+                carry = expected - count
+                if count and jitter:
+                    times.extend((t + np.sort(rng.uniform(0.0, step, count))).tolist())
+                elif count:
+                    times.extend((t + (np.arange(count) + 0.5) * (step / count)).tolist())
+                t += step
+            return np.asarray(times, dtype=np.float64)
+
+        got = ConstantArrivals(rate).arrivals(np.random.default_rng(9), start, end, jitter)
+        want = per_second_loop(np.random.default_rng(9))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 0 < got.size < end - start
 
     def test_empty_window(self, rng):
         assert len(ConstantArrivals(10.0).arrivals(rng, 5.0, 5.0)) == 0
