@@ -85,8 +85,9 @@ def test_data_drift(benchmark, figure_sink):
     ]
     stats = {}
     for name, result in runs.items():
-        pre = [q.latency for q in result.queries_in_segment("pre-load")]
-        post = [q.latency for q in result.queries_in_segment("post-load")]
+        latencies = result.columns.latencies
+        pre = latencies[result.segment_mask("pre-load")]
+        post = latencies[result.segment_mask("post-load")]
         pre_p99 = float(np.percentile(pre, 99)) * 1000
         post_p99 = float(np.percentile(post, 99)) * 1000
         recovery = recovery_time(result, change_time=SEG, window=3.0)

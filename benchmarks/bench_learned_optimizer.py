@@ -90,8 +90,10 @@ def test_learned_optimizer_stale_statistics(benchmark, figure_sink):
     summary = {}
     for name, result in results.items():
         for segment in ("before-load", "after-load"):
-            services = [q.service_time for q in result.queries
-                        if q.segment == segment]
+            cols = result.columns
+            services = cols.service_times[
+                cols.segment_codes == cols.segment_vocab.index(segment)
+            ]
             mean_ms = float(np.mean(services)) * 1000
             p95_ms = float(np.percentile(services, 95)) * 1000
             summary[(name, segment)] = mean_ms

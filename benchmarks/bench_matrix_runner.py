@@ -80,7 +80,7 @@ def test_matrix_runner_cache_speedup(benchmark, figure_sink, tmp_path):
 
     lines = [
         f"matrix: {len(jobs)} jobs "
-        f"(2 SUTs × seeds {SEEDS}) — {len(cold.results[0].queries)} queries/job",
+        f"(2 SUTs × seeds {SEEDS}) — {cold.results[0].num_queries} queries/job",
         f"cold: {cold.manifest.summary()}",
         f"warm: {warm.manifest.summary()}",
         f"cache speedup: {speedup:.1f}x (identical results: {identical})",

@@ -81,7 +81,7 @@ def test_write_heavy_design_points(benchmark, figure_sink):
         summary = box_stats(latencies)
         p99 = float(np.percentile(latencies, 99))
         stats[name] = (summary.median, p99, summary.maximum)
-        final_keys = len(ds) + sum(1 for q in result.queries if q.op == "insert")
+        final_keys = len(ds) + result.columns.ops().count("insert")
         rows.append(
             f"{name:<14s} {summary.median:14.3f} {p99:11.1f} "
             f"{summary.maximum:11.1f} {final_keys:11d}"

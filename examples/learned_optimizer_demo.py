@@ -67,8 +67,10 @@ def main() -> None:
     print("per-phase mean service time (ms):")
     for name, result in results.items():
         for segment in ("dense-predicates", "sparse-predicates"):
-            services = [q.service_time for q in result.queries
-                        if q.segment == segment]
+            cols = result.columns
+            services = cols.service_times[
+                cols.segment_codes == cols.segment_vocab.index(segment)
+            ]
             print(f"  {name:<12s} {segment:<18s} "
                   f"{np.mean(services)*1000:8.3f} ms over {len(services)} queries")
 

@@ -48,7 +48,7 @@ def site_a(path: str) -> tuple:
           f"(fingerprint {scenario.fingerprint()[:16]}…) and dataset recipe "
           f"{DATASET_RECIPE}")
     print(f"[site A] learned-kv: {result.mean_throughput():.1f} q/s over "
-          f"{len(result.queries)} queries")
+          f"{result.num_queries} queries")
     return scenario.fingerprint(), result
 
 
@@ -64,7 +64,7 @@ def site_b(path: str, expected_fingerprint: str):
           "the same benchmark")
     result = Benchmark().run(TraditionalKVStore(), scenario)
     print(f"[site B] btree-kv: {result.mean_throughput():.1f} q/s over "
-          f"{len(result.queries)} queries")
+          f"{result.num_queries} queries")
     return result
 
 

@@ -23,7 +23,7 @@
   §V-C quality tool.
 * ``synthesize`` — fit a shareable synthetic workload to a trace file of
   keys and report its fidelity.
-* ``replay`` — replay a recorded query trace (CSV/Parquet) through the
+* ``replay`` — replay a recorded query trace (CSV) through the
   driver at configurable time dilation; ``--fit`` closes the §V-C
   round trip (fit the synthesizer to the trace and print the
   generator-vs-trace ``RoundTripReport``), ``--export-spec`` writes the
@@ -104,6 +104,18 @@ def _sut_factories(sample) -> Dict[str, Callable[[], SystemUnderTest]]:
     }
 
 
+def _pick_suts(
+    names: Sequence[str], factories: Dict[str, Callable[[], SystemUnderTest]]
+) -> Optional[Dict[str, Callable[[], SystemUnderTest]]]:
+    """The factories for ``names``; ``None`` after reporting unknown ones."""
+    unknown = [name for name in names if name not in factories]
+    if unknown:
+        print(f"unknown SUT(s) {', '.join(unknown)}; "
+              f"try: {', '.join(sorted(factories))}", file=sys.stderr)
+        return None
+    return {name: factories[name] for name in names}
+
+
 def _export_path(prefix: str, sut_name: str, suffix: str) -> Path:
     """Build ``<prefix>-<sut>-<suffix>`` with parent directories created.
 
@@ -130,6 +142,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     from repro.serialization import scenario_from_dict, scenario_to_dict
 
+    if not args.stream and (args.shards > 1 or args.spill_dir):
+        print("run: --shards/--spill-dir require --stream", file=sys.stderr)
+        return 2
     dataset = build_dataset(args.dataset, n=args.keys, seed=args.seed)
     builder = SCENARIOS[args.scenario]
     if args.scenario_file:
@@ -144,24 +159,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.save_scenario, "w") as handle:
             json.dump(scenario_to_dict(scenario), handle, indent=2)
         print(f"wrote scenario definition to {args.save_scenario}\n")
-    sample = expected_access_sample(scenario)
-    factories = _sut_factories(sample)
+    factories = _sut_factories(expected_access_sample(scenario))
+    suts = _pick_suts(args.sut, factories)
+    if suts is None:
+        return 2
     bench = Benchmark(
         BenchmarkConfig(servers=args.servers, block_size=args.block_size)
     )
 
     sla: Optional[float] = None
     if args.sla_baseline:
-        baseline_scenario = builder(dataset, args.rate * 0.6, args.duration)
+        # §V-D2: the baseline runs the workload under test. A scenario
+        # file is taken as is; built-ins are rebuilt at 0.6x the rate.
+        baseline_scenario = scenario if args.scenario_file else builder(
+            dataset, args.rate * 0.6, args.duration
+        )
         baseline = bench.run(factories["btree-kv"](), baseline_scenario)
         sla = calibrate_sla(baseline, percentile=99.0, headroom=1.5)
         print(f"SLA calibrated from btree baseline: {sla*1000:.3f} ms\n")
 
-    for name in args.sut:
-        if name not in factories:
-            print(f"unknown SUT {name!r}; try: {', '.join(sorted(factories))}",
-                  file=sys.stderr)
-            return 2
+    for name, factory in suts.items():
         if args.stream:
             spill_dir = None
             if args.spill_dir:
@@ -169,12 +186,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 spill_dir.mkdir(parents=True, exist_ok=True)
             if args.shards > 1:
                 summary = bench.run_sharded_streaming(
-                    factories[name], scenario, shards=args.shards,
+                    factory, scenario, shards=args.shards,
                     sla=sla, spill_dir=spill_dir,
                 )
             else:
                 summary = bench.run_streaming(
-                    factories[name](), scenario, sla=sla, spill_dir=spill_dir
+                    factory(), scenario, sla=sla, spill_dir=spill_dir
                 )
             print(f"== {summary.sut_name} on {summary.scenario_name} "
                   "(streaming) ==")
@@ -200,7 +217,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"exported {spath}")
             print()
             continue
-        result = bench.run(factories[name](), scenario)
+        result = bench.run(factory(), scenario)
         report = build_report(result, scenario, sla=sla)
         print(report.render())
         print()
@@ -267,18 +284,12 @@ def cmd_run_matrix(args: argparse.Namespace) -> int:
                        segment_duration=args.duration / 2)
             for f in factors
         )
-    sample = expected_access_sample(scenarios[0])
-    factories = _sut_factories(sample)
-    unknown = [name for name in args.sut if name not in factories]
-    if unknown:
-        print(f"unknown SUT(s) {', '.join(unknown)}; "
-              f"try: {', '.join(sorted(factories))}", file=sys.stderr)
-        return 2
-    jobs = matrix_jobs(
-        {name: factories[name] for name in args.sut},
-        scenarios,
-        seeds=args.seeds or (),
+    suts = _pick_suts(
+        args.sut, _sut_factories(expected_access_sample(scenarios[0]))
     )
+    if suts is None:
+        return 2
+    jobs = matrix_jobs(suts, scenarios, seeds=args.seeds or ())
     try:
         runner = MatrixRunner(
             driver_config=DriverConfig(servers=args.servers),
@@ -344,19 +355,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     dataset = build_dataset(args.dataset, n=args.keys, seed=args.seed)
     scenario = SCENARIOS[args.scenario](dataset, args.rate, args.duration)
-    sample = expected_access_sample(scenario)
-    factories = _sut_factories(sample)
-    unknown = [name for name in args.sut if name not in factories]
-    if unknown:
-        print(f"unknown SUT(s) {', '.join(unknown)}; "
-              f"try: {', '.join(sorted(factories))}", file=sys.stderr)
+    suts = _pick_suts(args.sut, _sut_factories(expected_access_sample(scenario)))
+    if suts is None:
         return 2
     tenants = []
     for i in range(args.tenants):
         sut_name = args.sut[i % len(args.sut)]
         tenants.append(TenantSpec(
             name=f"tenant-{i:02d}-{sut_name}",
-            sut_factory=factories[sut_name],
+            sut_factory=suts[sut_name],
             scenario=scenario,
             seed=args.seed_base + i,
             shards=args.shards,
@@ -453,19 +460,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
     dataset = build_dataset(args.dataset, n=args.keys, seed=args.seed)
     scenario = SCENARIOS[args.scenario](dataset, args.rate, args.duration)
     faulted_scenario = dc_replace(scenario, fault_plan=plan)
-    sample = expected_access_sample(scenario)
-    factories = _sut_factories(sample)
-    if args.sut not in factories:
-        print(f"unknown SUT {args.sut!r}; try: {', '.join(sorted(factories))}",
-              file=sys.stderr)
+    suts = _pick_suts(
+        [args.sut], _sut_factories(expected_access_sample(scenario))
+    )
+    if suts is None:
         return 2
+    factory = suts[args.sut]
     bench = Benchmark(BenchmarkConfig(servers=args.servers))
 
-    baseline = bench.run(factories[args.sut](), scenario)
+    baseline = bench.run(factory(), scenario)
     sla = args.sla if args.sla is not None else calibrate_sla(
         baseline, percentile=99.0, headroom=1.5
     )
-    faulted = bench.run(factories[args.sut](), faulted_scenario)
+    faulted = bench.run(factory(), faulted_scenario)
     report = resilience_report(
         faulted, plan=plan, sla=sla, baseline=baseline
     )
@@ -621,15 +628,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"  replaying {replayed.n} queries over {replayed.span:.3f}s "
               f"(dilation ×{args.dilate:g})")
 
-    factories = _sut_factories(expected_access_sample(scenario))
-    unknown = [name for name in args.sut if name not in factories]
-    if unknown:
-        print(f"unknown SUT(s) {', '.join(unknown)}; "
-              f"try: {', '.join(sorted(factories))}", file=sys.stderr)
+    suts = _pick_suts(args.sut, _sut_factories(expected_access_sample(scenario)))
+    if suts is None:
         return 2
     bench = Benchmark(BenchmarkConfig(servers=args.servers))
-    for name in args.sut:
-        result = bench.run(factories[name](), scenario)
+    for name, factory in suts.items():
+        result = bench.run(factory(), scenario)
         latency = result.columns.completions - result.columns.arrivals
         print(f"\n== {name} ==")
         print(f"  queries:         {result.columns.arrivals.size}")
@@ -665,19 +669,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def common() -> argparse.ArgumentParser:
+        # A fresh parent per subcommand: argparse shares a parent's action
+        # objects, so serve's set_defaults would otherwise reach the rest.
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--dataset", choices=dataset_names(), default="osm")
+        parent.add_argument("--keys", type=int, default=50_000)
+        parent.add_argument("--rate", type=float, default=3200.0)
+        parent.add_argument("--duration", type=float, default=60.0)
+        parent.add_argument("--servers", type=int, default=1)
+        return parent
+
     sub.add_parser("list", help="list datasets, scenarios, and SUTs").set_defaults(
         func=cmd_list
     )
 
-    run = sub.add_parser("run", help="run a scenario against SUTs")
+    run = sub.add_parser("run", parents=[common()],
+                         help="run a scenario against SUTs")
     run.add_argument("--scenario", choices=sorted(SCENARIOS),
                      default="abrupt-shift")
     run.add_argument("--sut", nargs="+", default=["learned-kv", "btree-kv"])
-    run.add_argument("--dataset", choices=dataset_names(), default="osm")
-    run.add_argument("--keys", type=int, default=50_000)
-    run.add_argument("--rate", type=float, default=3200.0)
-    run.add_argument("--duration", type=float, default=60.0)
-    run.add_argument("--servers", type=int, default=1)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--sla-baseline", action="store_true",
                      help="calibrate an SLA from a btree baseline run")
@@ -706,6 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser(
         "run-matrix",
+        parents=[common()],
         help="run a (SUT × scenario × seed) matrix in parallel with caching",
     )
     mat.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
@@ -714,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "abrupt-shift, or none when --trace is given)")
     mat.add_argument("--trace", default=None,
                      help="add a trace-replay cell: replay this recorded "
-                          "trace file (CSV/Parquet); its cache key hashes "
+                          "trace file (CSV); its cache key hashes "
                           "the trace content")
     mat.add_argument("--trace-dilate", type=float, default=1.0,
                      help="time-dilation factor for the --trace cell "
@@ -727,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sweep the drift-intensity axis: add one "
                           "drift-axis scenario per factor (each in "
                           "[0, 1]; 0 = base workload, 1 = target)")
-    mat.add_argument("--dataset", choices=dataset_names(), default="osm")
-    mat.add_argument("--keys", type=int, default=50_000)
-    mat.add_argument("--rate", type=float, default=3200.0)
-    mat.add_argument("--duration", type=float, default=60.0)
-    mat.add_argument("--servers", type=int, default=1)
     mat.add_argument("--seed", type=int, default=7,
                      help="dataset seed (scenario seeds come from --seeds)")
     mat.add_argument("--workers", type=int, default=None,
@@ -762,6 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
+        parents=[common()],
         help="run a multi-tenant serving window with admission control",
     )
     srv.add_argument("--scenario", choices=sorted(SCENARIOS),
@@ -770,11 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="SUT pool; tenants cycle through it round-robin")
     srv.add_argument("--tenants", type=int, default=8,
                      help="number of tenant sessions to offer")
-    srv.add_argument("--dataset", choices=dataset_names(), default="osm")
-    srv.add_argument("--keys", type=int, default=50_000)
-    srv.add_argument("--rate", type=float, default=3200.0)
-    srv.add_argument("--duration", type=float, default=30.0)
-    srv.add_argument("--servers", type=int, default=1)
     srv.add_argument("--seed", type=int, default=7,
                      help="dataset seed (tenant seeds come from --seed-base)")
     srv.add_argument("--seed-base", type=int, default=100,
@@ -800,21 +803,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-attempt wall-clock kill deadline (seconds)")
     srv.add_argument("--export", default=None,
                      help="write the service report (JSON) to this path")
-    srv.set_defaults(func=cmd_serve)
+    srv.set_defaults(func=cmd_serve, duration=30.0)
 
     fl = sub.add_parser(
         "faults",
+        parents=[common()],
         help="chaos benchmark: inject faults into a scenario and score "
              "resilience",
     )
     fl.add_argument("--scenario", choices=sorted(SCENARIOS),
                     default="abrupt-shift")
     fl.add_argument("--sut", default="learned-kv")
-    fl.add_argument("--dataset", choices=dataset_names(), default="osm")
-    fl.add_argument("--keys", type=int, default=50_000)
-    fl.add_argument("--rate", type=float, default=3200.0)
-    fl.add_argument("--duration", type=float, default=60.0)
-    fl.add_argument("--servers", type=int, default=1)
     fl.add_argument("--seed", type=int, default=7)
     fl.add_argument("--stall", nargs=2, type=float, action="append",
                     metavar=("AT", "DURATION"),
@@ -873,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
              "synthesizer round trip",
     )
     replay.add_argument("trace",
-                        help="trace file (.csv or .parquet; see "
+                        help="trace file (.csv; see "
                              "docs/trace-replay.md for the format)")
     replay.add_argument("--sut", nargs="+", default=["btree-kv"])
     replay.add_argument("--dilate", type=float, default=1.0,

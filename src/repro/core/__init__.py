@@ -12,7 +12,7 @@ from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.hardware import CPU, GPU, TPU, HardwareProfile
 from repro.core.holdout import HoldoutRegistry
 from repro.core.phases import TrainingEvent, TrainingPhase
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import RunResult
 from repro.core.runner import (
     MatrixJob,
     MatrixOutcome,
@@ -73,7 +73,6 @@ __all__ = [
     "TrainingEvent",
     "Scenario",
     "Segment",
-    "QueryRecord",
     "RunResult",
     "DriverConfig",
     "VirtualClockDriver",

@@ -78,7 +78,6 @@ class Benchmark:
         accumulators=None,
         sla: Optional[float] = None,
         spill_dir=None,
-        spill_format: str = "npz",
     ):
         """Run one SUT through ``scenario`` in bounded memory.
 
@@ -92,7 +91,6 @@ class Benchmark:
             accumulators=accumulators,
             sla=sla,
             spill_dir=spill_dir,
-            spill_format=spill_format,
         )
 
     def run_sharded_streaming(
@@ -103,7 +101,6 @@ class Benchmark:
         accumulator_factory=None,
         sla: Optional[float] = None,
         spill_dir=None,
-        spill_format: str = "npz",
         max_attempts: int = 2,
         shard_timeout: Optional[float] = None,
     ):
@@ -130,7 +127,6 @@ class Benchmark:
             accumulator_factory=accumulator_factory,
             sla=sla,
             spill_dir=spill_dir,
-            spill_format=spill_format,
         )
 
     def serve(

@@ -220,7 +220,6 @@ class VirtualClockDriver:
         accumulators=None,
         sla: Optional[float] = None,
         spill_dir=None,
-        spill_format: str = "npz",
     ):
         """Execute ``scenario`` in bounded memory; return the summary.
 
@@ -242,8 +241,6 @@ class VirtualClockDriver:
             spill_dir: When set, spill raw query columns to sharded
                 files in this directory (see
                 :class:`~repro.core.streaming.ColumnSpiller`).
-            spill_format: ``"npz"`` (default) or ``"parquet"``
-                (requires pyarrow).
 
         Returns:
             :class:`~repro.core.streaming.StreamingRunSummary` with
@@ -261,11 +258,7 @@ class VirtualClockDriver:
             accumulators = streaming_accumulators(
                 scenario, sla=sla, plan=scenario.fault_plan
             )
-        spiller = (
-            ColumnSpiller(spill_dir, fmt=spill_format)
-            if spill_dir is not None
-            else None
-        )
+        spiller = ColumnSpiller(spill_dir) if spill_dir is not None else None
         if spiller is not None:
             spiller.tracer = self.tracer
         recorder = StreamingRecorder(accumulators=accumulators, spiller=spiller)

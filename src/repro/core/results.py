@@ -6,14 +6,12 @@ training events. The Fig 1 metrics are pure functions of this record, so
 results can be persisted as JSON and re-analyzed without re-running.
 
 Storage is *columnar*: the query log lives in NumPy arrays (one column
-per field, see :class:`QueryColumns`), built either directly by the
-driver's :class:`ColumnarRecorder` or lazily from a list of
-:class:`QueryRecord` objects. Derived views the metric kernels need —
-completion-sorted timestamps, latencies, per-query segment codes — are
-built once per result and cached, so evaluating the full Fig 1 metric
-suite over a multi-million-query run costs one sort, not thousands of
-Python loops. ``result.queries`` remains available as a lazily
-materialized compatibility view.
+per field, see :class:`QueryColumns`), built by the driver's
+:class:`ColumnarRecorder` or from wire rows. Derived views the metric
+kernels need — completion-sorted timestamps, latencies, per-query
+segment codes — are built once per result and cached, so evaluating the
+full Fig 1 metric suite over a multi-million-query run costs one sort,
+not thousands of Python loops.
 """
 
 from __future__ import annotations
@@ -21,42 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.phases import TrainingEvent
 from repro.errors import ReproError
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One completed query.
-
-    Attributes:
-        arrival: Virtual arrival time.
-        start: Virtual time service began (>= arrival; queueing delay is
-            ``start - arrival``).
-        completion: Virtual completion time.
-        op: Operation name (e.g. "read").
-        segment: Label of the scenario segment the query belongs to.
-    """
-
-    arrival: float
-    start: float
-    completion: float
-    op: str
-    segment: str
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency (completion - arrival)."""
-        return self.completion - self.arrival
-
-    @property
-    def service_time(self) -> float:
-        """Pure service time (completion - start)."""
-        return self.completion - self.start
 
 
 def _intern(labels: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, ...]]:
@@ -111,36 +79,6 @@ class QueryColumns:
         """Per-query segment labels (decoded)."""
         vocab = self.segment_vocab
         return [vocab[i] for i in self.segment_codes.tolist()]
-
-    def iter_records(self) -> Iterator[QueryRecord]:
-        """Materialize :class:`QueryRecord` objects (compatibility path)."""
-        rows = zip(
-            self.arrivals.tolist(),
-            self.starts.tolist(),
-            self.completions.tolist(),
-            self.ops(),
-            self.segment_names(),
-        )
-        for arrival, start, completion, op, segment in rows:
-            yield QueryRecord(arrival, start, completion, op, segment)
-
-    @classmethod
-    def from_records(cls, queries: Sequence[QueryRecord]) -> "QueryColumns":
-        """Build columns from a sequence of :class:`QueryRecord`."""
-        n = len(queries)
-        op_codes, op_vocab = _intern([q.op for q in queries])
-        seg_codes, seg_vocab = _intern([q.segment for q in queries])
-        return cls(
-            arrivals=np.fromiter((q.arrival for q in queries), np.float64, count=n),
-            starts=np.fromiter((q.start for q in queries), np.float64, count=n),
-            completions=np.fromiter(
-                (q.completion for q in queries), np.float64, count=n
-            ),
-            op_codes=op_codes,
-            op_vocab=op_vocab,
-            segment_codes=seg_codes,
-            segment_vocab=seg_vocab,
-        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Any]]) -> "QueryColumns":
@@ -293,14 +231,13 @@ class ColumnarRecorder:
 class RunResult:
     """Everything recorded during one benchmark run.
 
-    Construct with either ``queries`` (a list of :class:`QueryRecord`,
-    the historical API) or ``columns`` (a :class:`QueryColumns`, what the
-    driver produces); the other representation is derived lazily and
-    cached, as are the sorted views the metric kernels share.
+    The sorted views the metric kernels share are derived lazily from
+    ``columns`` and cached.
 
     Attributes:
         sut_name: Name of the system under test.
         scenario_name: Name of the scenario executed.
+        columns: The columnar query log.
         segments: ``(label, start, end)`` boundaries in query time.
         training_events: All training work performed.
         scenario_description: The scenario's ``describe()`` payload.
@@ -311,51 +248,25 @@ class RunResult:
         self,
         sut_name: str,
         scenario_name: str,
-        queries: Optional[Sequence[QueryRecord]] = None,
+        columns: QueryColumns,
         segments: Optional[Sequence[Tuple[str, float, float]]] = None,
         training_events: Optional[Iterable[TrainingEvent]] = None,
         scenario_description: Optional[dict] = None,
         sut_description: Optional[dict] = None,
-        columns: Optional[QueryColumns] = None,
     ) -> None:
-        """Assemble a result from either ``queries`` or ``columns``."""
-        if queries is None and columns is None:
-            raise ReproError("RunResult needs either queries or columns")
-        if queries is not None and columns is not None:
-            raise ReproError("pass either queries or columns, not both")
+        """Assemble a result around its query ``columns``."""
         self.sut_name = sut_name
         self.scenario_name = scenario_name
         self.segments: List[Tuple[str, float, float]] = list(segments or [])
         self.training_events: List[TrainingEvent] = list(training_events or [])
         self.scenario_description = scenario_description or {}
         self.sut_description = sut_description or {}
-        self._queries: Optional[List[QueryRecord]] = (
-            list(queries) if queries is not None else None
-        )
-        self._columns = columns
-
-    # -- representations -----------------------------------------------------------
-
-    @property
-    def queries(self) -> List[QueryRecord]:
-        """The query log as :class:`QueryRecord` objects (lazy view)."""
-        if self._queries is None:
-            self._queries = list(self.columns.iter_records())
-        return self._queries
-
-    @property
-    def columns(self) -> QueryColumns:
-        """The columnar query log (lazy, cached)."""
-        if self._columns is None:
-            self._columns = QueryColumns.from_records(self._queries or [])
-        return self._columns
+        self.columns = columns
 
     @property
     def num_queries(self) -> int:
-        """Number of completed queries (no representation conversion)."""
-        if self._columns is not None:
-            return self._columns.size
-        return len(self._queries or [])
+        """Number of completed queries."""
+        return self.columns.size
 
     # -- basic views ---------------------------------------------------------------
 
@@ -399,18 +310,16 @@ class RunResult:
         """Latencies in completion order."""
         return self.latencies_sorted
 
-    def queries_in_segment(self, label: str) -> List[QueryRecord]:
-        """Queries whose *arrival* fell inside the named segment."""
+    def segment_mask(self, label: str) -> np.ndarray:
+        """Boolean mask of queries whose *arrival* fell inside the named segment."""
         bounds = [(s, e) for name, s, e in self.segments if name == label]
         if not bounds:
             raise ReproError(f"unknown segment {label!r}")
-        queries = self.queries
         arrivals = self.columns.arrivals
-        out: List[QueryRecord] = []
+        mask = np.zeros(arrivals.size, dtype=bool)
         for lo, hi in bounds:
-            idx = np.nonzero((arrivals >= lo) & (arrivals < hi))[0]
-            out.extend(queries[int(i)] for i in idx)
-        return out
+            mask |= (arrivals >= lo) & (arrivals < hi)
+        return mask
 
     def throughput_series(self, interval: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """(bucket start times, completed queries per interval)."""

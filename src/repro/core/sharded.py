@@ -142,15 +142,12 @@ def _run_shard(
     accumulator_factory: Optional[Callable[[Scenario], Sequence[Any]]],
     sla: Optional[float],
     spill_dir,
-    spill_format: str,
 ) -> dict:
     """Execute one shard end to end (worker-side body)."""
     driver = VirtualClockDriver(config)
     accumulators = _build_accumulators(scenario, accumulator_factory, sla)
     spiller = (
-        ColumnSpiller(
-            shard_spill_directory(spill_dir, shard.index), fmt=spill_format
-        )
+        ColumnSpiller(shard_spill_directory(spill_dir, shard.index))
         if spill_dir is not None
         else None
     )
@@ -232,7 +229,6 @@ class ShardedStreamingExecutor:
         ] = None,
         sla: Optional[float] = None,
         spill_dir=None,
-        spill_format: str = "npz",
         tracer=None,
     ) -> StreamingRunSummary:
         """Execute ``scenario`` across shards; return the merged summary.
@@ -250,7 +246,6 @@ class ShardedStreamingExecutor:
             spill_dir: When set, each shard spills to a subdirectory and
                 the merged manifest stitches them back together (see
                 :func:`~repro.core.streaming.write_sharded_manifest`).
-            spill_format: ``"npz"`` (default) or ``"parquet"``.
             tracer: Optional :class:`~repro.observability.Tracer` handed
                 to the worker pool (``pool.*`` counters).
         """
@@ -269,7 +264,6 @@ class ShardedStreamingExecutor:
                     accumulator_factory,
                     sla,
                     spill_dir,
-                    spill_format,
                 )
             ]
             attempts = [1]
@@ -281,7 +275,6 @@ class ShardedStreamingExecutor:
                 accumulator_factory,
                 sla,
                 spill_dir,
-                spill_format,
                 tracer,
             )
         return merge_shard_payloads(
@@ -298,7 +291,6 @@ class ShardedStreamingExecutor:
         accumulator_factory,
         sla,
         spill_dir,
-        spill_format,
         tracer,
     ):
         """Run every shard on the shared :class:`WorkerPool`, fail-fast.
@@ -320,7 +312,6 @@ class ShardedStreamingExecutor:
                     accumulator_factory,
                     sla,
                     spill_dir,
-                    spill_format,
                 ),
                 label=f"shard-{shard.index}",
             )
@@ -468,7 +459,6 @@ def run_sharded_streaming(
     accumulator_factory: Optional[Callable[[Scenario], Sequence[Any]]] = None,
     sla: Optional[float] = None,
     spill_dir=None,
-    spill_format: str = "npz",
     max_attempts: int = 2,
     shard_timeout: Optional[float] = None,
     retry_backoff: float = 0.25,
@@ -487,5 +477,4 @@ def run_sharded_streaming(
         accumulator_factory=accumulator_factory,
         sla=sla,
         spill_dir=spill_dir,
-        spill_format=spill_format,
     )

@@ -189,11 +189,8 @@ class StreamBlock:
 class ColumnSpiller:
     """Spills query columns to sharded files instead of keeping them.
 
-    Blocks buffer up to ``shard_rows`` rows, then flush as one shard:
-    ``shard-00000.npz`` (NumPy, always available) or
-    ``shard-00000.parquet`` (requires ``pyarrow``; gated with a
-    :class:`~repro.errors.ConfigurationError` when missing so the core
-    pipeline stays dependency-free). An npz shard is a standard zip of
+    Blocks buffer up to ``shard_rows`` rows, then flush as one shard,
+    ``shard-00000.npz``. An npz shard is a standard zip of
     ``.npy`` members; its three timestamp columns are stored as delta
     byte planes (:func:`_encode_planes`), which the manifest's
     ``"encoding"`` records. :meth:`finish` writes ``manifest.json`` with
@@ -207,28 +204,12 @@ class ColumnSpiller:
     drivers set :attr:`tracer` to their own.
     """
 
-    def __init__(
-        self,
-        directory,
-        fmt: str = "npz",
-        shard_rows: int = 262_144,
-    ) -> None:
-        """Spill to ``directory`` in ``fmt`` shards of ``shard_rows``."""
-        if fmt not in ("npz", "parquet"):
-            raise ConfigurationError(f"unknown spill format {fmt!r}")
-        if fmt == "parquet":
-            try:
-                import pyarrow  # noqa: F401
-                import pyarrow.parquet  # noqa: F401
-            except ImportError as exc:
-                raise ConfigurationError(
-                    "parquet spill requires pyarrow; use fmt='npz'"
-                ) from exc
+    def __init__(self, directory, shard_rows: int = 262_144) -> None:
+        """Spill to ``directory`` in npz shards of ``shard_rows``."""
         if shard_rows < 1:
             raise ConfigurationError("shard_rows must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fmt = fmt
         self.shard_rows = int(shard_rows)
         self._pending: List[Tuple[np.ndarray, ...]] = []
         self._pending_rows = 0
@@ -280,17 +261,11 @@ class ColumnSpiller:
 
     def _flush_shard(self, rows: int) -> None:
         columns = dict(zip(_COLUMNS, self._take(rows)))
-        name = f"shard-{len(self._shards):05d}.{self.fmt}"
+        name = f"shard-{len(self._shards):05d}.npz"
         path = self.directory / name
         span = self.tracer.start_span("spill-write", phase="report", rows=rows)
         try:
-            if self.fmt == "npz":
-                _write_npz_shard(path, columns)
-            else:
-                import pyarrow as pa
-                import pyarrow.parquet as pq
-
-                pq.write_table(pa.table(columns), path)
+            _write_npz_shard(path, columns)
             size = path.stat().st_size
         finally:
             self.tracer.end_span()
@@ -328,15 +303,14 @@ class ColumnSpiller:
             self._flush_shard(self._pending_rows)
         self._finished = True
         manifest = {
-            "format": self.fmt,
+            "format": "npz",
             "rows": self._rows,
             "shards": list(self._shards),
             "op_vocab": list(op_vocab),
             "segment_vocab": list(segment_vocab),
             "directory": str(self.directory),
+            "encoding": _ENCODING,
         }
-        if self.fmt == "npz":
-            manifest["encoding"] = _ENCODING
         with open(self.directory / "manifest.json", "w") as fh:
             json.dump(manifest, fh)
         self._manifest = manifest
@@ -404,7 +378,7 @@ def write_sharded_manifest(
         )
         rows += int(shard_manifest["rows"])
     manifest = {
-        "format": shard_manifests[0]["format"] if shard_manifests else "npz",
+        "format": "npz",
         "sharded": True,
         "rows": rows,
         "shards": shards,
@@ -550,18 +524,6 @@ def _read_npz_shard(path: Path, encoded: bool) -> Dict[str, np.ndarray]:
     return columns
 
 
-def _read_parquet_shard(path: Path) -> Dict[str, np.ndarray]:
-    """One parquet shard's five columns (requires ``pyarrow``)."""
-    try:
-        import pyarrow.parquet as pq
-    except ImportError as exc:
-        raise ConfigurationError(
-            "reading a parquet spill requires pyarrow"
-        ) from exc
-    table = pq.read_table(path)
-    return {key: table.column(key).to_numpy() for key in _COLUMNS}
-
-
 def load_spilled_columns(directory) -> QueryColumns:
     """Reassemble a :class:`QueryColumns` from a spill directory.
 
@@ -582,9 +544,10 @@ def load_spilled_columns(directory) -> QueryColumns:
     if manifest.get("sharded"):
         return _load_sharded_columns(directory, manifest)
     fmt = manifest.get("format")
-    if fmt not in ("npz", "parquet"):
+    if fmt != "npz":
         raise ConfigurationError(
-            f"unknown spill format {fmt!r} in {directory}"
+            f"unknown spill format {fmt!r} in {directory}; only 'npz' "
+            "spills are supported"
         )
     encoding = manifest.get("encoding")
     if encoding not in (None, _ENCODING):
@@ -594,10 +557,7 @@ def load_spilled_columns(directory) -> QueryColumns:
     parts: Dict[str, List[np.ndarray]] = {key: [] for key in _COLUMNS}
     for name in manifest["shards"]:
         path = _inside(directory, name)
-        if fmt == "npz":
-            shard = _read_npz_shard(path, encoded=encoding is not None)
-        else:
-            shard = _read_parquet_shard(path)
+        shard = _read_npz_shard(path, encoded=encoding is not None)
         sizes = {key: int(values.shape[0]) for key, values in shard.items()}
         if len(set(sizes.values())) != 1:
             raise ConfigurationError(

@@ -434,7 +434,6 @@ class BenchmarkServer:
         sla: Optional[float] = None,
         spill_dir=None,
         accumulator_factory=None,
-        spill_format: str = "npz",
     ) -> ServiceReport:
         """Run every tenant session; return the full service ledger.
 
@@ -451,7 +450,6 @@ class BenchmarkServer:
             accumulator_factory: Optional picklable
                 ``scenario -> accumulators`` override shared by all
                 tenants.
-            spill_format: ``"npz"`` (default) or ``"parquet"``.
         """
         specs = list(tenants)
         self._validate(specs)
@@ -463,7 +461,7 @@ class BenchmarkServer:
             )
             entries = _fair_share(sessions)
             workers = self._pool_size(entries)
-            self._execute(entries, workers, spill_format)
+            self._execute(entries, workers)
             for session in sessions:
                 reports[session.index] = self._resolve(session)
         ledger = [report for report in reports if report is not None]
@@ -618,7 +616,6 @@ class BenchmarkServer:
         self,
         entries: List[Tuple[_Session, ShardSpec]],
         workers: int,
-        spill_format: str,
     ) -> None:
         """Run the interleaved shard entries on one shared pool.
 
@@ -638,7 +635,6 @@ class BenchmarkServer:
                     session.accumulator_factory,
                     session.sla,
                     session.spill_dir,
-                    spill_format,
                 ),
                 label=f"{session.spec.name}/shard-{shard.index}",
             )

@@ -36,14 +36,6 @@ class KeyNotFoundError(ReproError, KeyError):
         self.key = key
 
 
-class DuplicateKeyError(ReproError, KeyError):
-    """An insert targeted a key that is already present in a unique index."""
-
-    def __init__(self, key: object) -> None:
-        super().__init__(f"duplicate key: {key!r}")
-        self.key = key
-
-
 class NotTrainedError(ReproError):
     """A learned component was used before its model was trained."""
 

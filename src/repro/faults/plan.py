@@ -217,13 +217,6 @@ class FaultPlan:
         points = [f for f in self.faults if isinstance(f, (StallFault, CrashFault))]
         return tuple(sorted(points, key=lambda f: f.at))
 
-    def fault_times(self) -> List[float]:
-        """Onset time of every fault, sorted (for recovery-time scoring)."""
-        times = []
-        for fault in self.faults:
-            times.append(fault.start if hasattr(fault, "start") else fault.at)
-        return sorted(times)
-
     def degraded_windows(self) -> List[Tuple[float, float, str]]:
         """``(start, end, kind)`` for each fault's degraded interval.
 

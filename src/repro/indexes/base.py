@@ -13,7 +13,7 @@ counts into simulated service time.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -226,10 +226,3 @@ class OrderedIndex(ABC):
         """Short human-readable structure name."""
         return type(self).__name__
 
-
-@dataclass
-class _Entry:
-    """Internal key/value pair used by array-backed structures."""
-
-    key: float
-    value: Any = field(default=None)

@@ -81,7 +81,6 @@ from repro.metrics.specialization import (
     SegmentPerformance,
     SpecializationReport,
     drift_specialization_curve,
-    online_specialization_report,
     specialization_report,
 )
 
@@ -203,7 +202,6 @@ __all__ = [
     "OnlineAdjustmentSpeed",
     "OnlineSegmentStats",
     "OnlineResilience",
-    "online_specialization_report",
     "streaming_accumulators",
     "jaccard_similarity",
     "ks_statistic",

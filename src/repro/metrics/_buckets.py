@@ -33,14 +33,6 @@ def span_edges(lo: float, hi: float, interval: float) -> np.ndarray:
     return np.arange(float(lo), float(hi) + float(interval), float(interval))
 
 
-def bucket_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per-bucket counts of ``values`` (histogram semantics; int64)."""
-    if edges.size < 2:
-        return np.zeros(0, dtype=np.int64)
-    counts, _ = np.histogram(values, bins=edges)
-    return counts.astype(np.int64)
-
-
 def bucket_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Index of the bucket each value falls in (histogram semantics).
 

@@ -78,9 +78,7 @@ def area_vs_ideal(
     return _area_from_curve(times, cum, ideal_rate)
 
 
-def area_between_systems(
-    result_a: RunResult, result_b: RunResult, resolution: float = 1.0
-) -> float:
+def area_between_systems(result_a: RunResult, result_b: RunResult) -> float:
     """Signed area between two systems' cumulative curves (A minus B).
 
     Positive = A stayed ahead (completed queries earlier) on balance.
@@ -92,13 +90,7 @@ def area_between_systems(
     the union horizon) and integrated piecewise-constant. Linear
     interpolation between grid samples — the previous implementation —
     biased the metric whenever completions fell between grid points.
-
-    Args:
-        resolution: Unused; retained for backward compatibility (the
-            exact integration needs no sampling grid).
     """
-    if resolution <= 0:
-        raise ConfigurationError("resolution must be > 0")
     completions_a = result_a.completions_sorted
     completions_b = result_b.completions_sorted
     horizon = max(result_a.horizon, result_b.horizon)

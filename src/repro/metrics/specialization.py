@@ -372,53 +372,3 @@ class OnlineSegmentStats:
             )
         return {"interval": self.interval, "segments": segments}
 
-
-def online_specialization_report(
-    accumulator: OnlineSegmentStats,
-    scenario: Scenario,
-    sut_name: str,
-    baseline_label: Optional[str] = None,
-    phi_sample_size: int = 2000,
-    holdout_labels: Tuple[str, ...] = (),
-    phi_seed: int = 0,
-) -> SpecializationReport:
-    """Build the Fig 1a report from a folded :class:`OnlineSegmentStats`.
-
-    Matches :func:`specialization_report` on the same run: Φ comes from
-    the shared :func:`_phi_pairs` draw order, throughput boxes from the
-    accumulator's bit-identical per-interval arrays, and the mean
-    latencies from its ``fsum`` partials (float tolerance).
-    """
-    by_label = _segment_table(scenario)
-    if baseline_label is None:
-        baseline_label = scenario.segments[0].label
-    if baseline_label not in by_label:
-        raise ConfigurationError(f"unknown baseline segment {baseline_label!r}")
-    # Duplicate labels collapse last-wins offline; mirror by indexing the
-    # accumulator at each label's final boundary entry.
-    last_index = {
-        label: i for i, (label, _lo, _hi) in enumerate(accumulator.boundaries)
-    }
-
-    rows: List[SegmentPerformance] = []
-    phis = _phi_pairs(by_label, baseline_label, phi_sample_size, phi_seed)
-    for (label, _entry), (phi_w, phi_d) in zip(by_label.items(), phis):
-        index = last_index[label]
-        throughputs = accumulator.throughputs(index)
-        if throughputs.size == 0:
-            throughputs = np.zeros(1)
-        rows.append(
-            SegmentPerformance(
-                label=label,
-                phi=(phi_w + phi_d) / 2.0,
-                phi_workload=phi_w,
-                phi_data=phi_d,
-                throughput=box_stats(throughputs),
-                mean_latency=accumulator.mean_latency(index),
-                holdout=label in holdout_labels,
-            )
-        )
-    rows.sort(key=lambda s: s.phi)
-    return SpecializationReport(
-        sut_name=sut_name, baseline_label=baseline_label, segments=rows
-    )

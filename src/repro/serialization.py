@@ -22,15 +22,11 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.driver import DriverConfig
 from repro.core.hardware import CPU, GPU, TPU
 from repro.core.phases import TrainingPhase
-from repro.core.results import RunResult
 from repro.core.scenario import Scenario, Segment
-from repro.core.streaming import ShardSpec, StreamingRunSummary
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
-from repro.observability import Trace
 from repro.workloads.distributions import (
     Distribution,
     HotspotDistribution,
@@ -267,122 +263,3 @@ def scenario_from_dict(
         drift_factor=payload.get("drift_factor"),
     )
 
-
-# -- run results & driver config (matrix-runner transport) ---------------------------
-#
-# The matrix runner ships results across process boundaries and stores
-# them in its on-disk cache; both use these dict payloads, so a cached
-# entry, a worker response, and an exported artifact are the same format.
-
-
-def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """Serialize a run result (same payload as ``RunResult.to_dict``)."""
-    return result.to_dict()
-
-
-def run_result_from_dict(payload: Dict[str, Any]) -> RunResult:
-    """Rebuild a run result from :func:`run_result_to_dict` output."""
-    return RunResult.from_dict(payload)
-
-
-def driver_config_to_dict(config: DriverConfig) -> Dict[str, Any]:
-    """Serialize driver knobs (same payload as ``DriverConfig.describe``)."""
-    return config.describe()
-
-
-def driver_config_from_dict(payload: Dict[str, Any]) -> DriverConfig:
-    """Rebuild a :class:`DriverConfig` from :func:`driver_config_to_dict`."""
-    hardware_name = payload.get("online_hardware", "cpu")
-    hardware = _HARDWARE.get(str(hardware_name).lower())
-    if hardware is None:
-        raise ConfigurationError(f"unknown hardware profile {hardware_name!r}")
-    return DriverConfig(
-        online_hardware=hardware,
-        max_queries=payload.get("max_queries", 2_000_000),
-        jitter_arrivals=payload.get("jitter_arrivals", True),
-        min_service_time=payload.get("min_service_time", 1e-9),
-        servers=payload.get("servers", 1),
-        use_batching=payload.get("use_batching", True),
-        truncate_max_queries=payload.get("truncate_max_queries", False),
-        block_size=payload.get("block_size"),
-    )
-
-
-def streaming_summary_to_dict(summary: StreamingRunSummary) -> Dict[str, Any]:
-    """Serialize a streaming summary (``StreamingRunSummary.to_dict``)."""
-    return summary.to_dict()
-
-
-def streaming_summary_from_dict(payload: Dict[str, Any]) -> StreamingRunSummary:
-    """Rebuild a summary from :func:`streaming_summary_to_dict` output."""
-    return StreamingRunSummary.from_dict(payload)
-
-
-def shard_spec_to_dict(spec: ShardSpec) -> Dict[str, Any]:
-    """Serialize a shard spec (``ShardSpec.to_dict``)."""
-    return spec.to_dict()
-
-
-def shard_spec_from_dict(payload: Dict[str, Any]) -> ShardSpec:
-    """Rebuild a :class:`~repro.core.streaming.ShardSpec` from its payload."""
-    return ShardSpec.from_dict(payload)
-
-
-def accumulator_states_to_dict(accumulators) -> List[Dict[str, Any]]:
-    """Serialize streaming accumulators as ``{"name", "state"}`` rows.
-
-    The wire form sharded workers send across the process boundary;
-    round-trips through :func:`accumulator_states_from_dict`.
-    """
-    return [
-        {"name": accumulator.name, "state": accumulator.state_dict()}
-        for accumulator in accumulators
-    ]
-
-
-def accumulator_states_from_dict(payload: List[Dict[str, Any]]) -> List[Any]:
-    """Rebuild registered accumulators from their wire rows.
-
-    Uses the :data:`repro.metrics.STREAMING_ACCUMULATOR_TYPES` registry;
-    unregistered names raise
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    from repro.metrics import accumulator_from_state
-
-    return [
-        accumulator_from_state(row["name"], row["state"]) for row in payload
-    ]
-
-
-def tenant_report_to_dict(report) -> Dict[str, Any]:
-    """Serialize a tenant session record (``TenantReport.to_dict``)."""
-    return report.to_dict()
-
-
-def tenant_report_from_dict(payload: Dict[str, Any]):
-    """Rebuild a :class:`~repro.core.tenancy.TenantReport` from its payload."""
-    from repro.core.tenancy import TenantReport
-
-    return TenantReport.from_dict(payload)
-
-
-def service_report_to_dict(report) -> Dict[str, Any]:
-    """Serialize a serve-call ledger (``ServiceReport.to_dict``)."""
-    return report.to_dict()
-
-
-def service_report_from_dict(payload: Dict[str, Any]):
-    """Rebuild a :class:`~repro.core.tenancy.ServiceReport` from its payload."""
-    from repro.core.tenancy import ServiceReport
-
-    return ServiceReport.from_dict(payload)
-
-
-def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    """Serialize a run trace (same payload as ``Trace.to_dict``)."""
-    return trace.to_dict()
-
-
-def trace_from_dict(payload: Dict[str, Any]) -> Trace:
-    """Rebuild a :class:`~repro.observability.Trace` from its payload."""
-    return Trace.from_dict(payload)

@@ -432,8 +432,7 @@ class AnalyticDriver:
     ):
         """Run the schedule in bounded memory; return the summary.
 
-        ``streaming`` (``accumulators``, ``sla``, ``spill_dir``,
-        ``spill_format``) passes straight to
+        ``streaming`` (``accumulators``, ``sla``, ``spill_dir``) goes to
         :meth:`~repro.core.driver.VirtualClockDriver.run_streaming`.
         """
         scenario = self._scenario(segments, scenario_name, segment_hooks)

@@ -4,9 +4,8 @@ The paper argues a learned-systems benchmark must ingest *real*
 deployments, not only parametric generators. This module provides the
 whole round trip:
 
-* a versioned on-disk **trace format** (CSV, and Parquet when pyarrow is
-  available) with a validating loader — see :data:`TRACE_FORMAT_VERSION`
-  and ``docs/trace-replay.md`` for the column spec;
+* a versioned on-disk **trace format** (CSV) with a validating loader —
+  see :data:`TRACE_FORMAT_VERSION` and ``docs/trace-replay.md``;
 * :class:`QueryTrace`, the in-memory columnar trace with content
   hashing, rebasing, time-dilation, and truncation;
 * :class:`TraceArrivalProcess` and :class:`TraceWorkload`, which replay
@@ -363,130 +362,42 @@ def _save_csv(trace: QueryTrace, path: Path) -> None:
             writer.writerow([repr(t), KV_OPERATIONS[op].value, repr(key), scan])
 
 
-def _require_pyarrow():
-    try:
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet as pq
-    except ImportError:
+def _require_csv(path: Path) -> None:
+    if path.suffix.lower() != ".csv":
         raise ConfigurationError(
-            "parquet traces require pyarrow, which is not installed; "
-            "use the CSV format instead"
-        ) from None
-    return pq
-
-
-def _load_parquet(path: Path, name: str) -> QueryTrace:
-    """Parse a Parquet trace (requires pyarrow)."""
-    pq = _require_pyarrow()
-    table = pq.read_table(path)
-    meta = table.schema.metadata or {}
-    raw = meta.get(b"repro_trace_version")
-    if raw is not None and int(raw) > TRACE_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{path}: trace format v{int(raw)} is newer than this "
-            f"build's v{TRACE_FORMAT_VERSION}"
+            f"cannot infer trace format from {path.name!r}; "
+            "only CSV traces (a .csv suffix) are supported"
         )
-    columns = set(table.column_names)
-    if not {"timestamp", "op", "key"} <= columns:
-        raise TraceFormatError(
-            f"{path}: parquet trace needs columns timestamp, op, key"
-        )
-    ops = []
-    for op_name in table.column("op").to_pylist():
-        if op_name not in _OP_BY_NAME:
-            raise TraceFormatError(f"{path}: unknown op {op_name!r}")
-        ops.append(_OP_BY_NAME[op_name])
-    scans = (
-        np.asarray(table.column("scan_length").to_pylist(), dtype=np.int64)
-        if "scan_length" in columns
-        else np.zeros(len(ops), dtype=np.int64)
-    )
-    return QueryTrace(
-        timestamps=np.asarray(table.column("timestamp").to_pylist(), dtype=np.float64),
-        ops=np.asarray(ops, dtype=np.int8),
-        keys=np.asarray(table.column("key").to_pylist(), dtype=np.float64),
-        scan_lengths=scans,
-        name=name,
-        source=str(path),
-    )
 
 
-def _save_parquet(trace: QueryTrace, path: Path) -> None:
-    """Write a Parquet trace (requires pyarrow)."""
-    pq = _require_pyarrow()
-    import pyarrow as pa
-
-    table = pa.table(
-        {
-            "timestamp": pa.array(trace.timestamps, type=pa.float64()),
-            "op": pa.array([KV_OPERATIONS[c].value for c in trace.ops.tolist()]),
-            "key": pa.array(trace.keys, type=pa.float64()),
-            "scan_length": pa.array(trace.scan_lengths, type=pa.int64()),
-        }
-    )
-    table = table.replace_schema_metadata(
-        {b"repro_trace_version": str(TRACE_FORMAT_VERSION).encode()}
-    )
-    pq.write_table(table, path)
-
-
-def _format_for(path: Path, fmt: Optional[str]) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "parquet"):
-            raise ConfigurationError(
-                f"unknown trace format {fmt!r}; expected 'csv' or 'parquet'"
-            )
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".parquet", ".pq"):
-        return "parquet"
-    raise ConfigurationError(
-        f"cannot infer trace format from {path.name!r}; "
-        "use a .csv/.parquet suffix or pass fmt="
-    )
-
-
-def load_trace(
-    path: Union[str, Path],
-    fmt: Optional[str] = None,
-    name: Optional[str] = None,
-) -> QueryTrace:
+def load_trace(path: Union[str, Path], name: Optional[str] = None) -> QueryTrace:
     """Load and validate an on-disk trace.
 
     Args:
-        path: Trace file (``.csv``, ``.parquet``, or ``.pq``).
-        fmt: Explicit format override (``"csv"`` / ``"parquet"``).
+        path: Trace file (``.csv``).
         name: Trace display name (default: the file stem).
 
     Raises:
         TraceFormatError: Malformed file, unknown op, non-monotone or
             non-finite values, or a newer format version.
-        ConfigurationError: Unknown format, or Parquet without pyarrow.
+        ConfigurationError: Missing file, or a suffix other than ``.csv``.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"trace file not found: {path}")
-    trace_name = name or path.stem
-    if _format_for(path, fmt) == "csv":
-        return _load_csv(path, trace_name)
-    return _load_parquet(path, trace_name)
+    _require_csv(path)
+    return _load_csv(path, name or path.stem)
 
 
-def save_trace(
-    trace: QueryTrace, path: Union[str, Path], fmt: Optional[str] = None
-) -> Path:
+def save_trace(trace: QueryTrace, path: Union[str, Path]) -> Path:
     """Write ``trace`` to disk in the versioned format; returns the path.
 
     CSV writes full-precision ``repr`` floats, so a save/load round trip
     reproduces every column bit-for-bit (the hypothesis tests pin this).
     """
     path = Path(path)
-    if _format_for(path, fmt) == "csv":
-        _save_csv(trace, path)
-    else:
-        _save_parquet(trace, path)
+    _require_csv(path)
+    _save_csv(trace, path)
     return path
 
 

@@ -79,28 +79,29 @@ class TestBasicRun:
     def test_all_arrivals_executed(self):
         sut = FakeSUT()
         result = VirtualClockDriver().run(sut, _scenario())
-        assert len(result.queries) == len(sut.executed)
-        assert len(result.queries) == pytest.approx(100, abs=2)
+        assert result.num_queries == len(sut.executed)
+        assert result.num_queries == pytest.approx(100, abs=2)
 
     def test_records_have_ordered_timestamps(self):
         result = VirtualClockDriver().run(FakeSUT(), _scenario())
-        for q in result.queries:
-            assert q.arrival <= q.start < q.completion
+        cols = result.columns
+        assert (cols.arrivals <= cols.starts).all()
+        assert (cols.starts < cols.completions).all()
 
     def test_completion_order_fifo(self):
         result = VirtualClockDriver().run(FakeSUT(), _scenario())
-        completions = [q.completion for q in result.queries]
+        completions = result.columns.completions.tolist()
         assert completions == sorted(completions)
 
     def test_segment_labels_attached(self):
         result = VirtualClockDriver().run(FakeSUT(), _scenario(segments=2))
-        labels = {q.segment for q in result.queries}
+        labels = set(result.columns.segment_names())
         assert labels == {"s0", "s1"}
 
     def test_deterministic(self):
         a = VirtualClockDriver().run(FakeSUT(), _scenario())
         b = VirtualClockDriver().run(FakeSUT(), _scenario())
-        assert [q.completion for q in a.queries] == [q.completion for q in b.queries]
+        assert a.columns.completions.tolist() == b.columns.completions.tolist()
 
     def test_max_queries_guard(self):
         config = DriverConfig(max_queries=10)
@@ -142,14 +143,15 @@ class TestQueueing:
         """Service slower than arrivals -> latencies grow over the run."""
         sut = FakeSUT(service_time=0.1)  # capacity 10/s < offered 20/s
         result = VirtualClockDriver().run(sut, _scenario(rate=20.0))
-        latencies = [q.latency for q in sorted(result.queries, key=lambda q: q.arrival)]
+        cols = result.columns
+        latencies = cols.latencies[np.argsort(cols.arrivals, kind="stable")]
         assert latencies[-1] > latencies[0]
         assert latencies[-1] > 1.0
 
     def test_underload_latency_equals_service(self):
         sut = FakeSUT(service_time=0.001)
         result = VirtualClockDriver().run(sut, _scenario(rate=20.0))
-        assert max(q.latency for q in result.queries) < 0.01
+        assert result.columns.latencies.max() < 0.01
 
 
 class TestTraining:
@@ -192,8 +194,9 @@ class TestTraining:
         assert len(events) == 1
         assert events[0].start >= 5.0  # at the segment boundary
         # Queries arriving right after the boundary wait out the retrain.
-        late = [q for q in result.queries if 5.0 <= q.arrival < 5.5]
-        assert late and min(q.start for q in late) >= events[0].end - 1e-9
+        cols = result.columns
+        late = cols.starts[(cols.arrivals >= 5.0) & (cols.arrivals < 5.5)]
+        assert late.size and late.min() >= events[0].end - 1e-9
 
     def test_online_tick_retrain_charged(self):
         sut = FakeSUT(tick_retrain_at=2.0, tick_nominal=1.5)
@@ -202,7 +205,7 @@ class TestTraining:
         assert len(online) == 1
         assert online[0].nominal_seconds == pytest.approx(1.5)
         # Server stalls: some query completes after the retrain window.
-        assert any(q.start >= online[0].end for q in result.queries)
+        assert (result.columns.starts >= online[0].end).any()
 
 
 class TestTicks:
@@ -256,8 +259,8 @@ class TestMultiServer:
         quad = VirtualClockDriver(DriverConfig(servers=4)).run(
             fast, _scenario(rate=20.0)
         )
-        assert max(q.latency for q in quad.queries) < 1.0
-        assert max(q.latency for q in single.queries) > 1.0
+        assert quad.columns.latencies.max() < 1.0
+        assert single.columns.latencies.max() > 1.0
 
     def test_parallel_starts_overlap(self):
         sut = FakeSUT(service_time=0.5)
@@ -265,13 +268,10 @@ class TestMultiServer:
             sut, _scenario(rate=4.0, duration=5.0)
         )
         # With 2 servers, two queries can be in service simultaneously.
-        ordered = sorted(result.queries, key=lambda q: q.start)
-        overlaps = sum(
-            1
-            for a, b in zip(ordered, ordered[1:])
-            if b.start < a.completion
-        )
-        assert overlaps > 0
+        cols = result.columns
+        order = np.argsort(cols.starts, kind="stable")
+        starts, completions = cols.starts[order], cols.completions[order]
+        assert (starts[1:] < completions[:-1]).sum() > 0
 
     def test_online_retrain_blocks_all_servers(self):
         sut = FakeSUT(service_time=0.01, tick_retrain_at=2.0, tick_nominal=1.0)
@@ -281,13 +281,13 @@ class TestMultiServer:
         online = [e for e in result.training_events if e.online]
         assert len(online) == 1
         stall_end = online[0].end
-        during = [
-            q for q in result.queries
-            if online[0].start < q.arrival < stall_end
+        cols = result.columns
+        during = cols.starts[
+            (online[0].start < cols.arrivals) & (cols.arrivals < stall_end)
         ]
-        assert during and all(q.start >= stall_end - 1e-9 for q in during)
+        assert during.size and (during >= stall_end - 1e-9).all()
 
     def test_single_server_unchanged_by_refactor(self):
         a = VirtualClockDriver(DriverConfig(servers=1)).run(FakeSUT(), _scenario())
         b = VirtualClockDriver().run(FakeSUT(), _scenario())
-        assert [q.completion for q in a.queries] == [q.completion for q in b.queries]
+        assert a.columns.completions.tolist() == b.columns.completions.tolist()

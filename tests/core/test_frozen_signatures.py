@@ -1,0 +1,43 @@
+"""The frozen public entry points keep exactly these parameters.
+
+``perf/README.md`` ("Frozen public entry points") lists the calls every
+timed op of the repo benchmark goes through. A parameter added to one of
+them is an option every later refactor has to carry, so adding one means
+editing this pin — and saying which two callers need different values.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+from repro.core.benchmark import Benchmark
+from repro.core.streaming import load_spilled_columns
+from repro.reporting.report import build_report
+
+FROZEN = [
+    (Benchmark.run, ("self", "sut", "scenario")),
+    (
+        Benchmark.run_streaming,
+        ("self", "sut", "scenario", "accumulators", "sla", "spill_dir"),
+    ),
+    (
+        Benchmark.run_sharded_streaming,
+        ("self", "sut_factory", "scenario", "shards", "accumulator_factory",
+         "sla", "spill_dir", "max_attempts", "shard_timeout"),
+    ),
+    (
+        Benchmark.serve,
+        ("self", "tenants", "workers", "admission", "registry", "sla",
+         "spill_dir", "max_attempts", "tenant_timeout"),
+    ),
+    (
+        build_report,
+        ("result", "scenario", "sla", "band_interval", "adjustment_n", "trace"),
+    ),
+    (load_spilled_columns, ("directory",)),
+]
+
+
+def test_parameter_names_are_pinned():
+    actual = [(f, tuple(inspect.signature(f).parameters)) for f, _ in FROZEN]
+    assert actual == FROZEN

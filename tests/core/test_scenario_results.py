@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.phases import TrainingEvent, TrainingPhase
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.core.scenario import Scenario, Segment
 from repro.errors import ReproError, ScenarioError
 from repro.workloads.distributions import UniformDistribution
@@ -63,15 +63,14 @@ class TestScenario:
 
 
 def _result():
-    queries = [
-        QueryRecord(arrival=float(i), start=float(i), completion=float(i) + 0.5,
-                    op="read", segment="a" if i < 5 else "b")
+    rows = [
+        (float(i), float(i), float(i) + 0.5, "read", "a" if i < 5 else "b")
         for i in range(10)
     ]
     return RunResult(
         sut_name="sut",
         scenario_name="scn",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, 5.0), ("b", 5.0, 10.0)],
         training_events=[
             TrainingEvent(start=-1.0, duration=1.0, nominal_seconds=1.0,
@@ -82,9 +81,9 @@ def _result():
 
 class TestRunResult:
     def test_latency(self):
-        record = QueryRecord(1.0, 2.0, 3.0, "read", "a")
-        assert record.latency == 2.0
-        assert record.service_time == 1.0
+        columns = QueryColumns.from_rows([(1.0, 2.0, 3.0, "read", "a")])
+        assert columns.latencies.tolist() == [2.0]
+        assert columns.service_times.tolist() == [1.0]
 
     def test_completions_sorted(self):
         result = _result()
@@ -93,9 +92,10 @@ class TestRunResult:
 
     def test_queries_in_segment(self):
         result = _result()
-        assert len(result.queries_in_segment("a")) == 5
+        mask = result.segment_mask("a")
+        assert mask.dtype == bool and mask.tolist() == [True] * 5 + [False] * 5
         with pytest.raises(ReproError):
-            result.queries_in_segment("nope")
+            result.segment_mask("nope")
 
     def test_throughput_series_sums_to_total(self):
         result = _result()
@@ -116,8 +116,8 @@ class TestRunResult:
         result = _result()
         restored = RunResult.from_json(result.to_json())
         assert restored.sut_name == result.sut_name
-        assert len(restored.queries) == len(result.queries)
-        assert restored.queries[3].completion == result.queries[3].completion
+        assert restored.num_queries == result.num_queries
+        assert restored.columns.completions[3] == result.columns.completions[3]
         assert restored.segments == result.segments
         assert restored.training_events[0].cost == pytest.approx(0.01)
 

@@ -24,10 +24,6 @@ from repro.core.streaming import (
 from repro.errors import ConfigurationError, DriverError
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.observability import Tracer
-from repro.serialization import (
-    streaming_summary_from_dict,
-    streaming_summary_to_dict,
-)
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -213,23 +209,6 @@ class TestColumnSpiller:
         spiller.finish(["read"], ["a"])
         with pytest.raises(ConfigurationError, match="different vocab"):
             spiller.finish(["read", "write"], ["a"])
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ColumnSpiller(tmp_path, fmt="csv")
-
-    def test_parquet_gated_on_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            with pytest.raises(ConfigurationError):
-                ColumnSpiller(tmp_path, fmt="parquet")
-        else:
-            spiller = ColumnSpiller(tmp_path / "pq", fmt="parquet", shard_rows=8)
-            spiller.write(_block(10))
-            spiller.finish(["read"], ["a"])
-            cols = load_spilled_columns(tmp_path / "pq")
-            assert cols.size == 10
 
 
 COLUMN_NAMES = ("arrivals", "starts", "completions", "op_codes", "segment_codes")
@@ -532,6 +511,17 @@ class TestLoadSpilledColumns:
         with pytest.raises(ConfigurationError, match="unknown spill format 'csv'"):
             load_spilled_columns(tmp_path / "s")
 
+    def test_parquet_manifest_rejected_naming_npz(self, tmp_path):
+        _write_plain_spill(tmp_path / "s", [_plain_columns(4)])
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        manifest["format"] = "parquet"
+        manifest["shards"] = ["shard-00000.parquet"]
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            ConfigurationError, match="unknown spill format 'parquet'.*'npz'"
+        ):
+            load_spilled_columns(tmp_path / "s")
+
 
 class TestSpillTracing:
     def test_flushes_are_spans_and_counters_match_disk(self, tmp_path):
@@ -679,8 +669,8 @@ class TestDriverStreaming:
     def test_summary_round_trip(self, tmp_path):
         driver = VirtualClockDriver(DriverConfig(block_size=32))
         summary = driver.run_streaming(TraditionalKVStore(), self._scenario())
-        payload = streaming_summary_to_dict(summary)
-        restored = streaming_summary_from_dict(json.loads(json.dumps(payload)))
+        payload = summary.to_dict()
+        restored = StreamingRunSummary.from_dict(json.loads(json.dumps(payload)))
         assert isinstance(restored, StreamingRunSummary)
         assert restored.num_queries == summary.num_queries
         assert restored.metrics == summary.metrics

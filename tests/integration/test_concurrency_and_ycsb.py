@@ -60,6 +60,10 @@ class TestConcurrencyScaling:
         )
 
 
+def _median_latency(result, label):
+    return np.median(result.columns.latencies[result.segment_mask(label)])
+
+
 class TestChainedYCSB:
     """YCSB C→A→E in one run: the structural-mismatch story, asserted."""
 
@@ -87,26 +91,18 @@ class TestChainedYCSB:
         }
 
     def test_hash_wins_point_phase(self, results):
-        hash_c = np.median(
-            [q.latency for q in results["hash-kv"].queries_in_segment("ycsb-c")]
-        )
-        btree_c = np.median(
-            [q.latency for q in results["btree-kv"].queries_in_segment("ycsb-c")]
-        )
+        hash_c = _median_latency(results["hash-kv"], "ycsb-c")
+        btree_c = _median_latency(results["btree-kv"], "ycsb-c")
         assert hash_c < btree_c
 
     def test_hash_collapses_on_scans(self, results):
-        hash_e = np.median(
-            [q.latency for q in results["hash-kv"].queries_in_segment("ycsb-e")]
-        )
-        btree_e = np.median(
-            [q.latency for q in results["btree-kv"].queries_in_segment("ycsb-e")]
-        )
+        hash_e = _median_latency(results["hash-kv"], "ycsb-e")
+        btree_e = _median_latency(results["btree-kv"], "ycsb-e")
         assert hash_e > 10 * btree_e
 
     def test_single_run_covers_all_phases(self, results):
         for result in results.values():
-            assert {q.segment for q in result.queries} == {
+            assert set(result.columns.segment_names()) == {
                 "ycsb-c", "ycsb-a", "ycsb-e",
             }
 

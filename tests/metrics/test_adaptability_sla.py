@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.errors import ConfigurationError
 from repro.metrics.adaptability import (
     adaptability_report,
@@ -24,40 +27,36 @@ from repro.metrics.sla import (
 
 def _steady_result(rate=10.0, duration=20.0, latency=0.01, name="steady"):
     """A perfectly steady synthetic run."""
-    queries = []
+    rows = []
     t = 0.0
     while t < duration:
-        queries.append(
-            QueryRecord(arrival=t, start=t, completion=t + latency, op="read",
-                        segment="a" if t < duration / 2 else "b")
-        )
+        rows.append((t, t, t + latency, "read", "a" if t < duration / 2 else "b"))
         t += 1.0 / rate
     return RunResult(
         sut_name=name,
         scenario_name="scn",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, duration / 2), ("b", duration / 2, duration)],
     )
 
 
 def _stalled_result(rate=10.0, duration=20.0, stall_at=10.0, stall_len=4.0):
     """Steady, but completions inside the stall window slide to its end."""
-    queries = []
+    rows = []
     t = 0.0
     while t < duration:
         completion = t + 0.01
         if stall_at <= t < stall_at + stall_len:
             completion = stall_at + stall_len + 0.01
-        queries.append(
-            QueryRecord(arrival=t, start=min(t, completion - 0.01),
-                        completion=completion, op="read",
-                        segment="a" if t < 10 else "b")
+        rows.append(
+            (t, min(t, completion - 0.01), completion, "read",
+             "a" if t < 10 else "b")
         )
         t += 1.0 / rate
     return RunResult(
         sut_name="stalled",
         scenario_name="scn",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
     )
 
@@ -67,7 +66,7 @@ class TestCumulativeCurve:
         result = _steady_result()
         times, cum = cumulative_curve(result)
         assert (np.diff(cum) >= 0).all()
-        assert cum[-1] == len(result.queries)
+        assert cum[-1] == result.num_queries
 
     def test_resolution_validated(self):
         with pytest.raises(ConfigurationError):
@@ -87,6 +86,12 @@ class TestAreaVsIdeal:
         result = _steady_result(rate=10.0)
         # Against an impossible ideal, the lag is large.
         assert area_vs_ideal(result, ideal_rate=100.0) > area_vs_ideal(result)
+
+    def test_declared_numpy_floor_has_trapezoid(self):
+        # area_vs_ideal integrates with np.trapezoid, which NumPy 1.x lacks.
+        pyproject = Path(__file__).parents[2] / "pyproject.toml"
+        floor = re.search(r'"numpy>=(\d+)', pyproject.read_text())
+        assert floor and int(floor.group(1)) >= 2
 
 
 class TestAreaBetween:
@@ -129,9 +134,9 @@ class TestSLA:
         sla = 0.1
         bands = latency_bands(result, sla=sla, interval=1.0)
         violations = sum(b.violated for b in bands)
-        expected = sum(1 for q in result.queries if q.latency > sla)
+        expected = int((result.columns.latencies > sla).sum())
         assert violations == expected
-        assert sum(b.total for b in bands) == len(result.queries)
+        assert sum(b.total for b in bands) == result.num_queries
 
     def test_violations_cluster_after_stall(self):
         result = _stalled_result(stall_at=10.0, stall_len=4.0)
@@ -146,7 +151,7 @@ class TestSLA:
         for _, counts in rows:
             assert len(counts) == 4
         total = sum(sum(c) for _, c in rows)
-        assert total == len(result.queries)
+        assert total == result.num_queries
 
     def test_multi_bands_validates_thresholds(self):
         with pytest.raises(ConfigurationError):
@@ -188,12 +193,11 @@ class TestLatencyTimeline:
         assert during > before * 10
 
     def test_idle_buckets_are_nan(self):
-        from repro.core.results import QueryRecord, RunResult
         from repro.metrics.adaptability import latency_timeline
 
         result = RunResult(
             sut_name="x", scenario_name="s",
-            queries=[QueryRecord(0.0, 0.0, 0.5, "read", "a")],
+            columns=QueryColumns.from_rows([(0.0, 0.0, 0.5, "read", "a")]),
             segments=[("a", 0.0, 5.0)],
         )
         _, series = latency_timeline(result, interval=1.0)

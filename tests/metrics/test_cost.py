@@ -8,7 +8,7 @@ import pytest
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.hardware import CPU
 from repro.core.phases import TrainingEvent, TrainingPhase, event_to_telemetry
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.core.scenario import Scenario, Segment
 from repro.errors import ConfigurationError
 from repro.metrics.cost import (
@@ -66,15 +66,11 @@ class TestTCO:
 
 class TestCostBreakdown:
     def _result(self):
-        queries = [
-            QueryRecord(arrival=float(i), start=float(i), completion=float(i) + 0.1,
-                        op="read", segment="a")
-            for i in range(100)
-        ]
+        rows = [(float(i), float(i), float(i) + 0.1, "read", "a") for i in range(100)]
         return RunResult(
             sut_name="x",
             scenario_name="s",
-            queries=queries,
+            columns=QueryColumns.from_rows(rows),
             segments=[("a", 0.0, 100.0)],
             training_events=[
                 TrainingEvent(start=-1, duration=1, nominal_seconds=1,
@@ -127,13 +123,10 @@ class TestPhasesFromTrace:
     def test_cost_breakdown_matches_hand_built_fixture_exactly(self):
         """cost_breakdown fed from the trace equals the result's own."""
         events = self._events()
-        queries = [
-            QueryRecord(arrival=float(i), start=float(i),
-                        completion=float(i) + 0.1, op="read", segment="a")
-            for i in range(50)
-        ]
+        rows = [(float(i), float(i), float(i) + 0.1, "read", "a") for i in range(50)]
         result = RunResult(
-            sut_name="x", scenario_name="s", queries=queries,
+            sut_name="x", scenario_name="s",
+            columns=QueryColumns.from_rows(rows),
             segments=[("a", 0.0, 50.0)], training_events=events,
         )
         from_result = cost_breakdown(result)

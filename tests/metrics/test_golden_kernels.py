@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.metrics.adaptability import (
     area_vs_ideal,
     cumulative_curve,
@@ -36,19 +36,24 @@ INTERVALS = (0.25, 0.5, 1.0, 2.0)
 # -- reference implementations (pre-refactor) ----------------------------------------
 
 
+def _times(result):
+    """(arrivals, completions, latencies) as Python-float lists, record order."""
+    arrivals = result.columns.arrivals.tolist()
+    completions = result.columns.completions.tolist()
+    return arrivals, completions, [c - a for a, c in zip(arrivals, completions)]
+
+
 def ref_throughput_series(result, interval=1.0):
-    completions = np.asarray(sorted(q.completion for q in result.queries))
-    horizon = max(
-        result.duration, max((q.completion for q in result.queries), default=0.0)
-    )
+    _, unsorted, _ = _times(result)
+    completions = np.asarray(sorted(unsorted))
+    horizon = max(result.duration, max(unsorted, default=0.0))
     edges = np.arange(0.0, horizon + interval, interval)
     counts, _ = np.histogram(completions, bins=edges)
     return edges[:-1], counts.astype(np.float64)
 
 
 def ref_latency_bands(result, sla, interval=1.0):
-    completions = np.asarray([q.completion for q in result.queries])
-    latencies = np.asarray([q.latency for q in result.queries])
+    completions, latencies = (np.asarray(col) for col in _times(result)[1:])
     horizon = max(result.duration, completions.max() if completions.size else 0.0)
     bands = []
     t = 0.0
@@ -63,8 +68,7 @@ def ref_latency_bands(result, sla, interval=1.0):
 
 def ref_multi_latency_bands(result, thresholds, interval=1.0):
     ts = list(thresholds)
-    completions = np.asarray([q.completion for q in result.queries])
-    latencies = np.asarray([q.latency for q in result.queries])
+    completions, latencies = (np.asarray(col) for col in _times(result)[1:])
     horizon = max(result.duration, completions.max() if completions.size else 0.0)
     edges = np.asarray([0.0] + ts + [np.inf])
     out = []
@@ -78,7 +82,7 @@ def ref_multi_latency_bands(result, thresholds, interval=1.0):
 
 
 def ref_cumulative_curve(result, resolution=1.0):
-    completions = np.asarray(sorted(q.completion for q in result.queries))
+    completions = np.asarray(sorted(_times(result)[1]))
     horizon = max(result.duration, completions[-1] if completions.size else 0.0)
     times = np.arange(0.0, horizon + resolution, resolution)
     cum = np.searchsorted(completions, times, side="right").astype(np.float64)
@@ -97,7 +101,7 @@ def ref_area_vs_ideal(result, ideal_rate=None, resolution=1.0):
 
 
 def ref_recovery_time(result, change_time, window=5.0, recovery_fraction=0.9):
-    completions = np.asarray(sorted(q.completion for q in result.queries))
+    completions = np.asarray(sorted(_times(result)[1]))
     if completions.size == 0:
         return None
     before = np.count_nonzero(
@@ -117,8 +121,7 @@ def ref_recovery_time(result, change_time, window=5.0, recovery_fraction=0.9):
 
 
 def ref_latency_timeline(result, interval=1.0, percentiles=(50.0, 99.0)):
-    completions = np.asarray([q.completion for q in result.queries])
-    latencies = np.asarray([q.latency for q in result.queries])
+    completions, latencies = (np.asarray(col) for col in _times(result)[1:])
     horizon = max(result.duration, completions.max() if completions.size else 0.0)
     edges = np.arange(0.0, horizon + interval, interval)
     times = edges[:-1]
@@ -140,17 +143,16 @@ def ref_latency_timeline(result, interval=1.0, percentiles=(50.0, 99.0)):
 
 
 def ref_adjustment_speed(result, change_time, n_queries, sla):
+    arrivals, _, latencies = _times(result)
     after = sorted(
-        (q for q in result.queries if q.arrival >= change_time),
-        key=lambda q: q.arrival,
+        ((a, lat) for a, lat in zip(arrivals, latencies) if a >= change_time),
+        key=lambda pair: pair[0],
     )[:n_queries]
-    return float(sum(max(0.0, q.latency - sla) for q in after))
+    return float(sum(max(0.0, lat - sla) for _, lat in after))
 
 
 def ref_segment_throughputs(result, lo, hi, interval):
-    completions = np.asarray(
-        [q.completion for q in result.queries if lo <= q.completion < hi]
-    )
+    completions = np.asarray([c for c in _times(result)[1] if lo <= c < hi])
     edges = np.arange(lo, hi + interval, interval)
     if edges.size < 2:
         return np.zeros(0)
@@ -181,8 +183,8 @@ def random_run(seed: int, n: int = 250, tie_edges: bool = True) -> RunResult:
         completions[snap] = np.ceil(completions[snap] / 2.0) * 2.0
     completions = np.minimum(completions, DURATION - 1.0 / 64.0)
     starts = np.minimum(starts, completions)
-    queries = [
-        QueryRecord(a, s, c, "read" if i % 3 else "scan", "a" if a < 25.0 else "b")
+    rows = [
+        (a, s, c, "read" if i % 3 else "scan", "a" if a < 25.0 else "b")
         for i, (a, s, c) in enumerate(
             zip(arrivals.tolist(), starts.tolist(), completions.tolist())
         )
@@ -190,14 +192,15 @@ def random_run(seed: int, n: int = 250, tie_edges: bool = True) -> RunResult:
     return RunResult(
         sut_name=f"rand-{seed}",
         scenario_name="golden",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, 25.0), ("b", 25.0, DURATION)],
     )
 
 
 def empty_run() -> RunResult:
     return RunResult(
-        sut_name="empty", scenario_name="golden", queries=[],
+        sut_name="empty", scenario_name="golden",
+        columns=QueryColumns.from_rows([]),
         segments=[("a", 0.0, 10.0)],
     )
 
@@ -205,7 +208,7 @@ def empty_run() -> RunResult:
 def single_query_run() -> RunResult:
     return RunResult(
         sut_name="one", scenario_name="golden",
-        queries=[QueryRecord(1.5, 1.5, 3.0, "read", "a")],
+        columns=QueryColumns.from_rows([(1.5, 1.5, 3.0, "read", "a")]),
         segments=[("a", 0.0, 10.0)],
     )
 
@@ -304,7 +307,6 @@ class TestColumnarRepresentations:
             segments=result.segments,
         )
         assert rebuilt.to_dict()["queries"] == result.to_dict()["queries"]
-        assert [q for q in rebuilt.queries] == [q for q in result.queries]
 
     def test_lazy_views_sorted(self):
         result = random_run(11)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.metrics.adaptability import area_between_systems, recovery_time
 from repro.metrics.sla import latency_bands, multi_latency_bands
 
@@ -29,7 +29,7 @@ def _one_query_run(completion: float, horizon: float, name: str) -> RunResult:
     return RunResult(
         sut_name=name,
         scenario_name="s",
-        queries=[QueryRecord(0.0, 0.0, completion, "read", "a")],
+        columns=QueryColumns.from_rows([(0.0, 0.0, completion, "read", "a")]),
         segments=[("a", 0.0, horizon)],
     )
 
@@ -37,34 +37,34 @@ def _one_query_run(completion: float, horizon: float, name: str) -> RunResult:
 class TestRecoveryTimeIdleBaseline:
     def test_idle_pre_change_window_returns_none(self):
         # All traffic starts at the change; there is nothing to recover to.
-        queries = [
-            QueryRecord(t, t, t + 0.01, "read", "b")
+        rows = [
+            (t, t, t + 0.01, "read", "b")
             for t in np.arange(10.0, 20.0, 0.1).tolist()
         ]
         result = RunResult(
             sut_name="x",
             scenario_name="s",
-            queries=queries,
+            columns=QueryColumns.from_rows(rows),
             segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
         )
         assert recovery_time(result, change_time=10.0, window=5.0) is None
 
     def test_empty_run_returns_none(self):
         result = RunResult(
-            sut_name="x", scenario_name="s", queries=[],
+            sut_name="x", scenario_name="s", columns=QueryColumns.from_rows([]),
             segments=[("a", 0.0, 10.0)],
         )
         assert recovery_time(result, change_time=5.0) is None
 
     def test_active_baseline_still_measured(self):
-        queries = [
-            QueryRecord(t, t, t + 0.01, "read", "a")
+        rows = [
+            (t, t, t + 0.01, "read", "a")
             for t in np.arange(0.0, 20.0, 0.1).tolist()
         ]
         result = RunResult(
             sut_name="x",
             scenario_name="s",
-            queries=queries,
+            columns=QueryColumns.from_rows(rows),
             segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
         )
         assert recovery_time(result, change_time=10.0, window=2.0) == 0.0
@@ -83,14 +83,14 @@ class TestBandEdgesMatchThroughputSeries:
     def _run(self) -> RunResult:
         edges = np.arange(0.0, self.HORIZON + self.INTERVAL, self.INTERVAL)
         completions = edges[:-1]
-        queries = [
-            QueryRecord(max(c - 0.05, 0.0), max(c - 0.01, 0.0), c, "read", "a")
+        rows = [
+            (max(c - 0.05, 0.0), max(c - 0.01, 0.0), c, "read", "a")
             for c in completions.tolist()
         ]
         return RunResult(
             sut_name="x",
             scenario_name="s",
-            queries=queries,
+            columns=QueryColumns.from_rows(rows),
             segments=[("a", 0.0, self.HORIZON)],
         )
 
@@ -133,9 +133,9 @@ class TestAreaBetweenSystemsExact:
             return RunResult(
                 sut_name=name,
                 scenario_name="s",
-                queries=[
-                    QueryRecord(0.0, 0.0, c, "read", "a") for c in completions
-                ],
+                columns=QueryColumns.from_rows(
+                    [(0.0, 0.0, c, "read", "a") for c in completions]
+                ),
                 segments=[("a", 0.0, 10.0)],
             )
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.metrics.adaptability import (
     area_between_systems,
     area_vs_ideal,
@@ -29,25 +29,17 @@ def run_results(draw, max_queries=120):
             )
         )
     )
-    queries = []
+    rows = []
     for arrival in arrivals:
         queue_delay = draw(st.floats(min_value=0.0, max_value=5.0))
         service = draw(st.floats(min_value=1e-6, max_value=2.0))
         start = arrival + queue_delay
-        queries.append(
-            QueryRecord(
-                arrival=arrival,
-                start=start,
-                completion=start + service,
-                op="read",
-                segment="a",
-            )
-        )
-    horizon = max(60.0, max(q.completion for q in queries))
+        rows.append((arrival, start, start + service, "read", "a"))
+    horizon = max(60.0, max(row[2] for row in rows))
     return RunResult(
         sut_name="rand",
         scenario_name="rand",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, horizon)],
     )
 
@@ -59,7 +51,7 @@ class TestCumulativeCurveProperties:
         times, cum = cumulative_curve(result, resolution=0.5)
         assert (np.diff(cum) >= 0).all()
         assert cum[0] >= 0
-        assert cum[-1] == len(result.queries)
+        assert cum[-1] == result.num_queries
 
     @given(result=run_results())
     @settings(max_examples=40, deadline=None)
@@ -73,13 +65,13 @@ class TestAreaProperties:
     @given(result=run_results())
     @settings(max_examples=40, deadline=None)
     def test_area_between_self_is_zero(self, result):
-        assert area_between_systems(result, result, resolution=0.5) == 0.0
+        assert area_between_systems(result, result) == 0.0
 
     @given(a=run_results(), b=run_results())
     @settings(max_examples=30, deadline=None)
     def test_area_between_antisymmetric(self, a, b):
-        ab = area_between_systems(a, b, resolution=0.5)
-        ba = area_between_systems(b, a, resolution=0.5)
+        ab = area_between_systems(a, b)
+        ba = area_between_systems(b, a)
         assert ab == pytest.approx(-ba, abs=1e-6)
 
     @given(result=run_results())
@@ -94,13 +86,13 @@ class TestBandProperties:
     @settings(max_examples=40, deadline=None)
     def test_bands_conserve_queries(self, result, sla):
         bands = latency_bands(result, sla=sla, interval=1.0)
-        assert sum(b.total for b in bands) == len(result.queries)
+        assert sum(b.total for b in bands) == result.num_queries
 
     @given(result=run_results(), sla=st.floats(min_value=0.01, max_value=3.0))
     @settings(max_examples=40, deadline=None)
     def test_violations_match_direct_count(self, result, sla):
         bands = latency_bands(result, sla=sla, interval=1.0)
-        direct = sum(1 for q in result.queries if q.latency > sla)
+        direct = int((result.columns.latencies > sla).sum())
         assert sum(b.violated for b in bands) == direct
 
     @given(result=run_results())
@@ -108,7 +100,7 @@ class TestBandProperties:
     def test_multi_bands_conserve(self, result):
         rows = multi_latency_bands(result, thresholds=[0.1, 1.0], interval=1.0)
         total = sum(sum(counts) for _, counts in rows)
-        assert total == len(result.queries)
+        assert total == result.num_queries
 
     @given(
         result=run_results(),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.errors import ConfigurationError
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.metrics.resilience import (
@@ -28,7 +28,7 @@ def _result(rate=8.0, duration=20.0, stall_at=None, stall_len=0.0,
     rate=8 keeps the 1/rate arrival step exactly representable, so
     window-boundary comparisons have no float-accumulation surprises.
     """
-    queries = []
+    rows = []
     t = 0.0
     while t < duration:
         completion = t + 0.01
@@ -36,15 +36,12 @@ def _result(rate=8.0, duration=20.0, stall_at=None, stall_len=0.0,
             completion = t + 0.1
         if stall_at is not None and stall_at <= t < stall_at + stall_len:
             completion = stall_at + stall_len + 0.01
-        queries.append(
-            QueryRecord(arrival=t, start=min(t, completion - 0.01),
-                        completion=completion, op="read", segment="a")
-        )
+        rows.append((t, min(t, completion - 0.01), completion, "read", "a"))
         t += 1.0 / rate
     return RunResult(
         sut_name=name,
         scenario_name="scn",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, duration)],
         scenario_description=(
             {"faults": faults.describe()} if faults else None

@@ -8,7 +8,7 @@ import io
 import pytest
 
 from repro.core.phases import TrainingEvent
-from repro.core.results import QueryRecord, RunResult
+from repro.core.results import QueryColumns, RunResult
 from repro.metrics.sla import latency_bands
 from repro.reporting.export import (
     bands_csv,
@@ -22,15 +22,11 @@ from repro.reporting.export import (
 
 @pytest.fixture
 def result():
-    queries = [
-        QueryRecord(arrival=float(i), start=float(i), completion=float(i) + 0.2,
-                    op="read", segment="a")
-        for i in range(20)
-    ]
+    rows = [(float(i), float(i), float(i) + 0.2, "read", "a") for i in range(20)]
     return RunResult(
         sut_name="x",
         scenario_name="s",
-        queries=queries,
+        columns=QueryColumns.from_rows(rows),
         segments=[("a", 0.0, 20.0)],
         training_events=[
             TrainingEvent(start=-1.0, duration=1.0, nominal_seconds=1.0,
@@ -49,20 +45,20 @@ class TestExports:
         rows = _parse(queries_csv(result))
         assert rows[0] == ["arrival", "start", "completion", "latency", "op",
                            "segment"]
-        assert len(rows) == 1 + len(result.queries)
+        assert len(rows) == 1 + result.num_queries
         assert rows[1][4] == "read"
 
     def test_throughput_csv_sums(self, result):
         rows = _parse(throughput_csv(result, interval=1.0))
         total = sum(float(r[1]) for r in rows[1:])
-        assert total == len(result.queries)
+        assert total == result.num_queries
 
     def test_bands_csv(self, result):
         bands = latency_bands(result, sla=0.1, interval=5.0)
         rows = _parse(bands_csv(bands))
         assert rows[0] == ["t", "within_sla", "violated"]
         violated = sum(int(r[2]) for r in rows[1:])
-        assert violated == len(result.queries)  # all latencies are 0.2 > 0.1
+        assert violated == result.num_queries  # all latencies are 0.2 > 0.1
 
     def test_training_events_csv(self, result):
         rows = _parse(training_events_csv(result))

@@ -93,7 +93,7 @@ class TestFullReport:
         payload = json.dumps(report.to_dict())
         parsed = json.loads(payload)
         assert parsed["sut"] == result.sut_name
-        assert parsed["queries"] == len(result.queries)
+        assert parsed["queries"] == result.num_queries
         assert "adaptability" in parsed
 
     def test_without_sla_skips_bands(self, small_run):
@@ -117,4 +117,4 @@ class TestMultibandRenderer:
         import re
 
         totals = [int(m) for m in re.findall(r"=(\d+)", text)]
-        assert sum(totals) == len(result.queries)
+        assert sum(totals) == result.num_queries

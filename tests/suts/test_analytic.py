@@ -88,17 +88,18 @@ class TestAnalyticDriver:
         sut = TraditionalOptimizerSUT(catalog)
         driver = AnalyticDriver(seed=1)
         result = driver.run(sut, [("seg", workload, 5.0, 10.0)])
-        assert len(result.queries) == 50
+        assert result.num_queries == 50
         assert result.segments == [("seg", 0.0, 5.0)]
-        for q in result.queries:
-            assert q.arrival <= q.start < q.completion
+        cols = result.columns
+        assert (cols.arrivals <= cols.starts).all()
+        assert (cols.starts < cols.completions).all()
 
     def test_multi_segment(self, catalog, workload):
         sut = TraditionalOptimizerSUT(catalog)
         result = AnalyticDriver(seed=1).run(
             sut, [("a", workload, 3.0, 10.0), ("b", workload, 3.0, 10.0)]
         )
-        assert {q.segment for q in result.queries} == {"a", "b"}
+        assert set(result.columns.segment_names()) == {"a", "b"}
 
     def test_learned_improves_over_run(self, catalog):
         """Later queries should be no slower on average than early ones
@@ -110,7 +111,8 @@ class TestAnalyticDriver:
         )
         sut = LearnedOptimizerSUT(catalog, seed=5, warmup_queries=20)
         result = AnalyticDriver(seed=2).run(sut, [("seg", workload, 20.0, 8.0)])
-        services = [q.service_time for q in sorted(result.queries, key=lambda q: q.arrival)]
+        cols = result.columns
+        services = cols.service_times[np.argsort(cols.arrivals, kind="stable")]
         early = np.mean(services[:40])
         late = np.mean(services[-40:])
         assert late <= early * 1.5

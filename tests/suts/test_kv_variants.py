@@ -117,5 +117,5 @@ class TestVariantComparison:
         bench = Benchmark()
         for factory in (AlexKVStore, PGMKVStore, TraditionalKVStore):
             result = bench.run(factory(), scenario)
-            assert len(result.queries) > 500
+            assert result.num_queries > 500
             assert result.mean_throughput() > 0

@@ -61,6 +61,17 @@ class TestCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--shards", "2"], ["--spill-dir", "spill"]]
+    )
+    def test_run_shards_and_spill_dir_require_stream(self, flags, capsys):
+        code = main([
+            "run", "--sut", "btree-kv", "--dataset", "uniform",
+            "--keys", "2000", "--rate", "50", "--duration", "2",
+        ] + flags)
+        assert code == 2
+        assert "--shards/--spill-dir require --stream" in capsys.readouterr().err
+
     def test_run_with_export(self, tmp_path, capsys):
         prefix = str(tmp_path / "out")
         code = main([
@@ -262,6 +273,32 @@ class TestScenarioFiles:
         ]) == 0
         out = capsys.readouterr().out
         assert "loaded scenario" in out and "fingerprint" in out
+
+    def test_sla_baseline_calibrates_on_the_loaded_scenario(self, tmp_path, capsys):
+        from repro.core.benchmark import Benchmark
+        from repro.data.datasets import build_dataset
+        from repro.metrics.sla import calibrate_sla
+        from repro.serialization import scenario_from_dict
+        from repro.suts.kv_traditional import TraditionalKVStore
+
+        path = tmp_path / "scenario.json"
+        small = ["--sut", "btree-kv", "--dataset", "uniform", "--keys", "2000"]
+        assert main([
+            "run", "--scenario", "bursty-diurnal", "--rate", "400",
+            "--duration", "4", "--save-scenario", str(path),
+        ] + small) == 0
+        capsys.readouterr()
+        assert main(
+            ["run", "--scenario-file", str(path), "--sla-baseline"] + small
+        ) == 0
+        out = capsys.readouterr().out
+        keys = build_dataset("uniform", n=2000, seed=7).keys
+        loaded = scenario_from_dict(json.loads(path.read_text()), initial_keys=keys)
+        sla = calibrate_sla(
+            Benchmark().run(TraditionalKVStore(), loaded),
+            percentile=99.0, headroom=1.5,
+        )
+        assert f"SLA calibrated from btree baseline: {sla*1000:.3f} ms" in out
 
 
 class TestReplayCommand:

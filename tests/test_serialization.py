@@ -158,9 +158,7 @@ class TestScenarioRoundTrip:
         bench = Benchmark()
         a = bench.run(TraditionalKVStore(), scenario)
         b = bench.run(TraditionalKVStore(), clone)
-        assert [q.completion for q in a.queries] == [
-            q.completion for q in b.queries
-        ]
+        assert a.columns.completions.tolist() == b.columns.completions.tolist()
 
     def test_missing_injection_rejected(self, tiny_dataset):
         from repro.core.scenario import Segment

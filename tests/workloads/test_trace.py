@@ -227,21 +227,15 @@ class TestOnDiskFormat:
         with pytest.raises(TraceFormatError, match="non-decreasing"):
             load_trace(path)
 
-    def test_parquet_requires_pyarrow_message(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-            pytest.skip("pyarrow installed; gate not reachable")
-        except ImportError:
-            pass
-        with pytest.raises(ConfigurationError, match="pyarrow"):
-            save_trace(make_trace(), tmp_path / "t.parquet")
-
-    def test_parquet_round_trip(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        trace = make_trace()
-        path = save_trace(trace, tmp_path / "t.parquet")
-        loaded = load_trace(path)
-        assert loaded.content_hash() == trace.content_hash()
+    @pytest.mark.parametrize("suffix", [".parquet", ".pq"])
+    def test_parquet_path_rejected_naming_csv(self, tmp_path, suffix):
+        path = tmp_path / f"t{suffix}"
+        with pytest.raises(ConfigurationError, match="CSV"):
+            save_trace(make_trace(), path)
+        assert not path.exists()
+        path.write_bytes(b"PAR1")
+        with pytest.raises(ConfigurationError, match="CSV"):
+            load_trace(path)
 
 
 class TestTraceArrivalProcess:
