@@ -29,8 +29,8 @@ class BenchmarkConfig:
         max_queries: Per-run query-count safety valve.
         servers: Parallel service slots (concurrency level).
         block_size: Cap on queries per batched execution block (see
-            :class:`~repro.core.driver.DriverConfig`); ``None`` keeps
-            whole tick-bounded slices.
+            :class:`~repro.core.driver.DriverConfig`); ``None`` means the
+            driver's default bound of 65,536, not "unbounded".
     """
 
     online_hardware: HardwareProfile = CPU

@@ -40,6 +40,7 @@ set the fault machinery reduces to the original tick loop.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -55,12 +56,18 @@ from repro.core.phases import (
 from repro.core.queueing import fifo_single_server
 from repro.core.results import ColumnarRecorder, RunResult
 from repro.core.scenario import Scenario
-from repro.core.sut import SystemUnderTest
+from repro.core.sut import KeyColumnPairs, SystemUnderTest
 from repro.errors import DriverError
 from repro.faults import FaultClock, StallFault
 from repro.faults.plan import PointFault
 from repro.observability import NULL_TRACER
 from repro.workloads.generators import QueryBatch
+
+
+#: Block bound when ``DriverConfig.block_size`` is unset (the streaming
+#: recorder's scratch size): a segment of a SUT that is never ticked is
+#: otherwise one block as long as the segment.
+DEFAULT_BLOCK_SIZE = 65_536
 
 
 @dataclass
@@ -85,14 +92,14 @@ class DriverConfig:
             both produce bit-identical results at a fixed seed.
         truncate_max_queries: When True, a run that would exceed
             ``max_queries`` is truncated mid-segment instead of raising.
-        block_size: Cap on queries per batched execution block. ``None``
-            (the default) keeps whole tick-bounded slices; setting it
-            chops each slice into fixed-size sub-blocks before
-            ``execute_batch``, bounding per-call working-set size for
-            the streaming pipeline. Results are bit-identical at any
-            block size (the FIFO kernel carries queue state across
-            calls and fault perturbation is keyed on arrival times);
-            only tracer batch counters differ.
+        block_size: Cap on queries per batched execution block: each
+            interrupt-free slice is chopped into sub-blocks of at most
+            this many queries before ``execute_batch``, bounding the
+            per-call working set. ``None`` (the default) means
+            :data:`DEFAULT_BLOCK_SIZE`, not "unbounded". Results are
+            bit-identical at any block size (the FIFO kernel carries
+            queue state across calls and fault perturbation is keyed on
+            arrival times); only tracer batch counters differ.
     """
 
     online_hardware: HardwareProfile = CPU
@@ -140,7 +147,8 @@ class _InterruptStream:
     Tick times are produced by the same repeated float addition the
     original tick loops used (``t += tick_interval`` starting from the
     segment start), so a fault-free stream is bit-identical to the
-    pre-faults driver. Point faults (already restricted to the segment's
+    pre-faults driver; a ``first_tick`` of ``inf`` carries no ticks at
+    all. Point faults (already restricted to the segment's
     ``[start, end)`` window, sorted by time) are interleaved by time;
     when a fault coincides exactly with a tick, the tick fires first —
     the tie-break is fixed so both driver paths agree.
@@ -149,15 +157,15 @@ class _InterruptStream:
     __slots__ = ("_next_tick", "_interval", "_faults", "_idx")
 
     def __init__(
-        self, seg_start: float, tick_interval: float, faults: List[PointFault]
+        self, first_tick: float, tick_interval: float, faults: List[PointFault]
     ) -> None:
-        self._next_tick = seg_start
+        self._next_tick = first_tick
         self._interval = tick_interval
         self._faults = faults
         self._idx = 0
 
     def peek(self) -> float:
-        """Time of the next interrupt (ticks never run out)."""
+        """Time of the next interrupt (``inf`` when there is none)."""
         if self._idx < len(self._faults):
             at = self._faults[self._idx].at
             if at < self._next_tick:
@@ -366,16 +374,23 @@ class VirtualClockDriver:
         the shard with the same trained model and injected data as the
         unsharded run; the training event is discarded (the owning shard
         records it) and no queries execute. Tick-driven adaptation inside
-        skipped segments is *not* replayed — exact for SUTs whose service
-        times ignore tick state, a documented approximation otherwise
-        (DESIGN.md §10).
+        skipped segments is *not* replayed — exact for a SUT that does
+        not listen to ticks (``listens_to_ticks`` is false) or whose
+        service times ignore tick state, a documented approximation
+        otherwise (DESIGN.md §10).
         """
         if segment.training_before is not None:
             self._run_training_phase(
                 sut, segment.training_before, start_at=seg_start
             )
-        if segment.data_injection is not None and segment.data_injection.size:
-            sut.inject([(float(k), None) for k in segment.data_injection])
+        self._inject(sut, segment)
+
+    @staticmethod
+    def _inject(sut: SystemUnderTest, segment) -> None:
+        """Hand the segment's injected keys (valueless) to the SUT."""
+        keys = segment.data_injection
+        if keys is not None and keys.size:
+            sut.inject(KeyColumnPairs(keys, values=[None] * keys.size))
 
     def _execute(
         self, sut: SystemUnderTest, scenario: Scenario, recorder, shard=None
@@ -404,11 +419,8 @@ class VirtualClockDriver:
         # Initial load + offline training happen before query time zero.
         with tracer.span("setup", phase="serve", sut=sut.name,
                          scenario=scenario.name):
-            if scenario.initial_keys is not None and scenario.initial_keys.size:
-                keys = np.asarray(scenario.initial_keys, dtype=np.float64)
-                sut.setup(list(zip(keys.tolist(), range(keys.size))))
-            else:
-                sut.setup([])
+            keys = scenario.initial_keys
+            sut.setup(KeyColumnPairs(() if keys is None else keys))
         if scenario.initial_training is not None:
             event = self._run_training_phase(
                 sut, scenario.initial_training, start_at=None
@@ -456,8 +468,7 @@ class VirtualClockDriver:
                         training_events.append(event)
                         server_free = [max(f, event.end) for f in server_free]
                         heapq.heapify(server_free)
-                if segment.data_injection is not None and segment.data_injection.size:
-                    sut.inject([(float(k), None) for k in segment.data_injection])
+                self._inject(sut, segment)
 
                 workload = segment.spec.build_workload(
                     seed=scenario.seed * 1_000_003 + seg_index
@@ -554,7 +565,7 @@ class VirtualClockDriver:
         training_events: List[TrainingEvent],
     ) -> List[float]:
         """Reference path: one query at a time through the server heap."""
-        stream = self._interrupts(seg_start, seg_end, scenario)
+        stream = self._interrupts(sut, seg_start, seg_end, scenario)
         fault_clock = self._fault_clock
         for i in range(len(batch)):
             arrival = float(batch.arrivals[i])
@@ -604,7 +615,7 @@ class VirtualClockDriver:
         op_map: np.ndarray,
         training_events: List[TrainingEvent],
     ) -> List[float]:
-        """Batched path: tick-bounded slices through ``execute_batch``.
+        """Batched path: interrupt-bounded slices through ``execute_batch``.
 
         The scalar loop fires every interrupt (tick or point fault) with
         ``time <= arrival`` before each arrival; slicing the arrival
@@ -615,7 +626,7 @@ class VirtualClockDriver:
         """
         arrivals = batch.arrivals
         n = len(batch)
-        stream = self._interrupts(seg_start, seg_end, scenario)
+        stream = self._interrupts(sut, seg_start, seg_end, scenario)
         idx = 0
         while stream.peek() < seg_end:
             end = idx + int(
@@ -647,7 +658,7 @@ class VirtualClockDriver:
         recorder: ColumnarRecorder,
         op_map: np.ndarray,
     ) -> List[float]:
-        """Execute one tick-free slice in ``block_size``-bounded blocks.
+        """Execute one interrupt-free slice in ``block_size``-bounded blocks.
 
         Sub-slicing is exact: the FIFO kernel threads its free-time
         state through consecutive calls and every per-query computation
@@ -655,8 +666,8 @@ class VirtualClockDriver:
         only on that query's own inputs, so any block boundary yields
         the same timestamps.
         """
-        block = self.config.block_size
-        if block is None or b - a <= block:
+        block = self.config.block_size or DEFAULT_BLOCK_SIZE
+        if b - a <= block:
             return self._process_block(
                 sut, batch, a, b, segment_code, server_free, recorder, op_map
             )
@@ -732,13 +743,25 @@ class VirtualClockDriver:
     # -- helpers ---------------------------------------------------------------------
 
     def _interrupts(
-        self, seg_start: float, seg_end: float, scenario: Scenario
+        self,
+        sut: SystemUnderTest,
+        seg_start: float,
+        seg_end: float,
+        scenario: Scenario,
     ) -> _InterruptStream:
-        """Build the segment's merged tick + point-fault stream."""
+        """Build the segment's merged tick + point-fault stream.
+
+        Ticks are in it only for a SUT that listens to them
+        (:attr:`SystemUnderTest.listens_to_ticks`; a duck-typed SUT
+        without the attribute keeps every tick).
+        """
         faults: List[PointFault] = []
         if self._fault_clock is not None:
             faults = self._fault_clock.point_faults_in(seg_start, seg_end)
-        return _InterruptStream(seg_start, scenario.tick_interval, faults)
+        listens = getattr(sut, "listens_to_ticks", True)
+        return _InterruptStream(
+            seg_start if listens else math.inf, scenario.tick_interval, faults
+        )
 
     def _fire_interrupt(
         self,
@@ -854,7 +877,7 @@ class VirtualClockDriver:
     def _tick(
         self, sut: SystemUnderTest, now: float, server_free: List[float]
     ) -> Tuple[List[float], Optional[TrainingEvent]]:
-        """Fire one tick; apply any requested online retraining.
+        """Deliver one tick; apply any requested online retraining.
 
         An online retrain is stop-the-world: it starts once the busiest
         server drains and blocks every server until it finishes.

@@ -12,7 +12,9 @@ is therefore a thin lifecycle contract:
   time in virtual seconds.
 * ``on_tick(now)`` — periodic hook (≈1 virtual second); the SUT may
   request an *online* retrain by returning nominal training seconds,
-  which the driver charges as blocking server time.
+  which the driver charges as blocking server time. Override
+  ``on_tick`` to receive ticks: a SUT that leaves the default in place
+  is never ticked (:attr:`SystemUnderTest.listens_to_ticks`).
 
 Concrete SUTs live in :mod:`repro.suts`.
 """
@@ -20,6 +22,7 @@ Concrete SUTs live in :mod:`repro.suts`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -45,6 +48,39 @@ class TrainingSummary:
         """Record one training session."""
         self.nominal_seconds += max(0.0, nominal_seconds)
         self.sessions += 1
+
+
+class KeyColumnPairs(Sequence):
+    """Read-only ``[(key, value), ...]`` sequence over a float64 key column.
+
+    What the driver hands to ``setup`` and ``inject``: ``len``,
+    iteration, indexing and slicing behave like the list of
+    ``(float(key), value)`` tuples without building it, and loaders that
+    work on arrays read :attr:`key_column` / :attr:`values` directly.
+
+    Args:
+        keys: The keys, in load order (copied; the column is immutable).
+        values: One value per key; default: each key's rank ``0..n-1``.
+    """
+
+    __slots__ = ("key_column", "values")
+
+    def __init__(self, keys, values: Optional[Sequence] = None) -> None:
+        """Freeze ``keys`` into the backing column."""
+        self.key_column = np.array(keys, dtype=np.float64)
+        self.key_column.setflags(write=False)
+        self.values = range(self.key_column.size) if values is None else values
+
+    def __len__(self) -> int:
+        return self.key_column.size
+
+    def __iter__(self):
+        return zip(self.key_column.tolist(), self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.key_column[i].tolist(), self.values[i]))
+        return self.key_column.item(i), self.values[i]
 
 
 class SystemUnderTest(ABC):
@@ -120,6 +156,20 @@ class SystemUnderTest(ABC):
         """Periodic hook; return nominal seconds of online training to
         charge now, or ``None``/0 for no training. Default: none."""
         return None
+
+    @property
+    def listens_to_ticks(self) -> bool:
+        """Whether the driver delivers ticks to this system.
+
+        True when :meth:`on_tick` is overridden in a subclass or patched
+        on the instance. The driver cuts batches at ticks only for a
+        system that listens; a delegating proxy forwards this attribute,
+        and a duck-typed SUT without it is ticked as if it listened.
+        """
+        return (
+            type(self).on_tick is not SystemUnderTest.on_tick
+            or "on_tick" in vars(self)
+        )
 
     def on_crash(self, now: float) -> Optional[float]:
         """Crash/restart hook fired by a :class:`~repro.faults.CrashFault`.

@@ -19,19 +19,39 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 
+def key_column(pairs) -> np.ndarray:
+    """The float64 keys of ``pairs``, in input order.
+
+    A pair sequence backed by a key column (``pairs.key_column``, as the
+    driver's initial load is) hands the column over; anything else costs
+    one pass over its tuples.
+    """
+    column = getattr(pairs, "key_column", None)
+    if column is None:
+        return np.fromiter((k for k, _ in pairs), np.float64, len(pairs))
+    return column
+
+
+def strictly_ascending(keys: np.ndarray) -> bool:
+    """Whether ``keys`` is already sorted and duplicate-free."""
+    return bool((keys[1:] > keys[:-1]).all())
+
+
 def sorted_unique_pairs(pairs) -> Tuple[np.ndarray, List[Any]]:
     """Ascending unique float64 keys of ``pairs`` and their values.
 
     The one load-time sort every ``bulk_load`` shares: a stable argsort
     keeps equal keys in input order, so keeping the last of each run is
-    "last value wins".
+    "last value wins". Strictly ascending keys are returned as they are.
     """
-    keys = np.fromiter((k for k, _ in pairs), np.float64, len(pairs))
+    keys = key_column(pairs)
+    values = pairs.values if hasattr(pairs, "key_column") else [v for _, v in pairs]
+    if strictly_ascending(keys):
+        return keys, list(values)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     last = np.ones(keys.size, dtype=bool)
     last[:-1] = keys[1:] != keys[:-1]
-    values = [v for _, v in pairs]
     return keys[last], [values[i] for i in order[last].tolist()]
 
 

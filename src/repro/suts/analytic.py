@@ -376,8 +376,8 @@ class AnalyticDriver:
 
     A thin adaptor: the schedule becomes a :class:`Scenario` that
     :class:`VirtualClockDriver` executes. Analytic SUTs have no
-    ``on_tick``, so it ticks once per segment (``tick_interval`` = the
-    longest duration) and a fault-free segment is one ``execute_batch``.
+    ``on_tick``, so the driver never ticks them and a fault-free segment
+    is one ``execute_batch`` per 65,536 plans.
     The schedule is validated up front, before the SUT is set up or any
     hook fires: ``rate < 0`` raises :class:`ConfigurationError`; a
     ``duration <= 0`` or an empty schedule raises ``ScenarioError``.
@@ -451,7 +451,6 @@ class AnalyticDriver:
         return Scenario(
             name=name,
             segments=schedule,
-            tick_interval=max((s.duration for s in schedule), default=1.0),
             seed=self.seed,
             fault_plan=self.fault_plan,
         )

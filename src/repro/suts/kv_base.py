@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.sut import SystemUnderTest
-from repro.indexes.base import OrderedIndex
+from repro.indexes.base import OrderedIndex, key_column, strictly_ascending
 from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.suts.cost_models import KVCostModel
 from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryBatch
@@ -52,8 +52,9 @@ class KVStoreBase(SystemUnderTest):
 
     def setup(self, pairs: List[Tuple[float, object]]) -> None:
         self.index.bulk_load(pairs)
+        keys = key_column(pairs)
         self._mirror = SortedKeyBuffer(
-            np.unique(np.fromiter((k for k, _ in pairs), np.float64, len(pairs)))
+            keys if strictly_ascending(keys) else np.unique(keys)
         )
 
     def inject(self, pairs: List[Tuple[float, object]]) -> None:

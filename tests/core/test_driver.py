@@ -234,7 +234,19 @@ class TestDataInjection:
             )
         )
         VirtualClockDriver().run(sut, scn)
-        assert [k for k, _ in sut.injected] == [1.0, 2.0, 3.0]
+        assert sut.injected == [(1.0, None), (2.0, None), (3.0, None)]
+
+    def test_shard_replay_injects_what_the_owning_shard_does(self):
+        from repro.core.streaming import ShardSpec, StreamingRecorder
+
+        scn = _scenario(segments=3)
+        scn.segments[1].data_injection = np.asarray([1.0, 2.0, 3.0])
+        owner, later = FakeSUT(), FakeSUT()
+        for sut, lo in ((owner, 1), (later, 2)):
+            VirtualClockDriver()._execute(
+                sut, scn, StreamingRecorder(), shard=ShardSpec(lo, 3, lo, lo + 1)
+            )
+        assert later.injected == owner.injected == [(1.0, None), (2.0, None), (3.0, None)]
 
     def test_initial_keys_loaded(self):
         sut = FakeSUT()

@@ -587,17 +587,29 @@ class TestDriverStreaming:
 
     def test_block_size_describe_key_is_conditional(self):
         # Absent by default so existing runner cache keys stay stable.
-        assert "block_size" not in DriverConfig().describe()
         assert DriverConfig(block_size=64).describe()["block_size"] == 64
+        # Unset means the default bound, and the description (a part of
+        # every ``ResultCache`` key) does not say so.
+        assert DriverConfig().describe() == {
+            "online_hardware": "cpu",
+            "max_queries": 2_000_000,
+            "jitter_arrivals": True,
+            "min_service_time": 1e-9,
+            "servers": 1,
+            "use_batching": True,
+            "truncate_max_queries": False,
+        }
 
     def test_run_columns_invariant_under_block_size(self):
         reference = VirtualClockDriver(DriverConfig()).run(
             TraditionalKVStore(), self._scenario()
         )
-        for block_size in (1, 7, 64):
+        for block_size in (1, 7, 64, 65_536):
             result = VirtualClockDriver(DriverConfig(block_size=block_size)).run(
                 TraditionalKVStore(), self._scenario()
             )
+            assert result.columns.op_vocab == reference.columns.op_vocab
+            assert result.columns.segment_vocab == reference.columns.segment_vocab
             for name in (
                 "arrivals", "starts", "completions", "op_codes", "segment_codes",
             ):
