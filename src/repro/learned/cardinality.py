@@ -19,13 +19,15 @@ Three estimators, all satisfying the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.expressions import Predicate
 from repro.engine.plans import (
     Aggregate,
     Filter,
@@ -57,6 +59,7 @@ class HistogramEstimator:
     DEFAULT_SELECTIVITY = 0.1
 
     def __init__(self, buckets: int = 32) -> None:
+        """Start with no statistics; ``buckets`` bins per analyzed column."""
         self.buckets = buckets
         self._hist: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
         self._distinct: Dict[Tuple[str, str], int] = {}
@@ -176,6 +179,7 @@ class LearnedCardinalityEstimator:
         learning_rate: float = 0.05,
         l2: float = 1e-4,
     ) -> None:
+        """Start untrained: zero weights and no column bounds."""
         self.tracked_columns = list(tracked_columns)
         self.learning_rate = learning_rate
         self.l2 = l2
@@ -203,60 +207,57 @@ class LearnedCardinalityEstimator:
     # -- featurization -------------------------------------------------------------
 
     def featurize(self, plan: LogicalPlan, catalog: Catalog) -> np.ndarray:
-        """Feature vector for ``plan``."""
-        features = np.zeros(self._dim, dtype=np.float64)
-        features[0] = 1.0  # bias
-        joins = self._collect_joins(plan)
-        features[1] = float(len(joins) > 0)
-        tables = plan.tables()
-        sizes = sorted(
-            (float(catalog.row_count(t)) for t in tables if t in catalog), reverse=True
-        )
-        features[2] = np.log1p(sizes[0]) if sizes else 0.0
-        features[3] = np.log1p(sizes[1]) if len(sizes) > 1 else 0.0
-        ranges = self._collect_ranges(plan)
-        for i, key in enumerate(self.tracked_columns):
-            lo_n, hi_n = 0.0, 1.0
-            if key in ranges:
-                lo, hi = ranges[key]
-                bound = self._bounds.get(key)
-                if bound and bound[1] > bound[0]:
-                    span = bound[1] - bound[0]
-                    lo_n = _clip_unit(float((lo - bound[0]) / span))
-                    hi_n = _clip_unit(float((hi - bound[0]) / span))
-            base = 4 + 3 * i
-            features[base] = lo_n
-            features[base + 1] = hi_n
-            features[base + 2] = max(0.0, hi_n - lo_n)
-        return features
-
-    @staticmethod
-    def _collect_joins(plan: LogicalPlan) -> List[Join]:
-        out = []
-        stack = [plan]
+        """Feature vector for ``plan``, from one walk of the tree."""
+        joined = False
+        scanned: Set[str] = set()
+        # (predicate, tables scanned below it) per Filter, in stack order.
+        filters: List[Tuple[Predicate, Set[str]]] = []
+        stack = [(plan, ())]  # (node, table sets of the Filters above it)
         while stack:
-            node = stack.pop()
-            if isinstance(node, Join):
-                out.append(node)
-            stack.extend(node.children())
-        return out
+            node, above = stack.pop()
+            if isinstance(node, Scan):
+                scanned.add(node.table_name)
+                for tables in above:
+                    tables.add(node.table_name)
+            elif isinstance(node, Join):
+                joined = True
+            elif isinstance(node, Filter):
+                tables = set()
+                filters.append((node.predicate, tables))
+                above = (*above, tables)
+            stack.extend((child, above) for child in node.children())
+        sizes = sorted(
+            (float(catalog.row_count(t)) for t in scanned if t in catalog), reverse=True
+        )
+        features = [
+            1.0,  # bias
+            float(joined),
+            np.log1p(sizes[0]) if sizes else 0.0,
+            np.log1p(sizes[1]) if len(sizes) > 1 else 0.0,
+        ]
+        ranges = self._fold_ranges(filters)
+        for key in self.tracked_columns:
+            lo_n, hi_n = 0.0, 1.0
+            bound = self._bounds.get(key)
+            if key in ranges and bound and bound[1] > bound[0]:
+                lo, hi = ranges[key]
+                # An open end takes the column bound.
+                lo = lo if math.isfinite(lo) else bound[0]
+                hi = hi if math.isfinite(hi) else bound[1]
+                span = bound[1] - bound[0]
+                lo_n = _clip_unit(float((lo - bound[0]) / span))
+                hi_n = _clip_unit(float((hi - bound[0]) / span))
+            features += (lo_n, hi_n, max(0.0, hi_n - lo_n))
+        return np.array(features, dtype=np.float64)
 
-    def _collect_ranges(
-        self, plan: LogicalPlan
+    def _fold_ranges(
+        self, filters: List[Tuple[Predicate, Set[str]]]
     ) -> Dict[Tuple[str, str], Tuple[float, float]]:
         """Range bounds per tracked column implied by the plan's filters."""
         ranges: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        stack = [plan]
-        filters: List[Filter] = []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Filter):
-                filters.append(node)
-            stack.extend(node.children())
         tracked = set(self.tracked_columns)
-        for filt in filters:
-            tables = filt.tables()
-            for column, op, value in filt.predicate.selectivity_features():
+        for predicate, tables in filters:
+            for column, op, value in predicate.selectivity_features():
                 for table in tables:
                     key = (table, column)
                     if key not in tracked:
@@ -269,15 +270,7 @@ class LearnedCardinalityEstimator:
                     elif op == "=":
                         lo, hi = value, value
                     ranges[key] = (lo, hi)
-        # Replace infinities with the column bounds.
-        out: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        for key, (lo, hi) in ranges.items():
-            bound = self._bounds.get(key, (0.0, 1.0))
-            out[key] = (
-                bound[0] if not np.isfinite(lo) else lo,
-                bound[1] if not np.isfinite(hi) else hi,
-            )
-        return out
+        return ranges
 
     # -- training -----------------------------------------------------------------
 
@@ -299,18 +292,11 @@ class LearnedCardinalityEstimator:
         self._trained_examples += 1
         self.label_collection_rows += int(true_cardinality)
 
-    def train_batch(
-        self,
-        plans: List[LogicalPlan],
-        cards: List[float],
-        catalog: Catalog,
-        epochs: int = 30,
-    ) -> float:
+    def train_batch(self, plans: List[LogicalPlan], cards: List[float], catalog: Catalog) -> float:
         """Batch-train on labeled plans; returns final mean abs log error.
 
         Uses the closed-form ridge solution (the model is linear, so one
-        solve dominates any number of gradient epochs); ``epochs`` is kept
-        for interface stability but ignored.
+        solve dominates any number of gradient epochs).
         """
         examples = [
             _TrainingExample(self.featurize(p, catalog), float(np.log1p(max(0.0, c))))
@@ -337,7 +323,7 @@ class LearnedCardinalityEstimator:
             )
         features = self.featurize(plan, catalog)
         log_card = float(self._weights @ features)
-        return float(max(0.0, np.expm1(np.clip(log_card, 0.0, 30.0))))
+        return float(max(0.0, np.expm1(min(max(log_card, 0.0), 30.0))))
 
     def q_error(self, plan: LogicalPlan, true_cardinality: float, catalog: Catalog) -> float:
         """Q-error of the model on one labeled plan (>= 1)."""
@@ -355,6 +341,7 @@ class TrueCardinalityOracle:
     """
 
     def __init__(self, catalog: Catalog) -> None:
+        """Build an executor over ``catalog``; no rows executed yet."""
         self._executor = Executor(catalog)
         self.rows_executed = 0
 

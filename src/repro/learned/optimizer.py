@@ -21,6 +21,7 @@ transient cost is precisely what the paper's adaptability metrics (Fig
 from __future__ import annotations
 
 import copy
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -68,16 +69,26 @@ class _BayesianLinearArm:
         self._A = np.eye(dim) / prior
         self._b = np.zeros(dim)
         self._noise = noise
-        # (mean, noise * cov) of the posterior; dropped by ``update``.
-        self._posterior: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (mean, SVD factor of noise * cov transposed, PSD verdict); dropped by ``update``.
+        # The factor stays the transposed view numpy multiplies by: a contiguous
+        # copy takes another BLAS path and changes the draws' last bits.
+        self._posterior: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
 
     def sample_prediction(self, x: np.ndarray, rng: np.random.Generator) -> float:
+        """``float(rng.multivariate_normal(mean, noise * cov) @ x)`` bit for bit (same
+        normals, same non-PSD warning), but with numpy's SVD factor and PSD check
+        computed once per posterior instead of once per draw."""
         if self._posterior is None:
             cov = np.linalg.inv(self._A)
-            self._posterior = (cov @ self._b, self._noise * cov)
-        mean, scaled_cov = self._posterior
-        theta = rng.multivariate_normal(mean, scaled_cov)
-        return float(theta @ x)
+            scaled_cov = self._noise * cov
+            u, s, vh = np.linalg.svd(scaled_cov)
+            psd = np.allclose(np.dot(vh.T * s, vh), scaled_cov, rtol=1e-8, atol=1e-8)
+            self._posterior = (cov @ self._b, (u * np.sqrt(s)).T, psd)
+        mean, factor_T, psd = self._posterior
+        if not psd:
+            warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning)
+        theta = mean + rng.standard_normal((1, len(mean))) @ factor_T
+        return float(theta[0] @ x)
 
     def update(self, x: np.ndarray, reward: float) -> None:
         self._A += np.outer(x, x)
@@ -110,6 +121,7 @@ class BanditPlanSteering:
         seed: int = 0,
         exploration_noise: float = 1.0,
     ) -> None:
+        """Seed the sampler and start every arm from the prior."""
         self._estimator = estimator
         self._rng = np.random.default_rng(seed)
         self._exploration_noise = exploration_noise

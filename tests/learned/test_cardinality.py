@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.executor import Executor
-from repro.engine.expressions import col
-from repro.engine.plans import Aggregate, Filter, Join, Scan
+from repro.engine.expressions import And, Between, CompareOp, Comparison, col
+from repro.engine.plans import Aggregate, Filter, Join, Project, Scan, Sort
 from repro.errors import NotTrainedError
 from repro.learned.cardinality import (
     HistogramEstimator,
@@ -15,6 +19,7 @@ from repro.learned.cardinality import (
     TrueCardinalityOracle,
     _clip_unit,
 )
+from repro.suts.analytic import build_analytic_catalog
 
 
 @pytest.fixture
@@ -151,3 +156,148 @@ class TestOracle:
         truth = Executor(orders_catalog).execute(plan).table.row_count
         assert oracle.estimate(plan, orders_catalog) == float(truth)
         assert oracle.rows_executed > 0
+
+
+def _three_walk_featurize(model, plan, catalog):
+    """The reference ``featurize``: joins, tables and filters each walked on
+    their own, every filter's tables walked again, numpy on scalars."""
+    features = np.zeros(model._dim, dtype=np.float64)
+    features[0] = 1.0
+    joins, filters, stack = [], [], [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Join):
+            joins.append(node)
+        stack.extend(node.children())
+    features[1] = float(len(joins) > 0)
+    tables = plan.tables()
+    sizes = sorted(
+        (float(catalog.row_count(t)) for t in tables if t in catalog), reverse=True
+    )
+    features[2] = np.log1p(sizes[0]) if sizes else 0.0
+    features[3] = np.log1p(sizes[1]) if len(sizes) > 1 else 0.0
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Filter):
+            filters.append(node)
+        stack.extend(node.children())
+    tracked = set(model.tracked_columns)
+    folded = {}
+    for filt in filters:
+        for column, op, value in filt.predicate.selectivity_features():
+            for table in filt.tables():
+                key = (table, column)
+                if key not in tracked:
+                    continue
+                lo, hi = folded.get(key, (-np.inf, np.inf))
+                if op in (">", ">="):
+                    lo = max(lo, value)
+                elif op in ("<", "<="):
+                    hi = min(hi, value)
+                elif op == "=":
+                    lo, hi = value, value
+                folded[key] = (lo, hi)
+    ranges = {}
+    for key, (lo, hi) in folded.items():
+        bound = model._bounds.get(key, (0.0, 1.0))
+        ranges[key] = (
+            bound[0] if not np.isfinite(lo) else lo,
+            bound[1] if not np.isfinite(hi) else hi,
+        )
+    for i, key in enumerate(model.tracked_columns):
+        lo_n, hi_n = 0.0, 1.0
+        if key in ranges:
+            lo, hi = ranges[key]
+            bound = model._bounds.get(key)
+            if bound and bound[1] > bound[0]:
+                span = bound[1] - bound[0]
+                lo_n = float(np.clip((lo - bound[0]) / span, 0.0, 1.0))
+                hi_n = float(np.clip((hi - bound[0]) / span, 0.0, 1.0))
+        features[4 + 3 * i: 7 + 3 * i] = (lo_n, hi_n, max(0.0, hi_n - lo_n))
+    return features
+
+
+def _reference_estimate(model, features):
+    log_card = float(model._weights @ features)
+    return float(max(0.0, np.expm1(np.clip(log_card, 0.0, 30.0))))
+
+
+#: ``ghost`` is tracked but missing from the catalog; ``oid`` is never tracked.
+TRACKED = [("orders", "amount"), ("customers", "cid"), ("customers", "region"),
+           ("ghost", "amount")]
+THRESHOLDS = st.one_of(
+    st.floats(-50.0, 1500.0), st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+)
+COLUMNS = st.sampled_from(["amount", "amount", "cid", "region", "oid"])
+PREDICATES = st.recursive(
+    st.one_of(
+        st.builds(Comparison, COLUMNS, st.sampled_from(list(CompareOp)), THRESHOLDS),
+        st.builds(Between, COLUMNS, THRESHOLDS, THRESHOLDS),
+    ),
+    lambda inner: st.builds(And, inner, inner),
+    max_leaves=4,
+)
+WRAPPERS = [lambda c: Project(c, ["cid"]), lambda c: Sort(c, "amount"),
+            lambda c: Aggregate(c, "count")]
+
+
+@st.composite
+def plan_trees(draw, depth=0):
+    """Plan trees up to five levels deep, filters twice as likely as a join."""
+    kind = draw(st.sampled_from(["filter", "filter", "join", "wrap", "scan"]))
+    if kind == "scan" or depth == 4:
+        return Scan(draw(st.sampled_from(["orders", "orders", "customers", "ghost"])))
+    if kind == "join":
+        return Join(draw(plan_trees(depth + 1)), draw(plan_trees(depth + 1)), "cid", "cid")
+    child = draw(plan_trees(depth + 1))
+    if kind == "filter":
+        return Filter(child, draw(PREDICATES))
+    return draw(st.sampled_from(WRAPPERS))(child)
+
+
+def _bound_model(catalog, weights):
+    model = LearnedCardinalityEstimator(TRACKED)
+    model.bind_statistics(catalog)
+    model.observe(Scan("orders"), 10.0, catalog)
+    model._weights = np.asarray(weights)
+    return model
+
+
+class TestSingleWalkFeaturize:
+    @given(
+        plans=st.lists(plan_trees(), min_size=1, max_size=4),
+        weights=st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_three_walks(self, plans, weights):
+        catalog = build_analytic_catalog(n_orders=300, n_customers=30, seed=5)
+        model = _bound_model(catalog, weights)
+        for _ in range(2):
+            for plan in plans:
+                want = _three_walk_featurize(model, plan, catalog)
+                assert model.featurize(plan, catalog).tobytes() == want.tobytes()
+                got = model.estimate(plan, catalog)
+                assert np.float64(got).tobytes() == np.float64(
+                    _reference_estimate(model, want)
+                ).tobytes()
+            # A bulk load moves row counts and, once re-bound, the column bounds.
+            catalog.get("orders").append_rows(
+                [{"oid": 1000 + i, "cid": i % 30, "amount": 900.0 + i} for i in range(150)]
+            )
+            model.bind_statistics(catalog)
+
+    @given(plans=st.lists(plan_trees(), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_estimates_are_stable(self, plans):
+        """The stability rule for learned estimators: same value every call,
+        weights and counters untouched."""
+        catalog = build_analytic_catalog(n_orders=300, n_customers=30, seed=5)
+        model = _bound_model(catalog, np.linspace(-1.0, 3.0, 16))
+        weights = model._weights.tobytes()
+        counters = (model.trained_examples, model.label_collection_rows)
+        first = [model.estimate(plan, catalog) for plan in plans]
+        for _ in range(3):
+            assert [model.estimate(plan, catalog) for plan in plans] == first
+        assert model._weights.tobytes() == weights
+        assert (model.trained_examples, model.label_collection_rows) == counters

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
@@ -155,3 +159,67 @@ class TestPosteriorReuse:
         assert len({arm for arm, _, _ in chosen}) > 1  # it did explore
         assert counts == ref_counts
         assert chosen == ref_chosen
+
+
+def _draw_and_warnings(draw):
+    """``draw()`` plus the (category, message) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = draw()
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+class TestDrawEquivalence:
+    """A draw from the kept factor is ``multivariate_normal``'s, bit for bit."""
+
+    UPDATES = st.lists(
+        st.tuples(
+            st.lists(st.floats(0.0, 1e4), min_size=4, max_size=4),
+            st.floats(-30.0, 0.0),
+        ),
+        max_size=60,
+    )
+
+    @given(updates=UPDATES, noise=st.sampled_from([0.5, 1.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_draw_is_multivariate_normal(self, updates, noise, seed):
+        arm = _BayesianLinearArm(5, noise=noise)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def check(x):
+            cov = np.linalg.inv(arm._A)
+            want, want_warned = _draw_and_warnings(
+                lambda: float(ref_rng.multivariate_normal(cov @ arm._b, noise * cov) @ x)
+            )
+            got, warned = _draw_and_warnings(lambda: arm.sample_prediction(x, rng))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert warned == want_warned
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+        check(np.ones(5))
+        for features, reward in updates:
+            x = np.asarray([1.0, *features])
+            arm.update(x, reward)
+            check(x)
+            check(x)  # a second draw from the same kept posterior
+
+    @pytest.mark.parametrize("eigen", [-1.0, -1e7, -1e9], ids=["-1", "-1e-7", "-1e-9"])
+    def test_non_psd_verdict_is_numpys_on_every_draw(self, eigen):
+        """``_A`` inverts to a covariance with eigenvalue ``1 / eigen``: numpy
+        warns on -1 and -1e-7 (outside its 1e-8 tolerance), not on -1e-9."""
+        arm = _BayesianLinearArm(5)
+        arm._A = np.diag([1.0, eigen, 1.0, 1.0, 1.0])
+        cov = np.linalg.inv(arm._A)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        x = np.arange(1.0, 6.0)
+        for _ in range(3):
+            got, warned = _draw_and_warnings(lambda: arm.sample_prediction(x, rng))
+            want, want_warned = _draw_and_warnings(
+                lambda: float(ref_rng.multivariate_normal(cov @ arm._b, cov) @ x)
+            )
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert warned == want_warned
+            assert warned == [
+                (RuntimeWarning, "covariance is not symmetric positive-semidefinite.")
+            ] * (eigen != -1e9)

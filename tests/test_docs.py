@@ -133,6 +133,8 @@ class TestDocstringGate:
                 os.path.join(REPO_ROOT, "src", "repro", "metrics"),
                 os.path.join(REPO_ROOT, "src", "repro", "workloads"),
                 os.path.join(REPO_ROOT, "src", "repro", "suts", "analytic.py"),
+                os.path.join(REPO_ROOT, "src", "repro", "learned", "optimizer.py"),
+                os.path.join(REPO_ROOT, "src", "repro", "learned", "cardinality.py"),
             ],
             capture_output=True,
             text=True,
