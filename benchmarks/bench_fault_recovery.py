@@ -1,23 +1,21 @@
 """FR — fault recovery: chaos injection through the batched pipeline.
 
-Runs one 80k-query scenario (B+ tree store, steady uniform reads) four
+Runs one 80k-query scenario (B+ tree store, steady uniform reads) three
 ways:
 
-* fault-free batched (the baseline twin),
-* faulted batched — a latency window, a full stall, and a crash with a
-  recovery outage,
-* faulted scalar — same plan through the scalar/heap reference path,
-* fault-free batched with an *out-of-horizon* plan — every fault lands
-  after the run ends, so the fault machinery is armed but never fires.
+* fault-free (the baseline twin),
+* faulted — a latency window, a full stall, and a crash with a recovery
+  outage,
+* fault-free with an *out-of-horizon* plan — every fault lands after the
+  run ends, so the fault machinery is armed but never fires.
 
-The asserts pin the three contracts the fault subsystem guarantees:
+The asserts pin two contracts the fault subsystem guarantees (the third,
+bit-identity with the scalar oracle under faults, is pinned by
+``tests/core/test_faults.py``):
 
-1. **Bit-identity**: faulted scalar and faulted batched produce
-   identical result columns (same ``FaultClock`` kernel, same interrupt
-   ordering).
-2. **Determinism**: re-running the faulted scenario reproduces the
+1. **Determinism**: re-running the faulted scenario reproduces the
    exact columns.
-3. **Zero cost when dormant**: the out-of-horizon run's columns equal
+2. **Zero cost when dormant**: the out-of-horizon run's columns equal
    the no-plan run's bit for bit, and its wall time stays within noise
    of the no-plan run.
 
@@ -32,12 +30,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from bench_common import bench_once
-from repro.core.driver import DriverConfig, VirtualClockDriver
+from repro.core.driver import VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.metrics.resilience import resilience_report
@@ -79,10 +76,9 @@ def build_scenario(plan=None) -> Scenario:
     )
 
 
-def _run(plan=None, use_batching=True):
-    driver = VirtualClockDriver(DriverConfig(use_batching=use_batching))
+def _run(plan=None):
     t0 = time.perf_counter()
-    result = driver.run(TraditionalKVStore(), build_scenario(plan))
+    result = VirtualClockDriver().run(TraditionalKVStore(), build_scenario(plan))
     return result, time.perf_counter() - t0
 
 
@@ -107,15 +103,11 @@ def test_fault_recovery(benchmark, figure_sink):
     n = faulted.columns.arrivals.size
     assert n == int(RATE * DURATION)
 
-    # 1. Bit-identity: the scalar reference path under the same plan.
-    scalar_faulted, scalar_s = _run(plan=PLAN, use_batching=False)
-    _assert_identical(faulted, scalar_faulted, "faulted scalar vs batched")
-
-    # 2. Determinism: same seed, same plan, same bits.
+    # 1. Determinism: same seed, same plan, same bits.
     replay, _ = _run(plan=PLAN)
     _assert_identical(faulted, replay, "faulted replay")
 
-    # 3. Dormant plan == no plan, bit for bit and (loosely) in time.
+    # 2. Dormant plan == no plan, bit for bit and (loosely) in time.
     dormant, dormant_s = _run(plan=DORMANT_PLAN)
     _assert_identical(baseline, dormant, "dormant plan vs no plan")
     assert dormant_s < baseline_s * 1.5 + 0.5, (
@@ -137,8 +129,7 @@ def test_fault_recovery(benchmark, figure_sink):
         "n_queries": int(n),
         "plan": PLAN.describe(),
         "baseline_s": round(baseline_s, 4),
-        "faulted_batched_s": round(faulted_s, 4),
-        "faulted_scalar_s": round(scalar_s, 4),
+        "faulted_s": round(faulted_s, 4),
         "dormant_s": round(dormant_s, 4),
         "sla_ms": round(sla * 1000, 4),
         "degraded_sla_mass_s": round(report.degraded_sla_mass, 4),
@@ -159,8 +150,7 @@ def test_fault_recovery(benchmark, figure_sink):
         f"(B+ tree store, SLA {sla * 1000:.2f} ms)",
         f"  baseline : {baseline_s:6.2f}s wall   "
         f"dormant plan: {dormant_s:6.2f}s (bit-identical)",
-        f"  faulted  : {faulted_s:6.2f}s batched / {scalar_s:6.2f}s scalar "
-        f"(bit-identical)",
+        f"  faulted  : {faulted_s:6.2f}s wall",
         "  per-fault recovery:",
     ]
     for impact in report.impacts:

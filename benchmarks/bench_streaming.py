@@ -10,7 +10,7 @@ unobservable). Second, *bounded memory*: a 10M-query multi-segment run
 — 5x the in-memory driver's default safety valve — must finish with the
 process high-water RSS (``resource.getrusage``) under a declared budget
 that the in-memory path could not meet, because only per-segment
-batches and fixed-size scratch ever exist at once.
+batches and bounded execution blocks ever exist at once.
 
 The memory gate runs this file alone in its own CI job (``ru_maxrss``
 is a lifetime high-water mark, so co-resident tests would pollute it).

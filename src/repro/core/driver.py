@@ -10,6 +10,11 @@ the SUT is slower than the offered load and drains as it specializes,
 which is what produces the characteristic "slow start, catches up"
 cumulative curve of Fig 1b.
 
+There is one execution path: each segment is served in interrupt-bounded
+slices through ``execute_batch``, the FIFO kernel and block appends. It
+is pinned bit-for-bit to a scalar oracle in ``tests/`` that serves one
+query at a time through a heap of server free times.
+
 Training placement:
 
 * The scenario's ``initial_training`` runs *before* query time 0; its
@@ -26,15 +31,16 @@ Fault injection:
 
 When the scenario carries a :class:`~repro.faults.FaultPlan`, the driver
 wraps it in a :class:`~repro.faults.FaultClock`. Window faults perturb
-service times keyed on arrival time (identical elementwise kernel in
-both paths); point faults (stalls, crashes) are merged with the tick
-stream into one per-segment interrupt sequence, so they interleave with
-arrivals using the exact same fire-before-arrival semantics as ticks —
-which is what keeps the scalar and batched paths bit-identical under
-faults. A crash blocks every server for the recovery period, then calls
-``sut.on_crash``; a returned cold-retrain budget extends the outage and
-is recorded as a training event like any online retrain. With no plan
-set the fault machinery reduces to the original tick loop.
+service times keyed on arrival time (an elementwise kernel, so any
+slicing gives the same bits); point faults (stalls, crashes) are merged
+with the tick stream into one per-segment interrupt sequence, so they
+interleave with arrivals using the exact same fire-before-arrival
+semantics as ticks — which is what keeps the driver bit-identical to the
+scalar oracle under faults. A crash blocks every server for the recovery
+period, then calls ``sut.on_crash``; a returned cold-retrain budget
+extends the outage and is recorded as a training event like any online
+retrain. With no plan set the fault machinery reduces to the original
+tick loop.
 """
 
 from __future__ import annotations
@@ -64,9 +70,8 @@ from repro.observability import NULL_TRACER
 from repro.workloads.generators import QueryBatch
 
 
-#: Block bound when ``DriverConfig.block_size`` is unset (the streaming
-#: recorder's scratch size): a segment of a SUT that is never ticked is
-#: otherwise one block as long as the segment.
+#: Block bound when ``DriverConfig.block_size`` is unset: a segment of a
+#: SUT that is never ticked is otherwise one block as long as the segment.
 DEFAULT_BLOCK_SIZE = 65_536
 
 
@@ -86,10 +91,6 @@ class DriverConfig:
             scenarios exercise the "fluctuations in query load and
             concurrency" the paper lists. Online retraining blocks
             *every* server (a stop-the-world rebuild).
-        use_batching: Serve each segment through the vectorized batch
-            pipeline (``execute_batch`` + FIFO kernel + block appends).
-            ``False`` runs the retained scalar/heap reference loop;
-            both produce bit-identical results at a fixed seed.
         truncate_max_queries: When True, a run that would exceed
             ``max_queries`` is truncated mid-segment instead of raising.
         block_size: Cap on queries per batched execution block: each
@@ -107,7 +108,6 @@ class DriverConfig:
     jitter_arrivals: bool = True
     min_service_time: float = 1e-9
     servers: int = 1
-    use_batching: bool = True
     truncate_max_queries: bool = False
     block_size: Optional[int] = None
 
@@ -133,7 +133,6 @@ class DriverConfig:
             "jitter_arrivals": self.jitter_arrivals,
             "min_service_time": self.min_service_time,
             "servers": self.servers,
-            "use_batching": self.use_batching,
             "truncate_max_queries": self.truncate_max_queries,
         }
         if self.block_size is not None:
@@ -151,7 +150,7 @@ class _InterruptStream:
     all. Point faults (already restricted to the segment's
     ``[start, end)`` window, sorted by time) are interleaved by time;
     when a fault coincides exactly with a tick, the tick fires first —
-    the tie-break is fixed so both driver paths agree.
+    the tie-break is fixed so the driver and the scalar oracle agree.
     """
 
     __slots__ = ("_next_tick", "_interval", "_faults", "_idx")
@@ -194,7 +193,7 @@ class VirtualClockDriver:
             spans carrying the run's training events, and driver
             counters. Defaults to the no-op
             :data:`~repro.observability.NULL_TRACER`, which keeps the
-            batched hot path allocation-free; tracing never changes the
+            hot path allocation-free; tracing never changes the
             produced :class:`RunResult`.
     """
 
@@ -235,9 +234,9 @@ class VirtualClockDriver:
         same fault and training semantics — but completed blocks fold
         into online metric accumulators instead of accumulating in a
         result buffer, so resident memory is bounded by the largest
-        segment's arrival arrays plus O(block) scratch, not the run
-        length. Set ``config.block_size`` to bound the execution blocks
-        themselves.
+        segment's arrival arrays plus one O(block) working set, not the
+        run length. Set ``config.block_size`` to bound the execution
+        blocks themselves.
 
         Args:
             accumulators: Metric accumulators to fold (objects with
@@ -271,7 +270,6 @@ class VirtualClockDriver:
             spiller.tracer = self.tracer
         recorder = StreamingRecorder(accumulators=accumulators, spiller=spiller)
         training_events, _ = self._execute(sut, scenario, recorder)
-        recorder.flush()
         with self.tracer.span("collect-result", phase="report"):
             boundaries = scenario.segment_boundaries()
             duration = boundaries[-1][2] if boundaries else 0.0
@@ -342,7 +340,6 @@ class VirtualClockDriver:
         training_events, server_free = self._execute(
             sut, scenario, recorder, shard=shard
         )
-        recorder.flush()
         manifest = (
             spiller.finish(recorder.op_vocab, recorder.segment_vocab)
             if spiller is not None
@@ -399,9 +396,10 @@ class VirtualClockDriver:
 
         The recorder-agnostic core shared by :meth:`run` (columnar,
         retain-everything) and :meth:`run_streaming` (bounded-memory
-        folds): any object with the :class:`ColumnarRecorder` append
-        interface works. With a :class:`~repro.core.streaming.ShardSpec`
-        in ``shard``, only that slice of the scenario executes: earlier
+        folds): any object with the :class:`ColumnarRecorder`
+        ``intern_*`` / ``reserve`` / ``append_block`` interface works.
+        With a :class:`~repro.core.streaming.ShardSpec` in ``shard``,
+        only that slice of the scenario executes: earlier
         segments are replayed for SUT state, later ones skipped, and an
         arrival range slices the single executed segment's batch without
         touching the workload RNG stream. Returns the run's training
@@ -436,8 +434,8 @@ class VirtualClockDriver:
         seg_start = 0.0
         total_queries = 0
         # Lazily interned op codes: op_map[batch code] -> recorder code,
-        # filled in first-occurrence order so both driver paths build the
-        # same operations vocabulary. Sized from the first batch: the op
+        # filled in first-occurrence order (the scalar oracle's per-query
+        # first-sight vocabulary). Sized from the first batch: the op
         # vocabulary belongs to the batch type (``batch.op_names``).
         op_map: Optional[np.ndarray] = None
         for seg_index, segment in enumerate(scenario.segments):
@@ -520,31 +518,18 @@ class VirtualClockDriver:
                 tracer.counter("driver.segments")
                 tracer.counter("driver.queries", arrivals.size)
 
-                if self.config.use_batching:
-                    server_free = self._run_segment_batched(
-                        sut,
-                        scenario,
-                        batch,
-                        seg_start,
-                        seg_end,
-                        segment_code,
-                        server_free,
-                        recorder,
-                        op_map,
-                        training_events,
-                    )
-                else:
-                    server_free = self._run_segment_scalar(
-                        sut,
-                        scenario,
-                        batch,
-                        seg_start,
-                        seg_end,
-                        segment_code,
-                        server_free,
-                        recorder,
-                        training_events,
-                    )
+                server_free = self._run_segment(
+                    sut,
+                    scenario,
+                    batch,
+                    seg_start,
+                    seg_end,
+                    segment_code,
+                    server_free,
+                    recorder,
+                    op_map,
+                    training_events,
+                )
             seg_start = seg_end
 
         sut.teardown()
@@ -552,57 +537,7 @@ class VirtualClockDriver:
 
     # -- segment execution -------------------------------------------------------------
 
-    def _run_segment_scalar(
-        self,
-        sut: SystemUnderTest,
-        scenario: Scenario,
-        batch: QueryBatch,
-        seg_start: float,
-        seg_end: float,
-        segment_code: int,
-        server_free: List[float],
-        recorder: ColumnarRecorder,
-        training_events: List[TrainingEvent],
-    ) -> List[float]:
-        """Reference path: one query at a time through the server heap."""
-        stream = self._interrupts(sut, seg_start, seg_end, scenario)
-        fault_clock = self._fault_clock
-        for i in range(len(batch)):
-            arrival = float(batch.arrivals[i])
-            # Fire any due interrupts (ticks + point faults) before this
-            # arrival.
-            while stream.peek() <= arrival:
-                server_free = self._fire_interrupt(
-                    sut, stream, server_free, training_events
-                )
-            query = batch.query(i)
-            free = heapq.heappop(server_free)
-            start = max(arrival, free)
-            service = max(
-                self.config.min_service_time, float(sut.execute(query, arrival))
-            )
-            if fault_clock is not None:
-                service = max(
-                    self.config.min_service_time,
-                    fault_clock.perturb(service, arrival),
-                )
-            completion = start + service
-            heapq.heappush(server_free, completion)
-            recorder.append(
-                arrival,
-                start,
-                completion,
-                recorder.intern_op(batch.op_names[batch.ops[i]]),
-                segment_code,
-            )
-        # Remaining interrupts to the end of the segment.
-        while stream.peek() < seg_end:
-            server_free = self._fire_interrupt(
-                sut, stream, server_free, training_events
-            )
-        return server_free
-
-    def _run_segment_batched(
+    def _run_segment(
         self,
         sut: SystemUnderTest,
         scenario: Scenario,
@@ -615,9 +550,9 @@ class VirtualClockDriver:
         op_map: np.ndarray,
         training_events: List[TrainingEvent],
     ) -> List[float]:
-        """Batched path: interrupt-bounded slices through ``execute_batch``.
+        """Serve one segment in interrupt-bounded slices.
 
-        The scalar loop fires every interrupt (tick or point fault) with
+        The scalar oracle fires every interrupt (tick or point fault) with
         ``time <= arrival`` before each arrival; slicing the arrival
         array at each interrupt with ``searchsorted(..., side="left")``
         reproduces that interleaving exactly — queries strictly before
@@ -731,7 +666,7 @@ class VirtualClockDriver:
         op_codes = op_map[sub.ops]
         if (op_codes < 0).any():
             # Intern the new ops in first-occurrence order (matches the
-            # scalar path's lazy first-sight vocabulary).
+            # scalar oracle's lazy first-sight vocabulary).
             uniq, first = np.unique(sub.ops, return_index=True)
             for u in uniq[np.argsort(first)]:
                 if op_map[u] < 0:

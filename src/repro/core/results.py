@@ -101,10 +101,10 @@ class QueryColumns:
 
 
 class ColumnarRecorder:
-    """Preallocated append-only column buffers for driver hot loops.
+    """Preallocated append-only column buffers for the driver.
 
     The driver interns each segment label once per segment and each
-    operation name once ever, then appends plain scalars; buffers grow
+    operation name once ever, then appends whole blocks; buffers grow
     geometrically and :meth:`reserve` pre-sizes them when the caller
     already knows how many arrivals a segment will produce.
     """
@@ -169,25 +169,6 @@ class ColumnarRecorder:
             grown = np.empty(new_cap, dtype=old.dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
-
-    def append(
-        self,
-        arrival: float,
-        start: float,
-        completion: float,
-        op_code: int,
-        segment_code: int,
-    ) -> None:
-        """Record one completed query."""
-        i = self._n
-        if i >= self._arrivals.size:
-            self._grow(i + 1)
-        self._arrivals[i] = arrival
-        self._starts[i] = start
-        self._completions[i] = completion
-        self._op_codes[i] = op_code
-        self._segment_codes[i] = segment_code
-        self._n = i + 1
 
     def append_block(
         self,

@@ -572,35 +572,22 @@ def load_spilled_columns(directory) -> QueryColumns:
 class StreamingRecorder:
     """Drop-in recorder that folds blocks instead of retaining them.
 
-    Presents the same interface the driver hot loops use on
+    Presents the interface the driver uses on
     :class:`~repro.core.results.ColumnarRecorder` — ``intern_op`` /
-    ``intern_segment`` / ``reserve`` / ``append`` / ``append_block`` —
-    but holds only a fixed-size scratch buffer: scalar appends fill the
-    scratch and flush when full; block appends flush the scratch (to
-    preserve record order for the spiller) and fold directly. Each
-    flushed :class:`StreamBlock` goes to every accumulator's ``fold``
-    and, when configured, the :class:`ColumnSpiller`.
-
-    Call :meth:`flush` once after the run so the scratch tail reaches
-    the accumulators.
+    ``intern_segment`` / ``reserve`` / ``append_block`` — but keeps no
+    rows: each appended block goes, as a :class:`StreamBlock`, to every
+    accumulator's ``fold`` and, when configured, the
+    :class:`ColumnSpiller`.
     """
 
     def __init__(
         self,
         accumulators: Sequence[Any] = (),
         spiller: Optional[ColumnSpiller] = None,
-        scratch_capacity: int = 65_536,
     ) -> None:
-        """Create the fixed-size scratch and wire the consumers."""
+        """Wire the consumers; nothing is buffered."""
         self.accumulators = list(accumulators)
         self.spiller = spiller
-        capacity = max(1, int(scratch_capacity))
-        self._arrivals = np.empty(capacity, dtype=np.float64)
-        self._starts = np.empty(capacity, dtype=np.float64)
-        self._completions = np.empty(capacity, dtype=np.float64)
-        self._op_codes = np.empty(capacity, dtype=np.int32)
-        self._segment_codes = np.empty(capacity, dtype=np.int32)
-        self._n = 0
         self._count = 0
         self._max_completion = 0.0
         self._first_arrival: Optional[float] = None
@@ -616,7 +603,7 @@ class StreamingRecorder:
 
     @property
     def count(self) -> int:
-        """Total queries recorded (scratch included)."""
+        """Total queries recorded."""
         return self._count
 
     @property
@@ -632,8 +619,6 @@ class StreamingRecorder:
         appended arrival — sharded runs use it to check that the
         previous shard's queue drained before this shard's stream began.
         """
-        if self._first_arrival is None and self._n:
-            return float(self._arrivals[0])
         return self._first_arrival
 
     @property
@@ -646,40 +631,13 @@ class StreamingRecorder:
         """Segment labels in intern order."""
         return tuple(self._segment_vocab)
 
-    def _pending_counts(self, codes: np.ndarray, size: int) -> np.ndarray:
-        """Histogram of un-flushed scratch codes (read-only)."""
-        if self._n == 0:
-            return np.zeros(size, dtype=np.int64)
-        return np.bincount(codes[: self._n], minlength=size)
-
     def op_counts(self) -> Dict[str, int]:
-        """Per-operation completed-query counts (flushed or not).
-
-        A pure read: scratch rows are counted in place, never flushed,
-        so calling this mid-run cannot move block boundaries.
-        """
-        pending = self._pending_counts(self._op_codes, len(self._op_counts))
-        return {
-            op: count + int(pending[code])
-            for code, (op, count) in enumerate(
-                zip(self._op_vocab, self._op_counts)
-            )
-        }
+        """Per-operation completed-query counts (a pure read)."""
+        return dict(zip(self._op_vocab, self._op_counts))
 
     def segment_counts(self) -> Dict[str, int]:
-        """Per-segment completed-query counts (flushed or not).
-
-        A pure read, like :meth:`op_counts`: no flush side effect.
-        """
-        pending = self._pending_counts(
-            self._segment_codes, len(self._segment_counts)
-        )
-        return {
-            label: count + int(pending[code])
-            for code, (label, count) in enumerate(
-                zip(self._segment_vocab, self._segment_counts)
-            )
-        }
+        """Per-segment completed-query counts (a pure read)."""
+        return dict(zip(self._segment_vocab, self._segment_counts))
 
     def intern_op(self, op: str) -> int:
         """Code for an operation name (added on first sight)."""
@@ -704,25 +662,6 @@ class StreamingRecorder:
     def reserve(self, extra: int) -> None:
         """No-op: streaming never allocates per-run storage."""
 
-    def append(
-        self,
-        arrival: float,
-        start: float,
-        completion: float,
-        op_code: int,
-        segment_code: int,
-    ) -> None:
-        """Record one completed query into the scratch buffer."""
-        i = self._n
-        self._arrivals[i] = arrival
-        self._starts[i] = start
-        self._completions[i] = completion
-        self._op_codes[i] = op_code
-        self._segment_codes[i] = segment_code
-        self._n = i + 1
-        if self._n >= self._arrivals.size:
-            self.flush()
-
     def append_block(
         self,
         arrivals: np.ndarray,
@@ -731,11 +670,10 @@ class StreamingRecorder:
         op_codes: np.ndarray,
         segment_code: int,
     ) -> None:
-        """Record a whole driver block: flush scratch, fold directly."""
+        """Record a whole driver block: fold it directly."""
         m = int(arrivals.size)
         if m == 0:
             return
-        self.flush()
         segment_codes = np.full(m, segment_code, dtype=np.int32)
         self._fold(
             StreamBlock(
@@ -746,21 +684,6 @@ class StreamingRecorder:
                 segment_codes,
             )
         )
-
-    def flush(self) -> None:
-        """Fold whatever sits in the scratch buffer (no-op when empty)."""
-        n = self._n
-        if n == 0:
-            return
-        block = StreamBlock(
-            self._arrivals[:n].copy(),
-            self._starts[:n].copy(),
-            self._completions[:n].copy(),
-            self._op_codes[:n].copy(),
-            self._segment_codes[:n].copy(),
-        )
-        self._n = 0
-        self._fold(block)
 
     def _fold(self, block: StreamBlock) -> None:
         """Feed one block to the counters, accumulators, and spiller."""

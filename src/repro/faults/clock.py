@@ -2,12 +2,12 @@
 
 The clock is a thin, stateless applicator. Window faults become
 elementwise mask operations over service-time arrays; point faults are
-exposed as a sorted query interface the drivers merge into their tick
-stream. Keeping the clock free of driver state is what makes the
-scalar and batched execution paths trivially bit-identical: both call
-the same :meth:`FaultClock.perturb_batch` kernel (the scalar path via a
-length-1 array), so every arithmetic operation is the same IEEE-754
-sequence in both paths.
+exposed as a sorted query interface the driver merges into its tick
+stream. Keeping the clock free of driver state is what keeps the
+batched driver bit-identical to the scalar oracle in ``tests/``: both
+call the same :meth:`FaultClock.perturb_batch` kernel (the oracle on
+length-1 arrays), so every arithmetic operation is the same IEEE-754
+sequence at any slicing.
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ class FaultClock:
             else:
                 services[mask] += fault.added_seconds
         return services
-
-    def perturb(self, service: float, arrival: float) -> float:
-        """Scalar-path twin of :meth:`perturb_batch`.
-
-        Routes through the batch kernel with length-1 arrays so the
-        scalar driver path performs the exact same float operations as
-        the batched path — the bit-identity contract depends on this.
-        """
-        if not self._windows:
-            return service
-        svc = np.array([service], dtype=np.float64)
-        arr = np.array([arrival], dtype=np.float64)
-        self.perturb_batch(svc, arr)
-        return float(svc[0])
 
     def point_faults_in(self, lo: float, hi: float) -> List[PointFault]:
         """Point faults firing in ``[lo, hi)``, sorted by time."""

@@ -285,9 +285,9 @@ class NullTracer:
 
     Every call site stays a plain method call on a ``__slots__`` object
     and every ``span`` returns the same shared context manager, so the
-    disabled path allocates nothing and costs nanoseconds — benchmarked
-    against the PR-3 batched-driver baseline in
-    ``benchmarks/bench_driver_batching.py``.
+    disabled path allocates nothing and costs nanoseconds — the repo
+    benchmark (``perf/run.py``) measures the traced run against it as
+    each workload's ``trace.overhead_pct``.
     """
 
     __slots__ = ()

@@ -26,7 +26,7 @@ from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.driver import DriverConfig, VirtualClockDriver
+from repro.core.driver import VirtualClockDriver
 from repro.core.results import RunResult
 from repro.core.scenario import Scenario, Segment
 from repro.core.sut import SystemUnderTest
@@ -384,8 +384,6 @@ class AnalyticDriver:
 
     Args:
         seed: Arrival-process seed.
-        use_batching: ``False`` selects the shared driver's scalar
-            reference loop; results are bit-identical at a fixed seed.
         tracer: Observability sink (default: no-op tracer).
         fault_plan: Optional :class:`~repro.faults.FaultPlan` injected
             during the run.
@@ -394,16 +392,13 @@ class AnalyticDriver:
     def __init__(
         self,
         seed: int = 0,
-        use_batching: bool = True,
         tracer=None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         """Bind the knobs to a :class:`VirtualClockDriver`."""
         self.seed = seed
         self.fault_plan = fault_plan
-        self._driver = VirtualClockDriver(
-            DriverConfig(use_batching=use_batching), tracer=tracer
-        )
+        self._driver = VirtualClockDriver(tracer=tracer)
 
     def run(
         self,

@@ -1,9 +1,9 @@
-"""The batched driver path is pinned, bit for bit, to the scalar one.
+"""The batched driver is pinned, bit for bit, to the scalar oracle.
 
-``DriverConfig(use_batching=True)`` must reproduce the retained
-scalar/heap reference exactly: same result columns, same vocabularies,
-same training events, same SUT-side counters. Both paths consume the
-same vectorized :class:`QueryBatch` per segment, so every remaining
+:class:`VirtualClockDriver` must reproduce :class:`ScalarReferenceDriver`
+(``tests/reference_driver.py``) exactly: same result columns, same
+vocabularies, same training events, same SUT-side counters. Both consume
+the same vectorized :class:`QueryBatch` per segment, so every remaining
 difference — the FIFO kernel, tick/batch slicing, bulk index lookups,
 deferred observation hooks, block appends — is under test here.
 """
@@ -14,11 +14,13 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
+from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.queueing import fifo_single_server
 from repro.core.scenario import Scenario, Segment
 from repro.core.sut import SystemUnderTest
+from repro.faults import CrashFault, FaultPlan, StallFault
 from repro.observability import NullTracer, Tracer
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -33,6 +35,13 @@ from repro.workloads.generators import (
 from repro.workloads.patterns import ConstantArrivals
 
 COLUMNS = ("arrivals", "starts", "completions", "op_codes", "segment_codes")
+
+
+class _RetrainEveryTick(TraditionalKVStore):
+    """Listens to ticks; every tick asks for a short stop-the-world retrain."""
+
+    def on_tick(self, now):
+        return 0.01
 
 
 def _mixed_scenario(seed: int = 11, extra_segments: Optional[List[Segment]] = None):
@@ -71,14 +80,14 @@ def _mixed_scenario(seed: int = 11, extra_segments: Optional[List[Segment]] = No
 
 
 def _run_both(sut_factory, scenario_factory, tracer_factory=None, **config_kwargs):
-    out = {}
-    for batching in (True, False):
-        config = DriverConfig(use_batching=batching, **config_kwargs)
+    out = []
+    for driver_cls in (VirtualClockDriver, ScalarReferenceDriver):
+        config = DriverConfig(**config_kwargs)
         tracer = tracer_factory() if tracer_factory is not None else None
-        out[batching] = VirtualClockDriver(config, tracer=tracer).run(
-            sut_factory(), scenario_factory()
+        out.append(
+            driver_cls(config, tracer=tracer).run(sut_factory(), scenario_factory())
         )
-    return out[True], out[False]
+    return tuple(out)
 
 
 def _assert_identical(batched, scalar):
@@ -111,8 +120,8 @@ class TestBatchedEqualsScalar:
 
     @pytest.mark.parametrize("servers", [1, 4])
     def test_learned_store_with_retrains(self, servers):
-        """Adaptive SUT: drift detection and online retrains fire in both
-        paths at the same ticks with the same nominal costs."""
+        """Adaptive SUT: drift detection and online retrains fire in the
+        driver and the oracle at the same ticks with the same nominal costs."""
         batched, scalar = _run_both(
             LearnedKVStore, _mixed_scenario, servers=servers
         )
@@ -144,7 +153,7 @@ class TestBatchedEqualsScalar:
         _assert_identical(batched, scalar)
 
     def test_truncate_max_queries_mid_batch(self):
-        """Truncation cuts the same arrivals on both paths."""
+        """Truncation cuts the same arrivals in the driver and the oracle."""
         batched, scalar = _run_both(
             TraditionalKVStore,
             _mixed_scenario,
@@ -153,6 +162,36 @@ class TestBatchedEqualsScalar:
         )
         _assert_identical(batched, scalar)
         assert batched.columns.arrivals.size == 700
+
+    @pytest.mark.parametrize("interrupt", ["tick", "fault"])
+    def test_interrupts_tied_with_arrivals(self, interrupt):
+        """An interrupt at an arrival's exact time fires before that query.
+
+        Unjittered 4 q/s arrivals sit on odd multiples of 1/8 s. Ticks
+        every 1/8 s, or a stall and a crash placed on two arrivals, tie
+        with them exactly, so cutting a slice on the wrong side of a tie
+        changes the columns.
+        """
+        spec = simple_spec("grid", UniformDistribution(0, 1000), rate=4.0)
+        plan = FaultPlan([
+            StallFault(at=1.375, duration=0.05),
+            CrashFault(at=2.625, recovery_seconds=0.1),
+        ])
+
+        def scenario():
+            return Scenario(
+                name="ties",
+                segments=[Segment(spec=spec, duration=4.0)],
+                seed=3,
+                initial_keys=np.linspace(0, 1000, 500),
+                tick_interval=0.125,
+                fault_plan=plan if interrupt == "fault" else None,
+            )
+
+        sut_factory = _RetrainEveryTick if interrupt == "tick" else TraditionalKVStore
+        batched, scalar = _run_both(sut_factory, scenario, jitter_arrivals=False)
+        _assert_identical(batched, scalar)
+        assert batched.columns.arrivals.size == 16
 
     def test_truncation_off_still_raises(self):
         from repro.errors import DriverError

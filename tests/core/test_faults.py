@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
@@ -67,9 +68,9 @@ def _scenario(rate=50.0, duration=10.0, plan=None, seed=5):
     )
 
 
-def _run(plan=None, use_batching=True, sut=None, tracer=None, **scenario_kw):
-    config = DriverConfig(use_batching=use_batching)
-    driver = VirtualClockDriver(config, tracer=tracer)
+def _run(plan=None, driver_cls=VirtualClockDriver, sut=None, tracer=None,
+         **scenario_kw):
+    driver = driver_cls(DriverConfig(), tracer=tracer)
     return driver.run(sut or ConstantSUT(), _scenario(plan=plan, **scenario_kw))
 
 
@@ -155,6 +156,7 @@ class TestFaultClock:
         np.testing.assert_allclose(services, [0.001, 0.01, 0.01, 0.001])
 
     def test_scalar_matches_batch(self):
+        """Length-1 calls (the scalar oracle's) equal one whole-array call."""
         plan = FaultPlan([
             LatencyFault(start=0.0, end=5.0, multiplier=3.7),
             DegradationFault(start=3.0, end=8.0, added_seconds=0.013),
@@ -164,9 +166,9 @@ class TestFaultClock:
         services = rng.uniform(1e-4, 1e-2, 64)
         arrivals = np.sort(rng.uniform(0.0, 10.0, 64))
         batched = clock.perturb_batch(services.copy(), arrivals)
-        scalar = np.array([
-            clock.perturb(float(s), float(a))
-            for s, a in zip(services, arrivals)
+        scalar = np.concatenate([
+            clock.perturb_batch(services[i : i + 1].copy(), arrivals[i : i + 1])
+            for i in range(services.size)
         ])
         assert np.array_equal(batched, scalar)
 
@@ -190,8 +192,8 @@ class TestDriverFaults:
     ])
 
     def test_scalar_batched_bit_identical_under_faults(self):
-        batched = _run(plan=self.PLAN, use_batching=True)
-        scalar = _run(plan=self.PLAN, use_batching=False)
+        batched = _run(plan=self.PLAN)
+        scalar = _run(plan=self.PLAN, driver_cls=ScalarReferenceDriver)
         assert _columns_equal(batched, scalar)
 
     def test_deterministic_across_runs(self):
@@ -298,13 +300,15 @@ class TestAnalyticDriverFaults:
             seed=9,
         )
 
-    def _run(self, plan, use_batching, sut_cls=TraditionalOptimizerSUT):
+    def _run(self, plan, sut_cls=TraditionalOptimizerSUT, scalar=False):
         catalog = build_analytic_catalog(n_orders=1200, n_customers=120, seed=4)
         sut = sut_cls(catalog)
-        driver = AnalyticDriver(
-            seed=1, use_batching=use_batching, fault_plan=plan
-        )
-        return driver.run(sut, [("seg", self._workload(), 8.0, 12.0)])
+        driver = AnalyticDriver(seed=1, fault_plan=plan)
+        segments = [("seg", self._workload(), 8.0, 12.0)]
+        if scalar:
+            scenario = driver._scenario(segments, "analytic", None)
+            return ScalarReferenceDriver().run(sut, scenario)
+        return driver.run(sut, segments)
 
     @pytest.mark.parametrize(
         "sut_cls",
@@ -313,10 +317,11 @@ class TestAnalyticDriverFaults:
     )
     def test_scalar_batched_identical_under_faults(self, sut_cls):
         # The learned SUT is stateful: the mid-segment crash must reset
-        # it *between* the queries around t=6, on both paths — columns
-        # and the end-of-run learned state (in sut_description) agree.
-        batched = self._run(self.PLAN, True, sut_cls)
-        scalar = self._run(self.PLAN, False, sut_cls)
+        # it *between* the queries around t=6, in the driver and the
+        # oracle alike — columns and the end-of-run learned state (in
+        # sut_description) agree.
+        batched = self._run(self.PLAN, sut_cls)
+        scalar = self._run(self.PLAN, sut_cls, scalar=True)
         assert _columns_equal(batched, scalar)
         assert batched.sut_description == scalar.sut_description
 

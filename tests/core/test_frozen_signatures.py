@@ -4,15 +4,21 @@
 timed op of the repo benchmark goes through. A parameter added to one of
 them is an option every later refactor has to carry, so adding one means
 editing this pin — and saying which two callers need different values.
+
+The driver's own knobs are pinned the same way: ``DriverConfig``'s
+fields and the ``AnalyticDriver`` and ``StreamingRecorder`` constructors.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 from repro.core.benchmark import Benchmark
-from repro.core.streaming import load_spilled_columns
+from repro.core.driver import DriverConfig
+from repro.core.streaming import StreamingRecorder, load_spilled_columns
 from repro.reporting.report import build_report
+from repro.suts.analytic import AnalyticDriver
 
 FROZEN = [
     (Benchmark.run, ("self", "sut", "scenario")),
@@ -35,9 +41,26 @@ FROZEN = [
         ("result", "scenario", "sla", "band_interval", "adjustment_n", "trace"),
     ),
     (load_spilled_columns, ("directory",)),
+    (AnalyticDriver.__init__, ("self", "seed", "tracer", "fault_plan")),
+    (StreamingRecorder.__init__, ("self", "accumulators", "spiller")),
 ]
+
+DRIVER_CONFIG_FIELDS = (
+    "online_hardware",
+    "max_queries",
+    "jitter_arrivals",
+    "min_service_time",
+    "servers",
+    "truncate_max_queries",
+    "block_size",
+)
 
 
 def test_parameter_names_are_pinned():
     actual = [(f, tuple(inspect.signature(f).parameters)) for f, _ in FROZEN]
     assert actual == FROZEN
+
+
+def test_driver_config_fields_are_pinned():
+    fields = tuple(f.name for f in dataclasses.fields(DriverConfig))
+    assert fields == DRIVER_CONFIG_FIELDS

@@ -130,12 +130,14 @@ class TestRecorderAmortization:
 
         recorder = ColumnarRecorder(capacity=1024)
         n = 100_000
-        for i in range(n):
-            recorder.append(float(i), float(i), float(i) + 0.5, 0, 0)
+        for i in range(0, n, 100):
+            rows = np.arange(i, i + 100, dtype=np.float64)
+            recorder.append_block(rows, rows, rows + 0.5, np.zeros(100, np.int32), 0)
         # Doubling from 1024 to >= 100k takes ceil(log2(n/1024)) = 7 grows;
         # allow a little slack but fail hard on accidental linear growth.
         assert recorder.reallocations <= int(np.ceil(np.log2(n / 1024))) + 2
         assert len(recorder) == n
+        assert np.array_equal(recorder.build().arrivals, np.arange(n, dtype=np.float64))
 
     def test_reserve_avoids_reallocation_during_appends(self):
         from repro.core.results import ColumnarRecorder
@@ -144,9 +146,11 @@ class TestRecorderAmortization:
         recorder.reserve(50_000)
         grows_after_reserve = recorder.reallocations
         assert grows_after_reserve <= 1
-        for i in range(50_000):
-            recorder.append(float(i), float(i), float(i) + 0.5, 0, 0)
+        for i in range(0, 50_000, 100):
+            rows = np.arange(i, i + 100, dtype=np.float64)
+            recorder.append_block(rows, rows, rows + 0.5, np.zeros(100, np.int32), 0)
         assert recorder.reallocations == grows_after_reserve
+        assert len(recorder) == 50_000
 
     def test_block_append_counts_reallocations(self):
         from repro.core.results import ColumnarRecorder

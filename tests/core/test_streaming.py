@@ -71,38 +71,15 @@ class TestStreamBlock:
         assert len(block) == 3
 
 
+def _append(recorder, arrivals, op, seg):
+    """Append one block with ``completions = arrivals + 0.5``."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    recorder.append_block(
+        arrivals, arrivals, arrivals + 0.5, np.full(arrivals.size, op, np.int32), seg
+    )
+
+
 class TestStreamingRecorder:
-    def test_scalar_appends_flush_on_scratch_full(self):
-        acc = _CollectingAccumulator()
-        recorder = StreamingRecorder(accumulators=[acc], scratch_capacity=4)
-        code = recorder.intern_op("read")
-        seg = recorder.intern_segment("a")
-        for i in range(10):
-            recorder.append(float(i), float(i), float(i) + 0.5, code, seg)
-        # Two full scratches auto-flushed; two rows still buffered.
-        assert sum(len(b) for b in acc.blocks) == 8
-        recorder.flush()
-        assert sum(len(b) for b in acc.blocks) == 10
-        assert recorder.count == len(recorder) == 10
-        assert recorder.max_completion == pytest.approx(9.5)
-        assert recorder.op_counts() == {"read": 10}
-        assert recorder.segment_counts() == {"a": 10}
-
-    def test_append_block_flushes_scratch_first(self):
-        acc = _CollectingAccumulator()
-        recorder = StreamingRecorder(accumulators=[acc], scratch_capacity=16)
-        code = recorder.intern_op("read")
-        seg = recorder.intern_segment("a")
-        recorder.append(0.0, 0.0, 0.5, code, seg)
-        arrivals = np.array([1.0, 2.0])
-        recorder.append_block(
-            arrivals, arrivals, arrivals + 0.5, np.full(2, code, np.int32), seg
-        )
-        # Scratch row must have been folded BEFORE the block to keep
-        # the stream in driver append order.
-        assert [len(b) for b in acc.blocks] == [1, 2]
-        assert recorder.count == 3
-
     def test_vocab_interning_is_stable(self):
         recorder = StreamingRecorder()
         assert recorder.intern_op("read") == 0
@@ -120,42 +97,31 @@ class TestStreamingRecorder:
         assert acc.blocks == []
         assert recorder.count == 0
 
-    def test_count_reads_do_not_flush_scratch(self):
-        # Regression: op_counts()/segment_counts() used to flush the
-        # scratch, moving block boundaries when read mid-run.
+    def test_count_reads_are_pure(self):
+        # Reading the counts mid-run must not move block boundaries:
+        # repeated reads agree and the folded blocks are the appended ones.
         acc = _CollectingAccumulator()
         recorder = StreamingRecorder(accumulators=[acc])
         read = recorder.intern_op("read")
         write = recorder.intern_op("write")
         seg = recorder.intern_segment("a")
-        recorder.append(0.0, 0.0, 0.1, read, seg)
-        recorder.append(0.2, 0.2, 0.3, write, seg)
-        assert recorder.op_counts() == {"read": 1, "write": 1}
-        assert recorder.segment_counts() == {"a": 2}
-        assert acc.blocks == []  # scratch untouched — no fold happened
-        recorder.append(0.4, 0.4, 0.5, read, seg)
-        recorder.flush()
-        assert [len(b) for b in acc.blocks] == [3]
+        _append(recorder, [0.0, 0.1], read, seg)
+        _append(recorder, [0.2], write, seg)
         assert recorder.op_counts() == {"read": 2, "write": 1}
-
-    def test_count_reads_merge_flushed_and_pending(self):
-        recorder = StreamingRecorder(accumulators=[], scratch_capacity=2)
-        read = recorder.intern_op("read")
-        seg = recorder.intern_segment("a")
-        for i in range(3):  # capacity 2 → one auto-flush + one pending
-            recorder.append(float(i), float(i), float(i) + 0.1, read, seg)
-        assert recorder.op_counts() == {"read": 3}
         assert recorder.segment_counts() == {"a": 3}
+        assert recorder.op_counts() == {"read": 2, "write": 1}
+        assert [len(b) for b in acc.blocks] == [2, 1]
+        assert recorder.count == len(recorder) == 3
+        assert recorder.max_completion == pytest.approx(0.7)
 
-    def test_first_arrival_tracks_scratch_and_flushed(self):
+    def test_first_arrival_is_the_first_block_arrival(self):
         recorder = StreamingRecorder()
         assert recorder.first_arrival is None
         code = recorder.intern_op("read")
         seg = recorder.intern_segment("a")
-        recorder.append(1.5, 1.5, 1.6, code, seg)
-        assert recorder.first_arrival == 1.5  # still in scratch
-        recorder.flush()
-        assert recorder.first_arrival == 1.5  # survives the fold
+        _append(recorder, [1.5, 1.7], code, seg)
+        _append(recorder, [0.5], code, seg)
+        assert recorder.first_arrival == 1.5
 
 
 class TestColumnSpiller:
@@ -170,7 +136,6 @@ class TestColumnSpiller:
             recorder.append_block(
                 arrivals, arrivals, arrivals + 0.5, np.full(50, code, np.int32), seg
             )
-        recorder.flush()
         manifest = spiller.finish(recorder.op_vocab, recorder.segment_vocab)
         assert manifest["rows"] == 150
         assert len(manifest["shards"]) == 3  # 64 + 64 + 22 tail
@@ -596,7 +561,6 @@ class TestDriverStreaming:
             "jitter_arrivals": True,
             "min_service_time": 1e-9,
             "servers": 1,
-            "use_batching": True,
             "truncate_max_queries": False,
         }
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.phases import TrainingPhase
@@ -125,11 +126,10 @@ def _digest(result, log) -> str:
     return h.hexdigest()[:16]
 
 
-def _run_listener(kind, interval, faulted, use_batching=True):
+def _run_listener(kind, interval, faulted, driver_cls=VirtualClockDriver):
     log = []
     scenario = _scenario(interval, PLAN if faulted else None)
-    driver = VirtualClockDriver(DriverConfig(use_batching=use_batching))
-    return driver.run(LISTENERS[kind](log), scenario), log
+    return driver_cls().run(LISTENERS[kind](log), scenario), log
 
 
 def _expected_ticks(interval):
@@ -185,7 +185,9 @@ class TestListeningSUT:
         ticks = [t for what, t in log if what == "tick"]
         assert ticks == _expected_ticks(interval)
         assert _digest(result, log) == PARENT_DIGESTS[kind, interval, faulted]
-        scalar, scalar_log = _run_listener(kind, interval, faulted, use_batching=False)
+        scalar, scalar_log = _run_listener(
+            kind, interval, faulted, driver_cls=ScalarReferenceDriver
+        )
         assert scalar_log == log
         assert _columns_equal(scalar.columns, result.columns)
 
@@ -275,7 +277,7 @@ class TestTicklessSUT:
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_scalar_batched_streaming_and_sharded_agree(self, interval, tmp_path):
         reference = self._reference().columns
-        scalar = VirtualClockDriver(DriverConfig(use_batching=False)).run(
+        scalar = ScalarReferenceDriver().run(
             TraditionalKVStore(), _scenario(interval)
         )
         assert _columns_equal(scalar.columns, reference)

@@ -114,7 +114,7 @@ def _analytic_result():
         seed=6,
     )
     sut = LearnedOptimizerSUT(catalog, seed=4, warmup_queries=20)
-    driver = AnalyticDriver(seed=9, use_batching=True)
+    driver = AnalyticDriver(seed=9)
     return driver.run(
         sut,
         [("steady", steady, 2.0, 30.0), ("shifted", shifted, 2.0, 30.0)],

@@ -1,7 +1,7 @@
 """Trace replay end-to-end: bit-identity, cache keys, golden round trip.
 
-The replay contract is that a recorded trace flows through every driver
-path — scalar, batched, streaming — and produces the *same* executed
+The replay contract is that a recorded trace flows through the driver —
+batched, streaming, and the scalar oracle — and produces the *same* executed
 columns: arrivals equal to the recorded timestamps, op codes and keys
 equal to the recorded rows. On top sits the round-trip closer: fit a
 synthetic generator to the fixture trace and pin its divergence report
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.runner import job_cache_key, matrix_jobs
@@ -89,11 +90,11 @@ class TestFixture:
 
 
 class TestThreePathBitIdentity:
-    """Scalar, batched, and streaming replay execute identical columns."""
+    """Scalar oracle, batched, and streaming replay execute identical columns."""
 
     @pytest.fixture(scope="class")
     def scalar(self, replay_scenario):
-        return VirtualClockDriver(DriverConfig(use_batching=False)).run(
+        return ScalarReferenceDriver().run(
             TraditionalKVStore(), replay_scenario
         )
 
@@ -112,7 +113,7 @@ class TestThreePathBitIdentity:
         assert executed_ops == recorded_ops
 
     def test_batched_matches_scalar(self, scalar, replay_scenario):
-        batched = VirtualClockDriver(DriverConfig(use_batching=True)).run(
+        batched = VirtualClockDriver().run(
             TraditionalKVStore(), replay_scenario
         )
         for name in COLUMNS:
@@ -136,7 +137,7 @@ class TestThreePathBitIdentity:
             ), f"column {name!r} diverged in streaming (block={block_size})"
 
     def test_replay_is_seed_independent(self, scalar, fixture_trace):
-        other = VirtualClockDriver(DriverConfig(use_batching=False)).run(
+        other = ScalarReferenceDriver().run(
             TraditionalKVStore(),
             Scenario.from_trace(
                 fixture_trace,

@@ -4,8 +4,8 @@ The blend layer (:func:`blend_specs` / :class:`DriftFactor`) promises
 three things the rest of the benchmark leans on:
 
 1. At factor 0 / 1 the blend *is* the base / target object, so query
-   streams are byte-identical to the unblended scenario in every
-   execution path (scalar, batched, streaming).
+   streams are byte-identical to the unblended scenario in the driver,
+   its streaming path and the scalar oracle.
 2. The computed Φ between the blended stream and the target is monotone
    non-increasing in the factor (and exactly linear for the analytic
    estimator, because a mixture CDF is affine in the mixing weight).
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.streaming import load_spilled_columns
@@ -154,7 +155,8 @@ class TestEndpointIdentity:
 
 class TestDriverPathEndpoints:
     """`drift_axis` at factor 0/1 matches the unblended reference
-    scenario bit-for-bit in the scalar, batched, and streaming paths."""
+    scenario bit-for-bit in the scalar oracle, the batched driver, and
+    the streaming path."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -171,9 +173,9 @@ class TestDriverPathEndpoints:
     @pytest.mark.parametrize("batching", [False, True])
     def test_scalar_and_batched_columns(self, dataset, factor, endpoint, batching):
         axis, reference = self._pair(dataset, factor, endpoint)
-        config = DriverConfig(use_batching=batching)
-        run_a = VirtualClockDriver(config).run(TraditionalKVStore(), axis)
-        run_b = VirtualClockDriver(config).run(TraditionalKVStore(), reference)
+        driver_cls = VirtualClockDriver if batching else ScalarReferenceDriver
+        run_a = driver_cls().run(TraditionalKVStore(), axis)
+        run_b = driver_cls().run(TraditionalKVStore(), reference)
         for name in COLUMNS:
             assert np.array_equal(
                 getattr(run_a.columns, name), getattr(run_b.columns, name)
@@ -276,10 +278,8 @@ class TestDeterminism:
             dataset, factor=0.5, rate=200.0, segment_duration=2.0,
             train_budget=1.0,
         )
-        scalar = VirtualClockDriver(DriverConfig(use_batching=False)).run(
-            TraditionalKVStore(), scenario
-        )
-        batched = VirtualClockDriver(DriverConfig(use_batching=True)).run(
+        scalar = ScalarReferenceDriver().run(TraditionalKVStore(), scenario)
+        batched = VirtualClockDriver().run(
             TraditionalKVStore(), scenario
         )
         for name in COLUMNS:
