@@ -59,7 +59,7 @@ from repro.core.phases import (
     event_to_telemetry,
     make_event,
 )
-from repro.core.queueing import fifo_single_server
+from repro.core.queueing import fifo_multi_server, fifo_single_server
 from repro.core.results import ColumnarRecorder, RunResult
 from repro.core.scenario import Scenario
 from repro.core.sut import KeyColumnPairs, SystemUnderTest
@@ -647,22 +647,13 @@ class VirtualClockDriver:
                 self._fault_clock.perturb_batch(services, sub.arrivals),
             )
         if self.config.servers == 1:
-            starts, completions, new_free = fifo_single_server(
+            starts, completions, server_free[0] = fifo_single_server(
                 sub.arrivals, services, server_free[0]
             )
-            server_free[0] = new_free
         else:
-            m = b - a
-            starts = np.empty(m, dtype=np.float64)
-            completions = np.empty(m, dtype=np.float64)
-            arr = sub.arrivals
-            for i in range(m):
-                free = heapq.heappop(server_free)
-                start = max(float(arr[i]), free)
-                completion = start + float(services[i])
-                heapq.heappush(server_free, completion)
-                starts[i] = start
-                completions[i] = completion
+            starts, completions, server_free = fifo_multi_server(
+                sub.arrivals, services, server_free
+            )
         op_codes = op_map[sub.ops]
         if (op_codes < 0).any():
             # Intern the new ops in first-occurrence order (matches the

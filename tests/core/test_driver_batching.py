@@ -14,6 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
@@ -24,7 +26,11 @@ from repro.faults import CrashFault, FaultPlan, StallFault
 from repro.observability import NullTracer, Tracer
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
-from repro.workloads.distributions import UniformDistribution, ZipfDistribution
+from repro.workloads.distributions import (
+    HotspotDistribution,
+    UniformDistribution,
+    ZipfDistribution,
+)
 from repro.workloads.drift import AbruptDrift
 from repro.workloads.generators import (
     KVOperation,
@@ -193,6 +199,58 @@ class TestBatchedEqualsScalar:
         _assert_identical(batched, scalar)
         assert batched.columns.arrivals.size == 16
 
+    def test_drifting_hotspots_with_retrains_reach_the_scan(self, monkeypatch):
+        """``drift_stream`` in miniature: an adaptive store under hotspots
+        alternating 0.1 ↔ 0.7 near saturation, retrains blocking the
+        server, the queue building and draining. The FIFO kernel's scan
+        fills short and long periods, and the columns still match."""
+        from repro.core import queueing
+
+        periods = []
+        scan = queueing._scan
+
+        def spy(a, s, free, starts, completions):
+            k = scan(a, s, free, starts, completions)
+            head = np.flatnonzero(np.r_[True, a[1:k] >= completions[: k - 1]])
+            periods.extend(np.diff(head, append=k).tolist())
+            return k
+
+        monkeypatch.setattr(queueing, "_scan", spy)
+
+        def scenario():
+            segments = [
+                Segment(
+                    spec=simple_spec(
+                        f"hot-{i}",
+                        HotspotDistribution(
+                            0.0, 1000.0, hot_start=fraction * 1000.0,
+                            hot_width=50.0, hot_fraction=0.9,
+                        ),
+                        rate=5000.0,
+                    ),
+                    duration=0.4,
+                )
+                for i, fraction in enumerate([0.1, 0.7, 0.1, 0.7])
+            ]
+            return Scenario(
+                name="drift-stream-shape",
+                segments=segments,
+                seed=5,
+                initial_keys=np.sort(np.random.default_rng(1).uniform(0, 1000, 4000)),
+                tick_interval=0.25,
+            )
+
+        batched, scalar = _run_both(
+            lambda: LearnedKVStore(max_fanout=64, retrain_cooldown=0.5), scenario
+        )
+        _assert_identical(batched, scalar)
+        cols = batched.columns
+        waits = cols.starts - cols.arrivals
+        assert any(e.online for e in batched.training_events)
+        assert 0.0 < np.mean(waits > 0) < 1.0 and waits.max() > 0.1
+        assert max(periods) > queueing._SHORT
+        assert any(1 < p <= queueing._SHORT for p in periods)
+
     def test_truncation_off_still_raises(self):
         from repro.errors import DriverError
 
@@ -281,6 +339,53 @@ class TestExecuteOnlyFallback:
         )
 
 
+FIFO_FAMILIES = (
+    "grid", "zero_gaps", "alternating", "busy_chain", "idle", "near_tie_1e9",
+)
+
+
+@st.composite
+def fifo_inputs(draw):
+    """``(arrivals, services, free)`` from one adversarial family.
+
+    ``grid`` puts arrivals and completions on the integers (exact ties);
+    ``alternating`` flips idle↔busy every query; ``near_tie_1e9`` keeps
+    gaps and services within a few ulps of 1e9-scale timestamps, where the
+    kernel's approximate scan misreads heads. ``free`` lands before, on or
+    after the first arrival.
+    """
+    family = draw(st.sampled_from(FIFO_FAMILIES))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "grid":
+        arrivals = np.cumsum(rng.integers(0, 3, n)).astype(np.float64)
+        services = rng.integers(1, 4, n).astype(np.float64)
+    elif family == "zero_gaps":
+        gaps = np.where(rng.random(n) < 0.5, 0.0, rng.exponential(1.0, n))
+        arrivals = np.cumsum(gaps)
+        services = rng.exponential(0.7, n) + 1e-9
+    elif family == "alternating":
+        # Gaps of 1: a 1.25 service holds the next query, a 0.5 one does not.
+        arrivals = np.arange(n, dtype=np.float64)
+        services = np.where(np.arange(n) % 2 == 0, 1.25, 0.5)
+    elif family == "busy_chain":
+        arrivals = np.cumsum(rng.exponential(1.0, n))
+        services = rng.exponential(5.0, n) + 1e-9
+    elif family == "idle":
+        arrivals = np.cumsum(rng.exponential(1.0, n) + 0.1)
+        services = rng.uniform(1e-6, 0.1, n)
+    else:
+        arrivals = 1e9 + np.cumsum(rng.exponential(1e-7, n))
+        services = rng.exponential(1e-7, n) + 1e-12
+    offset = float(services[:4].sum())
+    free = {
+        "before": arrivals[0] - offset,
+        "on": arrivals[0],
+        "after": arrivals[0] + offset,
+    }[draw(st.sampled_from(("before", "on", "after")))]
+    return arrivals, services, float(free)
+
+
 class TestFifoKernel:
     @staticmethod
     def _scalar_fifo(arrivals, services, free):
@@ -292,6 +397,15 @@ class TestFifoKernel:
             starts.append(start)
             completions.append(completion)
         return np.asarray(starts), np.asarray(completions), free
+
+    @staticmethod
+    def _assert_bits(got, ref):
+        """Starts, completions and the free time agree bit for bit."""
+        for g, r in zip(got[:2], ref[:2]):
+            g = np.asarray(g, dtype=np.float64)
+            r = np.asarray(r, dtype=np.float64)
+            assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+        assert np.float64(got[2]).view(np.uint64) == np.float64(ref[2]).view(np.uint64)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_scalar_loop_exactly(self, seed):
@@ -308,6 +422,71 @@ class TestFifoKernel:
         assert np.array_equal(ref[0], got[0])
         assert np.array_equal(ref[1], got[1])
         assert ref[2] == got[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(fifo_inputs())
+    def test_adversarial_families_match_scalar_bits(self, inputs):
+        arrivals, services, free = inputs
+        self._assert_bits(
+            fifo_single_server(arrivals, services, free),
+            self._scalar_fifo(arrivals, services, free),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(fifo_inputs(), st.lists(st.floats(0.0, 1.0), max_size=3))
+    def test_split_blocks_thread_free_to_the_unsplit_result(self, inputs, cuts):
+        """Any cut, with ``free`` threaded through, changes no bit — the
+        driver's block and tick slicing relies on it."""
+        arrivals, services, free = inputs
+        whole = fifo_single_server(arrivals, services, free)
+        bounds = [0, *sorted(int(c * arrivals.size) for c in cuts), arrivals.size]
+        starts, completions = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            s, c, free = fifo_single_server(arrivals[lo:hi], services[lo:hi], free)
+            starts.append(s)
+            completions.append(c)
+        self._assert_bits((np.concatenate(starts), np.concatenate(completions), free), whole)
+
+    def test_near_ties_resume_after_a_mismatch(self, monkeypatch):
+        """At 1e9 scale, gaps and services of ~1 ulp make the scan's heads
+        wrong; the kernel keeps the verified prefix, resumes, and still
+        matches the scalar loop."""
+        from repro.core import queueing
+
+        scans = []
+        scan = queueing._scan
+
+        def spy(a, *rest):
+            k = scan(a, *rest)
+            scans.append((a.size, k))
+            return k
+
+        monkeypatch.setattr(queueing, "_scan", spy)
+        rng = np.random.default_rng(0)
+        arrivals = 1e9 + np.cumsum(rng.exponential(1e-7, 20_000))
+        services = rng.exponential(1e-7, 20_000) + 1e-12
+        self._assert_bits(
+            fifo_single_server(arrivals, services, 0.0),
+            self._scalar_fifo(arrivals, services, 0.0),
+        )
+        assert any(k < size for size, k in scans)
+
+    @pytest.mark.parametrize("load", [None, 1.02, 0.4])
+    def test_long_blocks_match_scalar_bits(self, load):
+        """65,536 rows — alternating one-query flips, or Poisson arrivals at
+        a load: long periods, doubling runs and windowed scans."""
+        n = 65_536
+        if load is None:
+            arrivals = np.arange(n, dtype=np.float64)
+            services = np.where(np.arange(n) % 2 == 0, 1.25, 0.5)
+        else:
+            rng = np.random.default_rng(7)
+            arrivals = np.cumsum(rng.exponential(1.0, n))
+            services = rng.exponential(load, n)
+        self._assert_bits(
+            fifo_single_server(arrivals, services, 0.0),
+            self._scalar_fifo(arrivals, services, 0.0),
+        )
 
     def test_empty_batch(self):
         starts, completions, free = fifo_single_server(

@@ -4,6 +4,8 @@
 timed op of the repo benchmark goes through. A parameter added to one of
 them is an option every later refactor has to carry, so adding one means
 editing this pin — and saying which two callers need different values.
+The FIFO kernel is pinned too: ``perf/layers.py`` probes it by name and
+replays run columns through it.
 
 The driver's own knobs are pinned the same way: ``DriverConfig``'s
 fields and the ``AnalyticDriver`` and ``StreamingRecorder`` constructors.
@@ -16,6 +18,7 @@ import inspect
 
 from repro.core.benchmark import Benchmark
 from repro.core.driver import DriverConfig
+from repro.core.queueing import fifo_single_server
 from repro.core.streaming import StreamingRecorder, load_spilled_columns
 from repro.reporting.report import build_report
 from repro.suts.analytic import AnalyticDriver
@@ -41,6 +44,7 @@ FROZEN = [
         ("result", "scenario", "sla", "band_interval", "adjustment_n", "trace"),
     ),
     (load_spilled_columns, ("directory",)),
+    (fifo_single_server, ("arrivals", "services", "free")),
     (AnalyticDriver.__init__, ("self", "seed", "tracer", "fault_plan")),
     (StreamingRecorder.__init__, ("self", "accumulators", "spiller")),
 ]
