@@ -4,8 +4,10 @@ Builds a 500k-query synthetic :class:`RunResult` directly in columnar
 form, evaluates the three formerly per-interval-loop metric kernels
 (``latency_bands``, ``multi_latency_bands``, ``latency_timeline``) both
 ways, asserts the vectorized outputs are identical to the reference
-loop implementations (the pre-refactor code, kept below), and asserts
-the aggregate speedup is ≥ 10x — the analysis-layer acceptance bar.
+loop implementations (the pre-refactor code, imported from
+``tests/metrics/test_golden_kernels.py`` so there is one copy), and
+asserts the aggregate speedup is ≥ 10x — the analysis-layer acceptance
+bar. Run it from the repository root so ``tests`` is importable.
 
 All synthetic timestamps are dyadic rationals (multiples of 1/64), so
 "identical" means *exactly equal*, not approximately: any drift between
@@ -29,6 +31,11 @@ from bench_common import bench_once
 from repro.core.results import QueryColumns, RunResult
 from repro.metrics.adaptability import cumulative_curve, latency_timeline
 from repro.metrics.sla import adjustment_speed, latency_bands, multi_latency_bands
+from tests.metrics.test_golden_kernels import (
+    ref_latency_bands,
+    ref_latency_timeline,
+    ref_multi_latency_bands,
+)
 
 N_QUERIES = 500_000
 HORIZON = 600.0
@@ -37,67 +44,6 @@ SLA = 0.5
 THRESHOLDS = [0.25, 0.5, 1.0]
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-# -- reference implementations (pre-refactor per-interval loops) ---------------------
-
-
-def _python_columns(result):
-    """(completions, latencies) rebuilt from Python floats, record order."""
-    arrivals = result.columns.arrivals.tolist()
-    completions = result.columns.completions.tolist()
-    latencies = [c - a for a, c in zip(arrivals, completions)]
-    return np.asarray(completions), np.asarray(latencies)
-
-
-def ref_latency_bands(result, sla, interval=1.0):
-    completions, latencies = _python_columns(result)
-    horizon = max(result.duration, completions.max() if completions.size else 0.0)
-    bands = []
-    t = 0.0
-    while t < horizon:
-        mask = (completions >= t) & (completions < t + interval)
-        over = int((latencies[mask] > sla).sum())
-        total = int(mask.sum())
-        bands.append((t, total - over, over))
-        t += interval
-    return bands
-
-
-def ref_multi_latency_bands(result, thresholds, interval=1.0):
-    completions, latencies = _python_columns(result)
-    horizon = max(result.duration, completions.max() if completions.size else 0.0)
-    edges = np.asarray([0.0] + list(thresholds) + [np.inf])
-    out = []
-    t = 0.0
-    while t < horizon:
-        mask = (completions >= t) & (completions < t + interval)
-        counts, _ = np.histogram(latencies[mask], bins=edges)
-        out.append((t, counts.astype(int).tolist()))
-        t += interval
-    return out
-
-
-def ref_latency_timeline(result, interval=1.0, percentiles=(50.0, 99.0)):
-    completions, latencies = _python_columns(result)
-    horizon = max(result.duration, completions.max() if completions.size else 0.0)
-    edges = np.arange(0.0, horizon + interval, interval)
-    times = edges[:-1]
-    out = {p: np.full(times.size, np.nan) for p in percentiles}
-    if completions.size:
-        buckets = np.clip(
-            (completions / interval).astype(np.int64), 0, times.size - 1
-        )
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        sorted_latencies = latencies[order]
-        boundaries = np.searchsorted(sorted_buckets, np.arange(times.size + 1))
-        for i in range(times.size):
-            chunk = sorted_latencies[boundaries[i] : boundaries[i + 1]]
-            if chunk.size:
-                for p in percentiles:
-                    out[p][i] = float(np.percentile(chunk, p))
-    return times, out
 
 
 # -- synthetic columnar run ----------------------------------------------------------

@@ -8,10 +8,10 @@ results can be persisted as JSON and re-analyzed without re-running.
 Storage is *columnar*: the query log lives in NumPy arrays (one column
 per field, see :class:`QueryColumns`), built by the driver's
 :class:`ColumnarRecorder` or from wire rows. Derived views the metric
-kernels need — completion-sorted timestamps, latencies, per-query
-segment codes — are built once per result and cached, so evaluating the
-full Fig 1 metric suite over a multi-million-query run costs one sort,
-not thousands of Python loops.
+kernels need — completion-sorted timestamps, latencies, the run as one
+streaming block — are built once per result and cached; every Fig 1
+kernel folds that block through its online accumulator, so the full
+metric suite over a multi-million-query run costs one sort.
 """
 
 from __future__ import annotations
@@ -283,6 +283,19 @@ class RunResult:
         """Analysis horizon: max of segment end and last completion."""
         return max(self.duration, self.max_completion)
 
+    @cached_property
+    def block(self):
+        """The run as one :class:`~repro.core.streaming.StreamBlock` (cached)."""
+        from repro.core.streaming import StreamBlock
+
+        return StreamBlock.of_columns(self.columns, self.completions_sorted)
+
+    def fold(self, *accumulators) -> None:
+        """Fold :attr:`block` into each accumulator (``None`` entries skipped)."""
+        for accumulator in accumulators:
+            if accumulator is not None:
+                accumulator.fold(self.block)
+
     def completions(self) -> np.ndarray:
         """Completion timestamps, ascending."""
         return self.completions_sorted
@@ -304,13 +317,11 @@ class RunResult:
 
     def throughput_series(self, interval: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """(bucket start times, completed queries per interval)."""
-        from repro.metrics._buckets import time_edges
+        from repro.metrics.adaptability import OnlineThroughput
 
-        if interval <= 0:
-            raise ReproError("interval must be > 0")
-        edges = time_edges(self.horizon, interval)
-        counts, _ = np.histogram(self.completions_sorted, bins=edges)
-        return edges[:-1], counts.astype(np.float64)
+        throughput = OnlineThroughput(interval)
+        self.fold(throughput)
+        return throughput.series(self.horizon)
 
     def mean_throughput(self) -> float:
         """Completed queries per second over the run horizon."""

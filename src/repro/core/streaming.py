@@ -11,13 +11,13 @@ files, never holding more than one segment's arrivals plus O(block)
 state in memory.
 
 Equivalence contract (pinned by ``benchmarks/bench_streaming.py`` and
-the property tests): on the same scenario/seed/config, the streaming
-path's integer-count metrics — throughput series, cumulative curve,
-latency bands, recovery/adjustment, per-segment throughput boxes — are
-*bit-identical* to the in-memory kernels; float mass/mean summaries
-(``fsum`` over per-block partials) agree to tolerance. Spilled columns
-reload into a :class:`~repro.core.results.QueryColumns` equal to the
-in-memory one, element for element.
+the property tests): the in-memory kernels fold the same accumulators
+over the whole run as one block. Integer-count metrics — throughput,
+cumulative curve, bands, recovery/adjustment, per-segment boxes — are
+*bit-identical* for any blocking; float mass/mean summaries (``fsum``
+over per-block partials) are too when each segment is one block, and
+agree to tolerance otherwise. Spilled columns reload into a
+:class:`~repro.core.results.QueryColumns` equal to the in-memory one.
 """
 
 from __future__ import annotations
@@ -181,6 +181,21 @@ class StreamBlock:
         self.latencies = completions - arrivals
         self.op_codes = op_codes
         self.segment_codes = segment_codes
+
+    @classmethod
+    def of_columns(
+        cls, columns: QueryColumns, completions_sorted: np.ndarray
+    ) -> "StreamBlock":
+        """All of ``columns`` as one block, reusing their sorted completions."""
+        block = cls.__new__(cls)
+        block.arrivals = columns.arrivals
+        block.starts = columns.starts
+        block.completions = columns.completions
+        block.completions_sorted = completions_sorted
+        block.latencies = columns.latencies
+        block.op_codes = columns.op_codes
+        block.segment_codes = columns.segment_codes
+        return block
 
     def __len__(self) -> int:
         return int(self.arrivals.size)

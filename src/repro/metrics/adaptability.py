@@ -6,9 +6,10 @@ result from this plot by computing the area difference between an ideal
 system with a constant throughput. Similarly, ... the area difference
 between the two systems provides a single-value result."
 
-The timeline kernels here are vectorized over the run's columnar query
-log and share their bucket grid with every other timeline metric via
-:mod:`repro.metrics._buckets`.
+Each metric is defined once, by an online accumulator below; the batch
+functions fold the run through it as one block and read it back at the
+run's horizon. ``area_between_systems`` and ``latency_timeline`` have no
+online twin. Timelines share their grid via :mod:`repro.metrics._buckets`.
 """
 
 from __future__ import annotations
@@ -31,29 +32,9 @@ def cumulative_curve(
     Sampled on a regular grid of ``resolution`` seconds from 0 to the
     run horizon; the value at t is the number of queries completed by t.
     """
-    if resolution <= 0:
-        raise ConfigurationError("resolution must be > 0")
-    completions = result.completions_sorted
-    times = time_edges(result.horizon, resolution)
-    cum = np.searchsorted(completions, times, side="right").astype(np.float64)
-    return times, cum
-
-
-def _area_from_curve(
-    times: np.ndarray, cum: np.ndarray, ideal_rate: Optional[float] = None
-) -> float:
-    """Area-vs-ideal from an already-sampled cumulative curve.
-
-    Shared by the offline kernel and the streaming accumulator so both
-    paths run the identical float expressions on the identical curve.
-    """
-    if times.size == 0 or cum[-1] == 0:
-        return 0.0
-    horizon = times[-1]
-    if ideal_rate is None:
-        ideal_rate = cum[-1] / horizon if horizon > 0 else 0.0
-    ideal = np.minimum(ideal_rate * times, cum[-1])
-    return float(np.trapezoid(ideal - cum, times))
+    curve = OnlineCumulativeCurve(resolution)
+    result.fold(curve)
+    return curve.curve(result.horizon)
 
 
 def area_vs_ideal(
@@ -74,8 +55,9 @@ def area_vs_ideal(
             construction).
         resolution: Integration step.
     """
-    times, cum = cumulative_curve(result, resolution)
-    return _area_from_curve(times, cum, ideal_rate)
+    curve = OnlineCumulativeCurve(resolution, ideal_rate)
+    result.fold(curve)
+    return curve.area(result.horizon)
 
 
 def area_between_systems(result_a: RunResult, result_b: RunResult) -> float:
@@ -123,30 +105,9 @@ def recovery_time(
     case there is no baseline to recover *to* (reporting instant
     recovery there would be vacuous).
     """
-    if window <= 0:
-        raise ConfigurationError("window must be > 0")
-    completions = result.completions_sorted
-    if completions.size == 0:
-        return None
-    lo, hi = np.searchsorted(
-        completions, (change_time - window, change_time), side="left"
-    )
-    before = int(hi - lo)
-    if before == 0:
-        return None
-    target = recovery_fraction * before
-    horizon = result.horizon
-    n_windows = int(np.floor((horizon - change_time) / window)) + 1
-    if n_windows <= 0:
-        return None
-    starts = change_time + window * np.arange(n_windows)
-    counts = np.searchsorted(completions, starts + window, side="left") - (
-        np.searchsorted(completions, starts, side="left")
-    )
-    recovered = counts >= target
-    if not recovered.any():
-        return None
-    return float(starts[int(np.argmax(recovered))] - change_time)
+    recovery = OnlineRecovery(change_time, window, recovery_fraction)
+    result.fold(recovery)
+    return recovery.recovery_seconds(result.horizon)
 
 
 def latency_timeline(
@@ -227,19 +188,36 @@ def adaptability_report(
             measurement; default = the first internal segment boundary
             (None if the scenario had a single segment).
     """
+    parts = _adaptability_accumulators(result, change_time, resolution)
+    result.fold(*parts)
+    return _adaptability_from(result, *parts)
+
+
+def _adaptability_accumulators(
+    result: RunResult, change_time: Optional[float], resolution: float
+) -> tuple:
+    """(throughput, curve, recovery-or-None): what the Fig 1b summary folds."""
     if change_time is None and len(result.segments) > 1:
         change_time = result.segments[0][2]
-    recovery = (
-        recovery_time(result, change_time) if change_time is not None else None
+    return (
+        OnlineThroughput(resolution),
+        OnlineCumulativeCurve(resolution),
+        OnlineRecovery(change_time) if change_time is not None else None,
     )
-    _, counts = result.throughput_series(interval=resolution)
-    mean = counts.mean() if counts.size else 0.0
-    cv = float(counts.std() / mean) if mean > 0 else 0.0
+
+
+def _adaptability_from(
+    result: RunResult, throughput, curve, recovery
+) -> AdaptabilityReport:
+    """Read the Fig 1b summary back from folded accumulators."""
+    horizon = result.horizon
     return AdaptabilityReport(
         sut_name=result.sut_name,
-        area_vs_ideal=area_vs_ideal(result, resolution=resolution),
-        recovery_seconds=recovery,
-        throughput_cv=cv,
+        area_vs_ideal=curve.area(horizon),
+        recovery_seconds=(
+            recovery.recovery_seconds(horizon) if recovery is not None else None
+        ),
+        throughput_cv=throughput.cv(horizon),
     )
 
 
@@ -284,22 +262,21 @@ def adaptability_vs_drift(
     return rows
 
 
-# -- streaming accumulators ----------------------------------------------------------
+# -- online accumulators: the one definition of each metric --------------------------
 #
-# Single-pass versions of the kernels above for the bounded-memory
-# pipeline (DESIGN.md §9). Each folds the driver's completed blocks as
-# they stream past and, given the final horizon, reproduces the batch
-# kernel's output bit for bit — the integer machinery (grid counts,
-# window counts) is exactly additive over sorted blocks, and the float
-# finishing expressions are shared with the offline code.
+# The batch functions above fold a whole run as one block; the
+# bounded-memory pipeline (DESIGN.md §9) folds the driver's blocks as
+# they stream past. The integer machinery (grid counts, window counts)
+# is exactly additive over sorted blocks, so both read back the same
+# numbers bit for bit at the same horizon.
 
 
 class OnlineThroughput:
-    """Streaming ``RunResult.throughput_series`` plus mean/CV summary.
+    """Per-interval completions (``RunResult.throughput_series``) and CV.
 
-    Folds completion timestamps into a :class:`GridCounts`; finalize
-    reproduces the per-interval counts (and the coefficient of variation
-    :func:`adaptability_report` derives from them) bit-identically.
+    Folds completion timestamps into a :class:`GridCounts`; the counts
+    and the coefficient of variation :func:`adaptability_report` reports
+    are read back from it.
     """
 
     name = "throughput"
@@ -335,28 +312,35 @@ class OnlineThroughput:
         accumulator._grid = GridCounts.from_state(state["grid"])
         return accumulator
 
+    def series(self, horizon: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(bucket start times, float64 completions per interval)."""
+        edges = time_edges(horizon, self.interval)
+        return edges[:-1], self._grid.counts_on(edges).astype(np.float64)
+
+    def cv(self, horizon: float) -> float:
+        """Coefficient of variation of the per-interval counts (0 when idle)."""
+        _, counts = self.series(horizon)
+        mean = counts.mean() if counts.size else 0.0
+        return float(counts.std() / mean) if mean > 0 else 0.0
+
     def finalize(self, horizon: float) -> dict:
         """JSON-ready payload: times, counts, mean q/s, and CV."""
-        edges = time_edges(horizon, self.interval)
-        counts = self._grid.counts_on(edges).astype(np.float64)
-        mean = counts.mean() if counts.size else 0.0
-        cv = float(counts.std() / mean) if mean > 0 else 0.0
+        times, counts = self.series(horizon)
         mean_throughput = self._grid.count / horizon if horizon > 0 else 0.0
         return {
             "interval": self.interval,
-            "times": edges[: max(edges.size - 1, 0)].tolist(),
+            "times": times.tolist(),
             "counts": counts.tolist(),
             "mean_throughput": mean_throughput,
-            "cv": cv,
+            "cv": self.cv(horizon),
         }
 
 
 class OnlineCumulativeCurve:
-    """Streaming Fig 1b: cumulative curve and area-vs-ideal.
+    """Fig 1b: the cumulative curve and its area vs. the ideal line.
 
-    Bit-identical to :func:`cumulative_curve` / :func:`area_vs_ideal`
-    on the same run: the per-edge cumulative counts are exact integers
-    and the area runs the shared :func:`_area_from_curve` expressions.
+    The per-edge cumulative counts are exact integers, so the curve (and
+    the area integrated from it) is blind to how the run was blocked.
     """
 
     name = "adaptability"
@@ -409,6 +393,17 @@ class OnlineCumulativeCurve:
         times = time_edges(horizon, self.resolution)
         return times, self._grid.cumulative_on(times).astype(np.float64)
 
+    def area(self, horizon: float) -> float:
+        """:func:`area_vs_ideal`'s signed area, in query·seconds."""
+        times, cum = self.curve(horizon)
+        if times.size == 0 or cum[-1] == 0:
+            return 0.0
+        ideal_rate = self.ideal_rate
+        if ideal_rate is None:
+            ideal_rate = cum[-1] / times[-1] if times[-1] > 0 else 0.0
+        ideal = np.minimum(ideal_rate * times, cum[-1])
+        return float(np.trapezoid(ideal - cum, times))
+
     def finalize(self, horizon: float) -> dict:
         """JSON-ready payload: the sampled curve and its area metric."""
         times, cum = self.curve(horizon)
@@ -416,20 +411,26 @@ class OnlineCumulativeCurve:
             "resolution": self.resolution,
             "times": times.tolist(),
             "cumulative": cum.tolist(),
-            "area_vs_ideal": _area_from_curve(times, cum, self.ideal_rate),
+            "area_vs_ideal": self.area(horizon),
         }
 
 
+def _padded(counts: np.ndarray, k: int, fill: int) -> np.ndarray:
+    """``counts`` extended to ``k`` entries with ``fill`` (a copy)."""
+    out = np.full(k, fill, dtype=np.int64)
+    out[: counts.size] = counts
+    return out
+
+
 class OnlineRecovery:
-    """Streaming :func:`recovery_time` for one change point.
+    """:func:`recovery_time` for one change point.
 
     Maintains, for the pre-change window and every post-change window
     probe, the exact count of completions strictly below the probe time.
     Window probes are materialized lazily as completions advance — each
     new probe lies beyond every completion seen, so it starts at the
-    current fold count — with the same ``change + window * k`` float
-    expressions the offline kernel's ``np.arange`` construction uses, so
-    the finalized recovery time is bit-identical.
+    current fold count — at ``change + window * k``, the same float
+    expression as ``change + window * np.arange(n)``.
     """
 
     name = "recovery"
@@ -448,14 +449,19 @@ class OnlineRecovery:
         self.recovery_fraction = float(recovery_fraction)
         self._lo_lt = 0  # completions < change - window
         self._hi_lt = 0  # completions < change
-        self._starts_lt: List[int] = []  # per-k: completions < change + w*k
-        self._ends_lt: List[int] = []  # per-k: completions < (change + w*k) + w
+        # Per probe k: completions < change + w*k, and < (change + w*k) + w.
+        self._starts_lt = np.zeros(0, dtype=np.int64)
+        self._ends_lt = np.zeros(0, dtype=np.int64)
         self._n = 0
         self._max = -np.inf
 
     def _start_value(self, k: int) -> float:
-        # Same double ops as change_time + window * np.arange(n)[k].
+        # Same double ops as element k of _starts(n).
         return self.change_time + self.window * float(k)
+
+    def _starts(self, k: int) -> np.ndarray:
+        """The first ``k`` probe times, ``change + window * np.arange(k)``."""
+        return self.change_time + self.window * np.arange(k, dtype=np.float64)
 
     def fold(self, block) -> None:
         """Fold one completed block (uses its sorted completions)."""
@@ -465,11 +471,11 @@ class OnlineRecovery:
         bmax = float(completions[-1])
         # Materialize every window probe up to the block's max first:
         # each is strictly beyond all previously folded completions.
-        k = len(self._starts_lt)
+        k = self._starts_lt.size
         while self._start_value(k) <= bmax:
-            self._starts_lt.append(self._n)
-            self._ends_lt.append(self._n)
             k += 1
+        self._starts_lt = _padded(self._starts_lt, k, self._n)
+        self._ends_lt = _padded(self._ends_lt, k, self._n)
         self._lo_lt += int(
             np.searchsorted(
                 completions, self.change_time - self.window, side="left"
@@ -478,14 +484,11 @@ class OnlineRecovery:
         self._hi_lt += int(
             np.searchsorted(completions, self.change_time, side="left")
         )
-        if self._starts_lt:
-            ks = np.arange(len(self._starts_lt), dtype=np.float64)
-            starts = self.change_time + self.window * ks
-            below_starts = np.searchsorted(completions, starts, side="left")
-            below_ends = np.searchsorted(completions, starts + self.window, side="left")
-            for i in range(len(self._starts_lt)):
-                self._starts_lt[i] += int(below_starts[i])
-                self._ends_lt[i] += int(below_ends[i])
+        starts = self._starts(k)
+        self._starts_lt += np.searchsorted(completions, starts, side="left")
+        self._ends_lt += np.searchsorted(
+            completions, starts + self.window, side="left"
+        )
         self._n += int(completions.size)
         if bmax > self._max:
             self._max = bmax
@@ -506,19 +509,13 @@ class OnlineRecovery:
             raise ConfigurationError(
                 "cannot merge OnlineRecovery with different parameters"
             )
-        k = max(len(self._starts_lt), len(other._starts_lt))
-
-        def _at(values: List[int], j: int, total: int) -> int:
-            return values[j] if j < len(values) else total
-
-        self._starts_lt = [
-            _at(self._starts_lt, j, self._n) + _at(other._starts_lt, j, other._n)
-            for j in range(k)
-        ]
-        self._ends_lt = [
-            _at(self._ends_lt, j, self._n) + _at(other._ends_lt, j, other._n)
-            for j in range(k)
-        ]
+        k = max(self._starts_lt.size, other._starts_lt.size)
+        self._starts_lt = _padded(self._starts_lt, k, self._n) + _padded(
+            other._starts_lt, k, other._n
+        )
+        self._ends_lt = _padded(self._ends_lt, k, self._n) + _padded(
+            other._ends_lt, k, other._n
+        )
         self._lo_lt += other._lo_lt
         self._hi_lt += other._hi_lt
         self._n += other._n
@@ -534,8 +531,8 @@ class OnlineRecovery:
             "recovery_fraction": self.recovery_fraction,
             "lo_lt": self._lo_lt,
             "hi_lt": self._hi_lt,
-            "starts_lt": list(self._starts_lt),
-            "ends_lt": list(self._ends_lt),
+            "starts_lt": self._starts_lt.tolist(),
+            "ends_lt": self._ends_lt.tolist(),
             "count": self._n,
             "max_value": None if np.isinf(self._max) else float(self._max),
         }
@@ -550,8 +547,8 @@ class OnlineRecovery:
         )
         accumulator._lo_lt = int(state["lo_lt"])
         accumulator._hi_lt = int(state["hi_lt"])
-        accumulator._starts_lt = [int(v) for v in state["starts_lt"]]
-        accumulator._ends_lt = [int(v) for v in state["ends_lt"]]
+        accumulator._starts_lt = np.array(state["starts_lt"], dtype=np.int64)
+        accumulator._ends_lt = np.array(state["ends_lt"], dtype=np.int64)
         accumulator._n = int(state["count"])
         max_value = state.get("max_value")
         accumulator._max = -np.inf if max_value is None else float(max_value)
@@ -570,16 +567,14 @@ class OnlineRecovery:
         )
         if n_windows <= 0:
             return None
-        counts = np.zeros(n_windows, dtype=np.int64)
-        m = min(n_windows, len(self._starts_lt))
-        for i in range(m):
-            counts[i] = self._ends_lt[i] - self._starts_lt[i]
         # Probes never materialized lie beyond every completion: empty.
+        counts = np.zeros(n_windows, dtype=np.int64)
+        m = min(n_windows, self._starts_lt.size)
+        counts[:m] = self._ends_lt[:m] - self._starts_lt[:m]
         recovered = counts >= target
         if not recovered.any():
             return None
-        starts = self.change_time + self.window * np.arange(n_windows)
-        return float(starts[int(np.argmax(recovered))] - self.change_time)
+        return self._start_value(int(np.argmax(recovered))) - self.change_time
 
     def finalize(self, horizon: float) -> dict:
         """JSON-ready payload: the change point and its recovery time."""

@@ -14,13 +14,14 @@ by a :class:`~repro.faults.FaultPlan`:
   to a faulted run vs. its fault-free twin (same scenario, seed, and
   driver config, no plan): query·seconds of progress the faults cost.
 
-All kernels reuse the exact step-integration / searchsorted machinery
-from :mod:`repro.metrics.adaptability`, so resilience numbers are
-directly comparable with the drift-driven adaptability numbers.
+Recovery times and degraded mass fold the run, as one block, through
+:class:`OnlineResilience`; the area reuses ``area_between_systems``. So
+resilience numbers are directly comparable with adaptability's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -30,11 +31,7 @@ import numpy as np
 from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
-from repro.metrics.adaptability import (
-    OnlineRecovery,
-    area_between_systems,
-    recovery_time,
-)
+from repro.metrics.adaptability import OnlineRecovery, area_between_systems
 
 __all__ = [
     "FaultImpact",
@@ -131,22 +128,11 @@ def fault_recovery_times(
         recovery_fraction: Fraction of pre-fault throughput that counts
             as recovered.
     """
-    resolved = _plan_for(result, plan)
-    impacts = []
-    for start, _end, kind in resolved.degraded_windows():
-        impacts.append(
-            FaultImpact(
-                kind=kind,
-                at=start,
-                recovery_seconds=recovery_time(
-                    result,
-                    start,
-                    window=window,
-                    recovery_fraction=recovery_fraction,
-                ),
-            )
-        )
-    return impacts
+    resilience = OnlineResilience(
+        _plan_for(result, plan), window=window, recovery_fraction=recovery_fraction
+    )
+    result.fold(resilience)
+    return resilience.impacts(result.horizon)
 
 
 def degraded_sla_mass(
@@ -166,18 +152,9 @@ def degraded_sla_mass(
     """
     if sla <= 0:
         raise ConfigurationError("sla must be > 0")
-    resolved = _plan_for(result, plan)
-    cols = result.columns
-    if cols.size == 0:
-        return 0.0
-    arrivals = cols.arrivals
-    mask = np.zeros(arrivals.size, dtype=bool)
-    for start, end, _kind in resolved.degraded_windows():
-        mask |= (arrivals >= start) & (arrivals < end)
-    if not mask.any():
-        return 0.0
-    over = np.maximum(0.0, cols.latencies[mask] - sla)
-    return float(over.sum())
+    resilience = OnlineResilience(_plan_for(result, plan), sla=sla)
+    result.fold(resilience)
+    return resilience.degraded_mass()
 
 
 def area_lost_to_faults(faulted: RunResult, baseline: RunResult) -> float:
@@ -211,33 +188,35 @@ def resilience_report(
         baseline: Fault-free twin run for :func:`area_lost_to_faults`
             (skipped when ``None``).
     """
-    impacts = fault_recovery_times(
-        result, plan, window=window, recovery_fraction=recovery_fraction
+    resilience = OnlineResilience(
+        _plan_for(result, plan),
+        sla=sla,
+        window=window,
+        recovery_fraction=recovery_fraction,
     )
-    return ResilienceReport(
-        sut_name=result.sut_name,
-        impacts=tuple(impacts),
-        degraded_sla_mass=(
-            degraded_sla_mass(result, sla, plan) if sla is not None else None
-        ),
-        area_lost=(
-            area_lost_to_faults(result, baseline) if baseline is not None else None
-        ),
+    result.fold(resilience)
+    report = resilience.report(result.horizon, result.sut_name)
+    if baseline is None:
+        return report
+    return dataclasses.replace(
+        report, area_lost=area_lost_to_faults(result, baseline)
     )
 
 
-# -- streaming accumulators ----------------------------------------------------------
+# -- online accumulator: the one definition of the fault metrics ---------------------
 
 
 class OnlineResilience:
-    """Streaming :func:`fault_recovery_times` + :func:`degraded_sla_mass`.
+    """:func:`fault_recovery_times` + :func:`degraded_sla_mass`.
 
     One :class:`~repro.metrics.adaptability.OnlineRecovery` per degraded
-    window onset (bit-identical recovery times) plus, when an SLA is
-    supplied, per-block over-SLA partial sums over queries arriving in
-    degraded windows, combined with ``math.fsum`` (float tolerance vs.
-    the offline pairwise sum — see DESIGN.md §9).
-    ``area_lost_to_faults`` needs a second full run, so it stays offline.
+    window onset plus, when an SLA is supplied, per-block over-SLA
+    partial sums over queries arriving in degraded windows, combined
+    with ``math.fsum``: with one partial (the whole run as one block)
+    that is the pairwise ``np.sum`` bit for bit; across several it
+    agrees to float tolerance (see DESIGN.md §9).
+    ``area_lost_to_faults`` needs a second full run, so it has no
+    accumulator.
     """
 
     name = "resilience"

@@ -13,10 +13,11 @@ distribution" — :func:`calibrate_sla` implements exactly that. The
 times above the SLA threshold over the first N queries after a
 distribution change" is :func:`adjustment_speed`.
 
-All kernels are vectorized over the run's columnar query log: band
-boundaries come from the shared :mod:`repro.metrics._buckets` edge grid
-(the same one ``RunResult.throughput_series`` uses), so band totals and
-throughput counts agree bucket-for-bucket on runs of any length.
+Bands and adjustment speed are defined once, by online accumulators
+below, and the batch functions fold the run through them as one block.
+Band edges come from the shared :mod:`repro.metrics._buckets` grid (as
+``RunResult.throughput_series``'s do), so band totals and throughput
+counts agree bucket-for-bucket on runs of any length.
 """
 
 from __future__ import annotations
@@ -76,20 +77,9 @@ def latency_bands(
     result: RunResult, sla: float, interval: float = 1.0
 ) -> List[LatencyBand]:
     """Fig 1c's bands: per-interval within/violated counts."""
-    if interval <= 0:
-        raise ConfigurationError("interval must be > 0")
-    if sla <= 0:
-        raise ConfigurationError("sla must be > 0")
-    cols = result.columns
-    edges = time_edges(result.horizon, interval)
-    if edges.size < 2:
-        return []
-    total, _ = np.histogram(cols.completions, bins=edges)
-    over, _ = np.histogram(cols.completions[cols.latencies > sla], bins=edges)
-    return [
-        LatencyBand(start=start, within_sla=int(n - v), violated=int(v))
-        for start, n, v in zip(edges[:-1].tolist(), total, over)
-    ]
+    bands = OnlineLatencyBands(sla, interval)
+    result.fold(bands)
+    return bands.bands(result.horizon)
 
 
 def multi_latency_bands(
@@ -131,27 +121,23 @@ def adjustment_speed(
     """Sum of over-SLA latency across the first N queries after a change.
 
     Lower is better: 0 means the system absorbed the change without any
-    SLA impact on the next ``n_queries`` arrivals. Units: seconds.
+    SLA impact on the next ``n_queries`` arrivals (in stable arrival
+    order). Units: seconds.
     """
-    if n_queries < 1:
-        raise ConfigurationError("n_queries must be >= 1")
-    cols = result.columns
-    order = np.argsort(cols.arrivals, kind="stable")
-    first = np.searchsorted(cols.arrivals[order], change_time, side="left")
-    selected = order[first : first + n_queries]
-    over = np.maximum(0.0, cols.latencies[selected] - sla)
-    return float(over.sum())
+    speed = OnlineAdjustmentSpeed(change_time, n_queries, sla)
+    result.fold(speed)
+    return speed.value()
 
 
-# -- streaming accumulators ----------------------------------------------------------
+# -- online accumulators: the one definition of each metric --------------------------
 
 
 class OnlineLatencyBands:
-    """Streaming :func:`latency_bands` (Fig 1c) — bit-identical.
+    """Fig 1c's within/violated bands (closed last bucket).
 
     Two :class:`~repro.metrics._buckets.GridCounts` on the shared edge
     grid: one folds every completion, the other only the over-SLA ones;
-    finalize reproduces the offline bands' integer counts exactly.
+    the bands are read back from their exact integer counts.
     """
 
     name = "sla"
@@ -170,9 +156,10 @@ class OnlineLatencyBands:
     def fold(self, block) -> None:
         """Fold one completed block (completions + latencies)."""
         self._total.fold_sorted(block.completions_sorted)
-        violated = block.completions[block.latencies > self.sla]
+        violated = block.completions[block.latencies > self.sla]  # a copy
         if violated.size:
-            self._over.fold_sorted(np.sort(violated))
+            violated.sort()
+            self._over.fold_sorted(violated)
 
     def merge(self, other: "OnlineLatencyBands") -> "OnlineLatencyBands":
         """Absorb another shard's band counters (bit-exact)."""
@@ -226,14 +213,14 @@ class OnlineLatencyBands:
 
 
 class OnlineAdjustmentSpeed:
-    """Streaming :func:`adjustment_speed` — bit-identical.
+    """Fig 1c's adjustment speed: over-SLA mass of the first N arrivals.
 
     Buffers the latencies of the first ``n_queries`` arrivals at or
-    after the change (blocks stream past in arrival order, so the
-    selection matches the offline stable argsort exactly) and runs the
-    same ``max(0, latency - sla).sum()`` on the identical array. The
-    buffer is bounded by ``n_queries`` — a user parameter, not the run
-    length — so memory stays constant.
+    after the change, in stable arrival order (``np.argsort(arrivals,
+    kind="stable")``), then sums ``max(0, latency - sla)``. Blocks
+    stream past in arrival order; rows inside one block need not be.
+    The buffer is bounded by ``n_queries`` — a user parameter, not the
+    run length — so memory stays constant.
     """
 
     name = "adjustment_speed"
@@ -249,15 +236,17 @@ class OnlineAdjustmentSpeed:
         self._remaining = self.n_queries
 
     def fold(self, block) -> None:
-        """Fold one completed block (arrivals + latencies, in order)."""
+        """Fold one completed block (arrivals + latencies)."""
         if self._remaining <= 0:
             return
         arrivals = block.arrivals
-        first = int(np.searchsorted(arrivals, self.change_time, side="left"))
-        if first >= arrivals.size:
+        after = np.flatnonzero(arrivals >= self.change_time)
+        if after.size == 0:
             return
-        take = block.latencies[first : first + self._remaining]
-        self._chunks.append(np.array(take, dtype=np.float64))
+        if (np.diff(arrivals[after]) < 0).any():
+            after = after[np.argsort(arrivals[after], kind="stable")]
+        take = block.latencies[after[: self._remaining]]
+        self._chunks.append(take)
         self._remaining -= int(take.size)
 
     def merge(self, other: "OnlineAdjustmentSpeed") -> "OnlineAdjustmentSpeed":

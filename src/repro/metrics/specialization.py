@@ -6,13 +6,16 @@ and the segment's Φ distance from a baseline segment. Sorting segments
 by Φ yields exactly the plot of Fig 1a: throughput box plots against
 distribution distance, with hold-out segments markable for out-of-sample
 comparison.
+
+The per-segment numbers are defined once, by :class:`OnlineSegmentStats`;
+the batch reports fold the run through it as one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,19 +77,6 @@ class SpecializationReport:
         return out
 
 
-def _segment_throughputs(
-    result: RunResult, label: str, lo: float, hi: float, interval: float
-) -> np.ndarray:
-    """Per-interval completed-query counts inside [lo, hi)."""
-    completions = result.completions_sorted
-    first, last = np.searchsorted(completions, (lo, hi), side="left")
-    edges = span_edges(lo, hi, interval)
-    if edges.size < 2:
-        return np.zeros(0)
-    counts, _ = np.histogram(completions[first:last], bins=edges)
-    return counts / interval
-
-
 def _segment_table(scenario: Scenario) -> Dict[str, tuple]:
     """``label -> (segment, lo, hi)`` (duplicate labels: last wins)."""
     by_label: Dict[str, tuple] = {}
@@ -95,31 +85,6 @@ def _segment_table(scenario: Scenario) -> Dict[str, tuple]:
     ):
         by_label[label] = (segment, lo, hi)
     return by_label
-
-
-def _phi_pairs(
-    by_label: Dict[str, tuple],
-    baseline_label: str,
-    phi_sample_size: int,
-    phi_seed: int,
-) -> Iterator[Tuple[float, float]]:
-    """Per-segment ``(phi_workload, phi_data)`` in ``by_label`` order.
-
-    One RNG, one draw order — shared by the batch and streaming report
-    builders so their Φ estimates are bit-identical.
-    """
-    rng = np.random.default_rng(phi_seed)
-    base_segment, base_lo, base_hi = by_label[baseline_label]
-    base_mid = (base_lo + base_hi) / 2.0
-    base_sample = base_segment.spec.key_drift.at(base_mid - base_lo).sample(
-        rng, phi_sample_size
-    )
-    for segment, lo, hi in by_label.values():
-        mid_local = (hi - lo) / 2.0
-        sample = segment.spec.key_drift.at(mid_local).sample(rng, phi_sample_size)
-        phi_w = workload_phi(base_segment.spec, segment.spec, at_time=mid_local)
-        phi_d = data_phi(base_sample, sample, method="ks")
-        yield phi_w, phi_d
 
 
 def specialization_report(
@@ -148,8 +113,24 @@ def specialization_report(
         holdout_labels: Segments to mark as hold-outs in the report.
         phi_seed: Sampling seed for Φ estimation.
     """
-    if interval <= 0:
-        raise ConfigurationError("interval must be > 0")
+    stats = OnlineSegmentStats(scenario, interval)
+    result.fold(stats)
+    return _specialization_from(
+        result, scenario, stats, baseline_label, phi_sample_size,
+        holdout_labels, phi_seed,
+    )
+
+
+def _specialization_from(
+    result: RunResult,
+    scenario: Scenario,
+    stats: "OnlineSegmentStats",
+    baseline_label: Optional[str] = None,
+    phi_sample_size: int = 2000,
+    holdout_labels: Tuple[str, ...] = (),
+    phi_seed: int = 0,
+) -> SpecializationReport:
+    """Read the Fig 1a report back from folded segment stats."""
     by_label = _segment_table(scenario)
     if baseline_label is None:
         baseline_label = scenario.segments[0].label
@@ -157,24 +138,26 @@ def specialization_report(
         raise ConfigurationError(f"unknown baseline segment {baseline_label!r}")
 
     rows: List[SegmentPerformance] = []
-    phis = _phi_pairs(by_label, baseline_label, phi_sample_size, phi_seed)
-    for (label, (segment, lo, hi)), (phi_w, phi_d) in zip(by_label.items(), phis):
-        throughputs = _segment_throughputs(result, label, lo, hi, interval)
-        if throughputs.size == 0:
-            throughputs = np.zeros(1)
-        cols = result.columns
-        in_segment = (cols.arrivals >= lo) & (cols.arrivals < hi)
-        mean_latency = (
-            float(np.mean(cols.latencies[in_segment])) if in_segment.any() else 0.0
-        )
+    rng = np.random.default_rng(phi_seed)
+    base_segment, base_lo, base_hi = by_label[baseline_label]
+    base_mid = (base_lo + base_hi) / 2.0
+    base_sample = base_segment.spec.key_drift.at(base_mid - base_lo).sample(
+        rng, phi_sample_size
+    )
+    for label, (segment, lo, hi) in by_label.items():
+        mid_local = (hi - lo) / 2.0
+        sample = segment.spec.key_drift.at(mid_local).sample(rng, phi_sample_size)
+        phi_w = workload_phi(base_segment.spec, segment.spec, at_time=mid_local)
+        phi_d = data_phi(base_sample, sample, method="ks")
+        i = stats.index(label)
         rows.append(
             SegmentPerformance(
                 label=label,
                 phi=(phi_w + phi_d) / 2.0,
                 phi_workload=phi_w,
                 phi_data=phi_d,
-                throughput=box_stats(throughputs),
-                mean_latency=mean_latency,
+                throughput=stats.throughput_box(i),
+                mean_latency=stats.mean_latency(i),
                 holdout=label in holdout_labels,
             )
         )
@@ -210,47 +193,41 @@ def drift_specialization_curve(
                 f"scenario {scenario.name!r} carries no drift_factor; "
                 "build sweep points with repro.scenarios.drift_axis"
             )
-        by_label = _segment_table(scenario)
-        if segment_label not in by_label:
+        if segment_label not in _segment_table(scenario):
             raise ConfigurationError(
                 f"scenario {scenario.name!r} has no segment {segment_label!r}"
             )
-        _segment, lo, hi = by_label[segment_label]
-        throughputs = _segment_throughputs(result, segment_label, lo, hi, interval)
-        if throughputs.size == 0:
-            throughputs = np.zeros(1)
-        cols = result.columns
-        in_segment = (cols.arrivals >= lo) & (cols.arrivals < hi)
-        mean_latency = (
-            float(np.mean(cols.latencies[in_segment])) if in_segment.any() else 0.0
-        )
+        stats = OnlineSegmentStats(scenario, interval)
+        result.fold(stats)
+        i = stats.index(segment_label)
         phi = scenario_phi(scenario, n=phi_probe_size)
         row = {
             "drift_factor": scenario.drift_factor,
             "phi": phi["phi"],
             "phi_data": phi["phi_data"],
             "phi_workload": phi["phi_workload"],
-            "mean_latency": mean_latency,
+            "mean_latency": stats.mean_latency(i),
         }
-        row.update({f"tp_{k}": v for k, v in box_stats(throughputs).row().items()})
+        row.update({f"tp_{k}": v for k, v in stats.throughput_box(i).row().items()})
         rows.append(row)
     rows.sort(key=lambda r: r["drift_factor"])
     return rows
 
 
-# -- streaming accumulators ----------------------------------------------------------
+# -- online accumulator: the one definition of the per-segment numbers ---------------
 
 
 class OnlineSegmentStats:
-    """Streaming per-segment throughput and latency statistics.
+    """Per-segment throughput rates and mean latency (Fig 1a's rows).
 
     One :class:`~repro.metrics._buckets.GridCounts` per scenario segment,
     anchored at the segment's start edge, fed the block completions that
-    land inside ``[lo, hi)``. The reconstructed per-interval throughput
-    arrays match :func:`_segment_throughputs` bit for bit; per-segment
-    mean latency accumulates ``np.sum`` partials combined with
-    ``math.fsum``, matching the offline mean to float tolerance (the
-    summation trees differ — see DESIGN.md §9).
+    land inside ``[lo, hi)``; :meth:`throughputs` reads back the
+    per-interval rates from its exact counts. Per-segment mean latency
+    sums ``np.sum`` partials with ``math.fsum``: with one partial (the
+    whole run as one block, or a segment inside one streamed block) that
+    is ``np.mean`` bit for bit; across several it agrees to float
+    tolerance (the summation trees differ — see DESIGN.md §9).
     """
 
     name = "segments"
@@ -341,13 +318,22 @@ class OnlineSegmentStats:
         ]
         return accumulator
 
+    def index(self, label: str) -> int:
+        """Index of the last segment labelled ``label`` (later ones win)."""
+        return max(i for i, (name, _, _) in enumerate(self.boundaries) if name == label)
+
     def throughputs(self, index: int) -> np.ndarray:
-        """:func:`_segment_throughputs`'s array for segment ``index``."""
+        """Per-interval completion rates of segment ``index``."""
         _label, lo, hi = self.boundaries[index]
         edges = span_edges(lo, hi, self.interval)
         if edges.size < 2:
             return np.zeros(0)
         return self._grids[index].counts_on(edges) / self.interval
+
+    def throughput_box(self, index: int) -> BoxStats:
+        """Box stats of segment ``index``'s rates (one zero when it has none)."""
+        throughputs = self.throughputs(index)
+        return box_stats(throughputs if throughputs.size else np.zeros(1))
 
     def mean_latency(self, index: int) -> float:
         """Mean latency of queries arriving in segment ``index``."""
@@ -356,19 +342,16 @@ class OnlineSegmentStats:
 
     def finalize(self, horizon: float) -> dict:
         """JSON-ready payload: per-segment throughput box rows."""
-        segments = []
-        for i, (label, lo, hi) in enumerate(self.boundaries):
-            throughputs = self.throughputs(i)
-            if throughputs.size == 0:
-                throughputs = np.zeros(1)
-            segments.append(
+        return {
+            "interval": self.interval,
+            "segments": [
                 {
                     "label": label,
                     "start": lo,
                     "end": hi,
                     "mean_latency": self.mean_latency(i),
-                    "throughput": box_stats(throughputs).row(),
+                    "throughput": self.throughput_box(i).row(),
                 }
-            )
-        return {"interval": self.interval, "segments": segments}
-
+                for i, (label, lo, hi) in enumerate(self.boundaries)
+            ],
+        }

@@ -3,7 +3,9 @@
 :func:`build_report` assembles everything the paper says a learned-system
 benchmark should output for a scenario run — specialization breakdown,
 adaptability summary, SLA bands, and the cost decomposition — into one
-:class:`BenchmarkReport` that renders as text or exports as a dict.
+:class:`BenchmarkReport` that renders as text or exports as a dict. It
+folds the run once, as one block, through every online accumulator the
+report reads — the same fold the streaming path runs block by block.
 """
 
 from __future__ import annotations
@@ -11,14 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-
 from repro.core.results import RunResult
 from repro.core.scenario import Scenario
-from repro.metrics.adaptability import AdaptabilityReport, adaptability_report
+from repro.metrics.adaptability import (
+    AdaptabilityReport,
+    _adaptability_accumulators,
+    _adaptability_from,
+)
 from repro.metrics.cost import CostBreakdown, cost_breakdown
 from repro.metrics.descriptive import box_stats
-from repro.metrics.sla import LatencyBand, adjustment_speed, latency_bands
-from repro.metrics.specialization import SpecializationReport, specialization_report
+from repro.metrics.sla import LatencyBand, OnlineAdjustmentSpeed, OnlineLatencyBands
+from repro.metrics.specialization import (
+    OnlineSegmentStats,
+    SpecializationReport,
+    _specialization_from,
+)
 from repro.reporting.figures import render_fig1a, sparkline
 
 
@@ -135,22 +144,22 @@ def build_report(
         trace: Optional :class:`~repro.observability.Trace` from the run;
             folds its per-phase wall-time totals into the report.
     """
-    spec = specialization_report(result, scenario)
-    adapt = adaptability_report(result)
-    bands = None
-    adjustment = None
+    segments = OnlineSegmentStats(scenario)
+    adaptability = _adaptability_accumulators(result, None, 1.0)
+    bands = adjustment = None
     if sla is not None:
-        bands = latency_bands(result, sla, interval=band_interval)
+        bands = OnlineLatencyBands(sla, interval=band_interval)
         if len(result.segments) > 1:
             change = result.segments[0][2]
-            adjustment = adjustment_speed(result, change, adjustment_n, sla)
+            adjustment = OnlineAdjustmentSpeed(change, adjustment_n, sla)
+    result.fold(segments, *adaptability, bands, adjustment)
     return BenchmarkReport(
         result=result,
-        specialization=spec,
-        adaptability=adapt,
-        bands=bands,
+        specialization=_specialization_from(result, scenario, segments),
+        adaptability=_adaptability_from(result, *adaptability),
+        bands=bands.bands(result.horizon) if bands is not None else None,
         sla=sla,
-        adjustment=adjustment,
+        adjustment=adjustment.value() if adjustment is not None else None,
         cost=cost_breakdown(result),
         phase_seconds=trace.phase_seconds() if trace is not None else None,
     )

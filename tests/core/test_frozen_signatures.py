@@ -9,6 +9,11 @@ replays run columns through it.
 
 The driver's own knobs are pinned the same way: ``DriverConfig``'s
 fields and the ``AnalyticDriver`` and ``StreamingRecorder`` constructors.
+
+So are the Fig 1 metric entry points that fold a run through their
+online accumulator as one block, and the ``StreamBlock`` constructor
+``perf/layers.py`` calls positionally: the single definition of each
+metric takes no knob the batch call did not already take.
 """
 
 from __future__ import annotations
@@ -19,7 +24,17 @@ import inspect
 from repro.core.benchmark import Benchmark
 from repro.core.driver import DriverConfig
 from repro.core.queueing import fifo_single_server
-from repro.core.streaming import StreamingRecorder, load_spilled_columns
+from repro.core.results import RunResult
+from repro.core.streaming import StreamBlock, StreamingRecorder, load_spilled_columns
+from repro.metrics.adaptability import (
+    adaptability_report,
+    area_vs_ideal,
+    cumulative_curve,
+    recovery_time,
+)
+from repro.metrics.resilience import degraded_sla_mass, fault_recovery_times
+from repro.metrics.sla import adjustment_speed, latency_bands
+from repro.metrics.specialization import specialization_report
 from repro.reporting.report import build_report
 from repro.suts.analytic import AnalyticDriver
 
@@ -47,6 +62,24 @@ FROZEN = [
     (fifo_single_server, ("arrivals", "services", "free")),
     (AnalyticDriver.__init__, ("self", "seed", "tracer", "fault_plan")),
     (StreamingRecorder.__init__, ("self", "accumulators", "spiller")),
+    (
+        StreamBlock.__init__,
+        ("self", "arrivals", "starts", "completions", "op_codes", "segment_codes"),
+    ),
+    (RunResult.throughput_series, ("self", "interval")),
+    (cumulative_curve, ("result", "resolution")),
+    (area_vs_ideal, ("result", "ideal_rate", "resolution")),
+    (recovery_time, ("result", "change_time", "window", "recovery_fraction")),
+    (adaptability_report, ("result", "change_time", "resolution")),
+    (latency_bands, ("result", "sla", "interval")),
+    (adjustment_speed, ("result", "change_time", "n_queries", "sla")),
+    (
+        specialization_report,
+        ("result", "scenario", "interval", "baseline_label", "phi_sample_size",
+         "holdout_labels", "phi_seed"),
+    ),
+    (degraded_sla_mass, ("result", "sla", "plan")),
+    (fault_recovery_times, ("result", "plan", "window", "recovery_fraction")),
 ]
 
 DRIVER_CONFIG_FIELDS = (

@@ -4,9 +4,15 @@ The reference implementations below are the exact per-interval Python
 loops the metric modules shipped before the columnar refactor (with one
 deliberate exception: ``ref_recovery_time`` includes the ``before == 0``
 → ``None`` bugfix, which is covered separately in
-``test_metric_bugfixes.py``). Every vectorized kernel must reproduce
-them on randomized runs, empty runs, single-query runs, and runs with
-completions tied exactly to bucket edges.
+``test_metric_bugfixes.py``). Every kernel must reproduce
+them on randomized runs, empty runs, single-query runs, runs with
+completions tied exactly to bucket edges, runs whose rows are not in
+arrival order, two-server runs whose completions are not in record
+order, and a run with a repeated segment label.
+
+Each kernel is a one-block fold of its online accumulator
+(``RunResult.fold``), so these loops are also the oracle for the
+accumulators the streaming path folds block by block.
 
 All generated timestamps are dyadic rationals (multiples of 1/64) and
 all intervals are powers of two, so the reference loops' float
@@ -19,15 +25,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.queueing import fifo_multi_server
 from repro.core.results import QueryColumns, RunResult
+from repro.core.scenario import Scenario, Segment
 from repro.metrics.adaptability import (
     area_vs_ideal,
     cumulative_curve,
     latency_timeline,
     recovery_time,
 )
+from repro.metrics.descriptive import box_stats
 from repro.metrics.sla import adjustment_speed, latency_bands, multi_latency_bands
-from repro.metrics.specialization import _segment_throughputs
+from repro.metrics.specialization import OnlineSegmentStats, specialization_report
+from repro.reporting.report import build_report
+from repro.workloads.distributions import UniformDistribution
+from repro.workloads.generators import simple_spec
 
 DURATION = 60.0
 INTERVALS = (0.25, 0.5, 1.0, 2.0)
@@ -160,6 +172,12 @@ def ref_segment_throughputs(result, lo, hi, interval):
     return counts / interval
 
 
+def ref_mean_latency(result, lo, hi):
+    arrivals, _, latencies = _times(result)
+    inside = [lat for a, lat in zip(arrivals, latencies) if lo <= a < hi]
+    return float(np.mean(inside)) if inside else 0.0
+
+
 # -- run generators ------------------------------------------------------------------
 
 
@@ -213,11 +231,68 @@ def single_query_run() -> RunResult:
     )
 
 
+def _run(name, rows, segments=(("a", 0.0, 25.0), ("b", 25.0, DURATION))):
+    return RunResult(
+        sut_name=name, scenario_name="golden",
+        columns=QueryColumns.from_rows(rows), segments=segments,
+    )
+
+
+def shuffled_run(seed: int) -> RunResult:
+    """``random_run``'s rows in a shuffled record order (arrivals unsorted)."""
+    base = random_run(seed)
+    rows = base.to_dict()["queries"]
+    order = np.random.default_rng(seed + 1000).permutation(len(rows))
+    return _run(f"shuffled-{seed}", [rows[i] for i in order])
+
+
+def two_server_run(seed: int, n: int = 200) -> RunResult:
+    """FIFO over two servers: completions are not in record order."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.sort(_dyadic(rng, 0.0, 50.0, n))
+    services = _dyadic(rng, 0.0, 0.5, n) + 1.0 / 64.0
+    starts, completions, _ = fifo_multi_server(arrivals, services, [0.0, 0.0])
+    assert (np.diff(completions) < 0).any() and completions.max() < DURATION
+    rows = [
+        (a, s, c, "read", "a" if a < 25.0 else "b")
+        for a, s, c in zip(arrivals.tolist(), starts.tolist(), completions.tolist())
+    ]
+    return _run(f"two-servers-{seed}", rows)
+
+
+def repeated_label_run(seed: int) -> RunResult:
+    """Segments a, b, a: reports keep the *last* span of label ``a``."""
+    base = random_run(seed)
+    rows = [
+        row[:4] + ["b" if 20.0 <= row[0] < 40.0 else "a"]
+        for row in base.to_dict()["queries"]
+    ]
+    segments = [("a", 0.0, 20.0), ("b", 20.0, 40.0), ("a", 40.0, DURATION)]
+    return _run(f"repeated-label-{seed}", rows, segments)
+
+
 def all_runs():
     cases = [empty_run(), single_query_run()]
     cases += [random_run(seed) for seed in range(8)]
     cases += [random_run(seed, n=40, tie_edges=False) for seed in (100, 101)]
+    cases += [shuffled_run(seed) for seed in (0, 1)]
+    cases += [two_server_run(seed) for seed in (0, 1)]
+    cases += [repeated_label_run(3)]
     return cases
+
+
+SPEC = simple_spec("golden", UniformDistribution(0.0, 1.0), rate=1.0)
+
+
+def scenario_for(segments) -> Scenario:
+    """A scenario whose segment boundaries are ``segments``."""
+    return Scenario(
+        name="golden",
+        segments=[
+            Segment(spec=SPEC, duration=hi - lo, label=label)
+            for label, lo, hi in segments
+        ],
+    )
 
 
 RUNS = all_runs()
@@ -260,6 +335,18 @@ class TestBucketedKernelsMatchReference:
         for p in ref_s:
             assert np.array_equal(ref_s[p], got_s[p], equal_nan=True), p
 
+    def test_specialization_report(self, result, interval):
+        spans = {label: (lo, hi) for label, lo, hi in result.segments}  # last wins
+        report = specialization_report(
+            result, scenario_for(result.segments), interval=interval, phi_sample_size=64
+        )
+        got = {seg.label: seg for seg in report.segments}
+        assert set(got) == set(spans)
+        for label, (lo, hi) in spans.items():
+            ref = ref_segment_throughputs(result, lo, hi, interval)
+            assert got[label].throughput == box_stats(ref if ref.size else np.zeros(1))
+            assert got[label].mean_latency == ref_mean_latency(result, lo, hi)
+
 
 @pytest.mark.parametrize("result", RUNS, ids=RUN_IDS)
 class TestScalarKernelsMatchReference:
@@ -284,10 +371,62 @@ class TestScalarKernelsMatchReference:
         assert got == ref
 
     def test_segment_throughputs(self, result):
-        for lo, hi in ((0.0, 25.0), (25.0, DURATION)):
+        spans = (("x", 0.0, 25.0), ("y", 25.0, DURATION))
+        stats = OnlineSegmentStats(scenario_for(spans), 1.0)
+        result.fold(stats)
+        for i, (_, lo, hi) in enumerate(spans):
             ref = ref_segment_throughputs(result, lo, hi, 1.0)
-            got = _segment_throughputs(result, "x", lo, hi, 1.0)
-            assert np.array_equal(ref, got)
+            assert np.array_equal(ref, stats.throughputs(i))
+
+    def test_build_report(self, result):
+        """The one-fold report reads back every reference number."""
+        report = build_report(result, scenario_for(result.segments), sla=0.5)
+        assert [
+            (b.start, b.within_sla, b.violated) for b in report.bands
+        ] == ref_latency_bands(result, sla=0.5)
+        _, counts = ref_throughput_series(result)
+        mean = counts.mean() if counts.size else 0.0
+        cv = float(counts.std() / mean) if mean > 0 else 0.0
+        assert report.adaptability.throughput_cv == cv
+        assert report.adaptability.area_vs_ideal == pytest.approx(
+            ref_area_vs_ideal(result), rel=1e-12, abs=1e-12
+        )
+        if len(result.segments) > 1:
+            change = result.segments[0][2]
+            ref = ref_recovery_time(result, change)
+            got = report.adaptability.recovery_seconds
+            assert got == (None if ref is None else pytest.approx(ref, abs=1e-9))
+            assert report.adjustment == ref_adjustment_speed(result, change, 1000, 0.5)
+        else:
+            assert report.adaptability.recovery_seconds is None
+            assert report.adjustment is None
+        assert report.render()
+
+
+class TestClosedLastBin:
+    """A completion exactly on the final edge counts in the last bucket.
+
+    Not a ``RUNS`` input: the per-interval band loops above stop before
+    the horizon and drop that completion, while ``np.histogram`` (and so
+    every kernel) closes the last bin.
+    """
+
+    def test_throughput_and_curve_count_the_final_edge(self):
+        result = _run(
+            "final-edge",
+            [(1.0, 1.0, 2.0, "read", "a"), (3.0, 3.0, 12.0, "read", "a")],
+            [("a", 0.0, 10.0)],
+        )
+        for interval in INTERVALS:
+            ref_t, ref_c = ref_throughput_series(result, interval)
+            got_t, got_c = result.throughput_series(interval)
+            assert np.array_equal(ref_t, got_t) and np.array_equal(ref_c, got_c)
+            assert got_c[-1] == 1.0
+            ref_t, ref_cum = ref_cumulative_curve(result, interval)
+            got_t, got_cum = cumulative_curve(result, interval)
+            assert np.array_equal(ref_t, got_t) and np.array_equal(ref_cum, got_cum)
+            bands = latency_bands(result, sla=0.5, interval=interval)
+            assert [b.total for b in bands] == got_c.tolist()
 
 
 class TestColumnarRepresentations:
