@@ -198,6 +198,28 @@ class OrderedIndex(ABC):
         """
         return None
 
+    def bulk_update(self, keys, ranks, values) -> "Any":
+        """Vectorized overwrites of already-stored keys, or ``None``.
+
+        Contract: when supported and *every* key is stored, write
+        ``values[i]`` under ``keys[i]`` in call order (a repeated key
+        keeps its last value), commit exactly the counter increments the
+        equivalent sequence of :meth:`insert` overwrites would have made
+        (``inserts``, ``comparisons``, ``node_accesses``; never
+        ``lookups``), and return a ``(comparisons, node_accesses,
+        model_evaluations)`` tuple of per-key int arrays, in call order.
+        Return ``None`` — with :attr:`stats` and every value untouched —
+        when the bulk path is unsupported or any key is missing.
+        ``ranks`` is the same untrusted hint :meth:`bulk_lookup` takes.
+        Default: unsupported.
+
+        An index that overrides this promises that overwriting a stored
+        key never changes the key set or the cost of any other operation:
+        the key-value store then serves updates in the same bulk run as
+        the reads around them.
+        """
+        return None
+
     def contains(self, key: float) -> bool:
         """Return whether ``key`` is present (default: probe ``get``)."""
         from repro.errors import KeyNotFoundError

@@ -13,7 +13,7 @@ full rebalancing zoo; the benchmark exercises read/insert-heavy paths.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,28 @@ class _Node:
         self.children: List["_Node"] = []
         self.values: List[Any] = []
         self.next: Optional["_Node"] = None
+
+
+class _FlatView(NamedTuple):
+    """The tree flattened for vectorized routing, in leaf order.
+
+    Attributes:
+        seps: Every inner separator, ascending.
+        keys: Every stored key, ascending.
+        leaf_of: The leaf number of every position of ``keys``.
+        ends: Each leaf's end position in ``keys`` (cumulative sizes).
+        leaf_comps: Comparisons of a ``get`` that ends in each leaf.
+        leaf_na: Node accesses of a ``get`` that ends in each leaf.
+        leaves: The leaf nodes, in key order.
+    """
+
+    seps: np.ndarray
+    keys: SortedKeyBuffer
+    leaf_of: PositionTagBuffer
+    ends: np.ndarray
+    leaf_comps: np.ndarray
+    leaf_na: np.ndarray
+    leaves: List[_Node]
 
 
 class BPlusTree(OrderedIndex):
@@ -96,8 +118,9 @@ class BPlusTree(OrderedIndex):
         separator in sorted order (one per leaf boundary), which is what
         the per-node ``bisect_right`` descent routes by. Per-leaf
         comparison/node-access totals are precomputed along each
-        root-to-leaf path. Returns ``False`` if the two routings could
-        disagree (unsupported shape).
+        root-to-leaf path, and the leaves are kept in order so a bulk
+        overwrite can reach a position's value. Returns ``False`` if the
+        two routings could disagree (unsupported shape).
 
         This walk is the definition of the view: ``bulk_load`` and
         non-splitting inserts maintain the same arrays incrementally, a
@@ -126,18 +149,19 @@ class BPlusTree(OrderedIndex):
         return self._flat_view(
             seps,
             [k for leaf in leaves for k in leaf.keys],
-            [len(leaf.keys) for leaf in leaves],
+            leaves,
             path_comps,
             depths,
         )
 
     @staticmethod
-    def _flat_view(seps, keys, sizes, path_comps, depths):
-        """Assemble the view arrays from per-leaf facts in leaf order.
+    def _flat_view(seps, keys, leaves, path_comps, depths):
+        """Assemble the view from per-leaf facts in leaf order.
 
         ``path_comps`` / ``depths`` are each leaf's inner-node comparison
         total and inner-node count on the way down from the root.
         """
+        sizes = [len(leaf.keys) for leaf in leaves]
         sep_arr = np.asarray(seps, dtype=np.float64)
         if sep_arr.size and (np.diff(sep_arr) < 0).any():
             return False
@@ -156,29 +180,34 @@ class BPlusTree(OrderedIndex):
         leaf_bits = np.frexp(sizes.astype(np.float64))[1].astype(np.int64)
         leaf_comps = np.asarray(path_comps, dtype=np.int64) + np.maximum(1, leaf_bits)
         leaf_na = np.asarray(depths, dtype=np.int64) + 1
-        return sep_arr, SortedKeyBuffer(all_keys), leaf_of, ends, leaf_comps, leaf_na
+        return _FlatView(
+            sep_arr, SortedKeyBuffer(all_keys), leaf_of, ends, leaf_comps, leaf_na, leaves
+        )
 
     def _grow_view(self, key: float, idx: int, leaf_size: int) -> None:
         """Patch the view for ``key`` landing at ``idx`` of an unsplit leaf."""
-        sep_arr, all_keys, leaf_of, ends, leaf_comps, _ = self._bulk_cache
-        leaf = int(sep_arr.searchsorted(key, side="right"))
-        pos = (int(ends[leaf - 1]) if leaf else 0) + idx
-        all_keys.insert_at(pos, key)
-        leaf_of.insert_at(pos, leaf)
-        ends[leaf:] += 1
-        leaf_comps[leaf] += max(1, leaf_size.bit_length()) - max(
+        view = self._bulk_cache
+        leaf = int(view.seps.searchsorted(key, side="right"))
+        pos = (int(view.ends[leaf - 1]) if leaf else 0) + idx
+        view.keys.insert_at(pos, key)
+        view.leaf_of.insert_at(pos, leaf)
+        view.ends[leaf:] += 1
+        view.leaf_comps[leaf] += max(1, leaf_size.bit_length()) - max(
             1, (leaf_size - 1).bit_length()
         )
 
-    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized point lookups: each key's position names its leaf."""
+    def _locate(self, keys, ranks):
+        """The live view and every key's position in it, or ``None``.
+
+        ``None`` when the view is unsupported or empty, or a key is not
+        stored. Nothing is counted here.
+        """
         if self._bulk_cache is None:
             self._bulk_cache = self._build_bulk_cache()
-        cache = self._bulk_cache
-        if cache is False:
+        view = self._bulk_cache
+        if view is False:
             return None
-        _, key_buf, leaf_of, _, leaf_comps, leaf_na = cache
-        all_keys = key_buf.view
+        all_keys = view.keys.view
         n = all_keys.size
         if n == 0:
             return None
@@ -189,13 +218,47 @@ class BPlusTree(OrderedIndex):
             # A key past the end is compared with the last key and differs.
             if not (all_keys[np.minimum(pos, n - 1)] == keys).all():
                 return None
-        leaf_idx = leaf_of.view[pos]
-        comps = leaf_comps[leaf_idx]
-        na = leaf_na[leaf_idx]
-        self.stats.lookups += keys.size
+        return view, pos
+
+    def _count_descents(self, view, pos):
+        """Per-key ``get`` costs of the leaves holding ``pos``, committed."""
+        leaf_idx = view.leaf_of.view[pos]
+        comps = view.leaf_comps[leaf_idx]
+        na = view.leaf_na[leaf_idx]
         self.stats.comparisons += int(comps.sum())
         self.stats.node_accesses += int(na.sum())
-        return comps, na, np.zeros(keys.size, dtype=np.int64)
+        return leaf_idx, (comps, na, np.zeros(pos.size, dtype=np.int64))
+
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Vectorized point lookups: each key's position names its leaf."""
+        found = self._locate(keys, ranks)
+        if found is None:
+            return None
+        _, counts = self._count_descents(*found)
+        self.stats.lookups += counts[0].size
+        return counts
+
+    def bulk_update(self, keys, ranks, values) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Overwrite stored keys in call order, priced like a ``get`` each.
+
+        An overwrite descends by the same ``bisect_right`` steps and
+        searches its leaf over the same keys as a lookup, and changes no
+        node's shape, so the view's per-leaf costs hold as they are.
+        """
+        found = self._locate(keys, ranks)
+        if found is None:
+            return None
+        view, pos = found
+        if len(values) != pos.size:
+            raise ValueError(f"{pos.size} keys but {len(values)} values")
+        leaf_idx, counts = self._count_descents(view, pos)
+        self.stats.inserts += pos.size
+        # Leaf ``i`` holds positions ``[ends[i] - size, ends[i])``, so
+        # ``pos - ends[i]`` is the value's index from the leaf's end.
+        offsets = (pos - view.ends[leaf_idx]).tolist()
+        for leaf, offset, value in zip(leaf_idx.tolist(), offsets, values):
+            view.leaves[leaf].values[offset] = value
+        return counts
 
     # -- insert ---------------------------------------------------------------
 
@@ -367,7 +430,7 @@ class BPlusTree(OrderedIndex):
         self._bulk_cache = self._flat_view(
             key_arr[per_leaf::per_leaf],
             key_arr,
-            [len(leaf.keys) for leaf in leaves],
+            leaves,
             path_comps,
             np.full(len(leaves), height - 1),
         )

@@ -43,16 +43,18 @@ class SortedKeyBuffer:
             grown = np.empty(max(16, 2 * n), dtype=self._dtype)
             grown[:n] = self._buf
             self._buf = grown
-        buf = self._buf
-        buf[pos + 1 : n + 1] = buf[pos:n]
-        buf[pos] = key
+        # A memoryview slice assignment is one memmove; numpy would copy
+        # the overlapping slice through a temporary first.
+        mem = memoryview(self._buf)
+        mem[pos + 1 : n + 1] = mem[pos:n]
+        self._buf[pos] = key
         self._n = n + 1
 
     def delete_at(self, pos: int) -> None:
         """Remove the key at ``pos``."""
         n = self._n
-        buf = self._buf
-        buf[pos : n - 1] = buf[pos + 1 : n]
+        mem = memoryview(self._buf)
+        mem[pos : n - 1] = mem[pos + 1 : n]
         self._n = n - 1
 
     def add(self, key: float) -> None:

@@ -6,6 +6,11 @@ convention that operations target existing records, the base SUT *snaps*
 each requested key to the nearest stored key (driver-side bookkeeping, no
 virtual time charged) and then executes the real operation on the real
 index; the index's stats delta is what gets priced into service time.
+
+Batched execution serves maximal runs of READs — and of UPDATEs too,
+when the index implements ``bulk_update`` — through the index's bulk
+kernels, and every other operation through the scalar path, with the
+same service times and counters as the per-query loop.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.suts.cost_models import KVCostModel
 from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryBatch
 
 _READ_CODE = KV_OP_CODES[KVOperation.READ]
+_UPDATE_CODE = KV_OP_CODES[KVOperation.UPDATE]
 
 
 class KVStoreBase(SystemUnderTest):
@@ -157,67 +163,124 @@ class KVStoreBase(SystemUnderTest):
     def _after_execute(self, query: KVQuery, now: float) -> None:
         """Hook for subclasses (drift observation etc.). Default: none."""
 
-    def execute_batch(self, batch: QueryBatch, now: float) -> np.ndarray:
-        """Vectorized execution: bulk read runs, scalar write barriers.
+    @property
+    def _updates_join_runs(self) -> bool:
+        """Whether UPDATEs ride in bulk runs: the index overrides
+        :meth:`~repro.indexes.base.OrderedIndex.bulk_update`, promising
+        that an overwrite changes neither the key set nor any other
+        operation's cost."""
+        return type(self.index).bulk_update is not OrderedIndex.bulk_update
 
-        Consecutive READ queries form runs served by the index's
-        ``bulk_lookup`` kernel; every other operation (and any run the
-        index declines to serve in bulk) goes through the scalar
-        :meth:`execute` path, so results match the per-query loop exactly.
+    def execute_batch(self, batch: QueryBatch, now: float) -> np.ndarray:
+        """Vectorized execution: bulk runs between scalar write barriers.
+
+        A bulk run is a maximal span of READ queries, served by the
+        index's ``bulk_lookup`` kernel. When the index overrides
+        ``bulk_update``, UPDATEs join the span and are served by that
+        kernel. Every other operation (INSERT, SCAN, READ_MODIFY_WRITE)
+        and any run the index declines to serve in bulk goes through the
+        scalar :meth:`execute` path, so results match the per-query loop
+        exactly.
         """
         n = len(batch)
         services = np.empty(n, dtype=np.float64)
-        barriers = np.flatnonzero(batch.ops != _READ_CODE)
+        in_run = batch.ops == _READ_CODE
+        if self._updates_join_runs:
+            in_run |= batch.ops == _UPDATE_CODE
+        barriers = np.flatnonzero(~in_run).tolist()
+        barriers.append(n)
         pos = 0
-        bi = 0
-        while pos < n:
-            next_barrier = int(barriers[bi]) if bi < barriers.size else n
-            if next_barrier > pos:
-                self._execute_read_run(batch, pos, next_barrier, services)
-                pos = next_barrier
-            if pos < n:
-                services[pos] = self.execute(
-                    batch.query(pos), float(batch.arrivals[pos])
+        for barrier in barriers:
+            if barrier > pos:
+                self._execute_run(batch, pos, barrier, services)
+            if barrier < n:
+                services[barrier] = self.execute(
+                    batch.query(barrier), float(batch.arrivals[barrier])
                 )
-                pos += 1
-                bi += 1
+            pos = barrier + 1
         return services
 
-    def _execute_read_run(
+    def _execute_run(
         self, batch: QueryBatch, a: int, b: int, services: np.ndarray
     ) -> None:
-        """Serve READ queries ``[a, b)`` in bulk (scalar fallback on miss)."""
+        """Serve the READ/UPDATE run ``[a, b)`` in bulk (scalar fallback).
+
+        The run is snapped once and priced once: an update's ``writes``
+        is 1, as :meth:`execute` prices it, and a read's 0. If the index
+        declines either bulk call, the whole run goes through scalar
+        :meth:`execute` calls.
+        """
         self.tracer.counter("kv.read_runs")
+        cost = self.cost_model
+        tuning = self.tuning_level
         if not self._mirror:
-            # Empty store: every read is a snap-miss costing base overhead.
-            services[a:b] = self.cost_model.service_time_arrays(
-                0, 0, 0, tuning_level=self.tuning_level
-            )
+            # Empty store: every read and update is a snap-miss costing
+            # base overhead.
+            services[a:b] = cost.service_time_arrays(0, 0, 0, tuning_level=tuning)
             self._after_execute_slice(batch, a, b)
             return
-        res = self.index.bulk_lookup(*self._snap_batch(batch.keys[a:b]))
-        if res is None:
-            # Fast-path miss: the run falls back to scalar ``get`` calls.
+        targets, ranks = self._snap_batch(batch.keys[a:b])
+        updates = batch.ops[a:b] == _UPDATE_CODE
+        n_updates = int(np.count_nonzero(updates))
+        if n_updates:
+            counts = self._bulk_read_and_update(
+                targets, ranks, updates, batch.arrivals[a:b]
+            )
+        else:
+            counts = self.index.bulk_lookup(targets, ranks)
+        if counts is None:
+            # Fast-path miss: the run falls back to the scalar path.
             self.tracer.counter("kv.bulk_fallback_runs")
             self.tracer.counter("kv.bulk_fallback_queries", b - a)
             for i in range(a, b):
                 services[i] = self.execute(batch.query(i), float(batch.arrivals[i]))
             return
-        self.tracer.counter("kv.bulk_hit_runs")
-        self.tracer.counter("kv.bulk_hit_queries", b - a)
-        comps, na, me = res
-        services[a:b] = self.cost_model.service_time_arrays(
-            comps, na, me, tuning_level=self.tuning_level
+        services[a:b] = cost.service_time_arrays(
+            *counts, writes=updates if n_updates else 0, tuning_level=tuning
         )
+        self.tracer.counter("kv.bulk_hit_runs")
+        self.tracer.counter("kv.bulk_hit_queries", b - a - n_updates)
+        if n_updates:
+            self.tracer.counter("kv.bulk_update_queries", n_updates)
         self._after_execute_slice(batch, a, b)
+
+    def _bulk_read_and_update(
+        self,
+        targets: np.ndarray,
+        ranks: np.ndarray,
+        updates: np.ndarray,
+        arrivals: np.ndarray,
+    ) -> Optional[np.ndarray]:
+        """Per-query counts of a run whose ``updates`` rows overwrite.
+
+        Reads go to ``bulk_lookup``, then updates to ``bulk_update`` with
+        their arrivals as values. Returns the ``(3, run length)`` counts
+        in run order, or ``None`` with the index's counters as they were
+        when either call declines.
+        """
+        index = self.index
+        counts = np.empty((3, updates.size), dtype=np.int64)
+        before = index.stats.snapshot()
+        reads = ~updates
+        if reads.any():
+            got = index.bulk_lookup(targets[reads], ranks[reads])
+            if got is None:
+                return None
+            counts[:, reads] = got
+        put = index.bulk_update(targets[updates], ranks[updates], arrivals[updates].tolist())
+        if put is None:
+            index.stats = before  # take back what the lookups committed
+            return None
+        counts[:, updates] = put
+        return counts
 
     def _after_execute_slice(self, batch: QueryBatch, a: int, b: int) -> None:
         """Fire :meth:`_after_execute` for queries ``[a, b)``, in order.
 
-        Deferring the hook to the end of a read run is exact because the
-        hooks cannot change intra-run lookup costs and the driver never
-        lets a run cross an ``on_tick`` boundary. Subclasses with a
-        vectorized observer override this.
+        Deferring the hook to the end of a bulk run is exact because the
+        hooks cannot change intra-run lookup or overwrite costs and the
+        driver never lets a run cross an ``on_tick`` boundary. Subclasses
+        with a vectorized observer override this.
         """
         if type(self)._after_execute is KVStoreBase._after_execute:
             return

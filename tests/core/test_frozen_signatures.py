@@ -14,6 +14,9 @@ So are the Fig 1 metric entry points that fold a run through their
 online accumulator as one block, and the ``StreamBlock`` constructor
 ``perf/layers.py`` calls positionally: the single definition of each
 metric takes no knob the batch call did not already take.
+
+And the key-value write path every ``write_mix`` op runs: the index's
+bulk kernels, the store's ``execute_batch`` and the key buffer's shift.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from repro.core.driver import DriverConfig
 from repro.core.queueing import fifo_single_server
 from repro.core.results import RunResult
 from repro.core.streaming import StreamBlock, StreamingRecorder, load_spilled_columns
+from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.metrics.adaptability import (
     adaptability_report,
     area_vs_ideal,
@@ -37,6 +42,7 @@ from repro.metrics.sla import adjustment_speed, latency_bands
 from repro.metrics.specialization import specialization_report
 from repro.reporting.report import build_report
 from repro.suts.analytic import AnalyticDriver
+from repro.suts.kv_base import KVStoreBase
 
 FROZEN = [
     (Benchmark.run, ("self", "sut", "scenario")),
@@ -80,6 +86,10 @@ FROZEN = [
     ),
     (degraded_sla_mass, ("result", "sla", "plan")),
     (fault_recovery_times, ("result", "plan", "window", "recovery_fraction")),
+    (OrderedIndex.bulk_lookup, ("self", "keys", "ranks")),
+    (OrderedIndex.bulk_update, ("self", "keys", "ranks", "values")),
+    (KVStoreBase.execute_batch, ("self", "batch", "now")),
+    (SortedKeyBuffer.insert_at, ("self", "pos", "key")),
 ]
 
 DRIVER_CONFIG_FIELDS = (

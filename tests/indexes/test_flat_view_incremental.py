@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from tests.reference_driver import ScalarReferenceDriver
 
-from repro.core.benchmark import Benchmark
+from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.scenario import Scenario, Segment
 from repro.indexes.btree import BPlusTree
 from repro.indexes.sorted_array import SortedArrayIndex
+from repro.observability import Tracer
 from repro.suts.kv_base import KVStoreBase
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -50,9 +52,10 @@ SETTINGS = settings(
 
 
 def _view_arrays(view):
-    """The view tuple with both buffers unwrapped to their live arrays."""
-    sep_arr, key_buf, leaf_of, ends, leaf_comps, leaf_na = view
-    return sep_arr, key_buf.view, leaf_of.view, ends, leaf_comps, leaf_na
+    """The view's arrays, with both buffers unwrapped to their live arrays."""
+    return (
+        view.seps, view.keys.view, view.leaf_of.view, view.ends, view.leaf_comps, view.leaf_na
+    )
 
 
 def _assert_view_is_fresh(tree: BPlusTree) -> None:
@@ -64,6 +67,8 @@ def _assert_view_is_fresh(tree: BPlusTree) -> None:
     for got, want in zip(_view_arrays(kept), _view_arrays(fresh)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+    # The in-order leaves, by identity: bulk overwrites write through them.
+    assert [id(leaf) for leaf in kept.leaves] == [id(leaf) for leaf in fresh.leaves]
 
 
 def _assert_flat_is_fresh(index: SortedArrayIndex) -> None:
@@ -327,13 +332,27 @@ SCAN_MIX = {
     KVOperation.SCAN: 0.1,
     KVOperation.UPDATE: 0.05,
 }
+class _LoggedKV(TraditionalKVStore):
+    """A B+ tree store whose ``_after_execute`` hook logs every call."""
+
+    def __init__(self) -> None:
+        super().__init__(order=8)
+        self.log = []
+
+    def _after_execute(self, query, now):
+        self.log.append((query.op, query.key, now))
+
+
 STORES = {
     "btree": lambda: TraditionalKVStore(order=8),
+    "btree-logged": _LoggedKV,
     "sorted-array": lambda: KVStoreBase("sorted-kv", SortedArrayIndex()),
     "rmi-delta": lambda: LearnedKVStore(max_fanout=16, delta_threshold=64),
     "pgm": lambda: PGMKVStore(epsilon=8, max_delta=32),
     "alex": lambda: AlexKVStore(node_capacity=16),
 }
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+FEW = settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _spec(mix, rate):
@@ -346,17 +365,17 @@ def _spec(mix, rate):
     )
 
 
-@pytest.mark.parametrize("mix", [WRITE_MIX, SCAN_MIX], ids=["50r30u20i", "70r15i10s5u"])
-@pytest.mark.parametrize("store", sorted(STORES))
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_execute_batch_equals_execute_loop(store, mix, seed):
+def _assert_batch_equals_loop(store, mix, seed, tracer=None):
+    """One ``execute_batch`` against the ``execute`` loop on a twin store:
+    services, counters, key counts, stored values and hook calls."""
     rng = np.random.default_rng(seed)
     pairs = [(float(k), None) for k in np.unique(rng.uniform(0.0, 1000.0, 300))]
     batch = _spec(mix, 400.0).build_workload(seed).next_batch(
         np.sort(rng.uniform(0.0, 1.0, 400))
     )
     batched, looped = STORES[store](), STORES[store]()
+    if tracer is not None:
+        batched.attach_tracer(tracer)
     batched.setup(pairs)
     looped.setup(pairs)
     services = batched.execute_batch(batch, 0.0)
@@ -367,6 +386,78 @@ def test_execute_batch_equals_execute_loop(store, mix, seed):
     assert services.tolist() == expected
     assert batched.index.stats == looped.index.stats
     assert batched.stored_keys == looped.stored_keys == len(batched.index)
+    assert list(batched.index.items()) == list(looped.index.items())
+    assert getattr(batched, "log", None) == getattr(looped, "log", None)
+
+
+@pytest.mark.parametrize("mix", [WRITE_MIX, SCAN_MIX], ids=["50r30u20i", "70r15i10s5u"])
+@pytest.mark.parametrize("store", sorted(STORES))
+@given(seed=SEEDS)
+@FEW
+def test_execute_batch_equals_execute_loop(store, mix, seed):
+    _assert_batch_equals_loop(store, mix, seed)
+
+
+@pytest.mark.parametrize("declines", ["bulk_lookup", "bulk_update"])
+@given(seed=SEEDS)
+@FEW
+def test_declined_bulk_call_falls_back_to_the_loop(declines, seed):
+    """Either bulk call returning ``None`` sends its whole run down the
+    scalar path; the counters the other call committed are taken back."""
+    tracer = Tracer()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BPlusTree, declines, lambda self, *args: None)
+        _assert_batch_equals_loop("btree-logged", WRITE_MIX, seed, tracer)
+    assert tracer.finish().counter("kv.bulk_fallback_runs") > 0
+
+
+def _write_mix_scenario(rate=600.0, duration=1.0, seed=5):
+    return Scenario(
+        name="write-mix",
+        segments=[Segment(spec=_spec(WRITE_MIX, rate), duration=duration)],
+        seed=seed,
+        initial_keys=np.linspace(0.0, 1000.0, 2000),
+    )
+
+
+@pytest.mark.parametrize("order", [3, 64])
+def test_write_mix_run_equals_the_scalar_oracle(order):
+    """``Benchmark.run`` (bulk READ/UPDATE runs) against the per-query
+    reference driver, byte for byte on every column."""
+    scenario = _write_mix_scenario()
+    ran = Benchmark().run(TraditionalKVStore(order=order), scenario)
+    oracle = ScalarReferenceDriver(BenchmarkConfig().driver_config()).run(
+        TraditionalKVStore(order=order), scenario
+    )
+    for name in ("arrivals", "starts", "completions", "op_codes", "segment_codes"):
+        got, want = getattr(ran.columns, name), getattr(oracle.columns, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    assert ran.columns.op_vocab == oracle.columns.op_vocab
+    assert ran.sut_description == oracle.sut_description
+
+
+@pytest.mark.parametrize(
+    "make, updates_in_bulk",
+    [(TraditionalKVStore, True), (STORES["rmi-delta"], False)],
+    ids=["btree-kv", "rmi-delta"],
+)
+def test_bulk_counters_on_a_write_mix(make, updates_in_bulk):
+    """``kv.bulk_hit_queries`` stays a count of READs; UPDATEs served in
+    bulk count in ``kv.bulk_update_queries`` — on an index that opts in."""
+    tracer = Tracer()
+    result = Benchmark(tracer=tracer).run(make(), _write_mix_scenario())
+    trace = tracer.finish()
+    vocab = result.columns.op_vocab
+    ops = [vocab[code] for code in result.columns.op_codes.tolist()]
+    assert ops.count("update") > 0
+    if updates_in_bulk:
+        assert trace.counter("kv.bulk_fallback_queries") == 0
+        assert trace.counter("kv.bulk_hit_queries") == ops.count("read")
+        assert trace.counter("kv.bulk_update_queries") == ops.count("update")
+    else:
+        assert trace.counter("kv.bulk_hit_queries") <= ops.count("read")
+        assert trace.counter("kv.bulk_update_queries") == 0
 
 
 # -- no clock needed: count the full rebuilds ------------------------------------
@@ -390,13 +481,7 @@ def test_write_mix_rebuilds_only_after_splits(order, monkeypatch):
     counted("_build_bulk_cache", "walks")
     counted("_split_leaf", "splits")
     counted("_split_inner", "splits")
-    scenario = Scenario(
-        name="write-mix",
-        segments=[Segment(spec=_spec(WRITE_MIX, 600.0), duration=1.0)],
-        seed=5,
-        initial_keys=np.linspace(0.0, 1000.0, 2000),
-    )
-    result = Benchmark().run(TraditionalKVStore(order=order), scenario)
+    result = Benchmark().run(TraditionalKVStore(order=order), _write_mix_scenario())
     assert result.num_queries >= 500
     assert counts["walks"] <= 1 + counts["splits"]
     if order == 3:

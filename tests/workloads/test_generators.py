@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.distributions import UniformDistribution, ZipfDistribution
+from repro.workloads.distributions import (
+    NormalDistribution,
+    UniformDistribution,
+    ZipfDistribution,
+)
 from repro.workloads.drift import GradualDrift, NoDrift
 from repro.workloads.generators import (
     KVOperation,
@@ -193,6 +197,34 @@ class TestQueryBatch:
         )
         batch = KVWorkload(spec, seed=1).next_batch(np.linspace(0, 5, 500))
         assert np.unique(batch.keys).size == batch.keys.size
+
+    @staticmethod
+    def _clipped_insert_keys(scale):
+        """2,000 INSERT keys from a normal centred on the top of ``[0, scale]``:
+        about half the draws clip to ``scale`` exactly, so only the
+        ``counter * 1e-9`` offset tells them apart."""
+        spec = WorkloadSpec(
+            "ins",
+            OperationMix({KVOperation.INSERT: 1.0}),
+            NoDrift(NormalDistribution(0.0, scale, mean=scale, std=scale / 10)),
+            ConstantArrivals(2000.0),
+        )
+        return KVWorkload(spec, seed=3).next_batch(np.arange(2000) / 2000.0).keys
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known: at 1e9 float64's ulp (~1.2e-7) absorbs the 1e-9 insert "
+        "offsets, so 2,000 inserts give 1,020 distinct keys and the rest overwrite",
+    )
+    def test_batch_insert_keys_unique_at_1e9_scale(self):
+        keys = self._clipped_insert_keys(1e9)
+        assert np.unique(keys).size == keys.size
+
+    def test_batch_insert_keys_unique_at_1e5_scale(self):
+        """The 1e5 key domain of the repo benchmark's ``write_mix`` keeps
+        every offset (its ulp is ~1.5e-11), so none of its inserts collapse."""
+        keys = self._clipped_insert_keys(1e5)
+        assert np.unique(keys).size == keys.size == 2000
 
     def test_empty_batch(self):
         batch = KVWorkload(self._spec(), seed=1).next_batch(np.empty(0))
