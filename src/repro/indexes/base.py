@@ -198,25 +198,28 @@ class OrderedIndex(ABC):
         """
         return None
 
-    def bulk_update(self, keys, ranks, values) -> "Any":
-        """Vectorized overwrites of already-stored keys, or ``None``.
+    def bulk_apply(self, keys, ranks, writes, values) -> "Any":
+        """Vectorized gets and inserts in row order, or ``None``.
 
-        Contract: when supported and *every* key is stored, write
-        ``values[i]`` under ``keys[i]`` in call order (a repeated key
-        keeps its last value), commit exactly the counter increments the
-        equivalent sequence of :meth:`insert` overwrites would have made
-        (``inserts``, ``comparisons``, ``node_accesses``; never
-        ``lookups``), and return a ``(comparisons, node_accesses,
-        model_evaluations)`` tuple of per-key int arrays, in call order.
-        Return ``None`` — with :attr:`stats` and every value untouched —
-        when the bulk path is unsupported or any key is missing.
-        ``ranks`` is the same untrusted hint :meth:`bulk_lookup` takes.
-        Default: unsupported.
+        Row ``i`` is a :meth:`get` of ``keys[i]`` when ``writes[i]`` is
+        false, else an :meth:`insert` of ``keys[i]`` → ``values[i]``: a
+        new key, or an overwrite when the key is stored or an earlier row
+        wrote it (a repeated key keeps its last value). Contract: when
+        supported, perform the rows in order, commit exactly the counter
+        increments that call sequence would have made (``lookups`` for
+        reads, ``inserts`` for writes, plus comparisons and node
+        accesses), and return a ``(comparisons, node_accesses,
+        model_evaluations)`` tuple of per-row int arrays. Return ``None``
+        — with :attr:`stats`, every value and the key set untouched — when
+        the bulk path is unsupported, a read's key is not stored at the
+        start of the call, or the index cannot stay exact (a B+ tree leaf
+        split, say). ``ranks`` is the same untrusted hint
+        :meth:`bulk_lookup` takes, as positions in the key set before the
+        call. Default: unsupported.
 
-        An index that overrides this promises that overwriting a stored
-        key never changes the key set or the cost of any other operation:
-        the key-value store then serves updates in the same bulk run as
-        the reads around them.
+        An index that overrides this promises that a row's cost depends
+        only on the rows before it in the call, never on later ones: the
+        key-value store then serves READ, UPDATE and INSERT in one run.
         """
         return None
 

@@ -57,6 +57,28 @@ class _FlatView(NamedTuple):
     leaves: List[_Node]
 
 
+def _search_comps(sizes: np.ndarray) -> np.ndarray:
+    """``max(1, bit_length)`` of each leaf size: a leaf search's comparisons."""
+    # frexp's exponent of a positive integer is its bit_length.
+    return np.maximum(1, np.frexp(sizes.astype(np.float64))[1].astype(np.int64))
+
+
+def _earlier_in_group(groups: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Per row, how many ``marked`` rows before it share its group.
+
+    A running count over the rows sorted by group (stable, so row order
+    holds within a group), minus the count where the group starts.
+    """
+    is_marked = np.zeros(groups.size, dtype=np.int64)
+    is_marked[marked] = 1
+    order = np.argsort(groups, kind="stable")
+    grouped = groups[order]
+    before = np.cumsum(is_marked[order]) - is_marked[order]
+    out = np.empty_like(before)
+    out[order] = before - before[np.searchsorted(grouped, grouped)]
+    return out
+
+
 class BPlusTree(OrderedIndex):
     """In-memory B+ tree with configurable fanout.
 
@@ -119,14 +141,14 @@ class BPlusTree(OrderedIndex):
         the per-node ``bisect_right`` descent routes by. Per-leaf
         comparison/node-access totals are precomputed along each
         root-to-leaf path, and the leaves are kept in order so a bulk
-        overwrite can reach a position's value. Returns ``False`` if the
-        two routings could disagree (unsupported shape).
+        write can reach its leaf. Returns ``False`` if the two routings
+        could disagree (unsupported shape).
 
-        This walk is the definition of the view: ``bulk_load`` and
-        non-splitting inserts maintain the same arrays incrementally, a
-        split or delete drops the view so the next bulk read rebuilds it
-        here, and the tests compare the maintained view against a fresh
-        walk.
+        This walk is the definition of the view: ``bulk_load``,
+        non-splitting inserts and ``bulk_apply`` maintain the same arrays
+        incrementally, a split or delete drops the view so the next bulk
+        read rebuilds it here, and the tests compare the maintained view
+        against a fresh walk.
         """
         seps: List[float] = []
         leaves: List[_Node] = []
@@ -176,9 +198,7 @@ class BPlusTree(OrderedIndex):
         if not np.array_equal(np.searchsorted(all_keys, sep_arr), ends[:-1]):
             return False
         leaf_of = PositionTagBuffer(np.repeat(np.arange(sizes.size), sizes))
-        # frexp's exponent of a positive integer is its bit_length.
-        leaf_bits = np.frexp(sizes.astype(np.float64))[1].astype(np.int64)
-        leaf_comps = np.asarray(path_comps, dtype=np.int64) + np.maximum(1, leaf_bits)
+        leaf_comps = np.asarray(path_comps, dtype=np.int64) + _search_comps(sizes)
         leaf_na = np.asarray(depths, dtype=np.int64) + 1
         return _FlatView(
             sep_arr, SortedKeyBuffer(all_keys), leaf_of, ends, leaf_comps, leaf_na, leaves
@@ -196,69 +216,104 @@ class BPlusTree(OrderedIndex):
             1, (leaf_size - 1).bit_length()
         )
 
-    def _locate(self, keys, ranks):
-        """The live view and every key's position in it, or ``None``.
-
-        ``None`` when the view is unsupported or empty, or a key is not
-        stored. Nothing is counted here.
-        """
+    def _live_view(self):
+        """The flat view, walked first if dropped; ``None`` if unsupported or empty."""
         if self._bulk_cache is None:
             self._bulk_cache = self._build_bulk_cache()
         view = self._bulk_cache
-        if view is False:
-            return None
-        all_keys = view.keys.view
-        n = all_keys.size
-        if n == 0:
+        return view if view and len(view.keys) else None
+
+    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Vectorized point lookups: each key's position names its leaf."""
+        view = self._live_view()
+        if view is None:
             return None
         keys = np.ascontiguousarray(keys, dtype=np.float64)
+        all_keys = view.keys.view
         pos = verified_ranks(ranks, all_keys, keys)
         if pos is None:
             pos = np.searchsorted(all_keys, keys)
             # A key past the end is compared with the last key and differs.
-            if not (all_keys[np.minimum(pos, n - 1)] == keys).all():
+            if not (all_keys[np.minimum(pos, all_keys.size - 1)] == keys).all():
                 return None
-        return view, pos
-
-    def _count_descents(self, view, pos):
-        """Per-key ``get`` costs of the leaves holding ``pos``, committed."""
-        leaf_idx = view.leaf_of.view[pos]
-        comps = view.leaf_comps[leaf_idx]
-        na = view.leaf_na[leaf_idx]
+        leaf = view.leaf_of.view[pos]
+        comps = view.leaf_comps[leaf]
+        na = view.leaf_na[leaf]
+        self.stats.lookups += pos.size
         self.stats.comparisons += int(comps.sum())
         self.stats.node_accesses += int(na.sum())
-        return leaf_idx, (comps, na, np.zeros(pos.size, dtype=np.int64))
+        return comps, na, np.zeros(pos.size, dtype=np.int64)
 
-    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized point lookups: each key's position names its leaf."""
-        found = self._locate(keys, ranks)
-        if found is None:
-            return None
-        _, counts = self._count_descents(*found)
-        self.stats.lookups += counts[0].size
-        return counts
+    def bulk_apply(
+        self, keys, ranks, writes, values
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Gets and inserts in row order, each priced at its leaf's size then.
 
-    def bulk_update(self, keys, ranks, values) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Overwrite stored keys in call order, priced like a ``get`` each.
-
-        An overwrite descends by the same ``bisect_right`` steps and
-        searches its leaf over the same keys as a lookup, and changes no
-        node's shape, so the view's per-leaf costs hold as they are.
+        Without a split, a ``get`` and an ``insert`` descend the same
+        path and search their leaf over the keys it holds *before* the
+        row: the pre-run size plus the new keys earlier rows routed there.
+        A write is *new* if its key was not stored before the run and no
+        earlier row wrote it; every other write overwrites. A stored key's
+        leaf is its position's; a new key's is where the separators route
+        it, as :meth:`_grow_view` does. Declines, touching nothing, when a
+        read's key is not stored or a new key would split its leaf.
         """
-        found = self._locate(keys, ranks)
-        if found is None:
+        view = self._live_view()
+        if view is None:
             return None
-        view, pos = found
-        if len(values) != pos.size:
-            raise ValueError(f"{pos.size} keys but {len(values)} values")
-        leaf_idx, counts = self._count_descents(view, pos)
-        self.stats.inserts += pos.size
-        # Leaf ``i`` holds positions ``[ends[i] - size, ends[i])``, so
-        # ``pos - ends[i]`` is the value's index from the leaf's end.
-        offsets = (pos - view.ends[leaf_idx]).tolist()
-        for leaf, offset, value in zip(leaf_idx.tolist(), offsets, values):
-            view.leaves[leaf].values[offset] = value
-        return counts
+        keys = np.ascontiguousarray(keys, dtype=np.float64)
+        writes = np.asarray(writes, dtype=bool)
+        if len(values) != keys.size:
+            raise ValueError(f"{keys.size} keys but {len(values)} values")
+        all_keys = view.keys.view
+        # ``verified_ranks`` can only prove a run whose every key is stored.
+        pos = verified_ranks(ranks, all_keys, keys)
+        if pos is None:
+            pos = np.searchsorted(all_keys, keys)
+        at = np.minimum(pos, all_keys.size - 1)
+        fresh = all_keys[at] != keys
+        if (fresh & ~writes).any():
+            return None
+        leaf = view.leaf_of.view[at]
+        sizes = np.diff(view.ends, prepend=0)
+        new_keys = np.empty(0)
+        if fresh.any():
+            rows = np.flatnonzero(fresh)
+            leaf[rows] = view.seps.searchsorted(keys[rows], side="right")
+            new_keys, first = np.unique(keys[rows], return_index=True)
+            new_rows = rows[first]
+            size_at = sizes[leaf] + _earlier_in_group(leaf, new_rows)
+            if (size_at[new_rows] >= self._order).any():
+                return None  # a split reshapes the inner nodes
+            comps = view.leaf_comps[leaf] + _search_comps(size_at) - _search_comps(sizes[leaf])
+        else:
+            comps = view.leaf_comps[leaf]
+        na = view.leaf_na[leaf]
+        n_writes = int(np.count_nonzero(writes))
+        self.stats.lookups += keys.size - n_writes
+        self.stats.inserts += n_writes
+        self.stats.comparisons += int(comps.sum())
+        self.stats.node_accesses += int(na.sum())
+        write_rows = np.flatnonzero(writes)
+        for row, key, leaf_no in zip(
+            write_rows.tolist(), keys[write_rows].tolist(), leaf[write_rows].tolist()
+        ):
+            node = view.leaves[leaf_no]
+            idx = bisect.bisect_left(node.keys, key)
+            if idx < len(node.keys) and node.keys[idx] == key:
+                node.values[idx] = values[row]
+            else:
+                node.keys.insert(idx, key)
+                node.values.insert(idx, values[row])
+        if new_keys.size:
+            self._size += new_keys.size
+            new_leaves = leaf[new_rows]
+            view.keys.merge(pos[new_rows], new_keys)
+            view.leaf_of.merge(pos[new_rows], new_leaves)
+            grown = np.bincount(new_leaves, minlength=sizes.size)
+            view.ends[:] += np.cumsum(grown)
+            view.leaf_comps[:] += _search_comps(sizes + grown) - _search_comps(sizes)
+        return comps, na, np.zeros(keys.size, dtype=np.int64)
 
     # -- insert ---------------------------------------------------------------
 

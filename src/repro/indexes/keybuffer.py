@@ -3,8 +3,9 @@
 The vectorised read path (``bulk_lookup``, ``KVStoreBase._snap_batch``)
 searches a flat sorted array of the stored keys. Writes patch that array
 in place instead of dropping and rebuilding it: a new key is one slice
-move inside a buffer with spare capacity, so the flat view is never
-stale and never costs O(n) Python work per write.
+move inside a buffer with spare capacity, and a sorted batch of new keys
+moves each stretch of the old ones once, so the flat view is never stale
+and never costs O(n) Python work per write.
 """
 
 from __future__ import annotations
@@ -36,19 +37,46 @@ class SortedKeyBuffer:
         """The live keys (a view: valid until the next write)."""
         return self._buf[: self._n]
 
+    def _reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more keys, at least doubling when full."""
+        n = self._n
+        if n + extra > self._buf.size:
+            grown = np.empty(max(16, 2 * n, n + extra), dtype=self._dtype)
+            grown[:n] = self._buf[:n]
+            self._buf = grown
+
     def insert_at(self, pos: int, key: float) -> None:
         """Insert ``key`` at ``pos``, its sorted insertion point."""
         n = self._n
-        if n == self._buf.size:
-            grown = np.empty(max(16, 2 * n), dtype=self._dtype)
-            grown[:n] = self._buf
-            self._buf = grown
+        self._reserve(1)
         # A memoryview slice assignment is one memmove; numpy would copy
         # the overlapping slice through a temporary first.
         mem = memoryview(self._buf)
         mem[pos + 1 : n + 1] = mem[pos:n]
         self._buf[pos] = key
         self._n = n + 1
+
+    def merge(self, points, keys) -> None:
+        """Insert the batch ``keys`` at their insertion ``points``, in place.
+
+        ``points`` are positions in the current view, non-decreasing
+        (equal points keep the batch's order), so ``keys[i]`` ends up at
+        ``points[i] + i``. Back to front, each stretch of old keys between
+        two points moves once, by one ``memmove``: no temporary the size
+        of the buffer.
+        """
+        points = np.asarray(points, dtype=np.intp)
+        m = points.size
+        if not m:
+            return
+        self._reserve(m)
+        mem = memoryview(self._buf)
+        end = self._n
+        for i, point in zip(range(m, 0, -1), points[::-1].tolist()):
+            mem[point + i : end + i] = mem[point:end]
+            end = point
+        self._buf[points + np.arange(m)] = keys
+        self._n += m
 
     def delete_at(self, pos: int) -> None:
         """Remove the key at ``pos``."""

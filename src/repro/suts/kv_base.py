@@ -7,10 +7,11 @@ each requested key to the nearest stored key (driver-side bookkeeping, no
 virtual time charged) and then executes the real operation on the real
 index; the index's stats delta is what gets priced into service time.
 
-Batched execution serves maximal runs of READs — and of UPDATEs too,
-when the index implements ``bulk_update`` — through the index's bulk
-kernels, and every other operation through the scalar path, with the
-same service times and counters as the per-query loop.
+Batched execution serves maximal runs of READs through the index's
+``bulk_lookup`` kernel. When the index implements ``bulk_apply``, a run
+takes UPDATEs and INSERTs too, cut only where an INSERT could move a
+later read's snap. Every other operation goes through the scalar path,
+with the same service times and counters as the per-query loop.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryB
 
 _READ_CODE = KV_OP_CODES[KVOperation.READ]
 _UPDATE_CODE = KV_OP_CODES[KVOperation.UPDATE]
+_INSERT_CODE = KV_OP_CODES[KVOperation.INSERT]
 
 
 class KVStoreBase(SystemUnderTest):
@@ -95,12 +97,15 @@ class KVStoreBase(SystemUnderTest):
         before, after = keys.item(pos - 1), keys.item(pos)
         return before if key - before <= after - key else after
 
-    def _snap_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _snap_batch(
+        self, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`_snap` (caller guarantees a non-empty store).
 
-        Returns the snapped keys and each one's rank in the mirror, so the
-        index can be told where its keys are instead of searching again.
-        The needles are searched in sorted order, which walks the mirror
+        Returns the snapped keys, each one's rank in the mirror, so the
+        index can be told where its keys are instead of searching again,
+        and each key's gap (its insertion point in the mirror). The
+        needles are searched in sorted order, which walks the mirror
         front to back instead of jumping through it, and scattered back.
         """
         arr = self._mirror.view
@@ -112,7 +117,7 @@ class KVStoreBase(SystemUnderTest):
         lo = np.maximum(pos - 1, 0)
         hi = np.minimum(pos, arr.size - 1)
         ranks = np.where(keys - arr[lo] <= arr[hi] - keys, lo, hi)
-        return arr[ranks], ranks
+        return arr[ranks], ranks, pos
 
     def _scan_bounds(self, key: float, length: int) -> Tuple[float, float]:
         """Start/end stored keys covering ``length`` items from ``key``."""
@@ -164,121 +169,163 @@ class KVStoreBase(SystemUnderTest):
         """Hook for subclasses (drift observation etc.). Default: none."""
 
     @property
-    def _updates_join_runs(self) -> bool:
-        """Whether UPDATEs ride in bulk runs: the index overrides
-        :meth:`~repro.indexes.base.OrderedIndex.bulk_update`, promising
-        that an overwrite changes neither the key set nor any other
-        operation's cost."""
-        return type(self.index).bulk_update is not OrderedIndex.bulk_update
+    def _writes_join_runs(self) -> bool:
+        """Whether UPDATEs and INSERTs ride in bulk runs: the index
+        overrides :meth:`~repro.indexes.base.OrderedIndex.bulk_apply`."""
+        return type(self.index).bulk_apply is not OrderedIndex.bulk_apply
 
     def execute_batch(self, batch: QueryBatch, now: float) -> np.ndarray:
-        """Vectorized execution: bulk runs between scalar write barriers.
+        """Vectorized execution: bulk runs between scalar barriers.
 
-        A bulk run is a maximal span of READ queries, served by the
-        index's ``bulk_lookup`` kernel. When the index overrides
-        ``bulk_update``, UPDATEs join the span and are served by that
-        kernel. Every other operation (INSERT, SCAN, READ_MODIFY_WRITE)
-        and any run the index declines to serve in bulk goes through the
-        scalar :meth:`execute` path, so results match the per-query loop
-        exactly.
+        A bulk run is a maximal span of READs, served by the index's
+        ``bulk_lookup`` kernel. When the index overrides ``bulk_apply``,
+        UPDATEs and INSERTs join the span, and a span holding a write goes
+        to that kernel as one or more runs, cut where an INSERT could move
+        a later snap (see :meth:`_execute_run`); a READ-only span stays on
+        ``bulk_lookup``. SCAN and READ_MODIFY_WRITE — and every write on
+        an index that does not opt in — are scalar barriers. When the
+        index declines a run, the rest of its span is served as if
+        INSERTs did not join runs (see :meth:`_serve_declined`). Results
+        match the per-query loop exactly.
         """
-        n = len(batch)
-        services = np.empty(n, dtype=np.float64)
-        in_run = batch.ops == _READ_CODE
-        if self._updates_join_runs:
-            in_run |= batch.ops == _UPDATE_CODE
-        barriers = np.flatnonzero(~in_run).tolist()
-        barriers.append(n)
-        pos = 0
+        ops = batch.ops
+        joins = ops == _READ_CODE
+        if self._writes_join_runs:
+            joins |= (ops == _UPDATE_CODE) | (ops == _INSERT_CODE)
+        services = np.empty(len(batch), dtype=np.float64)
+        self._serve(batch, 0, len(batch), joins, services)
+        return services
+
+    def _serve(
+        self, batch: QueryBatch, a: int, b: int, joins: np.ndarray, services: np.ndarray
+    ) -> None:
+        """Serve ``[a, b)``: spans of the rows ``joins`` marks in bulk, the
+        rest scalar in place (``joins`` covers ``[a, b)``)."""
+        barriers = (np.flatnonzero(~joins) + a).tolist()
+        barriers.append(b)
         for barrier in barriers:
-            if barrier > pos:
-                self._execute_run(batch, pos, barrier, services)
-            if barrier < n:
+            if barrier > a:
+                self._execute_span(batch, a, barrier, services)
+            if barrier < b:
                 services[barrier] = self.execute(
                     batch.query(barrier), float(batch.arrivals[barrier])
                 )
-            pos = barrier + 1
-        return services
+            a = barrier + 1
+
+    def _execute_span(
+        self, batch: QueryBatch, a: int, b: int, services: np.ndarray
+    ) -> None:
+        """Serve the span ``[a, b)`` as consecutive bulk runs.
+
+        A run is snapped over a look-ahead window: the whole span first,
+        then twice the rows the last run served. A span cut into many
+        short runs is so snapped at most three times over in all, not
+        once per run.
+        """
+        window = b - a
+        while a < b:
+            end = self._execute_run(batch, a, min(b, a + window), services)
+            if end is None:
+                self._serve_declined(batch, a, b, services)
+                return
+            window, a = 2 * (end - a), end
+
+    def _serve_declined(
+        self, batch: QueryBatch, a: int, b: int, services: np.ndarray
+    ) -> None:
+        """The rest of a span whose run the index declined.
+
+        With INSERTs, they become scalar barriers and the READ/UPDATE
+        runs between them, which add no key, go back to bulk. Without,
+        the span goes through scalar :meth:`execute` calls.
+        """
+        self.tracer.counter("kv.bulk_fallback_runs")
+        inserts = batch.ops[a:b] == _INSERT_CODE
+        if inserts.any():
+            self.tracer.counter("kv.bulk_fallback_queries", int(np.count_nonzero(inserts)))
+            self._serve(batch, a, b, ~inserts, services)
+            return
+        self.tracer.counter("kv.bulk_fallback_queries", b - a)
+        for i in range(a, b):
+            services[i] = self.execute(batch.query(i), float(batch.arrivals[i]))
 
     def _execute_run(
         self, batch: QueryBatch, a: int, b: int, services: np.ndarray
-    ) -> None:
-        """Serve the READ/UPDATE run ``[a, b)`` in bulk (scalar fallback).
+    ) -> Optional[int]:
+        """Serve one bulk run from ``a``; return its end, or ``None``.
 
-        The run is snapped once and priced once: an update's ``writes``
-        is 1, as :meth:`execute` prices it, and a read's 0. If the index
-        declines either bulk call, the whole run goes through scalar
-        :meth:`execute` calls.
+        The run is snapped once against the mirror and priced once: a
+        write's ``writes`` is 1, as :meth:`execute` prices it, a read's
+        0, and each write stores its arrival, as :meth:`execute` does.
+        With INSERTs the run ends before the first READ/UPDATE whose gap
+        (insertion point in the mirror) an earlier INSERT of the run
+        landed in: only there could the scalar snap differ. The mirror
+        then takes the run's new keys in one merge. ``None`` means the
+        index declined (or the store was empty under an INSERT), with
+        nothing served.
         """
         self.tracer.counter("kv.read_runs")
         cost = self.cost_model
         tuning = self.tuning_level
+        ops = batch.ops[a:b]
+        writes = ops != _READ_CODE
+        inserts = ops == _INSERT_CODE
+        n_inserts = int(np.count_nonzero(inserts))
         if not self._mirror:
+            if n_inserts:
+                return None
             # Empty store: every read and update is a snap-miss costing
             # base overhead.
             services[a:b] = cost.service_time_arrays(0, 0, 0, tuning_level=tuning)
             self._after_execute_slice(batch, a, b)
-            return
-        targets, ranks = self._snap_batch(batch.keys[a:b])
-        updates = batch.ops[a:b] == _UPDATE_CODE
-        n_updates = int(np.count_nonzero(updates))
-        if n_updates:
-            counts = self._bulk_read_and_update(
-                targets, ranks, updates, batch.arrivals[a:b]
+            return b
+        keys = batch.keys[a:b]
+        targets, ranks, gaps = self._snap_batch(keys)
+        if n_inserts:
+            end = _conflict_free_prefix(gaps, inserts)
+            if end < b - a:
+                self.tracer.counter("kv.run_cuts")
+                b = a + end
+                keys, targets, ranks, gaps = keys[:end], targets[:end], ranks[:end], gaps[:end]
+                writes, inserts = writes[:end], inserts[:end]
+                n_inserts = int(np.count_nonzero(inserts))
+            targets = np.where(inserts, keys, targets)
+            ranks = np.where(inserts, gaps, ranks)
+        n_writes = int(np.count_nonzero(writes))
+        if n_writes:
+            counts = self.index.bulk_apply(
+                targets, ranks, writes, batch.arrivals[a:b].tolist()
             )
         else:
             counts = self.index.bulk_lookup(targets, ranks)
         if counts is None:
-            # Fast-path miss: the run falls back to the scalar path.
-            self.tracer.counter("kv.bulk_fallback_runs")
-            self.tracer.counter("kv.bulk_fallback_queries", b - a)
-            for i in range(a, b):
-                services[i] = self.execute(batch.query(i), float(batch.arrivals[i]))
-            return
-        services[a:b] = cost.service_time_arrays(
-            *counts, writes=updates if n_updates else 0, tuning_level=tuning
-        )
-        self.tracer.counter("kv.bulk_hit_runs")
-        self.tracer.counter("kv.bulk_hit_queries", b - a - n_updates)
-        if n_updates:
-            self.tracer.counter("kv.bulk_update_queries", n_updates)
-        self._after_execute_slice(batch, a, b)
-
-    def _bulk_read_and_update(
-        self,
-        targets: np.ndarray,
-        ranks: np.ndarray,
-        updates: np.ndarray,
-        arrivals: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Per-query counts of a run whose ``updates`` rows overwrite.
-
-        Reads go to ``bulk_lookup``, then updates to ``bulk_update`` with
-        their arrivals as values. Returns the ``(3, run length)`` counts
-        in run order, or ``None`` with the index's counters as they were
-        when either call declines.
-        """
-        index = self.index
-        counts = np.empty((3, updates.size), dtype=np.int64)
-        before = index.stats.snapshot()
-        reads = ~updates
-        if reads.any():
-            got = index.bulk_lookup(targets[reads], ranks[reads])
-            if got is None:
-                return None
-            counts[:, reads] = got
-        put = index.bulk_update(targets[updates], ranks[updates], arrivals[updates].tolist())
-        if put is None:
-            index.stats = before  # take back what the lookups committed
             return None
-        counts[:, updates] = put
-        return counts
+        services[a:b] = cost.service_time_arrays(
+            *counts, writes=writes if n_writes else 0, tuning_level=tuning
+        )
+        if n_inserts:
+            self._merge_new_keys(keys[inserts], gaps[inserts])
+        self.tracer.counter("kv.bulk_hit_runs")
+        self.tracer.counter("kv.bulk_hit_queries", b - a - n_writes)
+        if n_writes > n_inserts:
+            self.tracer.counter("kv.bulk_update_queries", n_writes - n_inserts)
+        if n_inserts:
+            self.tracer.counter("kv.bulk_insert_queries", n_inserts)
+        self._after_execute_slice(batch, a, b)
+        return b
+
+    def _merge_new_keys(self, keys: np.ndarray, gaps: np.ndarray) -> None:
+        """Add the run's INSERT ``keys`` (with their ``gaps``) the mirror lacks."""
+        mirror = self._mirror.view
+        new = mirror[np.minimum(gaps, mirror.size - 1)] != keys
+        new_keys, first = np.unique(keys[new], return_index=True)
+        self._mirror.merge(gaps[new][first], new_keys)
 
     def _after_execute_slice(self, batch: QueryBatch, a: int, b: int) -> None:
         """Fire :meth:`_after_execute` for queries ``[a, b)``, in order.
 
         Deferring the hook to the end of a bulk run is exact because the
-        hooks cannot change intra-run lookup or overwrite costs and the
+        hooks cannot change intra-run lookup or write costs and the
         driver never lets a run cross an ``on_tick`` boundary. Subclasses
         with a vectorized observer override this.
         """
@@ -298,3 +345,20 @@ class KVStoreBase(SystemUnderTest):
         out = super().describe()
         out.update(index=self.index.name, tuning_level=self.tuning_level)
         return out
+
+
+def _conflict_free_prefix(gaps: np.ndarray, inserts: np.ndarray) -> int:
+    """Rows before the first READ/UPDATE whose gap an earlier INSERT holds.
+
+    A snap reads only the two stored keys bounding its gap, so it can
+    change only when a new key lands in that same gap first. Each gap's
+    earliest INSERT row is found by a stable sort of the INSERTs by gap.
+    """
+    rows = np.flatnonzero(inserts)
+    order = np.argsort(gaps[rows], kind="stable")
+    insert_gaps, first_rows = gaps[rows][order], rows[order]
+    at = np.minimum(np.searchsorted(insert_gaps, gaps), rows.size - 1)
+    conflicts = np.flatnonzero(
+        (insert_gaps[at] == gaps) & (first_rows[at] < np.arange(gaps.size)) & ~inserts
+    )
+    return int(conflicts[0]) if conflicts.size else gaps.size

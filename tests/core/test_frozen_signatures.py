@@ -16,7 +16,8 @@ online accumulator as one block, and the ``StreamBlock`` constructor
 metric takes no knob the batch call did not already take.
 
 And the key-value write path every ``write_mix`` op runs: the index's
-bulk kernels, the store's ``execute_batch`` and the key buffer's shift.
+bulk kernels, the store's ``execute_batch`` and the key buffer's shift
+and merge.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ FROZEN = [
     (degraded_sla_mass, ("result", "sla", "plan")),
     (fault_recovery_times, ("result", "plan", "window", "recovery_fraction")),
     (OrderedIndex.bulk_lookup, ("self", "keys", "ranks")),
-    (OrderedIndex.bulk_update, ("self", "keys", "ranks", "values")),
+    (OrderedIndex.bulk_apply, ("self", "keys", "ranks", "writes", "values")),
     (KVStoreBase.execute_batch, ("self", "batch", "now")),
     (SortedKeyBuffer.insert_at, ("self", "pos", "key")),
+    (SortedKeyBuffer.merge, ("self", "points", "keys")),
 ]
 
 DRIVER_CONFIG_FIELDS = (

@@ -1,13 +1,14 @@
-"""``bulk_update`` must do and count exactly what per-key overwrites do.
+"""A bulk UPDATE run must do and count exactly what per-key overwrites do.
 
 The key-value store serves UPDATEs in bulk runs through
-``OrderedIndex.bulk_update``. Its contract is the ``insert`` loop it
-replaces: the same per-key (comparisons, node accesses, model
-evaluations), the same committed :class:`IndexStats` (``inserts``, never
-``lookups``), and the same stored values, last write winning. Each test
-builds twin B+ trees — one fresh from a bulk load, one after splits —
-runs one through scalar ``insert`` overwrites and the other through
-``bulk_update``, and compares all three.
+``OrderedIndex.bulk_apply``, every row a write of a stored key. Its
+contract is the ``insert`` loop it replaces: the same per-key
+(comparisons, node accesses, model evaluations), the same committed
+:class:`IndexStats` (``inserts``, never ``lookups``), and the same stored
+values, last write winning. Each test builds twin B+ trees — one fresh
+from a bulk load, one after splits — runs one through scalar ``insert``
+overwrites and the other through ``bulk_apply``, and compares all three.
+Runs that read and add keys are in ``test_bulk_apply.py``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def _overwrite_loop(tree, probe, values):
     return rows
 
 
+def _update_run(tree, probe, hint, values):
+    """``bulk_apply`` with every row an overwrite."""
+    return tree.bulk_apply(probe, hint, np.ones(probe.size, dtype=bool), values)
+
+
 def _hints(ranks, n):
     """The true ranks, then every way a caller could get them wrong."""
     return {
@@ -95,7 +101,7 @@ def test_bulk_update_is_the_overwrite_loop(order, stored, growth, picks):
     for label, hint in [("none", None), *_hints(ranks, n).items()]:
         tree = _tree(order, stored, growth)
         before = tree.stats.snapshot()
-        out = tree.bulk_update(probe, hint, values)
+        out = _update_run(tree, probe, hint, values)
         assert out is not None, label
         assert list(zip(*(col.tolist() for col in out))) == want_rows, label
         assert tree.stats == scalar.stats, label
@@ -109,14 +115,17 @@ def test_bulk_update_is_the_overwrite_loop(order, stored, growth, picks):
 @given(stored=STORED, growth=GROWTH, picks=PICKS, absent_at=st.integers(0, 10_000))
 @SETTINGS
 def test_one_missing_key_changes_nothing(order, stored, growth, picks, absent_at):
+    """A write of an unstored key adds it, but a *read* of one declines
+    the whole run, overwrites included."""
     probe, ranks, n = _probe(stored, growth, picks)
     probe[absent_at % probe.size] += 0.25  # every stored key is whole
+    writes = np.arange(probe.size) != absent_at % probe.size
     values = [f"write-{i}" for i in range(probe.size)]
     tree = _tree(order, stored, growth)
     untouched_stats = tree.stats.snapshot()
     untouched_items = list(tree.items())
     for label, hint in [("none", None), *_hints(ranks, n).items()]:
-        assert tree.bulk_update(probe, hint, values) is None, label
+        assert tree.bulk_apply(probe, hint, writes, values) is None, label
         assert tree.stats == untouched_stats, label
         assert list(tree.items()) == untouched_items, label
 
@@ -126,7 +135,7 @@ def test_values_must_match_keys(order):
     tree = _tree(order, range(50), [])
     before = tree.stats.snapshot()
     with pytest.raises(ValueError):
-        tree.bulk_update(np.asarray([1.0, 2.0]), None, ["only one"])
+        tree.bulk_apply(np.asarray([1.0, 2.0]), None, [True, True], ["only one"])
     assert tree.stats == before
     assert tree.get(1.0) == "load-1"
 
@@ -136,7 +145,7 @@ def test_bulk_update_keeps_the_view_live():
     dropped nor re-walked, and later bulk reads still see every key."""
     tree = _tree(8, range(0, 400, 2), [])
     view = tree._bulk_cache
-    assert tree.bulk_update(np.asarray([0.0, 398.0]), None, ["a", "b"]) is not None
+    assert _update_run(tree, np.asarray([0.0, 398.0]), None, ["a", "b"]) is not None
     assert tree._bulk_cache is view
     assert tree.get(0.0) == "a" and tree.get(398.0) == "b"
     assert tree.bulk_lookup(np.arange(0.0, 400.0, 2.0)) is not None
@@ -152,10 +161,15 @@ OTHERS = {
 
 @pytest.mark.parametrize("name", sorted(OTHERS))
 def test_default_bulk_update_is_unsupported(name):
+    """The base ``bulk_apply`` declines every run: reads, overwrites and
+    new keys alike, touching nothing."""
     index = OTHERS[name]()
     index.bulk_load([(float(k), k) for k in range(100)])
-    assert type(index).bulk_update is OrderedIndex.bulk_update
+    assert type(index).bulk_apply is OrderedIndex.bulk_apply
     before = index.stats.snapshot()
-    assert index.bulk_update(np.asarray([1.0, 2.0]), np.asarray([1, 2]), ["a", "b"]) is None
+    for writes in ([True, True], [False, True], [False, False]):
+        got = index.bulk_apply(np.asarray([1.0, 2.5]), np.asarray([1, 3]), writes, ["a", "b"])
+        assert got is None
     assert index.stats == before
     assert index.get(1.0) == 1
+    assert not index.contains(2.5)

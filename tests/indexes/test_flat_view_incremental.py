@@ -27,9 +27,15 @@ from repro.suts.kv_base import KVStoreBase
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.suts.kv_variants import AlexKVStore, PGMKVStore
-from repro.workloads.distributions import UniformDistribution
+from repro.workloads.distributions import NormalDistribution, UniformDistribution
 from repro.workloads.drift import NoDrift
-from repro.workloads.generators import KVOperation, OperationMix, WorkloadSpec
+from repro.workloads.generators import (
+    KV_OP_CODES,
+    KVOperation,
+    OperationMix,
+    QueryBatch,
+    WorkloadSpec,
+)
 from repro.workloads.patterns import ConstantArrivals
 
 ORDERS = (3, 4, 8, 64)  # small orders force leaf, inner and root splits
@@ -332,6 +338,14 @@ SCAN_MIX = {
     KVOperation.SCAN: 0.1,
     KVOperation.UPDATE: 0.05,
 }
+INSERT_MIX = {
+    KVOperation.READ: 0.4,
+    KVOperation.UPDATE: 0.2,
+    KVOperation.INSERT: 0.35,
+    KVOperation.READ_MODIFY_WRITE: 0.05,
+}
+
+
 class _LoggedKV(TraditionalKVStore):
     """A B+ tree store whose ``_after_execute`` hook logs every call."""
 
@@ -365,15 +379,11 @@ def _spec(mix, rate):
     )
 
 
-def _assert_batch_equals_loop(store, mix, seed, tracer=None):
+def _assert_batch_on_twins(make, pairs, batch, tracer=None):
     """One ``execute_batch`` against the ``execute`` loop on a twin store:
-    services, counters, key counts, stored values and hook calls."""
-    rng = np.random.default_rng(seed)
-    pairs = [(float(k), None) for k in np.unique(rng.uniform(0.0, 1000.0, 300))]
-    batch = _spec(mix, 400.0).build_workload(seed).next_batch(
-        np.sort(rng.uniform(0.0, 1.0, 400))
-    )
-    batched, looped = STORES[store](), STORES[store]()
+    services, counters, key counts, stored values, the snap mirror and
+    hook calls."""
+    batched, looped = make(), make()
     if tracer is not None:
         batched.attach_tracer(tracer)
     batched.setup(pairs)
@@ -387,10 +397,22 @@ def _assert_batch_equals_loop(store, mix, seed, tracer=None):
     assert batched.index.stats == looped.index.stats
     assert batched.stored_keys == looped.stored_keys == len(batched.index)
     assert list(batched.index.items()) == list(looped.index.items())
+    assert batched._mirror.view.tolist() == looped._mirror.view.tolist()
     assert getattr(batched, "log", None) == getattr(looped, "log", None)
 
 
-@pytest.mark.parametrize("mix", [WRITE_MIX, SCAN_MIX], ids=["50r30u20i", "70r15i10s5u"])
+def _assert_batch_equals_loop(store, mix, seed, tracer=None):
+    rng = np.random.default_rng(seed)
+    pairs = [(float(k), None) for k in np.unique(rng.uniform(0.0, 1000.0, 300))]
+    batch = _spec(mix, 400.0).build_workload(seed).next_batch(
+        np.sort(rng.uniform(0.0, 1.0, 400))
+    )
+    _assert_batch_on_twins(STORES[store], pairs, batch, tracer)
+
+
+@pytest.mark.parametrize(
+    "mix", [WRITE_MIX, SCAN_MIX, INSERT_MIX], ids=["50r30u20i", "70r15i10s5u", "40r20u35i5rmw"]
+)
 @pytest.mark.parametrize("store", sorted(STORES))
 @given(seed=SEEDS)
 @FEW
@@ -398,16 +420,19 @@ def test_execute_batch_equals_execute_loop(store, mix, seed):
     _assert_batch_equals_loop(store, mix, seed)
 
 
-@pytest.mark.parametrize("declines", ["bulk_lookup", "bulk_update"])
+@pytest.mark.parametrize("declines", ["bulk_lookup", "bulk_apply"])
 @given(seed=SEEDS)
 @FEW
 def test_declined_bulk_call_falls_back_to_the_loop(declines, seed):
-    """Either bulk call returning ``None`` sends its whole run down the
-    scalar path; the counters the other call committed are taken back."""
+    """Either bulk call returning ``None`` serves the rest of its span as
+    if INSERTs never joined runs: each INSERT a scalar barrier, the runs
+    between them in bulk, and a declined run without one scalar. Only a
+    READ-only run calls ``bulk_lookup``: the scans' mix has such runs."""
+    mix = SCAN_MIX if declines == "bulk_lookup" else WRITE_MIX
     tracer = Tracer()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BPlusTree, declines, lambda self, *args: None)
-        _assert_batch_equals_loop("btree-logged", WRITE_MIX, seed, tracer)
+        _assert_batch_equals_loop("btree-logged", mix, seed, tracer)
     assert tracer.finish().counter("kv.bulk_fallback_runs") > 0
 
 
@@ -420,44 +445,192 @@ def _write_mix_scenario(rate=600.0, duration=1.0, seed=5):
     )
 
 
-@pytest.mark.parametrize("order", [3, 64])
-def test_write_mix_run_equals_the_scalar_oracle(order):
-    """``Benchmark.run`` (bulk READ/UPDATE runs) against the per-query
-    reference driver, byte for byte on every column."""
-    scenario = _write_mix_scenario()
-    ran = Benchmark().run(TraditionalKVStore(order=order), scenario)
-    oracle = ScalarReferenceDriver(BenchmarkConfig().driver_config()).run(
-        TraditionalKVStore(order=order), scenario
-    )
+def _assert_run_equals_the_oracle(make, scenario):
+    """``Benchmark.run`` against the per-query reference driver, byte for
+    byte on every column, with the same stats and pairs left in the index.
+    Returns the run's store and its tracer's counters."""
+    tracer = Tracer()
+    ran_sut, oracle_sut = make(), make()
+    ran = Benchmark(tracer=tracer).run(ran_sut, scenario)
+    oracle = ScalarReferenceDriver(BenchmarkConfig().driver_config()).run(oracle_sut, scenario)
     for name in ("arrivals", "starts", "completions", "op_codes", "segment_codes"):
         got, want = getattr(ran.columns, name), getattr(oracle.columns, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
     assert ran.columns.op_vocab == oracle.columns.op_vocab
     assert ran.sut_description == oracle.sut_description
+    assert ran_sut.index.stats == oracle_sut.index.stats
+    assert list(ran_sut.index.items()) == list(oracle_sut.index.items())
+    return ran_sut, ran, tracer.finish()
+
+
+@pytest.mark.parametrize("order", [3, 64])
+def test_write_mix_run_equals_the_scalar_oracle(order):
+    """Bulk READ/UPDATE/INSERT runs: order 3 declines nearly every run that
+    adds a key (a split), order 64 almost none."""
+    _assert_run_equals_the_oracle(
+        lambda: TraditionalKVStore(order=order), _write_mix_scenario()
+    )
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e9], ids=["1e5", "1e9"])
+def test_clipped_write_mix_equals_the_scalar_oracle(scale):
+    """50r/30u/20i over a normal centred on the top of ``[0, scale]``, with
+    the top key stored: about half the keys clip to it. At 1e5 (the repo
+    benchmark's domain) every INSERT key is new; at 1e9 float64 absorbs
+    the generator's ``counter * 1e-9`` offsets, so INSERTs repeat each
+    other and the stored top key, and a run must overwrite exactly as the
+    scalar path does."""
+    spec = _spec(WRITE_MIX, 800.0)
+    spec.key_drift = NoDrift(NormalDistribution(0.0, scale, mean=scale, std=scale / 10))
+    scenario = Scenario(
+        name="clipped-write-mix",
+        segments=[Segment(spec=spec, duration=1.0)],
+        seed=3,
+        initial_keys=np.linspace(0.0, scale, 2000),
+    )
+    sut, result, trace = _assert_run_equals_the_oracle(TraditionalKVStore, scenario)
+    inserts = result.columns.op_vocab.index("insert")
+    added = len(sut.index) - 2000
+    if scale == 1e9:
+        assert added < int(np.count_nonzero(result.columns.op_codes == inserts))
+    else:
+        assert added == int(np.count_nonzero(result.columns.op_codes == inserts))
+    assert trace.counter("kv.bulk_insert_queries") > 0
 
 
 @pytest.mark.parametrize(
-    "make, updates_in_bulk",
+    "make, writes_in_bulk",
     [(TraditionalKVStore, True), (STORES["rmi-delta"], False)],
     ids=["btree-kv", "rmi-delta"],
 )
-def test_bulk_counters_on_a_write_mix(make, updates_in_bulk):
-    """``kv.bulk_hit_queries`` stays a count of READs; UPDATEs served in
-    bulk count in ``kv.bulk_update_queries`` — on an index that opts in."""
+def test_bulk_counters_on_a_write_mix(make, writes_in_bulk):
+    """``kv.bulk_hit_queries`` stays a count of READs; UPDATEs and INSERTs
+    served in bulk count in ``kv.bulk_update_queries`` and
+    ``kv.bulk_insert_queries`` — on an index that opts in."""
     tracer = Tracer()
     result = Benchmark(tracer=tracer).run(make(), _write_mix_scenario())
     trace = tracer.finish()
     vocab = result.columns.op_vocab
     ops = [vocab[code] for code in result.columns.op_codes.tolist()]
-    assert ops.count("update") > 0
-    if updates_in_bulk:
+    assert ops.count("update") > 0 and ops.count("insert") > 0
+    if writes_in_bulk:
         assert trace.counter("kv.bulk_fallback_queries") == 0
         assert trace.counter("kv.bulk_hit_queries") == ops.count("read")
         assert trace.counter("kv.bulk_update_queries") == ops.count("update")
+        assert trace.counter("kv.bulk_insert_queries") == ops.count("insert")
+        # A run ends at a cut, at its look-ahead window or at the span's end.
+        assert 0 < trace.counter("kv.run_cuts") < trace.counter("kv.bulk_hit_runs")
     else:
         assert trace.counter("kv.bulk_hit_queries") <= ops.count("read")
         assert trace.counter("kv.bulk_update_queries") == 0
+        assert trace.counter("kv.bulk_insert_queries") == 0
+        assert trace.counter("kv.run_cuts") == 0
+
+
+def test_the_repo_benchmark_write_mix_op_is_three_bulk_runs(tmp_path):
+    """One ``write_mix`` op of ``perf/`` at seed 1 (753 READs, 432
+    UPDATEs, 315 INSERTs over 50k keys): three bulk runs, two snap-conflict
+    cuts, every INSERT in a run and no scalar ``execute`` at all."""
+    from perf.workloads import WORKLOADS
+
+    workload = WORKLOADS["write_mix"](1, 1.0, tmp_path)
+    tracer = Tracer()
+    sut = TraditionalKVStore()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KVStoreBase, "execute", lambda *args: pytest.fail("scalar execute"))
+        Benchmark(workload.config, tracer=tracer).run(sut, workload.scenario)
+    trace = tracer.finish()
+    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 3
+    assert trace.counter("kv.run_cuts") == 2
+    assert trace.counter("kv.bulk_hit_queries") == 753
+    assert trace.counter("kv.bulk_update_queries") == 432
+    assert trace.counter("kv.bulk_insert_queries") == 315
+    assert trace.counter("kv.bulk_fallback_runs") == 0
+
+
+# -- snap conflicts: an INSERT in a later READ's or UPDATE's gap ------------------
+
+READ, UPDATE, INSERT = (
+    KV_OP_CODES[op] for op in (KVOperation.READ, KVOperation.UPDATE, KVOperation.INSERT)
+)
+TENS = [(float(k), f"load-{k}") for k in range(10, 110, 10)]  # order 8: leaves of 4, 4, 2
+
+
+def _batch(rows):
+    ops, keys = zip(*rows)
+    n = len(rows)
+    return QueryBatch(
+        ops=np.asarray(ops, dtype=np.int8),
+        keys=np.asarray(keys, dtype=np.float64),
+        scan_lengths=np.zeros(n, dtype=np.int64),
+        arrivals=np.arange(1.0, n + 1.0),
+    )
+
+
+@pytest.mark.parametrize("op", [READ, UPDATE], ids=["read", "update"])
+@pytest.mark.parametrize(
+    "inserted, probe",
+    [(89.0, 88.0), (5.0, 6.0), (105.0, 104.0), (50.0, 48.0)],
+    ids=["middle", "position-0", "position-n", "stored-key"],
+)
+def test_a_snap_conflict_cuts_the_run(op, inserted, probe):
+    """Before the INSERT, ``probe`` snaps to a neighbour of its gap; after
+    it, to the inserted key (the middle case moves it to another leaf, the
+    UPDATE to another key). The run is cut right before ``probe`` and the
+    rest is snapped again: one cut, two runs, the loop's result. An
+    INSERT of a stored key (an overwrite) cuts too: conservative, exact."""
+    rows = [
+        (READ, 33.0), (UPDATE, 71.0), (INSERT, inserted), (READ, 12.0),
+        (op, probe), (READ, 47.0), (INSERT, 61.5), (UPDATE, 95.0),
+    ]
+    tracer = Tracer()
+    _assert_batch_on_twins(_LoggedKV, TENS, _batch(rows), tracer)
+    trace = tracer.finish()
+    assert trace.counter("kv.run_cuts") == 1
+    assert trace.counter("kv.bulk_hit_runs") == 2
+    assert trace.counter("kv.bulk_insert_queries") == 2
+
+
+def test_inserts_in_other_gaps_do_not_cut():
+    """Reads and updates around INSERTs into other gaps, and an INSERT
+    repeating an earlier one: one run."""
+    rows = [
+        (INSERT, 15.0), (READ, 26.0), (INSERT, 15.0), (UPDATE, 44.0),
+        (INSERT, 101.0), (READ, 99.0), (INSERT, 0.0), (UPDATE, 31.0),
+    ]
+    tracer = Tracer()
+    sut = TraditionalKVStore(order=8)
+    sut.attach_tracer(tracer)
+    sut.setup(TENS)
+    sut.execute_batch(_batch(rows), 0.0)
+    trace = tracer.finish()
+    assert trace.counter("kv.run_cuts") == 0
+    assert trace.counter("kv.bulk_hit_runs") == 1
+    assert sut._mirror.view.tolist() == sorted([k for k, _ in TENS] + [0.0, 15.0, 101.0])
+    assert sut.index.get(15.0) == 3.0  # the repeat's arrival
+
+
+def test_a_span_cut_many_times_is_snapped_a_bounded_number_of_times(monkeypatch):
+    """Hot keys make a snap conflict every few rows. Each run snaps a
+    look-ahead window of twice the rows the last run served, so the span
+    is snapped at most three times over, not once per run."""
+    spec = _spec(WRITE_MIX, 400.0)
+    spec.key_drift = NoDrift(NormalDistribution(0.0, 1000.0, mean=500.0, std=10.0))
+    batch = spec.build_workload(7).next_batch(np.arange(400) / 400.0)
+    pairs = [(float(k), None) for k in np.linspace(0.0, 1000.0, 2000)]
+    snapped = []
+    real = KVStoreBase._snap_batch
+    monkeypatch.setattr(
+        KVStoreBase, "_snap_batch", lambda self, keys: snapped.append(keys.size) or real(self, keys)
+    )
+    tracer = Tracer()
+    # Leaves of 128 keys: the ~80 new hot keys fit without a split.
+    _assert_batch_on_twins(lambda: TraditionalKVStore(order=256), pairs, batch, tracer)
+    trace = tracer.finish()
+    assert trace.counter("kv.run_cuts") >= 10
+    assert trace.counter("kv.bulk_fallback_runs") == 0
+    assert sum(snapped) <= 3 * len(batch)
 
 
 # -- no clock needed: count the full rebuilds ------------------------------------

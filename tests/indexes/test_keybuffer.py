@@ -1,9 +1,10 @@
 """``SortedKeyBuffer`` and ``PositionTagBuffer`` against a Python list.
 
-The buffers shift their tail in place on every insert and delete, and
-double their capacity when full. A list with ``insert`` / ``pop`` /
-``bisect.insort`` is the model: after every operation the live view must
-equal it, at the front, the back and the middle, across growth.
+The buffers shift their tail in place on every insert and delete, place
+a batch in one back-to-front pass on a merge, and double their capacity
+when full. A list with ``insert`` / ``pop`` / ``bisect.insort`` is the
+model: after every operation the live view must equal it, at the front,
+the back and the middle, across growth.
 """
 
 from __future__ import annotations
@@ -83,6 +84,48 @@ def test_add_matches_a_sorted_set(kind, initial, adds):
         if value not in model:
             bisect.insort(model, value)
         _assert_same(buf, model)
+
+
+@pytest.mark.parametrize("kind", sorted(BUFFERS))
+@given(
+    initial=INITIAL,
+    batches=st.lists(
+        st.lists(st.tuples(WHERE, st.integers(-500, 500)), max_size=60), max_size=4
+    ),
+)
+@SETTINGS
+def test_merge_matches_a_list(kind, initial, batches):
+    """``merge(points, values)`` puts ``values[i]`` at ``points[i] + i``:
+    the list model inserts them one by one, front to back. Empty batches,
+    repeated points, both ends and batches larger than the spare capacity
+    all occur."""
+    buf = BUFFERS[kind](np.asarray(initial))
+    model = list(initial)
+    for batch in batches:
+        points = sorted(_position(where, len(model)) for where, _ in batch)
+        values = [value for _, value in batch]
+        capacity = buf._buf.size
+        buf.merge(np.asarray(points, dtype=np.intp), np.asarray(values))
+        for i, (point, value) in enumerate(zip(points, values)):
+            model.insert(point + i, value)
+        _assert_same(buf, model)
+        if len(model) > capacity:
+            assert buf._buf.size >= len(model)  # the buffer grew on the way
+
+
+@given(
+    initial=st.lists(st.integers(-500, 500), unique=True, max_size=40),
+    batch=st.lists(st.integers(-600, 600), unique=True, max_size=60),
+)
+@SETTINGS
+def test_merging_sorted_new_keys_is_a_sorted_union(initial, batch):
+    """How the store and the B+ tree use it: sorted keys the buffer lacks,
+    at their ``searchsorted`` insertion points."""
+    model = sorted(initial)
+    buf = SortedKeyBuffer(np.asarray(model, dtype=np.float64))
+    new = np.asarray(sorted(set(batch) - set(model)), dtype=np.float64)
+    buf.merge(np.searchsorted(buf.view, new), new)
+    _assert_same(buf, sorted(set(model) | set(new.tolist())))
 
 
 @pytest.mark.parametrize("kind", sorted(BUFFERS))

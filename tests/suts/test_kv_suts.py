@@ -83,7 +83,8 @@ class TestKVBase:
 
 
 class TestSnapBatch:
-    """``_snap_batch`` is ``_snap`` per key, plus where each key sits."""
+    """``_snap_batch`` is ``_snap`` per key, plus where each snap and each
+    key sits."""
 
     # Whole-number stored keys and needles on a quarter grid reaching past
     # both ends: exact hits, exact ties at the halves, and repeats are common.
@@ -98,12 +99,13 @@ class TestSnapBatch:
 
     def _check(self, sut, needles):
         needles = np.asarray(needles, dtype=np.float64)
-        snapped, ranks = sut._snap_batch(needles)
+        snapped, ranks, gaps = sut._snap_batch(needles)
         assert snapped.tolist() == [sut._snap(float(k)) for k in needles]
-        assert snapped.dtype == np.float64 and ranks.dtype == np.intp
+        assert snapped.dtype == np.float64 and ranks.dtype == gaps.dtype == np.intp
         mirror = sut._mirror.view
         assert mirror[ranks].tolist() == snapped.tolist()
         assert ranks.tolist() == np.searchsorted(mirror, snapped).tolist()
+        assert gaps.tolist() == np.searchsorted(mirror, needles).tolist()
 
     @given(stored=STORED, needles=NEEDLES)
     @settings(max_examples=200, deadline=None)
@@ -115,7 +117,7 @@ class TestSnapBatch:
         # Ties go to the lower neighbour; both ends clamp; duplicates repeat.
         needles = [15.0, 25.0, 15.0, -1e300, 1e300, 10.0, 30.0, 5.0, 35.0, 15.0]
         self._check(sut, needles)
-        snapped, ranks = sut._snap_batch(np.asarray(needles))
+        snapped, ranks, _ = sut._snap_batch(np.asarray(needles))
         assert snapped.tolist() == [10.0, 20.0, 10.0, 10.0, 30.0, 10.0, 30.0, 10.0, 30.0, 10.0]
         assert ranks.tolist() == [0, 1, 0, 0, 2, 0, 2, 0, 2, 0]
         lone = self._store([7])
