@@ -185,7 +185,11 @@ def test_streaming_matches_in_memory_bit_for_bit(tmp_path, figure_sink):
     cols = result.columns
     assert spilled.size == cols.size == OVERLAP_QUERIES
     for name in ("arrivals", "starts", "completions", "op_codes", "segment_codes"):
-        assert np.array_equal(getattr(spilled, name), getattr(cols, name)), (
+        got, want = getattr(spilled, name), getattr(cols, name)
+        # Bit patterns, not values: ``==`` would pass a -0.0 / 0.0 flip.
+        if want.dtype == np.float64:
+            got, want = got.view(np.uint64), want.view(np.uint64)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
             f"spilled column {name!r} diverged from the in-memory run"
         )
     assert spilled.op_vocab == cols.op_vocab

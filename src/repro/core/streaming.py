@@ -109,17 +109,35 @@ _FLOAT_COLUMNS = ("arrivals", "starts", "completions")
 _CODE_COLUMNS = ("op_codes", "segment_codes")
 _COLUMNS = _FLOAT_COLUMNS + _CODE_COLUMNS
 
-#: Manifest ``"encoding"`` of the npz writer: each float64 column is stored
-#: as the ``(8, rows)`` uint8 byte planes of its bit-pattern deltas (see
-#: :func:`_encode_planes`). A manifest without the key holds plain float64
-#: columns — what every spill written before the encoding existed holds.
-_ENCODING = "delta-byteplanes"
+#: Manifest ``"encoding"`` of the npz writer. Each float64 column is
+#: stored as the eight byte planes of its bit-pattern deltas
+#: (:func:`_encode_planes`), one ``.npy`` member per plane, ``arrivals_0``
+#: to ``arrivals_7``; ``starts`` is usually stored as the rows where it
+#: differs from the single-server FIFO start (:func:`_fifo_starts`).
+_ENCODING = "fifo-planes"
+#: The previous writer's encoding: each float column one ``(8, rows)``
+#: uint8 member. A manifest without ``"encoding"`` holds plain float64
+#: columns, as every spill written before either encoding does. Both
+#: still load.
+_PLANES_ENCODING = "delta-byteplanes"
 
-#: Deflate level of every npz shard member. Not a parameter: once the
-#: planes have separated the near-constant high bytes from the mantissa
-#: noise, higher levels only spend CPU on the incompressible part (level 6
-#: took 2x the time of level 1 on raw timestamps and came out 1 % larger).
+#: Deflate level of every deflated npz shard member. Not a parameter: once
+#: the planes have separated the near-constant high bytes from the
+#: mantissa noise, higher levels only spend CPU on the incompressible part
+#: (level 6 took 2x the time of level 1 on raw timestamps and came out
+#: 1 % larger).
 _DEFLATE_LEVEL = 1
+
+#: A plane whose first ``_PROBE_BYTES`` deflate to more than
+#: ``_STORE_RATIO`` of their size is mantissa noise and is written
+#: ``ZIP_STORED``: deflating it costs milliseconds and saves nothing.
+_PROBE_BYTES = 4096
+_STORE_RATIO = 0.9
+
+#: ``starts`` is written as exceptions while they number at most
+#: ``rows // _EXCEPTION_DIVISOR``; beyond that (multi-server runs, runs
+#: dense with faults) the column is written as planes like the others.
+_EXCEPTION_DIVISOR = 16
 
 
 def _encode_planes(values: np.ndarray) -> np.ndarray:
@@ -141,10 +159,39 @@ def _encode_planes(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(deltas.view(np.uint8).reshape(bits.size, 8).T)
 
 
-def _decode_planes(planes: np.ndarray) -> np.ndarray:
-    """Invert :func:`_encode_planes` (``planes`` already shape-checked)."""
-    deltas = np.ascontiguousarray(planes.T).view("<u8").reshape(-1)
+def _decode_planes(planes: Sequence[np.ndarray]) -> np.ndarray:
+    """Invert :func:`_encode_planes` (eight equal-length uint8 planes)."""
+    deltas = np.stack(planes, axis=1).view("<u8").reshape(-1)
     return np.cumsum(deltas, dtype=np.uint64).view(np.float64)
+
+
+def _fifo_starts(arrivals: np.ndarray, completions: np.ndarray) -> np.ndarray:
+    """Each row's start had it waited only for the row before it.
+
+    Row 0 starts at its arrival, row ``i`` at
+    ``max(arrivals[i], completions[i - 1])`` — exactly what a
+    single-server FIFO queue without outages computes, so on such runs
+    only the first row of a shard and the queries that met a training
+    outage or fault differ from the recorded ``starts``.
+    """
+    starts = np.array(arrivals, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        np.maximum(arrivals[1:], completions[:-1], out=starts[1:])
+    return starts
+
+
+def _starts_exceptions(columns: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
+    """Rows whose ``starts`` differ from :func:`_fifo_starts` in any bit.
+
+    ``None`` when there are more than ``rows // _EXCEPTION_DIVISOR``.
+    Comparing bit patterns, not values, keeps ``-0.0`` and NaN payloads.
+    """
+    derived = _fifo_starts(columns["arrivals"], columns["completions"])
+    starts = np.ascontiguousarray(columns["starts"], dtype=np.float64)
+    rows = np.flatnonzero(derived.view(np.uint64) != starts.view(np.uint64))
+    if rows.size > derived.size // _EXCEPTION_DIVISOR:
+        return None
+    return rows.astype(np.int64, copy=False)
 
 
 class StreamBlock:
@@ -205,10 +252,14 @@ class ColumnSpiller:
     """Spills query columns to sharded files instead of keeping them.
 
     Blocks buffer up to ``shard_rows`` rows, then flush as one shard,
-    ``shard-00000.npz``. An npz shard is a standard zip of
-    ``.npy`` members; its three timestamp columns are stored as delta
-    byte planes (:func:`_encode_planes`), which the manifest's
-    ``"encoding"`` records. :meth:`finish` writes ``manifest.json`` with
+    ``shard-00000.npz``. An npz shard is a standard zip of ``.npy``
+    members (:func:`_write_npz_shard`): ``arrivals`` and ``completions``
+    as delta byte planes (:func:`_encode_planes`), one member per plane,
+    noise planes stored rather than deflated; ``starts`` as the rows
+    where it differs from the FIFO start :func:`_fifo_starts` rebuilds
+    (planes too when those pass a sixteenth of the shard); code columns
+    as ``uint8`` when every code fits. The manifest's ``"encoding"``
+    records the layout. :meth:`finish` writes ``manifest.json`` with
     the shard list and label vocabularies; :func:`load_spilled_columns`
     reassembles the full :class:`~repro.core.results.QueryColumns` from
     it.
@@ -333,20 +384,51 @@ class ColumnSpiller:
 
 
 def _write_npz_shard(path: Path, columns: Dict[str, np.ndarray]) -> None:
-    """Write one shard as a zip of ``.npy`` members, floats as planes.
+    """Write one shard as a zip of ``.npy`` members in the ``fifo-planes`` layout.
 
-    ``np.savez_compressed`` cannot set the deflate level, so this is its
-    body with the level fixed. One column is encoded and written at a
-    time, so at most one encoding is alive beside the raw columns.
+    ``np.savez_compressed`` can set neither the deflate level nor a
+    member's compression, so this is its body with both chosen here. The
+    derived ``starts`` is freed before any planes exist, and one column is
+    encoded and written at a time, so at most one encoding is alive beside
+    the raw columns.
     """
+    starts_rows = _starts_exceptions(columns)
     with zipfile.ZipFile(
         path, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
     ) as archive:
-        for key, values in columns.items():
-            if key in _FLOAT_COLUMNS:
-                values = _encode_planes(values)
-            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, values, allow_pickle=False)
+        for key in _FLOAT_COLUMNS:
+            if key == "starts" and starts_rows is not None:
+                _write_member(archive, "starts_rows", starts_rows)
+                _write_member(archive, "starts_values", columns[key][starts_rows])
+                continue
+            for name, plane in zip(_plane_names(key), _encode_planes(columns[key])):
+                _write_member(archive, name, plane, deflate=_deflates(plane))
+        for key in _CODE_COLUMNS:
+            codes = columns[key]
+            if codes.size and 0 <= codes.min() and codes.max() < 256:
+                codes = codes.astype(np.uint8)
+            _write_member(archive, key, codes)
+
+
+def _plane_names(key: str) -> List[str]:
+    return [f"{key}_{k}" for k in range(8)]
+
+
+def _deflates(plane: np.ndarray) -> bool:
+    """Whether deflate shrinks ``plane``'s head below ``_STORE_RATIO``."""
+    head = plane[:_PROBE_BYTES]
+    return len(zlib.compress(head, _DEFLATE_LEVEL)) <= _STORE_RATIO * head.size
+
+
+def _write_member(
+    archive: zipfile.ZipFile, name: str, values: np.ndarray, deflate: bool = True
+) -> None:
+    info: Any = f"{name}.npy"
+    if not deflate:
+        info = zipfile.ZipInfo(info)
+        info.compress_type = zipfile.ZIP_STORED
+    with archive.open(info, "w", force_zip64=True) as member:
+        np.lib.format.write_array(member, values, allow_pickle=False)
 
 
 def write_sharded_manifest(
@@ -492,14 +574,31 @@ def _load_sharded_columns(directory: Path, manifest: dict) -> QueryColumns:
     return _assemble(parts, manifest, directory)
 
 
-def _read_npz_shard(path: Path, encoded: bool) -> Dict[str, np.ndarray]:
+def _shard_members(encoding: Optional[str], files: Sequence[str]) -> List[str]:
+    """The members a shard of ``encoding`` must hold."""
+    if encoding != _ENCODING:
+        return list(_COLUMNS)
+    starts = (
+        _plane_names("starts")
+        if "starts_0" in files
+        else ["starts_rows", "starts_values"]
+    )
+    return [
+        *_plane_names("arrivals"),
+        *starts,
+        *_plane_names("completions"),
+        *_CODE_COLUMNS,
+    ]
+
+
+def _read_npz_shard(path: Path, encoding: Optional[str]) -> Dict[str, np.ndarray]:
     """One npz shard's five columns, floats decoded, shapes checked."""
     try:
         loaded = np.load(path, allow_pickle=False)
         if not isinstance(loaded, np.lib.npyio.NpzFile):
             raise ValueError("not an npz archive")
         with loaded as shard:
-            raw = {key: shard[key] for key in _COLUMNS}
+            raw = {key: shard[key] for key in _shard_members(encoding, shard.files)}
     except (
         OSError,
         EOFError,
@@ -511,31 +610,67 @@ def _read_npz_shard(path: Path, encoded: bool) -> Dict[str, np.ndarray]:
         raise ConfigurationError(
             f"cannot read spill shard {path.name!r} in {path.parent}: {exc!r}"
         ) from exc
+    where = f"spill shard {path.name!r} in {path.parent}"
 
     def _reject(key: str, expected: str) -> ConfigurationError:
         return ConfigurationError(
-            f"spill shard {path.name!r} in {path.parent}: column {key!r} is "
+            f"{where}: column {key!r} is "
             f"{raw[key].dtype}{raw[key].shape}, expected {expected}"
         )
 
+    def _vector(key: str, floats: bool, expected: str) -> np.ndarray:
+        dtype = raw[key].dtype
+        ok = dtype == np.float64 if floats else dtype.kind in "iu"
+        if not ok or raw[key].ndim != 1:
+            raise _reject(key, expected)
+        return raw[key]
+
     columns: Dict[str, np.ndarray] = {}
     for key in _FLOAT_COLUMNS:
-        values = raw[key]
-        if encoded:
-            if (
-                values.dtype != np.uint8
-                or values.ndim != 2
-                or values.shape[0] != 8
-            ):
+        if encoding == _ENCODING:
+            if key == "starts" and "starts_rows" in raw:
+                continue
+            planes = [raw[name] for name in _plane_names(key)]
+            for name, plane in zip(_plane_names(key), planes):
+                if plane.dtype != np.uint8 or plane.ndim != 1:
+                    raise _reject(name, "a uint8(rows,) byte plane")
+            if len({plane.size for plane in planes}) != 1:
+                raise ConfigurationError(
+                    f"{where}: the byte planes of column {key!r} have unequal "
+                    f"lengths {[plane.size for plane in planes]}"
+                )
+            columns[key] = _decode_planes(planes)
+        elif encoding == _PLANES_ENCODING:
+            values = raw[key]
+            if values.dtype != np.uint8 or values.ndim != 2 or values.shape[0] != 8:
                 raise _reject(key, "uint8(8, rows) byte planes")
-            values = _decode_planes(values)
-        elif values.dtype != np.float64 or values.ndim != 1:
-            raise _reject(key, "float64(rows,)")
-        columns[key] = values
+            columns[key] = _decode_planes(values)
+        else:
+            columns[key] = _vector(key, True, "float64(rows,)")
+    if "starts" not in columns:
+        arrivals, completions = columns["arrivals"], columns["completions"]
+        if arrivals.size != completions.size:
+            raise ConfigurationError(
+                f"{where} has columns of unequal length: arrivals "
+                f"{arrivals.size}, completions {completions.size}"
+            )
+        rows = _vector("starts_rows", False, "an integer (exceptions,) column")
+        values = _vector("starts_values", True, "float64(exceptions,)")
+        if values.size != rows.size:
+            raise ConfigurationError(
+                f"{where}: {values.size} starts_values for {rows.size} starts_rows"
+            )
+        if rows.size and (
+            rows[0] < 0 or rows[-1] >= arrivals.size or np.any(rows[1:] <= rows[:-1])
+        ):
+            raise ConfigurationError(
+                f"{where}: starts_rows must increase strictly within "
+                f"[0, {arrivals.size})"
+            )
+        columns["starts"] = _fifo_starts(arrivals, completions)
+        columns["starts"][rows] = values
     for key in _CODE_COLUMNS:
-        if raw[key].dtype.kind not in "iu" or raw[key].ndim != 1:
-            raise _reject(key, "an integer (rows,) column")
-        columns[key] = raw[key]
+        columns[key] = _vector(key, False, "an integer (rows,) column")
     return columns
 
 
@@ -545,9 +680,10 @@ def load_spilled_columns(directory) -> QueryColumns:
     Accepts both flat manifests (one :class:`ColumnSpiller`) and merged
     sharded manifests (:func:`write_sharded_manifest`), reassembling the
     latter's subdirectories in stream order with shard-local codes
-    remapped into the merged vocabularies. A flat npz manifest without
-    ``"encoding"`` holds plain float64 columns (spills written before
-    the byte-plane encoding) and loads as such.
+    remapped into the merged vocabularies. Flat npz manifests of the
+    previous ``"delta-byteplanes"`` encoding, and those without
+    ``"encoding"`` (plain float64 columns, written before any encoding),
+    load as such.
 
     The directory is outside input: a manifest or shard that cannot be
     decoded, names a file outside the directory, or holds columns of the
@@ -565,14 +701,14 @@ def load_spilled_columns(directory) -> QueryColumns:
             "spills are supported"
         )
     encoding = manifest.get("encoding")
-    if encoding not in (None, _ENCODING):
+    if encoding not in (None, _PLANES_ENCODING, _ENCODING):
         raise ConfigurationError(
             f"unknown spill encoding {encoding!r} in {directory}"
         )
     parts: Dict[str, List[np.ndarray]] = {key: [] for key in _COLUMNS}
     for name in manifest["shards"]:
         path = _inside(directory, name)
-        shard = _read_npz_shard(path, encoded=encoding is not None)
+        shard = _read_npz_shard(path, encoding)
         sizes = {key: int(values.shape[0]) for key, values in shard.items()}
         if len(set(sizes.values())) != 1:
             raise ConfigurationError(

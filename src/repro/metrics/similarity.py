@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.learned.drift_detector import ks_statistics
 from repro.workloads.generators import (
     KV_OPERATIONS,
     KVWorkload,
@@ -43,11 +44,7 @@ def ks_statistic(sample_a: Iterable[float], sample_b: Iterable[float]) -> float:
     b = np.sort(np.asarray(list(sample_b), dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ConfigurationError("KS statistic requires non-empty samples")
-    grid = np.concatenate([a, b])
-    grid.sort()
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+    return float(ks_statistics(a, b[None, :])[0])
 
 
 def mmd_rbf(

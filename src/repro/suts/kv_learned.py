@@ -162,10 +162,11 @@ class LearnedKVStore(KVStoreBase):
 
         ``_retrain_requested`` is sticky and only read at ``on_tick``, and
         the delta buffer cannot change during a read run, so batching the
-        detector feed is exact.
+        detector feed is exact. The access reservoir keeps only its last
+        ``maxlen`` keys, so only those are copied into it.
         """
         keys = batch.keys[a:b]
-        self._recent_accesses.extend(keys.tolist())
+        self._recent_accesses.extend(keys[-self._recent_accesses.maxlen :].tolist())
         if not self.adapt:
             return
         if self._detector.observe_many(keys):

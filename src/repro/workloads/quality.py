@@ -19,6 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.learned.drift_detector import ks_statistics
 from repro.workloads.generators import WorkloadSpec
 
 
@@ -150,9 +151,9 @@ def score_workload(
     skew = float(np.mean(ginis))
 
     # Drift: mean two-sample KS distance between consecutive probes.
-    ks_values = []
-    for a, b in zip(samples[:-1], samples[1:]):
-        ks_values.append(_two_sample_ks(a, b))
+    ks_values = [
+        float(ks_statistics(a, b[None, :])[0]) for a, b in zip(samples[:-1], samples[1:])
+    ]
     drift = float(np.clip(np.mean(ks_values), 0.0, 1.0))
 
     # Load variation: coefficient of variation of the rate trace, squashed.
@@ -165,12 +166,3 @@ def score_workload(
 
     overall = float(np.clip(0.35 * skew + 0.4 * drift + 0.25 * load_variation, 0.0, 1.0))
     return WorkloadQualityReport(skew, drift, load_variation, overall)
-
-
-def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic for sorted samples."""
-    grid = np.concatenate([a, b])
-    grid.sort()
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())

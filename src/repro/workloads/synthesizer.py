@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.learned.drift_detector import ks_statistics
 from repro.workloads.distributions import Distribution, PiecewiseDistribution
 from repro.workloads.drift import NoDrift
 from repro.workloads.generators import OperationMix, WorkloadSpec
@@ -93,11 +94,7 @@ def evaluate_fit(
     arr = np.sort(np.asarray(list(sample), dtype=np.float64))
     rng = np.random.default_rng(seed)
     synth = np.sort(fitted.sample(rng, draw))
-    grid = np.concatenate([arr, synth])
-    grid.sort()
-    cdf_a = np.searchsorted(arr, grid, side="right") / arr.size
-    cdf_b = np.searchsorted(synth, grid, side="right") / synth.size
-    ks = float(np.abs(cdf_a - cdf_b).max())
+    ks = float(ks_statistics(arr, synth[None, :])[0])
     return SynthesisReport(ks_distance=ks, buckets=buckets, sample_size=arr.size)
 
 

@@ -249,7 +249,7 @@ class TestMergeEquivalence:
             sub = json.loads(
                 (sharded_dir / entry["directory"] / "manifest.json").read_text()
             )
-            assert sub["encoding"] == "delta-byteplanes"
+            assert sub["encoding"] == "fifo-planes"
         reference = load_spilled_columns(reference_dir)
         stitched = load_spilled_columns(sharded_dir)
         assert stitched.op_vocab == reference.op_vocab

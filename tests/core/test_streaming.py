@@ -270,12 +270,18 @@ class TestSpillCodec:
         spiller = ColumnSpiller(tmp_path / "s", shard_rows=8)
         spiller.write(_block(8))
         manifest = spiller.finish(["read"], ["a"])
-        assert manifest["encoding"] == "delta-byteplanes"
+        assert manifest["encoding"] == "fifo-planes"
         with np.load(tmp_path / "s" / "shard-00000.npz", allow_pickle=False) as shard:
-            assert set(shard.files) == set(COLUMN_NAMES)
-            assert shard["arrivals"].dtype == np.uint8
-            assert shard["arrivals"].shape == (8, 8)
-            assert shard["op_codes"].dtype == np.int32
+            # _block's starts are no FIFO starts, so they are planes too.
+            assert set(shard.files) == {
+                *(f"{key}_{k}" for key in ("arrivals", "starts", "completions")
+                  for k in range(8)),
+                "op_codes",
+                "segment_codes",
+            }
+            assert shard["arrivals_0"].dtype == np.uint8
+            assert shard["arrivals_0"].shape == (8,)
+            assert shard["op_codes"].dtype == np.uint8
 
     def test_encoded_fifo_run_is_smaller_than_raw(self, tmp_path):
         # Clock-free size guard: a FIFO-shaped run (sorted arrivals, each
@@ -297,6 +303,194 @@ class TestSpillCodec:
         spiller.finish(["read"], ["a"])
         size = sum(f.stat().st_size for f in (tmp_path / "s").glob("shard-*.npz"))
         assert size < 0.6 * 32 * n
+
+
+def _fifo_block(n, seed=5, mean_service=0.3):
+    """A single-server FIFO run: each start is the arrival or the previous
+    completion, whichever is later, so ``starts`` spills as exceptions."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0, n))
+    service = rng.exponential(mean_service, n)
+    starts, completions = np.empty(n), np.empty(n)
+    free = -np.inf
+    for i in range(n):
+        starts[i] = max(free, arrivals[i])
+        free = completions[i] = starts[i] + service[i]
+    codes = (np.arange(n) % 3).astype(np.int32)
+    return StreamBlock(arrivals, starts, completions, codes, codes[::-1].copy())
+
+
+def _spill_block(directory, block, shard_rows=262_144):
+    spiller = ColumnSpiller(directory, shard_rows=shard_rows)
+    spiller.write(block)
+    spiller.finish(["read", "insert", "scan"], ["a", "b", "c"])
+    return load_spilled_columns(directory)
+
+
+def _members(path):
+    with np.load(path, allow_pickle=False) as shard:
+        return {key: shard[key] for key in shard.files}
+
+
+class TestFifoPlanesLayout:
+    def test_fifo_starts_are_stored_as_exceptions(self, tmp_path):
+        block = _fifo_block(500)
+        block.starts[[0, 7, 499]] = [-0.0, block.starts[7] + 1e-9, np.nan]
+        loaded = _spill_block(tmp_path / "s", block)
+        _assert_bit_identical(loaded, block)
+        members = _members(tmp_path / "s" / "shard-00000.npz")
+        assert not any(key.startswith("starts_") and key[-1].isdigit() for key in members)
+        assert members["starts_rows"].tolist() == [0, 7, 499]
+        assert members["starts_rows"].dtype == np.int64
+        assert members["op_codes"].dtype == members["segment_codes"].dtype == np.uint8
+
+    @pytest.mark.parametrize("exceptions", [31, 32, 33])
+    def test_starts_fall_back_to_planes_past_a_sixteenth(self, tmp_path, exceptions):
+        block = _fifo_block(512)
+        rows = np.linspace(0, 511, exceptions).astype(int)
+        block.starts[rows] += 0.25
+        loaded = _spill_block(tmp_path / "s", block)
+        _assert_bit_identical(loaded, block)
+        members = _members(tmp_path / "s" / "shard-00000.npz")
+        assert ("starts_0" in members) == (exceptions > 512 // 16)
+        assert ("starts_rows" in members) == (exceptions <= 512 // 16)
+
+    def test_wide_codes_stay_int32(self, tmp_path):
+        block = _fifo_block(300)
+        block.segment_codes[:] = np.arange(300)
+        spiller = ColumnSpiller(tmp_path / "s")
+        spiller.write(block)
+        spiller.finish(["read", "insert", "scan"], [str(i) for i in range(300)])
+        members = _members(tmp_path / "s" / "shard-00000.npz")
+        assert members["segment_codes"].dtype == np.int32
+        assert members["op_codes"].dtype == np.uint8
+        _assert_bit_identical(load_spilled_columns(tmp_path / "s"), block)
+
+    def test_noise_planes_are_stored_and_runs_deflated(self, tmp_path):
+        import zipfile
+
+        n = 8192
+        rng = np.random.default_rng(9)
+        noise = rng.integers(0, 2**63, n, dtype=np.uint64).view(np.float64)
+        block = StreamBlock(
+            np.cumsum(noise.view(np.uint64) >> np.uint64(40)).astype(np.float64),
+            noise,
+            np.full(n, 3.0),
+            np.zeros(n, np.int32),
+            np.zeros(n, np.int32),
+        )
+        loaded = _spill_block(tmp_path / "s", block)
+        _assert_bit_identical(loaded, block)
+        with zipfile.ZipFile(tmp_path / "s" / "shard-00000.npz") as archive:
+            kinds = {info.filename: info.compress_type for info in archive.infolist()}
+        # Random starts: every plane is noise (and every row an exception).
+        assert all(kinds[f"starts_{k}.npy"] == zipfile.ZIP_STORED for k in range(8))
+        # A constant column: planes of zeros after the first delta.
+        assert all(
+            kinds[f"completions_{k}.npy"] == zipfile.ZIP_DEFLATED for k in range(8)
+        )
+        assert kinds["op_codes.npy"] == zipfile.ZIP_DEFLATED
+
+
+def _write_member_spill(directory, members, rows, encoding="fifo-planes"):
+    """One hand-built shard of ``members`` under a flat manifest."""
+    directory.mkdir(parents=True, exist_ok=True)
+    np.savez(directory / "shard-00000.npz", **members)
+    (directory / "manifest.json").write_text(
+        json.dumps(
+            {
+                "format": "npz",
+                "rows": rows,
+                "shards": ["shard-00000.npz"],
+                "op_vocab": ["read", "insert", "scan"],
+                "segment_vocab": ["a", "b", "c"],
+                "directory": str(directory),
+                "encoding": encoding,
+            }
+        )
+    )
+
+
+def _old_planes(values):
+    """The ``delta-byteplanes`` layout: one ``(8, rows)`` uint8 member."""
+    bits = values.view(np.uint64)
+    deltas = np.concatenate([bits[:1], bits[1:] - bits[:-1]])
+    return np.ascontiguousarray(deltas.view(np.uint8).reshape(-1, 8).T)
+
+
+class TestFifoPlanesLoader:
+    def _valid(self, tmp_path, n=64):
+        block = _fifo_block(n)
+        block.starts[[3, 9]] += 0.5
+        _spill_block(tmp_path / "valid", block)
+        return block, _members(tmp_path / "valid" / "shard-00000.npz")
+
+    def _load_broken(self, tmp_path, members, rows=64):
+        _write_member_spill(tmp_path / "s", members, rows)
+        return load_spilled_columns(tmp_path / "s")
+
+    def test_hand_built_shard_loads(self, tmp_path):
+        block, members = self._valid(tmp_path)
+        _assert_bit_identical(self._load_broken(tmp_path, members), block)
+
+    def test_delta_byteplanes_spill_still_loads(self, tmp_path):
+        block = _fifo_block(50)
+        members = {
+            key: _old_planes(getattr(block, key))
+            for key in ("arrivals", "starts", "completions")
+        }
+        members.update(op_codes=block.op_codes, segment_codes=block.segment_codes)
+        _write_member_spill(tmp_path / "s", members, 50, encoding="delta-byteplanes")
+        _assert_bit_identical(load_spilled_columns(tmp_path / "s"), block)
+
+    @pytest.mark.parametrize(
+        "plane",
+        [np.zeros(64, np.int8), np.zeros((1, 64), np.uint8), np.zeros(64, np.float64)],
+        ids=["dtype", "ndim", "float"],
+    )
+    def test_plane_of_wrong_type_rejected(self, tmp_path, plane):
+        _, members = self._valid(tmp_path)
+        members["completions_5"] = plane
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'completions_5'"):
+            self._load_broken(tmp_path, members)
+
+    def test_planes_of_unequal_length_rejected(self, tmp_path):
+        _, members = self._valid(tmp_path)
+        members["arrivals_7"] = members["arrivals_7"][:-1]
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'arrivals'.*unequal"):
+            self._load_broken(tmp_path, members)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[9, 3], [3, 3], [-1, 9], [3, 64]],
+        ids=["descending", "repeated", "negative", "past-end"],
+    )
+    def test_bad_exception_rows_rejected(self, tmp_path, rows):
+        _, members = self._valid(tmp_path)
+        members["starts_rows"] = np.array(rows, np.int64)
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*starts_rows"):
+            self._load_broken(tmp_path, members)
+
+    def test_exception_count_mismatch_rejected(self, tmp_path):
+        _, members = self._valid(tmp_path)
+        members["starts_values"] = members["starts_values"][:1]
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*1 starts_values for 2"):
+            self._load_broken(tmp_path, members)
+
+    @pytest.mark.parametrize(
+        "member", ["starts_rows", "starts_values", "arrivals_3", "completions_0", "op_codes"]
+    )
+    def test_missing_member_rejected(self, tmp_path, member):
+        _, members = self._valid(tmp_path)
+        del members[member]
+        with pytest.raises(ConfigurationError, match=f"shard-00000.npz.*{member}"):
+            self._load_broken(tmp_path, members)
+
+    def test_exception_members_of_wrong_type_rejected(self, tmp_path):
+        _, members = self._valid(tmp_path)
+        members["starts_values"] = members["starts_values"].astype(np.float32)
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*'starts_values'"):
+            self._load_broken(tmp_path, members)
 
 
 def _write_plain_spill(directory, shards, rows=None, **manifest_extra):
@@ -623,6 +817,9 @@ class TestDriverStreaming:
         assert np.any(np.diff(reference.columns.completions) < 0)
         spilled = load_spilled_columns(summary.spill["directory"])
         _assert_bit_identical(spilled, reference.columns)
+        # Three servers start queries no single FIFO queue would: the
+        # starts exceptions pass the bound and the column goes as planes.
+        assert "starts_0" in _members(tmp_path / "s" / "shard-00000.npz")
 
     def test_faulted_spill_equals_in_memory_run(self, tmp_path):
         scenario = replace(

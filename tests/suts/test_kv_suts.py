@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.reference_driver import ScalarReferenceDriver
 
+from repro.core.benchmark import Benchmark, BenchmarkConfig
+from repro.core.scenario import Scenario, Segment
 from repro.errors import ConfigurationError
+from repro.observability import Tracer
 from repro.suts.kv_learned import LearnedKVStore, StaticLearnedKVStore
 from repro.suts.kv_traditional import HashKVStore, TraditionalKVStore
-from repro.workloads.generators import KVOperation, KVQuery
+from repro.workloads.distributions import HotspotDistribution
+from repro.workloads.generators import KVOperation, KVQuery, simple_spec
 
 
 @pytest.fixture
@@ -258,3 +265,78 @@ class TestLearnedKV:
         info = sut.describe()
         assert info["trained_fanout"] == sut.trained_fanout
         assert info["adapt"] is True
+
+
+def _two_hotspot_keys(n, seed=7):
+    """Accesses that jump between two narrow hot ranges every 300 keys."""
+    rng = np.random.default_rng(seed)
+    centres = np.repeat(rng.choice([100.0, 800.0], 1 + n // 300), 300)[:n]
+    return centres + rng.uniform(0.0, 40.0, n)
+
+
+def _two_hotspot_scenario():
+    segments = [
+        Segment(
+            spec=simple_spec(
+                f"hot-{i}",
+                HotspotDistribution(0.0, 1000.0, hot_start=start, hot_width=40.0),
+                rate=3000.0,
+            ),
+            duration=0.5,
+        )
+        for i, start in enumerate([100.0, 800.0, 100.0, 800.0])
+    ]
+    return Scenario(
+        name="two-hotspots",
+        segments=segments,
+        seed=3,
+        initial_keys=np.sort(np.random.default_rng(2).uniform(0.0, 1000.0, 3000)),
+        tick_interval=0.1,
+    )
+
+
+class TestLearnedObserverIsExact:
+    """The vectorized observer ends where the per-query hooks end."""
+
+    def _store(self, pairs):
+        sut = LearnedKVStore(drift_window=64, access_sample_size=500)
+        sut.setup(pairs)
+        sut.offline_train(1e9)
+        return sut
+
+    @pytest.mark.parametrize("cuts", [[0, 5000], [0, 1, 63, 64, 700, 2999, 5000]])
+    def test_slice_hook_equals_query_hooks(self, pairs, cuts):
+        keys = _two_hotspot_keys(5000)
+        sliced, looped = self._store(pairs), self._store(pairs)
+        batch = SimpleNamespace(keys=keys)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            sliced._after_execute_slice(batch, a, b)
+            for key in keys[a:b]:
+                looped._after_execute(_query(KVOperation.READ, float(key)), 0.0)
+        assert sliced._retrain_requested is looped._retrain_requested is True
+        assert list(sliced._recent_accesses) == list(looped._recent_accesses)
+        assert len(sliced._recent_accesses) == 500
+        got, want = sliced._detector, looped._detector
+        assert got.describe() == want.describe()
+        assert got.last_window().tobytes() == want.last_window().tobytes()
+        assert got._reference.tobytes() == want._reference.tobytes()
+
+    def test_run_equals_the_scalar_oracle(self):
+        scenario = _two_hotspot_scenario()
+        ran_tracer, oracle_tracer = Tracer(), Tracer()
+        ran = Benchmark(tracer=ran_tracer).run(
+            LearnedKVStore(max_fanout=64, retrain_cooldown=0.2), scenario
+        )
+        oracle = ScalarReferenceDriver(
+            BenchmarkConfig().driver_config(), tracer=oracle_tracer
+        ).run(LearnedKVStore(max_fanout=64, retrain_cooldown=0.2), scenario)
+        for name in ("arrivals", "starts", "completions", "op_codes", "segment_codes"):
+            got, want = getattr(ran.columns, name), getattr(oracle.columns, name)
+            assert got.tobytes() == want.tobytes(), name
+        assert ran.sut_description == oracle.sut_description
+        events = [(e.start, e.end, e.online) for e in ran.training_events]
+        assert events == [(e.start, e.end, e.online) for e in oracle.training_events]
+        assert sum(online for _, _, online in events) >= 2
+        counters = ran_tracer.counters
+        for name in ("kv.retrains", "drift.checks", "drift.drifts_detected"):
+            assert counters[name] == oracle_tracer.counters[name], name
