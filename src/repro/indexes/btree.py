@@ -1,19 +1,33 @@
-"""A classic B+ tree.
+"""A classic B+ tree, with its leaf level stored as arrays.
 
 This is the traditional baseline structure the learned indexes are
-compared against throughout the benchmark. It is a textbook in-memory
-B+ tree: all values live in leaves, leaves are chained for range scans,
-inner nodes hold separator keys, and nodes split at ``order`` entries.
+compared against throughout the benchmark. It behaves, and counts, as a
+textbook in-memory B+ tree: all values live in leaves, inner nodes hold
+separator keys, a lookup descends one node per level, and nodes split
+at ``order`` entries.
 
-Deletes use lazy underflow handling (merge with a sibling when a node
-drops below half capacity) which keeps the structure valid without the
-full rebalancing zoo; the benchmark exercises read/insert-heavy paths.
+The leaf level is laid out column-wise, like the array B+ trees that
+updatable learned indexes are measured against. Every key sits in one
+sorted :class:`SortedKeyBuffer`, and leaf ``i`` is the span
+``[ends[i-1], ends[i])`` of it. Values sit in one list, each at the slot
+a parallel column names for its key's position: a new key's value is
+appended, so adding keys moves slot numbers, never Python objects. Only
+inner nodes are objects. A key's leaf number is the count of separators
+at or below it, which is the child a ``bisect_right`` descent picks
+level by level. A leaf split inserts a boundary into ``ends`` and a
+separator into the parent, and no key moves. The vectorized reads and
+writes (:meth:`BPlusTree.bulk_lookup`, :meth:`BPlusTree.bulk_apply`)
+search the same arrays, so there is no second copy of the keys to keep
+in step.
+
+Deletes never merge or rebalance: a leaf may go sparse or empty, and
+separators stay where they are.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,38 +37,18 @@ from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
 
 
 class _Node:
-    """A B+ tree node; ``leaf`` nodes carry values, inner nodes children."""
+    """An inner node: separators, and child nodes unless its children are leaves."""
 
-    __slots__ = ("keys", "children", "values", "next", "leaf")
+    __slots__ = ("keys", "children")
 
-    def __init__(self, leaf: bool) -> None:
-        self.leaf = leaf
-        self.keys: List[float] = []
-        self.children: List["_Node"] = []
-        self.values: List[Any] = []
-        self.next: Optional["_Node"] = None
+    def __init__(self, keys: List[float], children: List["_Node"]) -> None:
+        self.keys = keys
+        self.children = children
 
 
-class _FlatView(NamedTuple):
-    """The tree flattened for vectorized routing, in leaf order.
-
-    Attributes:
-        seps: Every inner separator, ascending.
-        keys: Every stored key, ascending.
-        leaf_of: The leaf number of every position of ``keys``.
-        ends: Each leaf's end position in ``keys`` (cumulative sizes).
-        leaf_comps: Comparisons of a ``get`` that ends in each leaf.
-        leaf_na: Node accesses of a ``get`` that ends in each leaf.
-        leaves: The leaf nodes, in key order.
-    """
-
-    seps: np.ndarray
-    keys: SortedKeyBuffer
-    leaf_of: PositionTagBuffer
-    ends: np.ndarray
-    leaf_comps: np.ndarray
-    leaf_na: np.ndarray
-    leaves: List[_Node]
+def _step(node: _Node) -> int:
+    """Comparisons of one ``bisect`` over ``node``'s separators."""
+    return max(1, len(node.keys).bit_length())
 
 
 def _search_comps(sizes: np.ndarray) -> np.ndarray:
@@ -86,6 +80,13 @@ class BPlusTree(OrderedIndex):
         order: Maximum number of keys per node (>= 3). Smaller orders make
             deeper trees, useful for testing; 64 approximates a cache-line
             conscious in-memory tree.
+
+    The leaf level is five arrays in key order: ``_keys`` (every stored
+    key), ``_slot`` (each position's index into ``_values``), ``_leaf_of``
+    (each position's leaf number), ``_ends`` (each leaf's end position)
+    and ``_seps`` (every separator, one per leaf boundary). ``_path``
+    holds, per leaf, the comparisons of the inner nodes on the way down
+    to it; every leaf is ``height`` nodes from the root.
     """
 
     def __init__(self, order: int = 64) -> None:
@@ -93,10 +94,7 @@ class BPlusTree(OrderedIndex):
         if order < 3:
             raise ConfigurationError(f"B+ tree order must be >= 3, got {order}")
         self._order = order
-        self._root = _Node(leaf=True)
-        self._size = 0
-        self._height = 1
-        self._bulk_cache = None
+        self._build(np.empty(0), [])
 
     @property
     def order(self) -> int:
@@ -110,139 +108,67 @@ class BPlusTree(OrderedIndex):
 
     # -- search ---------------------------------------------------------------
 
-    def _find_leaf(self, key: float) -> _Node:
-        """Descend from the root to the leaf responsible for ``key``."""
-        node = self._root
-        while not node.leaf:
-            self.stats.node_accesses += 1
-            idx = bisect.bisect_right(node.keys, key)
-            self.stats.comparisons += max(1, len(node.keys).bit_length())
-            node = node.children[idx]
-        self.stats.node_accesses += 1
-        return node
+    def _descend(self, key: float) -> int:
+        """Count a root-to-leaf descent for ``key`` and return its leaf."""
+        leaf = int(self._seps.searchsorted(key, side="right"))
+        self.stats.node_accesses += self._height
+        self.stats.comparisons += int(self._path[leaf])
+        return leaf
+
+    def _span(self, leaf: int) -> Tuple[int, int]:
+        """Leaf ``leaf``'s positions in ``_keys``, as ``[start, end)``."""
+        return (int(self._ends[leaf - 1]) if leaf else 0), int(self._ends[leaf])
+
+    def _locate(self, key: float) -> Tuple[int, bool]:
+        """``key``'s insertion point among the stored keys, and whether it is there."""
+        keys = self._keys.view
+        pos = int(keys.searchsorted(key))
+        return pos, pos < keys.size and keys[pos] == key
+
+    def _search(self, key: float) -> Tuple[int, int, bool]:
+        """Count a descent and the search of its leaf: ``(leaf, position, found)``."""
+        leaf = self._descend(key)
+        start, end = self._span(leaf)
+        self.stats.comparisons += max(1, (end - start).bit_length())
+        return (leaf, *self._locate(key))
 
     def get(self, key: float) -> Any:
         self.stats.lookups += 1
-        leaf = self._find_leaf(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        self.stats.comparisons += max(1, len(leaf.keys).bit_length())
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return leaf.values[idx]
+        _, pos, found = self._search(key)
+        if found:
+            return self._values[self._slot.view[pos]]
         raise KeyNotFoundError(key)
 
-    # -- bulk lookup -----------------------------------------------------------
+    # -- bulk reads and writes -------------------------------------------------
 
-    def _build_bulk_cache(self):
-        """Flatten the tree for vectorized routing.
+    def _charge(self, leaf: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Count a descent per row into ``leaf``, whose search covers ``sizes`` keys.
 
-        An in-order walk yields every stored key in sorted order, so a
-        key's position among them names its leaf, and every inner
-        separator in sorted order (one per leaf boundary), which is what
-        the per-node ``bisect_right`` descent routes by. Per-leaf
-        comparison/node-access totals are precomputed along each
-        root-to-leaf path, and the leaves are kept in order so a bulk
-        write can reach its leaf. Returns ``False`` if the two routings
-        could disagree (unsupported shape).
-
-        This walk is the definition of the view: ``bulk_load``,
-        non-splitting inserts and ``bulk_apply`` maintain the same arrays
-        incrementally, a split or delete drops the view so the next bulk
-        read rebuilds it here, and the tests compare the maintained view
-        against a fresh walk.
+        Commits the comparisons and node accesses, and returns them with
+        the (zero) model evaluations as per-row arrays.
         """
-        seps: List[float] = []
-        leaves: List[_Node] = []
-        path_comps: List[int] = []
-        depths: List[int] = []
-
-        def dfs(node: _Node, comps: int, depth: int) -> None:
-            if node.leaf:
-                leaves.append(node)
-                path_comps.append(comps)
-                depths.append(depth)
-                return
-            step = max(1, len(node.keys).bit_length())
-            for i, child in enumerate(node.children):
-                if i > 0:
-                    seps.append(node.keys[i - 1])
-                dfs(child, comps + step, depth + 1)
-
-        dfs(self._root, 0, 0)
-        return self._flat_view(
-            seps,
-            [k for leaf in leaves for k in leaf.keys],
-            leaves,
-            path_comps,
-            depths,
+        comps = self._path[leaf] + _search_comps(sizes)
+        self.stats.comparisons += int(comps.sum())
+        self.stats.node_accesses += leaf.size * self._height
+        return comps, np.full(leaf.size, self._height, dtype=np.int64), np.zeros(
+            leaf.size, dtype=np.int64
         )
-
-    @staticmethod
-    def _flat_view(seps, keys, leaves, path_comps, depths):
-        """Assemble the view from per-leaf facts in leaf order.
-
-        ``path_comps`` / ``depths`` are each leaf's inner-node comparison
-        total and inner-node count on the way down from the root.
-        """
-        sizes = [len(leaf.keys) for leaf in leaves]
-        sep_arr = np.asarray(seps, dtype=np.float64)
-        if sep_arr.size and (np.diff(sep_arr) < 0).any():
-            return False
-        all_keys = np.asarray(keys, dtype=np.float64)
-        # Strictly ascending: what lets ``bulk_lookup`` verify a rank hint.
-        if not (all_keys[1:] > all_keys[:-1]).all():
-            return False
-        sizes = np.asarray(sizes, dtype=np.int64)
-        ends = np.cumsum(sizes)
-        # The descent routes by separators, the view by position: they
-        # agree iff every separator's insertion point is its leaf boundary.
-        if not np.array_equal(np.searchsorted(all_keys, sep_arr), ends[:-1]):
-            return False
-        leaf_of = PositionTagBuffer(np.repeat(np.arange(sizes.size), sizes))
-        leaf_comps = np.asarray(path_comps, dtype=np.int64) + _search_comps(sizes)
-        leaf_na = np.asarray(depths, dtype=np.int64) + 1
-        return _FlatView(
-            sep_arr, SortedKeyBuffer(all_keys), leaf_of, ends, leaf_comps, leaf_na, leaves
-        )
-
-    def _grow_view(self, key: float, idx: int, leaf_size: int) -> None:
-        """Patch the view for ``key`` landing at ``idx`` of an unsplit leaf."""
-        view = self._bulk_cache
-        leaf = int(view.seps.searchsorted(key, side="right"))
-        pos = (int(view.ends[leaf - 1]) if leaf else 0) + idx
-        view.keys.insert_at(pos, key)
-        view.leaf_of.insert_at(pos, leaf)
-        view.ends[leaf:] += 1
-        view.leaf_comps[leaf] += max(1, leaf_size.bit_length()) - max(
-            1, (leaf_size - 1).bit_length()
-        )
-
-    def _live_view(self):
-        """The flat view, walked first if dropped; ``None`` if unsupported or empty."""
-        if self._bulk_cache is None:
-            self._bulk_cache = self._build_bulk_cache()
-        view = self._bulk_cache
-        return view if view and len(view.keys) else None
 
     def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Vectorized point lookups: each key's position names its leaf."""
-        view = self._live_view()
-        if view is None:
+        all_keys = self._keys.view
+        if not all_keys.size:
             return None
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        all_keys = view.keys.view
         pos = verified_ranks(ranks, all_keys, keys)
         if pos is None:
             pos = np.searchsorted(all_keys, keys)
             # A key past the end is compared with the last key and differs.
             if not (all_keys[np.minimum(pos, all_keys.size - 1)] == keys).all():
                 return None
-        leaf = view.leaf_of.view[pos]
-        comps = view.leaf_comps[leaf]
-        na = view.leaf_na[leaf]
+        leaf = self._leaf_of.view[pos]
         self.stats.lookups += pos.size
-        self.stats.comparisons += int(comps.sum())
-        self.stats.node_accesses += int(na.sum())
-        return comps, na, np.zeros(pos.size, dtype=np.int64)
+        return self._charge(leaf, np.diff(self._ends, prepend=0)[leaf])
 
     def bulk_apply(
         self, keys, ranks, writes, values
@@ -255,17 +181,18 @@ class BPlusTree(OrderedIndex):
         A write is *new* if its key was not stored before the run and no
         earlier row wrote it; every other write overwrites. A stored key's
         leaf is its position's; a new key's is where the separators route
-        it, as :meth:`_grow_view` does. Declines, touching nothing, when a
-        read's key is not stored or a new key would split its leaf.
+        it. New keys are merged into the key arrays at once, with new
+        value slots, and every write then stores its value at its
+        position's slot. Declines, touching nothing, when a read's key is
+        not stored or a new key would split its leaf.
         """
-        view = self._live_view()
-        if view is None:
+        all_keys = self._keys.view
+        if not all_keys.size:
             return None
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         writes = np.asarray(writes, dtype=bool)
         if len(values) != keys.size:
             raise ValueError(f"{keys.size} keys but {len(values)} values")
-        all_keys = view.keys.view
         # ``verified_ranks`` can only prove a run whose every key is stored.
         pos = verified_ranks(ranks, all_keys, keys)
         if pos is None:
@@ -274,243 +201,205 @@ class BPlusTree(OrderedIndex):
         fresh = all_keys[at] != keys
         if (fresh & ~writes).any():
             return None
-        leaf = view.leaf_of.view[at]
-        sizes = np.diff(view.ends, prepend=0)
+        leaf = self._leaf_of.view[at]
+        sizes = np.diff(self._ends, prepend=0)
+        size_at = sizes[leaf]
         new_keys = np.empty(0)
         if fresh.any():
             rows = np.flatnonzero(fresh)
-            leaf[rows] = view.seps.searchsorted(keys[rows], side="right")
+            leaf[rows] = self._seps.searchsorted(keys[rows], side="right")
             new_keys, first = np.unique(keys[rows], return_index=True)
             new_rows = rows[first]
             size_at = sizes[leaf] + _earlier_in_group(leaf, new_rows)
             if (size_at[new_rows] >= self._order).any():
                 return None  # a split reshapes the inner nodes
-            comps = view.leaf_comps[leaf] + _search_comps(size_at) - _search_comps(sizes[leaf])
-        else:
-            comps = view.leaf_comps[leaf]
-        na = view.leaf_na[leaf]
+        counts = self._charge(leaf, size_at)
         n_writes = int(np.count_nonzero(writes))
         self.stats.lookups += keys.size - n_writes
         self.stats.inserts += n_writes
-        self.stats.comparisons += int(comps.sum())
-        self.stats.node_accesses += int(na.sum())
-        write_rows = np.flatnonzero(writes)
-        for row, key, leaf_no in zip(
-            write_rows.tolist(), keys[write_rows].tolist(), leaf[write_rows].tolist()
-        ):
-            node = view.leaves[leaf_no]
-            idx = bisect.bisect_left(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx] = values[row]
-            else:
-                node.keys.insert(idx, key)
-                node.values.insert(idx, values[row])
         if new_keys.size:
-            self._size += new_keys.size
-            new_leaves = leaf[new_rows]
-            view.keys.merge(pos[new_rows], new_keys)
-            view.leaf_of.merge(pos[new_rows], new_leaves)
-            grown = np.bincount(new_leaves, minlength=sizes.size)
-            view.ends[:] += np.cumsum(grown)
-            view.leaf_comps[:] += _search_comps(sizes + grown) - _search_comps(sizes)
-        return comps, na, np.zeros(keys.size, dtype=np.int64)
+            points, new_leaves = pos[new_rows], leaf[new_rows]
+            self._keys.merge(points, new_keys)
+            self._leaf_of.merge(points, new_leaves)
+            appended = len(self._values)
+            self._slot.merge(points, np.arange(appended, appended + new_keys.size))
+            self._values.extend([None] * new_keys.size)
+            self._ends += np.cumsum(np.bincount(new_leaves, minlength=sizes.size))
+        write_rows = np.flatnonzero(writes)
+        # A write's position after the merge: before it, plus the new keys below it.
+        final = pos[write_rows] + new_keys.searchsorted(keys[write_rows])
+        stored = self._values
+        for slot, row in zip(self._slot.view[final].tolist(), write_rows.tolist()):
+            stored[slot] = values[row]
+        return counts
 
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: float, value: Any) -> None:
         self.stats.inserts += 1
-        root = self._root
-        result = self._insert_into(root, key, value)
-        if result is not None:
-            sep, right = result
-            new_root = _Node(leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [root, right]
-            self._root = new_root
-            self._height += 1
+        leaf, pos, found = self._search(key)
+        if found:
+            self._values[self._slot.view[pos]] = value
+            return
+        self._keys.insert_at(pos, key)
+        self._leaf_of.insert_at(pos, leaf)
+        self._slot.insert_at(pos, len(self._values))
+        self._values.append(value)
+        self._ends[leaf:] += 1
+        start, end = self._span(leaf)
+        if end - start > self._order:
+            self._split(leaf, start + (end - start) // 2)
 
-    def _insert_into(
-        self, node: _Node, key: float, value: Any
-    ) -> Optional[Tuple[float, _Node]]:
-        """Insert under ``node``; return (separator, new right node) on split."""
-        self.stats.node_accesses += 1
-        if node.leaf:
-            idx = bisect.bisect_left(node.keys, key)
-            self.stats.comparisons += max(1, len(node.keys).bit_length())
-            if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx] = value
-                return None
-            node.keys.insert(idx, key)
-            node.values.insert(idx, value)
-            self._size += 1
-            if len(node.keys) > self._order:
-                # Every split (inner and root ones follow a leaf split)
-                # changes the leaf layout: the next bulk read re-walks.
-                self._bulk_cache = None
-                return self._split_leaf(node)
-            if self._bulk_cache:  # a live view: neither dropped nor unsupported
-                self._grow_view(key, idx, len(node.keys))
-            return None
+    def _split(self, leaf: int, cut: int) -> None:
+        """Split ``leaf`` before position ``cut``, whose key becomes the separator.
 
-        idx = bisect.bisect_right(node.keys, key)
-        self.stats.comparisons += max(1, len(node.keys).bit_length())
-        result = self._insert_into(node.children[idx], key, value)
-        if result is None:
-            return None
-        sep, right = result
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right)
-        if len(node.keys) > self._order:
-            return self._split_inner(node)
-        return None
+        The upper half becomes leaf ``leaf + 1``: one more boundary in
+        ``ends``, one more leaf number past ``cut``. Then the separator
+        goes into the parent, and every inner node that overflows splits
+        in turn, the root last. A node that gains a separator, or is
+        halved, changes the comparisons of the leaves below it.
+        """
+        sep = float(self._keys.view[cut])
+        self._leaf_of.view[cut:] += 1
+        self._ends = np.insert(self._ends, leaf, cut)
+        self._seps = np.insert(self._seps, leaf, sep)
+        self._path = np.insert(self._path, leaf, self._path[leaf])
+        path = []  # (node, child index, lower separator, upper separator), root first
+        node, low, high = self._root, None, None
+        while node is not None:
+            idx = bisect.bisect_right(node.keys, sep)
+            path.append((node, idx, low, high))
+            low = node.keys[idx - 1] if idx else low
+            high = node.keys[idx] if idx < len(node.keys) else high
+            node = node.children[idx] if node.children else None
+        right = None
+        for node, idx, low, high in reversed(path):
+            before = _step(node)
+            node.keys.insert(idx, sep)
+            if right is not None:
+                node.children.insert(idx + 1, right)
+            if len(node.keys) <= self._order:
+                self._reprice(low, high, _step(node) - before)
+                return
+            mid = len(node.keys) // 2
+            sep = node.keys[mid]
+            right = _Node(node.keys[mid + 1 :], node.children[mid + 1 :])
+            node.keys, node.children = node.keys[:mid], node.children[: mid + 1]
+            self._reprice(low, sep, _step(node) - before)
+            self._reprice(sep, high, _step(right) - before)
+        self._root = _Node([sep], [] if right is None else [self._root, right])
+        self._height += 1
+        self._path += 1
 
-    def _split_leaf(self, node: _Node) -> Tuple[float, _Node]:
-        mid = len(node.keys) // 2
-        right = _Node(leaf=True)
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next = node.next
-        node.next = right
-        return right.keys[0], right
-
-    def _split_inner(self, node: _Node) -> Tuple[float, _Node]:
-        mid = len(node.keys) // 2
-        sep = node.keys[mid]
-        right = _Node(leaf=False)
-        right.keys = node.keys[mid + 1 :]
-        right.children = node.children[mid + 1 :]
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
-        return sep, right
+    def _reprice(self, low: Optional[float], high: Optional[float], delta: int) -> None:
+        """Add ``delta`` comparisons to every leaf between separators ``low`` and ``high``."""
+        if delta:
+            seps = self._seps
+            first = 0 if low is None else int(seps.searchsorted(low, side="right"))
+            end = seps.size + 1 if high is None else int(seps.searchsorted(high, side="right"))
+            self._path[first:end] += delta
 
     # -- delete ---------------------------------------------------------------
 
     def delete(self, key: float) -> None:
-        self._bulk_cache = None
-        leaf = self._find_leaf(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx >= len(leaf.keys) or leaf.keys[idx] != key:
+        """Remove ``key``; the descent is counted, the leaf search is not.
+
+        The last value slot moves into the freed one, so ``_values``
+        holds exactly the stored keys' values.
+        """
+        leaf = self._descend(key)
+        pos, found = self._locate(key)
+        if not found:
             raise KeyNotFoundError(key)
-        del leaf.keys[idx]
-        del leaf.values[idx]
-        self._size -= 1
+        slots, values = self._slot.view, self._values
+        freed, last = int(slots[pos]), len(values) - 1
+        slots[slots == last] = freed
+        values[freed] = values[last]
+        values.pop()
+        self._keys.delete_at(pos)
+        self._leaf_of.delete_at(pos)
+        self._slot.delete_at(pos)
+        self._ends[leaf:] -= 1
         self.stats.deletes += 1
-        # Lazy underflow: tolerate sparse leaves; collapse an empty root chain.
-        if not self._root.leaf and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-            self._height -= 1
 
     # -- range / iteration ------------------------------------------------------
 
     def range(self, low: float, high: float) -> List[Tuple[float, Any]]:
+        """Pairs in ``[low, high]``, counted as a walk along the leaves.
+
+        The walk starts at ``low``'s leaf and stops in the leaf holding
+        the first key at or past ``low`` that is above ``high``, or at
+        the last leaf; each leaf it enters is one more node access.
+        """
         self.stats.range_scans += 1
-        leaf: Optional[_Node] = self._find_leaf(low)
-        out: List[Tuple[float, Any]] = []
-        while leaf is not None:
-            self.stats.node_accesses += 1
-            for k, v in zip(leaf.keys, leaf.values):
-                if k < low:
-                    continue
-                if k > high:
-                    return out
-                out.append((k, v))
-            leaf = leaf.next
-        return out
+        first = self._descend(low)
+        keys = self._keys.view
+        start = int(keys.searchsorted(low))
+        stop = max(start, int(keys.searchsorted(high, side="right")))
+        last = min(int(self._ends.searchsorted(stop, side="right")), self._ends.size - 1)
+        self.stats.node_accesses += last - first + 1
+        return list(zip(keys[start:stop].tolist(), self._values_at(start, stop)))
+
+    def _values_at(self, start: int, stop: int) -> List[Any]:
+        """The values of positions ``[start, stop)``, in key order."""
+        return list(map(self._values.__getitem__, self._slot.view[start:stop].tolist()))
 
     def items(self) -> Iterator[Tuple[float, Any]]:
-        node = self._root
-        while not node.leaf:
-            node = node.children[0]
-        leaf: Optional[_Node] = node
-        while leaf is not None:
-            for k, v in zip(list(leaf.keys), list(leaf.values)):
-                yield k, v
-            leaf = leaf.next
+        return zip(self._keys.view.tolist(), self._values_at(0, len(self)))
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        """Build bottom-up from sorted pairs (deduplicated by last wins).
+        """Build bottom-up from sorted pairs (deduplicated by last wins)."""
+        keys, values = sorted_unique_pairs(pairs)
+        self.stats.inserts += keys.size
+        self._build(keys, values)
 
-        The flat view is assembled from the same sorted keys and level
-        shapes, so the first bulk read does not have to walk the tree.
-        """
-        key_arr, values = sorted_unique_pairs(pairs)
-        keys: List[float] = key_arr.tolist()
-        self._root = _Node(leaf=True)
-        self._size = 0
+    def _build(self, keys: np.ndarray, values: List[Any]) -> None:
+        """Lay out ``keys`` (ascending, unique) in half-full leaves, then the
+        inner levels over them: groups of ``(order + 1) // 2 + 1`` children,
+        a lone trailing child folded into the group before it."""
+        per_leaf = (self._order + 1) // 2
+        n = keys.size
+        n_leaves = max(1, -(-n // per_leaf))
+        self._keys = SortedKeyBuffer(keys)
+        self._values = values
+        self._slot = PositionTagBuffer(np.arange(n))
+        self._leaf_of = PositionTagBuffer(np.arange(n) // per_leaf)
+        self._ends = np.minimum(np.arange(1, n_leaves + 1) * per_leaf, n)
+        self._seps = keys[per_leaf::per_leaf].copy()
+        self._path = np.zeros(n_leaves, dtype=np.int64)
         self._height = 1
-        if not keys:
-            self._bulk_cache = None
-            return
-        per_leaf = max(1, (self._order + 1) // 2)
-        leaves: List[_Node] = []
-        for start in range(0, len(keys), per_leaf):
-            leaf = _Node(leaf=True)
-            leaf.keys = keys[start : start + per_leaf]
-            leaf.values = values[start : start + per_leaf]
-            if leaves:
-                leaves[-1].next = leaf
-            leaves.append(leaf)
-        self._size = len(keys)
-        self.stats.inserts += len(keys)
-        level: List[_Node] = leaves
-        spans = [1] * len(leaves)  # leaves below each node of ``level``
-        path_comps = np.zeros(len(leaves), dtype=np.int64)
-        height = 1
-        while len(level) > 1:
-            parents: List[_Node] = []
-            parent_spans: List[int] = []
-            per_inner = max(2, (self._order + 1) // 2 + 1)
-            for start in range(0, len(level), per_inner):
-                group = level[start : start + per_inner]
-                if len(group) == 1 and parents:
-                    # Fold a lone trailing child into the previous parent.
-                    parents[-1].keys.append(self._min_key(group[0]))
-                    parents[-1].children.append(group[0])
-                    parent_spans[-1] += spans[start]
-                    continue
-                parent = _Node(leaf=False)
-                parent.children = group
-                parent.keys = [self._min_key(child) for child in group[1:]]
-                parents.append(parent)
-                parent_spans.append(sum(spans[start : start + per_inner]))
-            path_comps += np.repeat(
-                [max(1, len(p.keys).bit_length()) for p in parents], parent_spans
-            )
-            level, spans = parents, parent_spans
-            height += 1
-        self._root = level[0]
-        self._height = height
-        self._bulk_cache = self._flat_view(
-            key_arr[per_leaf::per_leaf],
-            key_arr,
-            leaves,
-            path_comps,
-            np.full(len(leaves), height - 1),
-        )
-
-    @staticmethod
-    def _min_key(node: _Node) -> float:
-        while not node.leaf:
-            node = node.children[0]
-        return node.keys[0]
+        mins = keys[::per_leaf]  # each leaf's first key: the separator before it
+        per_inner = (self._order + 1) // 2 + 1
+        firsts = np.arange(n_leaves)  # the first leaf below each node of the level
+        level: List[_Node] = []
+        while firsts.size > 1:
+            cuts = np.arange(0, firsts.size, per_inner)
+            if firsts.size - cuts[-1] == 1:
+                cuts = cuts[:-1]
+            bounds = np.append(cuts, firsts.size).tolist()
+            level = [
+                _Node(mins[firsts[a + 1 : b]].tolist(), level[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+            firsts = firsts[cuts]
+            spans = np.diff(np.append(firsts, n_leaves))
+            self._path += np.repeat([_step(node) for node in level], spans)
+            self._height += 1
+        self._root = level[0] if level else None
 
     def size_bytes(self) -> int:
-        """Keys + child/value pointers + per-node header (64 B)."""
-        nodes = 0
-        entries = 0
-        stack = [self._root]
+        """Keys + child/value pointers + per-node header (64 B).
+
+        Counted as node objects hold them: a leaf holds a key and a value
+        pointer per entry, and an inner node its separators plus one more
+        child pointer than separators.
+        """
+        inner, stack = 0, [self._root] if self._root else []
         while stack:
-            node = stack.pop()
-            nodes += 1
-            entries += len(node.keys)
-            if not node.leaf:
-                entries += len(node.children)
-                stack.extend(node.children)
-            else:
-                entries += len(node.values)
-        return entries * 8 + nodes * 64
+            inner += 1
+            stack.extend(stack.pop().children)
+        entries = 2 * len(self) + 2 * self._seps.size + inner
+        return entries * 8 + (self._ends.size + inner) * 64
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._keys)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KeyNotFoundError
+from repro.indexes.base import IndexStats
 from repro.indexes.btree import BPlusTree
 
 
@@ -89,6 +90,28 @@ class TestLeafChain:
             tree.delete(k)
             keys.remove(k)
         assert [k for k, _ in tree.items()] == sorted(keys)
+
+
+class TestDelete:
+    @pytest.mark.parametrize("order", [3, 64])
+    def test_missing_key_raises_and_changes_only_the_descent_counters(self, order):
+        """No rebalancing, no view or leaf change: a miss costs one node
+        access per level and the inner comparisons, and nothing else."""
+        tree = BPlusTree(order=order)
+        tree.bulk_load([(float(k), k) for k in range(0, 400, 2)])
+        for key in range(1, 400, 40):  # leave sparse leaves behind
+            tree.delete(float(key - 1))
+        before, items = tree.stats.snapshot(), list(tree.items())
+        shape = (len(tree), tree.height, tree.size_bytes())
+        with pytest.raises(KeyNotFoundError):
+            tree.delete(201.0)
+        spent = tree.stats.diff(before)
+        assert spent.node_accesses == tree.height and spent.comparisons > 0
+        spent.node_accesses = spent.comparisons = 0
+        assert spent == IndexStats()
+        assert list(tree.items()) == items
+        assert (len(tree), tree.height, tree.size_bytes()) == shape
+        assert tree.get(202.0) == 202
 
 
 class TestNodeAccounting:

@@ -2,11 +2,12 @@
 
 Row ``i`` of ``BPlusTree.bulk_apply(keys, ranks, writes, values)`` is a
 ``get(keys[i])`` or an ``insert(keys[i], values[i])``; the oracle is that
-loop on a twin tree. Each case compares the per-row (comparisons, node
-accesses, model evaluations), the final :class:`IndexStats`, ``items()``,
-the size, and the maintained flat view against a fresh walk. A run whose
-loop would split a leaf, or that reads a key not stored when it starts,
-must be declined with nothing touched.
+loop on a twin textbook tree (``tests/indexes/reference_btree.py``). Each
+case compares the per-row (comparisons, node accesses, model
+evaluations), the final :class:`IndexStats`, ``items()``, the size, and
+the leaf arrays against the twin's walk. A run whose loop would split a
+leaf, or that reads a key not stored when it starts, must be declined
+with nothing touched.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from tests.indexes.test_flat_view_incremental import _assert_view_is_fresh
+from tests.indexes.reference_btree import BPlusTree as TextbookBPlusTree
+from tests.indexes.test_btree_oracle import _assert_same_leaf_level, _assert_same_tree
 
 from repro.indexes.btree import BPlusTree
 
@@ -37,8 +39,8 @@ ROWS = st.lists(
 )
 
 
-def _tree(order, stored, growth=()):
-    tree = BPlusTree(order=order)
+def _tree(order, stored, growth=(), kind=BPlusTree):
+    tree = kind(order=order)
     tree.bulk_load([(float(k), f"load-{k}") for k in stored])
     for k in growth:
         tree.insert(float(k), f"grown-{k}")
@@ -84,21 +86,21 @@ def _state(tree):
 
 
 def _assert_is_the_loop(order, stored, growth, keys, writes, hints=None):
-    """``bulk_apply`` on a fresh tree == the row loop on its twin, for
-    every hint; declined with nothing touched iff the loop splits."""
+    """``bulk_apply`` on a fresh tree == the row loop on its textbook twin,
+    for every hint; declined with nothing touched iff the loop splits."""
     values = [f"row-{i}" for i in range(keys.size)]
-    scalar = _tree(order, stored, growth)
+    scalar = _tree(order, stored, growth, TextbookBPlusTree)
     leaves = _leaf_count(scalar)
     want = _loop(scalar, keys, writes, values)
     splits = _leaf_count(scalar) != leaves
+    untouched = _tree(order, stored, growth, TextbookBPlusTree)
     for label, hint in [("none", None), *(hints or {}).items()]:
         tree = _tree(order, stored, growth)
-        untouched = _state(tree)
         out = tree.bulk_apply(keys, hint, writes, values)
-        _assert_view_is_fresh(tree)
+        _assert_same_leaf_level(tree, untouched if splits else scalar)
         if splits:
             assert out is None, label
-            assert _state(tree) == untouched, label
+            assert _state(tree) == _state(untouched), label
             continue
         assert out is not None, label
         assert list(zip(*(col.tolist() for col in out))) == want, label
@@ -142,7 +144,7 @@ def test_a_read_of_an_unstored_key_is_declined(order, stored, rows, absent_at):
     for hint in (None, *_hints(keys, everything).values()):
         assert tree.bulk_apply(keys, hint, writes, [None] * keys.size) is None
         assert _state(tree) == untouched
-    _assert_view_is_fresh(tree)
+    _assert_same_tree(tree, _tree(order, stored, (), TextbookBPlusTree))
 
 
 @pytest.mark.parametrize("order", [8, 64])
@@ -161,7 +163,7 @@ def test_a_leaf_filled_to_order_is_served_and_one_more_key_is_declined(order):
     assert _assert_is_the_loop(order, stored, [], keys, writes)
     tree = _tree(order, stored)
     assert tree.bulk_apply(keys, None, writes, [None] * keys.size) is not None
-    assert max(len(leaf.keys) for leaf in tree._bulk_cache.leaves) == order
+    assert np.diff(tree._ends, prepend=0).max() == order
     # One new key past ``order``, behind an overwrite: declined, untouched.
     over = np.append(keys, [second, second - 0.5 + 2.0 * per_leaf])
     assert not _assert_is_the_loop(order, stored, [], over, np.append(writes, [True, True]))
@@ -191,14 +193,17 @@ def test_new_keys_at_both_ends(order):
 
 
 def test_a_run_without_a_new_key_keeps_the_view():
-    """Reads and overwrites change no node's shape: the view object is the
-    same one, and a run of only reads commits ``lookups`` alone."""
+    """Reads and overwrites change no leaf's shape: the same keys and leaf
+    ends, values written into the same list, and a run of only reads
+    commits ``lookups`` alone."""
     tree = _tree(8, range(0, 400, 2))
-    view = tree._bulk_cache
+    keys_before, ends_before, values = tree._keys.view.copy(), tree._ends.copy(), tree._values
     keys = np.asarray([0.0, 398.0, 0.0])
     before = tree.stats.snapshot()
     assert tree.bulk_apply(keys, None, [False, False, False], [None] * 3) is not None
     assert tree.stats.diff(before).lookups == 3 and tree.stats.inserts == before.inserts
     assert tree.bulk_apply(keys, None, [False, True, True], ["a", "b", "c"]) is not None
-    assert tree._bulk_cache is view
+    np.testing.assert_array_equal(tree._keys.view, keys_before)
+    np.testing.assert_array_equal(tree._ends, ends_before)
+    assert tree._values is values
     assert tree.get(0.0) == "c" and tree.get(398.0) == "b"

@@ -1,13 +1,15 @@
 """The flat key view is maintained across writes, never rebuilt per write.
 
-``BPlusTree._build_bulk_cache()`` (a full tree walk) is the definition of
-the view ``bulk_lookup`` searches. ``bulk_load`` and non-splitting inserts
-maintain the same arrays incrementally; these tests drive random write /
-read interleavings and demand, after *every* write, that the maintained
-view equals a fresh walk array for array, and that bulk reads still count
-exactly what the scalar ``get`` sequence counts. The KV-level tests do the
-same for ``execute_batch`` against the ``execute`` loop, and the last test
-counts full rebuilds so per-write O(n) work cannot return unnoticed.
+The B+ tree's leaf level *is* a flat view: one sorted key buffer with leaf
+boundaries, which every write patches in place. The textbook node-object
+tree in ``tests/indexes/reference_btree.py`` is its oracle, and its walk
+(``_build_bulk_cache()``) the definition of the arrays. These tests drive
+random write / read interleavings and demand, after *every* write, that
+the B+ tree's arrays equal the oracle's walk and that bulk reads count
+exactly what the oracle's scalar ``get`` sequence counts; the sorted
+array's buffer must equal its list. The KV-level tests do the same for
+``execute_batch`` against the ``execute`` loop, and the last test counts
+full builds so per-write O(n) work cannot return unnoticed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from tests.indexes.reference_btree import BPlusTree as TextbookBPlusTree
+from tests.indexes.test_btree_oracle import _assert_same_leaf_level, _assert_same_tree
 from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.benchmark import Benchmark, BenchmarkConfig
@@ -57,27 +61,7 @@ SETTINGS = settings(
 )
 
 
-def _view_arrays(view):
-    """The view's arrays, with both buffers unwrapped to their live arrays."""
-    return (
-        view.seps, view.keys.view, view.leaf_of.view, view.ends, view.leaf_comps, view.leaf_na
-    )
-
-
-def _assert_view_is_fresh(tree: BPlusTree) -> None:
-    kept = tree._bulk_cache
-    if kept is None:  # dropped by a split or delete; the next read re-walks
-        return
-    fresh = tree._build_bulk_cache()
-    assert kept is not False and fresh is not False
-    for got, want in zip(_view_arrays(kept), _view_arrays(fresh)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    # The in-order leaves, by identity: bulk overwrites write through them.
-    assert [id(leaf) for leaf in kept.leaves] == [id(leaf) for leaf in fresh.leaves]
-
-
-def _assert_flat_is_fresh(index: SortedArrayIndex) -> None:
+def _assert_flat_is_fresh(index: SortedArrayIndex, twin=None) -> None:
     np.testing.assert_array_equal(
         index._flat.view, np.asarray(index._keys, dtype=np.float64)
     )
@@ -94,13 +78,13 @@ def _scalar_rows(index, probe):
     return rows
 
 
-def _drive(make_index, assert_fresh, initial, ops):
+def _drive(make_index, make_twin, assert_fresh, initial, ops):
     """Apply ``ops`` to a bulk-read index and its scalar-read twin."""
-    bulk, scalar = make_index(), make_index()
+    bulk, scalar = make_index(), make_twin()
     pairs = [(float(k), i) for i, k in enumerate(initial)]
     bulk.bulk_load(pairs)
     scalar.bulk_load(pairs)
-    assert_fresh(bulk)
+    assert_fresh(bulk, scalar)
     stored = sorted({float(k) for k in initial})
     for step, (op, arg) in enumerate(ops):
         if op == "insert":
@@ -120,15 +104,15 @@ def _drive(make_index, assert_fresh, initial, ops):
             scalar.delete(key)
             stored.remove(key)
         if op != "lookup":
-            assert_fresh(bulk)
+            assert_fresh(bulk, scalar)
             continue
         probe = np.asarray(stored[arg % len(stored) :: 3], dtype=np.float64)
         out = bulk.bulk_lookup(probe)
         assert out is not None
-        assert_fresh(bulk)
         rows = list(zip(*(col.tolist() for col in out)))
         assert rows == _scalar_rows(scalar, probe)
         assert bulk.stats == scalar.stats
+        assert_fresh(bulk, scalar)
     assert len(bulk) == len(stored)
     if stored:
         everything = np.asarray(stored, dtype=np.float64)
@@ -144,79 +128,19 @@ def _drive(make_index, assert_fresh, initial, ops):
 @given(initial=INITIAL, ops=OPS)
 @SETTINGS
 def test_btree_view_tracks_every_write(order, initial, ops):
-    _drive(lambda: BPlusTree(order=order), _assert_view_is_fresh, initial, ops)
+    _drive(
+        lambda: BPlusTree(order=order),
+        lambda: TextbookBPlusTree(order=order),
+        _assert_same_leaf_level,
+        initial,
+        ops,
+    )
 
 
 @given(initial=INITIAL, ops=OPS)
 @SETTINGS
 def test_sorted_array_view_tracks_every_write(initial, ops):
-    _drive(SortedArrayIndex, _assert_flat_is_fresh, initial, ops)
-
-
-def _hint_variants(ranks, n):
-    """The true ranks, then ways of getting them wrong."""
-    return {
-        "correct": ranks,
-        "off by one up": ranks + 1,
-        "off by one down": ranks - 1,
-        "negative": -ranks - 1,
-        "past the end": ranks + n,
-        "wrong length": ranks[:-1],
-        "float dtype": ranks.astype(np.float64),
-        "another key set": ranks[::-1].copy(),
-    }
-
-
-@pytest.mark.parametrize("order", ORDERS)
-@given(initial=INITIAL, ops=OPS)
-@SETTINGS
-def test_btree_rank_hint_after_every_kind_of_write(order, initial, ops):
-    """Non-splitting inserts patch the leaf map, splits and deletes drop
-    it: wherever the view came from, a hinted bulk read returns and counts
-    what the unhinted one and the scalar ``get`` loop do — for true ranks
-    and for wrong ones, and ``None`` with nothing counted on a miss."""
-    tree, scalar = BPlusTree(order=order), BPlusTree(order=order)
-    pairs = [(float(k), i) for i, k in enumerate(initial)]
-    tree.bulk_load(pairs)
-    scalar.bulk_load(pairs)
-    stored = sorted({float(k) for k in initial})
-    for step, (op, arg) in enumerate(ops):
-        if op == "insert":
-            key = float(arg) + 0.5 * (step % 2)
-        elif stored:
-            key = stored[arg % len(stored)]
-        else:
-            continue
-        if op in ("insert", "overwrite"):
-            tree.insert(key, step)
-            scalar.insert(key, step)
-            if key not in stored:
-                stored.append(key)
-                stored.sort()
-            continue
-        if op == "delete":
-            tree.delete(key)
-            scalar.delete(key)
-            stored.remove(key)
-            continue
-        ranks = np.arange(arg % len(stored), len(stored), 3, dtype=np.intp)
-        probe = np.asarray(stored, dtype=np.float64)[ranks]
-        before = scalar.stats.snapshot()
-        want = _scalar_rows(scalar, probe)
-        want_delta = scalar.stats.diff(before)
-        hints = _hint_variants(ranks, len(stored))
-        for label, hint in [("none", None), *hints.items()]:
-            before = tree.stats.snapshot()
-            out = tree.bulk_lookup(probe, hint)
-            assert out is not None, label
-            assert list(zip(*(col.tolist() for col in out))) == want, label
-            assert tree.stats.diff(before) == want_delta, label
-            _assert_view_is_fresh(tree)
-        probe[-1] += 0.25  # no stored key ends in .25 or .75
-        before = tree.stats.snapshot()
-        for label, hint in [("none", None), *hints.items()]:
-            assert tree.bulk_lookup(probe, hint) is None, label
-            assert tree.stats == before, label
+    _drive(SortedArrayIndex, SortedArrayIndex, _assert_flat_is_fresh, initial, ops)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -228,20 +152,22 @@ def test_btree_rank_hint_after_every_kind_of_write(order, initial, ops):
 @SETTINGS
 def test_bulk_load_of_shuffled_duplicated_pairs(order, pairs):
     """Array-built load == the sort-and-dedupe loop it replaced: same
-    contents, same counters, and a view that equals a fresh walk."""
+    contents, same counters, and the textbook tree's shape."""
     pairs = [(float(k), v) for k, v in pairs]
     reference = {}
     for k, v in pairs:
         reference[k] = v  # last value wins
     tree, clean = BPlusTree(order=order), BPlusTree(order=order)
+    oracle = TextbookBPlusTree(order=order)
     tree.bulk_load(pairs)
     clean.bulk_load(sorted(reference.items()))
+    oracle.bulk_load(pairs)
     assert list(tree.items()) == sorted(reference.items())
     assert len(tree) == len(reference)
     assert tree.stats == clean.stats
     assert tree.stats.inserts == len(reference)
     assert tree.height == clean.height
-    _assert_view_is_fresh(tree)
+    _assert_same_tree(tree, oracle)
     if reference:
         probe = np.asarray(sorted(reference), dtype=np.float64)
         out = tree.bulk_lookup(probe, np.arange(probe.size))
@@ -252,81 +178,34 @@ def test_bulk_load_of_shuffled_duplicated_pairs(order, pairs):
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 33, 64, 65, 500, 2311])
 def test_bulk_load_builds_the_walked_view(order, n):
     """Covers the folded trailing child and every tree height up to 2311 keys."""
-    tree = BPlusTree(order=order)
-    tree.bulk_load([(float(k), k) for k in range(n)])
-    if n == 0:
-        assert tree._bulk_cache is None
-        return
-    assert tree._bulk_cache is not None
-    _assert_view_is_fresh(tree)
+    tree, oracle = BPlusTree(order=order), TextbookBPlusTree(order=order)
+    pairs = [(float(k), k) for k in range(n)]
+    tree.bulk_load(pairs)
+    oracle.bulk_load(pairs)
+    _assert_same_tree(tree, oracle)
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_non_split_inserts_patch_instead_of_rebuilding(order, monkeypatch):
-    tree = BPlusTree(order=order)
-    tree.bulk_load([(float(k), k) for k in range(0, 2000, 2)])
-    walks = []
-    real = BPlusTree._build_bulk_cache
-    monkeypatch.setattr(
-        BPlusTree, "_build_bulk_cache", lambda self: walks.append(1) or real(self)
-    )
-    # bulk_load leaves every leaf half full: one more key fits everywhere.
+    """``bulk_load`` leaves every leaf half full: one more key fits
+    everywhere. Such inserts shift leaf ends in place: nothing is built
+    again, no boundary is added, and the arrays stay the textbook tree's."""
+    tree, oracle = BPlusTree(order=order), TextbookBPlusTree(order=order)
+    pairs = [(float(k), k) for k in range(0, 2000, 2)]
+    tree.bulk_load(pairs)
+    oracle.bulk_load(pairs)
+    leaves = tree._ends.size
+    for name in ("_build", "_split"):
+        monkeypatch.setattr(BPlusTree, name, lambda *args: pytest.fail("rebuilt or split"))
     for k in range(1, 2000, 8):
-        tree.insert(float(k), "new")
-        tree.insert(float(k - 1), "overwritten")
-        assert tree.bulk_lookup(np.asarray([float(k), float(k - 1)])) is not None
-    assert walks == []
-    monkeypatch.undo()
-    _assert_view_is_fresh(tree)
-
-
-def test_unsupported_shape_is_reevaluated_on_structural_change():
-    """``False`` must not outlive the shape that caused it."""
-    probe = np.asarray([2.0, 4.0])
-
-    def unsupported_tree():
-        tree = BPlusTree(order=4)
-        tree.bulk_load([(float(k), k) for k in range(0, 40, 2)])
-        tree._bulk_cache = False  # as left by a walk over an unsupported shape
-        assert tree.bulk_lookup(probe) is None
-        tree.insert(2.0, "overwrite")
-        tree.insert(1.0, "fits in its leaf")
-        assert tree.bulk_lookup(probe) is None  # nothing structural happened
-        return tree
-
-    tree = unsupported_tree()
-    height = tree.height
-    key = 100.0
-    while tree.height == height:  # append until leaf, inner and root split
-        tree.insert(key, None)
-        key += 1.0
-    assert tree.bulk_lookup(probe) is not None
-
-    tree = unsupported_tree()
-    tree.delete(6.0)
-    assert tree.bulk_lookup(probe) is not None
-
-    tree = unsupported_tree()
-    tree.bulk_load([(2.0, "a"), (4.0, "b")])
-    assert tree.bulk_lookup(probe) is not None
-
-
-def test_view_refuses_separators_that_disagree_with_positions():
-    """Reads route by position, the descent by separators: the walk checks
-    once that the two agree and otherwise declares the shape unsupported."""
-    tree = BPlusTree(order=4)
-    tree.bulk_load([(float(k), k) for k in range(20)])  # leaves of two keys
-    node = tree._root
-    while not node.children[0].leaf:
-        node = node.children[0]
-    assert node.keys[0] == 2.0
-    node.keys[0] = 0.5  # the descent now looks for 1.0 in the second leaf
-    assert tree._build_bulk_cache() is False
-    tree._bulk_cache = None
-    before = tree.stats.snapshot()
-    assert tree.bulk_lookup(np.asarray([0.0, 7.0]), np.asarray([0, 7])) is None
-    assert tree.stats == before
-    assert tree.get(0.0) == 0  # the scalar path still serves what it can reach
+        for key, value in ((float(k), "new"), (float(k - 1), "overwritten")):
+            tree.insert(key, value)
+            oracle.insert(key, value)
+        probe = np.asarray([float(k), float(k - 1)])
+        assert tree.bulk_lookup(probe) is not None
+        assert oracle.bulk_lookup(probe) is not None
+    assert tree._ends.size == leaves
+    _assert_same_tree(tree, oracle)
 
 
 # -- KV level: execute_batch == execute loop -------------------------------------
@@ -638,9 +517,9 @@ def test_a_span_cut_many_times_is_snapped_a_bounded_number_of_times(monkeypatch)
 
 @pytest.mark.parametrize("order", [64, 3])
 def test_write_mix_rebuilds_only_after_splits(order, monkeypatch):
-    """50r/30u/20i over 2k keys, ~600 queries: the view is walked at most
-    once per node split (plus once to exist at all), not once per write."""
-    counts = {"walks": 0, "splits": 0}
+    """50r/30u/20i over 2k keys, ~600 queries: the tree is built once, by
+    the load, and never again, however many leaves split."""
+    counts = {"builds": 0, "splits": 0}
 
     def counted(name, key):
         real = getattr(BPlusTree, name)
@@ -651,11 +530,11 @@ def test_write_mix_rebuilds_only_after_splits(order, monkeypatch):
 
         monkeypatch.setattr(BPlusTree, name, wrapper)
 
-    counted("_build_bulk_cache", "walks")
-    counted("_split_leaf", "splits")
-    counted("_split_inner", "splits")
-    result = Benchmark().run(TraditionalKVStore(order=order), _write_mix_scenario())
+    sut = TraditionalKVStore(order=order)
+    counted("_build", "builds")
+    counted("_split", "splits")
+    result = Benchmark().run(sut, _write_mix_scenario())
     assert result.num_queries >= 500
-    assert counts["walks"] <= 1 + counts["splits"]
+    assert counts["builds"] == 1
     if order == 3:
         assert counts["splits"] > 0  # the bound was exercised, not vacuous
