@@ -11,7 +11,8 @@ learned optimizer needs.
 
 Both join methods find their matches with one vectorised kernel,
 :func:`_match` (stable argsort of the inner keys, ``searchsorted`` of the
-outer keys, ``repeat``/``cumsum`` expansion), which emits pairs ordered by
+outer keys, ``repeat``/``cumsum`` expansion; one search and an equality
+check when the inner keys are unique), which emits pairs ordered by
 outer row, then inner row. They differ in which side is outer and in the
 work they charge: a hash join charges ``build + probe + matches`` with
 the smaller side built (ties build on the right) and the other probing;
@@ -246,6 +247,12 @@ def _match(outer: np.ndarray, inner: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     order = np.argsort(inner, kind="stable")
     # NaNs sort last: cut them off, and a NaN outer key finds an empty range.
     sorted_inner = inner[order][: inner.size - np.count_nonzero(np.isnan(inner))]
+    if sorted_inner.size and (sorted_inner[1:] > sorted_inner[:-1]).all():
+        # Unique inner keys (``-0.0`` and ``0.0`` are not): each outer key
+        # matches at its left insertion point or nowhere.
+        pos = np.minimum(np.searchsorted(sorted_inner, outer), sorted_inner.size - 1)
+        outer_idx = np.flatnonzero(sorted_inner[pos] == outer)
+        return outer_idx, order[pos[outer_idx]]
     lo = np.searchsorted(sorted_inner, outer, side="left")
     counts = np.searchsorted(sorted_inner, outer, side="right") - lo
     outer_idx = np.repeat(np.arange(outer.size), counts)

@@ -1,6 +1,8 @@
 """Logical query plans.
 
-Plans are immutable trees of relational operators. Two uses:
+Plans are immutable trees of relational operators: a node is never
+changed after construction, so it computes its canonical string once.
+Two uses:
 
 * Execution — :class:`~repro.engine.executor.Executor` walks the tree.
 * Similarity — :func:`plan_subtrees` enumerates every subtree as a
@@ -40,10 +42,14 @@ class LogicalPlan(ABC):
             stack.extend(node.children())
         return sorted(out)
 
+    _canonical: Optional[str] = None
+
     def canonical(self) -> str:
-        """Canonical string for the whole subtree."""
-        kids = ",".join(c.canonical() for c in self.children())
-        return f"{self.label()}({kids})" if kids else self.label()
+        """Canonical string for the whole subtree (built once per node)."""
+        if self._canonical is None:
+            kids = ",".join(c.canonical() for c in self.children())
+            self._canonical = f"{self.label()}({kids})" if kids else self.label()
+        return self._canonical
 
     def __repr__(self) -> str:
         return self.canonical()

@@ -20,16 +20,16 @@ transient cost is precisely what the paper's adaptability metrics (Fig
 
 from __future__ import annotations
 
-import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer_base import CardinalityEstimator, CostBasedOptimizer, PlanCost
-from repro.engine.plans import Filter, Join, LogicalPlan
+from repro.engine.plans import Aggregate, Filter, Join, LogicalPlan, Project, Scan, Sort
+from repro.errors import PlanError
 from repro.observability import NULL_TRACER
 
 
@@ -55,11 +55,14 @@ class SteeringChoice:
         arm: Index of the chosen arm.
         arm_name: Human-readable arm label.
         plan_cost: The optimizer's costed plan under that arm.
+        context: The query's feature vector the arm was sampled on;
+            :meth:`BanditPlanSteering.learn` updates the arm with it.
     """
 
     arm: int
     arm_name: str
     plan_cost: PlanCost
+    context: np.ndarray = field(compare=False)
 
 
 class _BayesianLinearArm:
@@ -82,7 +85,11 @@ class _BayesianLinearArm:
             cov = np.linalg.inv(self._A)
             scaled_cov = self._noise * cov
             u, s, vh = np.linalg.svd(scaled_cov)
-            psd = np.allclose(np.dot(vh.T * s, vh), scaled_cov, rtol=1e-8, atol=1e-8)
+            rebuilt = np.dot(vh.T * s, vh)
+            # ``np.allclose``'s own test, spelled out. ``scaled_cov`` is finite
+            # (the inverse of I + sum x x^T over finite features; ``svd``
+            # raises otherwise), so a non-finite ``rebuilt`` fails it as there.
+            psd = bool((np.abs(rebuilt - scaled_cov) <= 1e-8 + 1e-8 * np.abs(scaled_cov)).all())
             self._posterior = (cov @ self._b, (u * np.sqrt(s)).T, psd)
         mean, factor_T, psd = self._posterior
         if not psd:
@@ -178,7 +185,7 @@ class BanditPlanSteering:
 
     def _restrict(self, plan: LogicalPlan, method: Optional[str]) -> LogicalPlan:
         """Force all joins in ``plan`` to ``method`` (when set)."""
-        if method is None:
+        if method is None or isinstance(plan, Scan):
             return plan
         if isinstance(plan, Join):
             return Join(
@@ -190,13 +197,13 @@ class BanditPlanSteering:
             )
         if isinstance(plan, Filter):
             return Filter(self._restrict(plan.child, method), plan.predicate)
-        for_children = plan.children()
-        if not for_children:
-            return plan
-        # Project/Aggregate: single child.
-        clone = copy.copy(plan)
-        clone.child = self._restrict(for_children[0], method)  # type: ignore[attr-defined]
-        return clone
+        if isinstance(plan, Project):
+            return Project(self._restrict(plan.child, method), plan.columns)
+        if isinstance(plan, Aggregate):
+            return Aggregate(self._restrict(plan.child, method), plan.agg, plan.column)
+        if isinstance(plan, Sort):
+            return Sort(self._restrict(plan.child, method), plan.column)
+        raise PlanError(f"unknown plan node {type(plan).__name__}")
 
     def choose(self, plan: LogicalPlan, catalog: Catalog) -> SteeringChoice:
         """Pick an arm via Thompson sampling and produce its plan."""
@@ -210,15 +217,11 @@ class BanditPlanSteering:
         self._decisions += 1
         self._arm_counts[best_arm] += 1
         self.tracer.counter("optimizer.decisions")
-        return SteeringChoice(arm=best_arm, arm_name=name, plan_cost=plan_cost)
+        return SteeringChoice(arm=best_arm, arm_name=name, plan_cost=plan_cost, context=x)
 
-    def learn(
-        self, choice: SteeringChoice, observed_work: float, plan: LogicalPlan,
-        catalog: Catalog,
-    ) -> None:
+    def learn(self, choice: SteeringChoice, observed_work: float) -> None:
         """Feed back the observed execution work for a past decision."""
-        x = self._featurize(plan, catalog)
         # Reward = negative log work (smaller work is better).
         reward = -float(np.log1p(max(0.0, observed_work)))
-        self._arms[choice.arm].update(x, reward)
+        self._arms[choice.arm].update(choice.context, reward)
         self.tracer.counter("optimizer.learn_updates")

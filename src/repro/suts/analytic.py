@@ -273,7 +273,7 @@ class LearnedOptimizerSUT(AnalyticSUT):
         choice = self.steering.choose(query.plan, self.catalog)
         executed = choice.plan_cost.plan
         result = self.executor.execute(executed)
-        self.steering.learn(choice, result.work, query.plan, self.catalog)
+        self.steering.learn(choice, result.work)
         if self.use_learned_cardinality:
             # Ground truth collected during execution, per §IV: every
             # Filter/Join node of the executed plan yields one label.

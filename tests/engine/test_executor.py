@@ -133,6 +133,18 @@ _KEY_POOLS = {
 _key_columns = st.sampled_from(list(_KEY_POOLS)).flatmap(
     lambda ctype: st.tuples(st.just(ctype), st.lists(_KEY_POOLS[ctype], max_size=9))
 )
+# Duplicate-free by repr, so that the kernel's unique-inner path runs; -0.0
+# beside 0.0 and 2**53 beside 2**53 + 1 still collide as float64 keys. The
+# column type is drawn once per example (``st.shared``), so two unique sides
+# never pair a string column with a numeric one, which would match nothing.
+_unique_key_columns = st.shared(st.sampled_from(list(_KEY_POOLS)), key="unique-type").flatmap(
+    lambda ctype: st.tuples(
+        st.just(ctype), st.lists(_KEY_POOLS[ctype], min_size=1, max_size=6, unique_by=repr)
+    )
+)
+# Three to one: about two thirds of the kernel calls then take the unique
+# path, and doubled examples keep the duplicate-key draws near their old count.
+_join_sides = st.one_of(*[_unique_key_columns] * 3, _key_columns)
 
 
 def _keyed_table(name, id_col, ctype, keys):
@@ -148,8 +160,8 @@ class TestJoinOracle:
     charges exactly the work of the row-at-a-time joins it replaced."""
 
     @pytest.mark.parametrize("method", ["hash", "nl"])
-    @settings(max_examples=150, deadline=None)
-    @given(left=_key_columns, right=_key_columns)
+    @settings(max_examples=300, deadline=None)
+    @given(left=_join_sides, right=_join_sides)
     # Build-side orientation: left smaller, right smaller, equal; an empty side.
     @example(left=(ColumnType.INT, [1, 2]), right=(ColumnType.INT, [2, 1, 2, 1]))
     @example(left=(ColumnType.INT, [2, 1, 2, 1]), right=(ColumnType.FLOAT, [1.0, 2.0]))
@@ -159,6 +171,18 @@ class TestJoinOracle:
     @example(left=(ColumnType.STRING, ["1.0"]), right=(ColumnType.FLOAT, [1.0]))
     @example(left=(ColumnType.INT, []), right=(ColumnType.INT, [1, 1]))
     @example(left=(ColumnType.STRING, ["a"]), right=(ColumnType.STRING, []))
+    # Unique build sides: -0.0 beside 0.0, a lone NaN, ±inf, one row, empty.
+    @example(left=(ColumnType.FLOAT, [0.0, 1.0, -0.0, 2.0]),
+             right=(ColumnType.FLOAT, [-0.0, 3.0, 0.0]))
+    @example(left=(ColumnType.FLOAT, [1.0, float("nan"), 3.0]),
+             right=(ColumnType.FLOAT, [3.0, float("nan")]))
+    @example(left=(ColumnType.FLOAT, [float("inf"), -1.0, float("-inf"), float("inf")]),
+             right=(ColumnType.FLOAT, [float("-inf"), 0.0, float("inf")]))
+    @example(left=(ColumnType.INT, [2, 1, 2]), right=(ColumnType.INT, [2]))
+    @example(left=(ColumnType.FLOAT, [1.0, 2.0]), right=(ColumnType.FLOAT, []))
+    # A unique side joined to a duplicated one, built on either side.
+    @example(left=(ColumnType.INT, [1, 2, 3]), right=(ColumnType.INT, [3, 3, 1, 1, 2]))
+    @example(left=(ColumnType.INT, [3, 3, 1, 1, 2]), right=(ColumnType.INT, [1, 2, 3]))
     def test_rows_order_and_work_match_reference(self, method, left, right):
         catalog = Catalog()
         left_table = _keyed_table("l", "lid", *left)

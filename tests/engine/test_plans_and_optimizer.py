@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.executor import Executor
-from repro.engine.expressions import col
+from repro.engine.expressions import And, Between, CompareOp, Comparison, col
 from repro.engine.optimizer_base import CostBasedOptimizer
 from repro.engine.plans import (
     Aggregate,
     Filter,
     Join,
+    Project,
     Scan,
+    Sort,
     plan_subtrees,
     workload_subtrees,
 )
-from repro.learned.cardinality import HistogramEstimator
+from repro.learned.cardinality import HistogramEstimator, LearnedCardinalityEstimator
+from repro.learned.optimizer import _ScaledEstimator
 from repro.metrics.similarity import jaccard_similarity
 
 
@@ -129,10 +135,22 @@ class _CountingEstimator:
 
 
 class _NoReuseOptimizer(CostBasedOptimizer):
-    """Reference: costs every candidate from scratch."""
+    """Reference: costs and estimates every candidate node from scratch."""
 
-    def _cost(self, plan, catalog, memo):
-        return super()._cost(plan, catalog, {})
+    def _cost(self, plan, catalog, memo, estimates):
+        return super()._cost(plan, catalog, {}, {})
+
+
+def _logical(node) -> str:
+    """Test-side logical signature: ``canonical()`` without join methods,
+    with a join's operands sorted when they scan disjoint tables."""
+    if isinstance(node, Join):
+        sides = [f"{_logical(node.left)}.{node.left_col}",
+                 f"{_logical(node.right)}.{node.right_col}"]
+        if set(node.left.tables()).isdisjoint(node.right.tables()):
+            sides.sort()
+        return f"Join({','.join(sides)})"
+    return f"{node.label()}({','.join(map(_logical, node.children()))})"
 
 
 class TestCostReuse:
@@ -144,19 +162,41 @@ class TestCostReuse:
         )
         return Aggregate(Join(inner, Scan("customers"), "cid", "cid"), "count")
 
-    def test_each_subtree_object_estimated_once(self, histograms, plan, orders_catalog):
+    def test_each_logical_signature_estimated_once(self, histograms, plan, orders_catalog):
         counting = _CountingEstimator(histograms)
-        optimizer = CostBasedOptimizer(counting)
-        optimizer.optimize(plan, orders_catalog)
-        distinct = {id(node) for node in counting.asked}
-        assert len(counting.asked) == len(distinct)
-        # ... and sharing is real: from-scratch costing asks far more often.
+        CostBasedOptimizer(counting).optimize(plan, orders_catalog)
+        asked = [_logical(node) for node in counting.asked]
+        assert len(asked) == len(set(asked))
+        # Two scans and the filter; the inner join, whose sides are disjoint;
+        # both orientations of the outer join (customers on both sides) and
+        # of the aggregate above it: 8.
+        assert len(asked) == 8
+        # ... and reuse is real: from-scratch costing asks the same
+        # signatures far more often.
         unshared = _CountingEstimator(histograms)
         _NoReuseOptimizer(unshared).optimize(plan, orders_catalog)
-        assert {n.canonical() for n in unshared.asked} == {
-            n.canonical() for n in counting.asked
-        }
-        assert len(unshared.asked) > 2 * len(counting.asked)
+        assert {_logical(n) for n in unshared.asked} == set(asked)
+        assert len(unshared.asked) > 10 * len(asked)
+
+    def test_an_open_join_decision_estimates_five_sub_plans_not_eleven(self, orders_catalog):
+        """The analytic ``join`` template: 4 physical joins and 4 aggregates
+        over one filter and two scans are 11 nodes, and 5 logical sub-plans."""
+        counting = _CountingEstimator(_trained_learned(orders_catalog))
+        plan = Aggregate(
+            Join(Filter(Scan("orders"), col("amount").between(20.0, 100.0)),
+                 Scan("customers"), "cid", "cid"),
+            "count",
+        )
+        CostBasedOptimizer(counting).optimize(plan, orders_catalog)
+        assert len(counting.asked) == 5
+        nodes = set()
+        for candidate in CostBasedOptimizer(counting).enumerate_candidates(plan):
+            stack = [candidate]
+            while stack:
+                node = stack.pop()
+                nodes.add(id(node))
+                stack.extend(node.children())
+        assert len(nodes) == 11
 
     def test_choice_equal_with_and_without_reuse(self, histograms, plan, orders_catalog):
         shared = CostBasedOptimizer(histograms).optimize(plan, orders_catalog)
@@ -164,3 +204,112 @@ class TestCostReuse:
         assert shared.plan.canonical() == unshared.plan.canonical()
         assert shared.cost == unshared.cost
         assert shared.estimated_rows == unshared.estimated_rows
+
+
+def _trained_learned(catalog) -> LearnedCardinalityEstimator:
+    """A learned estimator fitted to filter and join labels of ``catalog``."""
+    model = LearnedCardinalityEstimator([("orders", "amount"), ("customers", "region")])
+    model.bind_statistics(catalog)
+    executor = Executor(catalog)
+    plans = []
+    for low in np.linspace(0.0, 400.0, 12):
+        amount = Filter(Scan("orders"), col("amount").between(low, low + 60.0))
+        plans += [amount, Join(amount, Scan("customers"), "cid", "cid")]
+    plans.append(Join(Scan("orders"), Filter(Scan("customers"), col("region") < 4), "cid", "cid"))
+    cards = [float(executor.execute(p).table.row_count) for p in plans]
+    model.train_batch(plans, cards, catalog)
+    return model
+
+
+_COLUMNS = {"orders": ("amount", "oid"), "customers": ("region", "cid")}
+_VALUES = st.sampled_from([-0.0, 0.0, 4.0, 10.0, 50.0, 120.0, 400.0, 1e9])
+_OPS = st.sampled_from(["<", "<=", ">", ">=", "=", "!="])
+
+
+@st.composite
+def _predicates(draw, table):
+    """A comparison, a ``BETWEEN`` or a conjunction of two on ``table``'s columns."""
+    column = st.sampled_from(_COLUMNS[table])
+    leaf = st.one_of(
+        st.builds(lambda c, op, v: Comparison(c, CompareOp(op), v), column, _OPS, _VALUES),
+        st.builds(Between, column, _VALUES, _VALUES),
+    )
+    return draw(st.one_of(leaf, st.builds(And, leaf, leaf)))
+
+
+@st.composite
+def _relations(draw):
+    table = draw(st.sampled_from(sorted(_COLUMNS)))
+    scan = Scan(table)
+    return Filter(scan, draw(_predicates(table))) if draw(st.booleans()) else scan
+
+
+def _joins(children):
+    return st.builds(
+        Join, children, children,
+        st.sampled_from(["cid", "oid"]), st.sampled_from(["cid", "oid"]),
+        st.sampled_from([None, None, "hash", "nl"]),
+    )
+
+
+def _wrapped(children):
+    return st.one_of(
+        children,
+        st.builds(lambda c: Aggregate(c, "count"), children),
+        st.builds(lambda c: Aggregate(c, "avg", "amount"), children),
+        st.builds(lambda c: Project(c, ["cid"]), children),
+        st.builds(lambda c: Sort(c, "amount"), children),
+        st.builds(lambda c: Filter(c, Comparison("amount", CompareOp.GT, 50.0)), children),
+    )
+
+
+# Up to three joins (64 candidates): self-joins and joins of joins included.
+_PLANS = _wrapped(st.recursive(_relations(), lambda kids: _wrapped(_joins(kids)), max_leaves=4))
+_SELF_JOIN = Join(
+    Filter(Scan("orders"), col("amount") == 50.0),
+    Filter(Scan("orders"), col("amount") < 10.0),
+    "cid",
+    "cid",
+)
+
+
+class TestLogicalMemoOracle:
+    """Estimating each logical sub-plan once chooses what estimating every
+    candidate node from scratch chooses, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def estimators(self):
+        from repro.suts.analytic import build_analytic_catalog
+
+        catalog = build_analytic_catalog(n_orders=800, n_customers=80, seed=5)
+        histograms = HistogramEstimator()
+        for name in catalog.names():
+            histograms.analyze(catalog, name)
+        learned = _trained_learned(catalog)
+        return catalog, {
+            "histogram": histograms,
+            "learned": learned,
+            "scaled-learned": _ScaledEstimator(learned, 10.0),
+        }
+
+    def test_self_join_features_depend_on_orientation(self, estimators):
+        catalog, models = estimators
+        swapped = Join(_SELF_JOIN.right, _SELF_JOIN.left, "cid", "cid")
+        learned = models["learned"]
+        assert not np.array_equal(
+            learned.featurize(_SELF_JOIN, catalog), learned.featurize(swapped, catalog)
+        )
+
+    @pytest.mark.parametrize("name", ["histogram", "learned", "scaled-learned"])
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_PLANS)
+    @example(plan=_SELF_JOIN)
+    @example(plan=Aggregate(_SELF_JOIN, "count"))
+    def test_memoised_optimize_is_the_no_reuse_optimize(self, estimators, name, plan):
+        catalog, models = estimators
+        got = CostBasedOptimizer(models[name]).optimize(plan, catalog)
+        want = _NoReuseOptimizer(models[name]).optimize(plan, catalog)
+        assert got.plan.canonical() == want.plan.canonical()
+        assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+        assert (np.float64(got.estimated_rows).tobytes()
+                == np.float64(want.estimated_rows).tobytes())

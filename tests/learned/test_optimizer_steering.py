@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
-from repro.engine.plans import Filter, Join, Scan
+from repro.engine.plans import Aggregate, Filter, Join, Project, Scan, Sort
 from repro.learned.cardinality import HistogramEstimator
 from repro.learned.optimizer import BanditPlanSteering, _BayesianLinearArm
 from repro.suts.analytic import AnalyticWorkload, build_analytic_catalog
@@ -41,12 +42,29 @@ class TestChoose:
         result = Executor(catalog).execute(choice.plan_cost.plan)
         assert result.table.row_count >= 0
 
+    def test_choices_compare_and_hash_without_their_context(self, setup):
+        steering, plan, catalog = setup
+        choice = steering.choose(plan, catalog)
+        same = dataclasses.replace(choice, context=choice.context + 1.0)
+        assert choice == same
+        assert hash(choice) == hash(same)
+
     def test_force_hash_arm_forces_method(self, setup):
         steering, plan, catalog = setup
         optimizer = steering._optimizer_for_arm(1)  # force-hash
         restricted = steering._restrict(plan, "hash")
         best = optimizer.optimize(restricted, catalog)
         assert "nl" not in best.plan.canonical()
+
+    def test_restrict_rebuilds_every_node_and_leaves_the_plan_alone(self, setup):
+        steering, plan, catalog = setup
+        wrapped = Sort(Project(Aggregate(plan, "sum", "amount"), ["value"]), "value")
+        before = wrapped.canonical()  # cached on every node of ``wrapped``
+        restricted = steering._restrict(wrapped, "nl")
+        assert restricted.canonical() == before.replace(";?]", ";nl]")
+        assert ";nl]" in restricted.canonical()
+        assert wrapped.canonical() == before
+        assert plan.canonical().startswith("Join[cid=cid;?](")
 
     def test_decisions_counted(self, setup):
         steering, plan, catalog = setup
@@ -64,7 +82,7 @@ class TestLearning:
         for _ in range(60):
             choice = steering.choose(plan, catalog)
             result = executor.execute(choice.plan_cost.plan)
-            steering.learn(choice, result.work, plan, catalog)
+            steering.learn(choice, result.work)
         counts = steering.arm_counts
         nl_share = counts[2] / sum(counts)  # force-nl is terrible here
         assert nl_share < 0.3
@@ -74,8 +92,7 @@ class TestLearning:
         executor = Executor(catalog)
         for _ in range(30):
             choice = steering.choose(plan, catalog)
-            steering.learn(choice, executor.execute(choice.plan_cost.plan).work,
-                           plan, catalog)
+            steering.learn(choice, executor.execute(choice.plan_cost.plan).work)
         steering.reset_learning()
         # After reset, arms are symmetric again; choosing still works.
         choice = steering.choose(plan, catalog)
@@ -146,7 +163,7 @@ class TestPosteriorReuse:
             plan = workload.next_query(float(i)).plan
             choice = steering.choose(plan, catalog)
             result = executor.execute(choice.plan_cost.plan)
-            steering.learn(choice, result.work, plan, catalog)
+            steering.learn(choice, result.work)
             chosen.append(
                 (choice.arm, choice.plan_cost.plan.canonical(), choice.plan_cost.cost)
             )

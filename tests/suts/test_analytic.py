@@ -183,3 +183,57 @@ class TestAnalyticDriverStreaming:
         for name in ("arrivals", "starts", "completions", "op_codes"):
             assert np.array_equal(getattr(spilled, name), getattr(cols, name))
         assert spilled.segment_vocab == cols.segment_vocab
+
+
+def test_the_repo_benchmark_analytic_op_decides_once_per_logical_sub_plan(tmp_path):
+    """One ``analytic_plans`` op of ``perf/`` at seed 1 (600 plans, 480 of
+    them joins, the learned estimator switched in after 50): estimating
+    each logical sub-plan once, and featurizing each query once, simulates
+    exactly what estimating each physical candidate node did."""
+    from perf.checks import digest
+    from perf.tracing import NoTracing
+    from perf.workloads import WORKLOADS
+
+    import repro.learned.optimizer as steering_module
+    from repro.engine.optimizer_base import CostBasedOptimizer
+    from repro.learned.cardinality import LearnedCardinalityEstimator
+    from repro.learned.optimizer import BanditPlanSteering
+
+    class PerNodeOptimizer(CostBasedOptimizer):
+        """Reference: one estimate per distinct candidate node."""
+
+        def _cost(self, plan, catalog, memo, estimates):
+            return super()._cost(plan, catalog, memo, {})
+
+    def run_op(optimizer_class):
+        calls = {"estimate": 0, "featurize": 0, "context": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        workload = WORKLOADS["analytic_plans"](1, 1.0, tmp_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steering_module, "CostBasedOptimizer", optimizer_class)
+            for cls, attr, name in (
+                (LearnedCardinalityEstimator, "estimate", "estimate"),
+                (LearnedCardinalityEstimator, "featurize", "featurize"),
+                (BanditPlanSteering, "_featurize", "context"),
+            ):
+                patch.setattr(cls, attr, counted(name, getattr(cls, attr)))
+            outcome = workload.run_op(workload.prepare(), NoTracing())
+        return digest(outcome.evidence), calls
+
+    got_digest, got = run_op(CostBasedOptimizer)
+    want_digest, per_node = run_op(PerNodeOptimizer)
+    assert got_digest == want_digest
+    assert (got["estimate"], per_node["estimate"]) == (2532, 4526)
+    assert got["context"] == per_node["context"] == 600  # ``learn`` reuses it
+    # 1,082 observed labels featurize on both sides.
+    labels = got["featurize"] - got["estimate"]
+    assert labels == per_node["featurize"] - per_node["estimate"] == 1082
+    # Featurize calls that decide: logical estimates plus one context, against
+    # per-node estimates plus a context in both ``choose`` and ``learn``.
+    assert got["estimate"] + 600 <= 0.6 * (per_node["estimate"] + 2 * 600)
