@@ -141,17 +141,16 @@ class BPlusTree(OrderedIndex):
 
     # -- bulk reads and writes -------------------------------------------------
 
-    def _charge(self, leaf: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Count a descent per row into ``leaf``, whose search covers ``sizes`` keys.
+    def _charge(self, comps: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Count a descent per row, ``comps`` comparisons each.
 
         Commits the comparisons and node accesses, and returns them with
         the (zero) model evaluations as per-row arrays.
         """
-        comps = self._path[leaf] + _search_comps(sizes)
         self.stats.comparisons += int(comps.sum())
-        self.stats.node_accesses += leaf.size * self._height
-        return comps, np.full(leaf.size, self._height, dtype=np.int64), np.zeros(
-            leaf.size, dtype=np.int64
+        self.stats.node_accesses += comps.size * self._height
+        return comps, np.full(comps.size, self._height, dtype=np.int64), np.zeros(
+            comps.size, dtype=np.int64
         )
 
     def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -166,9 +165,10 @@ class BPlusTree(OrderedIndex):
             # A key past the end is compared with the last key and differs.
             if not (all_keys[np.minimum(pos, all_keys.size - 1)] == keys).all():
                 return None
-        leaf = self._leaf_of.view[pos]
         self.stats.lookups += pos.size
-        return self._charge(leaf, np.diff(self._ends, prepend=0)[leaf])
+        # Every row of a leaf costs the same: price each leaf once.
+        per_leaf = self._path + _search_comps(np.diff(self._ends, prepend=0))
+        return self._charge(per_leaf[self._leaf_of.view[pos]])
 
     def bulk_apply(
         self, keys, ranks, writes, values
@@ -213,7 +213,7 @@ class BPlusTree(OrderedIndex):
             size_at = sizes[leaf] + _earlier_in_group(leaf, new_rows)
             if (size_at[new_rows] >= self._order).any():
                 return None  # a split reshapes the inner nodes
-        counts = self._charge(leaf, size_at)
+        counts = self._charge(self._path[leaf] + _search_comps(size_at))
         n_writes = int(np.count_nonzero(writes))
         self.stats.lookups += keys.size - n_writes
         self.stats.inserts += n_writes

@@ -66,10 +66,14 @@ class KVStoreBase(SystemUnderTest):
         )
 
     def inject(self, pairs: List[Tuple[float, object]]) -> None:
-        """Bulk data injection: loads the index, skips the clock."""
+        """Bulk data injection: loads the index, skips the clock.
+
+        The mirror takes the new keys in one merge.
+        """
         for key, value in pairs:
             self.index.insert(key, value)
-            self._mirror.add(key)
+        keys = key_column(pairs)
+        self._merge_new_keys(keys, self._mirror.view.searchsorted(keys))
 
     def teardown(self) -> None:
         # Flush the index's cumulative work counters into the run's
@@ -104,20 +108,10 @@ class KVStoreBase(SystemUnderTest):
 
         Returns the snapped keys, each one's rank in the mirror, so the
         index can be told where its keys are instead of searching again,
-        and each key's gap (its insertion point in the mirror). The
-        needles are searched in sorted order, which walks the mirror
-        front to back instead of jumping through it, and scattered back.
+        and each key's gap (its insertion point in the mirror); see
+        :meth:`SortedKeyBuffer.snap`.
         """
-        arr = self._mirror.view
-        order = np.argsort(keys)
-        pos = np.empty(keys.size, dtype=np.intp)
-        pos[order] = np.searchsorted(arr, keys[order])
-        # Clamped neighbours make both ends fall out of the tie rule:
-        # below the first key or past the last, ``lo`` and ``hi`` coincide.
-        lo = np.maximum(pos - 1, 0)
-        hi = np.minimum(pos, arr.size - 1)
-        ranks = np.where(keys - arr[lo] <= arr[hi] - keys, lo, hi)
-        return arr[ranks], ranks, pos
+        return self._mirror.snap(keys)
 
     def _scan_bounds(self, key: float, length: int) -> Tuple[float, float]:
         """Start/end stored keys covering ``length`` items from ``key``."""
@@ -315,9 +309,13 @@ class KVStoreBase(SystemUnderTest):
         return b
 
     def _merge_new_keys(self, keys: np.ndarray, gaps: np.ndarray) -> None:
-        """Add the run's INSERT ``keys`` (with their ``gaps``) the mirror lacks."""
+        """Add the ``keys`` (with their ``gaps``) the mirror lacks, in one
+        merge; of equal keys, the first wins, as a loop of ``add`` keeps it."""
         mirror = self._mirror.view
-        new = mirror[np.minimum(gaps, mirror.size - 1)] != keys
+        if not mirror.size:
+            new = np.ones(keys.size, dtype=bool)
+        else:
+            new = mirror[np.minimum(gaps, mirror.size - 1)] != keys
         new_keys, first = np.unique(keys[new], return_index=True)
         self._mirror.merge(gaps[new][first], new_keys)
 

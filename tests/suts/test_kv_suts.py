@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from tests.reference_driver import ScalarReferenceDriver
 from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.scenario import Scenario, Segment
 from repro.errors import ConfigurationError
+from repro.indexes.keybuffer import SortedKeyBuffer
 from repro.observability import Tracer
 from repro.suts.kv_learned import LearnedKVStore, StaticLearnedKVStore
 from repro.suts.kv_traditional import HashKVStore, TraditionalKVStore
@@ -88,6 +90,27 @@ class TestKVBase:
         # Scan bounds step over distinct stored keys, not over duplicates.
         assert sut._scan_bounds(3.0, 3) == (3.0, 5.0)
 
+    @given(stored=st.lists(st.integers(0, 50), max_size=30),
+           injected=st.lists(st.integers(-10, 60), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_inject_merges_like_a_loop_of_adds(self, stored, injected):
+        """One merge into the mirror, as the per-key ``add`` loop left it:
+        into an empty store too, with repeats and keys already stored."""
+        sut = TraditionalKVStore()
+        sut.setup([(float(k), None) for k in stored])
+        model = SortedKeyBuffer(sut._mirror.view.copy())
+        for k in injected:
+            model.add(float(k))
+        sut.inject([(float(k), None) for k in injected])
+        assert sut._mirror.view.tolist() == model.view.tolist()
+        assert sut._mirror.view.tolist() == [k for k, _ in sut.index.items()]
+
+    def test_inject_keeps_the_first_of_equal_keys(self):
+        sut = TraditionalKVStore()
+        sut.setup([])
+        sut.inject([(-0.0, None), (0.0, None), (1.0, None)])
+        assert np.signbit(sut._mirror.view).tolist() == [True, False]
+
 
 class TestSnapBatch:
     """``_snap_batch`` is ``_snap`` per key, plus where each snap and each
@@ -136,6 +159,32 @@ class TestSnapBatch:
         for k in (1.0, 39.0, -5.0, 18.0):
             sut.execute(_query(KVOperation.INSERT, k), 0.0)
         self._check(sut, np.arange(-8.0, 48.0, 0.5))
+
+    # 200 stored keys: a call of 25 needles or more reads the directory.
+    EVEN = range(0, 400, 2)
+
+    def test_a_call_of_an_eighth_of_the_store_reads_the_directory(self):
+        sut = self._store(self.EVEN)
+        self._check(sut, np.arange(-3.0, 403.0, 0.75)[::17])
+        assert sut._mirror._directory.table is not None
+
+    def test_a_smaller_call_on_a_dropped_directory_takes_the_general_path(self):
+        sut = self._store(self.EVEN)
+        self._check(sut, np.arange(-3.0, 403.0, 0.75))
+        sut.execute(_query(KVOperation.INSERT, 101.0), 0.0)
+        assert sut._mirror._directory is None
+        self._check(sut, [100.5, 101.0, 101.5, 100.0, 102.0, -3.0, 999.0])
+        assert sut._mirror._directory is None
+        self._check(sut, np.arange(99.0, 103.0, 0.125))
+        assert sut._mirror._directory is not None
+
+    def test_non_finite_needles_leak_no_warning(self):
+        sut = self._store(self.EVEN)
+        needles = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 399.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (needles, needles * 4):  # below and above n / 8
+                self._check(sut, call)
 
 
 class TestTraditional:
