@@ -10,8 +10,8 @@ DESIGN.md §10). Second, *speedup*: on a machine with >= 4 CPUs the
 (shards simulate disjoint stream slices concurrently); on smaller
 machines the assertion is skipped but both walls are still recorded.
 Third, *resilience*: a shard whose worker dies hard (``os._exit``)
-mid-attempt must be retried under the executor's budget and still merge
-bit-clean.
+mid-attempt must be retried under the pool's attempt budget and still
+merge bit-clean.
 
 Writes ``BENCH_sharded.json`` into ``benchmarks/results/`` (walls,
 speedup, shard plan, crash-recovery attempts). Scale knob:
@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from bench_common import bench_once
-from repro.core.driver import DriverConfig, VirtualClockDriver
+from repro.core.benchmark import Benchmark, BenchmarkConfig
+from repro.core.driver import VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
-from repro.core.sharded import run_sharded_streaming
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import HotspotDistribution, UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -39,7 +39,7 @@ from repro.workloads.generators import simple_spec
 #: Offered load. The btree SUT's simulated capacity on the 50k-key
 #: domain is ~2360 q/s; 1500 q/s keeps utilization ~0.64 so the queue
 #: drains inside every segment and shard boundaries are clean (the
-#: equivalence precondition the executor's drain check verifies).
+#: equivalence precondition the merge's drain check verifies).
 RATE = 1500.0
 TOTAL_QUERIES = int(os.environ.get("REPRO_BENCH_SHARD_QUERIES", 2_000_000))
 N_SHARDS = 4
@@ -87,7 +87,7 @@ def _scenario(total_queries: int, n_segments: int = N_SHARDS) -> Scenario:
     )
 
 
-def _config(total_queries: int) -> DriverConfig:
+def _config(total_queries: int) -> BenchmarkConfig:
     """Driver knobs for the equivalence runs.
 
     ``jitter_arrivals=False`` keeps arrivals evenly spaced (0.67 ms at
@@ -95,10 +95,10 @@ def _config(total_queries: int) -> DriverConfig:
     arrival — every segment boundary drains *deterministically*, which
     is the precondition for bit-identical shard merges. With jitter on,
     the last arrival of a segment can land inside a service window and
-    push work across the boundary (the executor's drain check would
-    flag it rather than miscount).
+    push work across the boundary (the merge's drain check would flag
+    it rather than miscount).
     """
-    return DriverConfig(
+    return BenchmarkConfig(
         block_size=BLOCK_SIZE,
         max_queries=total_queries + 1,
         jitter_arrivals=False,
@@ -158,16 +158,15 @@ def test_sharded_matches_unsharded_with_speedup(benchmark, figure_sink):
 
     def both_runs():
         t0 = time.perf_counter()
-        state["reference"] = VirtualClockDriver(config).run_streaming(
+        state["reference"] = VirtualClockDriver(config.driver_config()).run_streaming(
             TraditionalKVStore(), _scenario(TOTAL_QUERIES), sla=SLA
         )
         state["unsharded_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        state["merged"] = run_sharded_streaming(
+        state["merged"] = Benchmark(config).run_sharded_streaming(
             TraditionalKVStore,
             _scenario(TOTAL_QUERIES),
             shards=N_SHARDS,
-            config=config,
             sla=SLA,
         )
         state["sharded_s"] = time.perf_counter() - t0
@@ -232,17 +231,15 @@ def test_crash_injected_shard_recovers(tmp_path, figure_sink):
     """A hard-crashed shard retries under budget and merges bit-clean."""
     queries = min(TOTAL_QUERIES // 20, 100_000)
     config = _config(queries)
-    reference = VirtualClockDriver(config).run_streaming(
+    reference = VirtualClockDriver(config.driver_config()).run_streaming(
         TraditionalKVStore(), _scenario(queries), sla=SLA
     )
-    merged = run_sharded_streaming(
+    merged = Benchmark(config).run_sharded_streaming(
         partial(_crash_once_factory, str(tmp_path / "crashed")),
         _scenario(queries),
         shards=N_SHARDS,
-        config=config,
         sla=SLA,
         max_attempts=3,
-        retry_backoff=0.0,
     )
     attempts = merged.sharding["attempts"]
     assert sum(attempts) > N_SHARDS, "crash injection never fired"

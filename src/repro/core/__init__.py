@@ -24,11 +24,7 @@ from repro.core.runner import (
 )
 from repro.core.scenario import Scenario, Segment
 from repro.core.service import BenchmarkService, HoldoutReport
-from repro.core.sharded import (
-    ShardedStreamingExecutor,
-    plan_shards,
-    run_sharded_streaming,
-)
+from repro.core.sharded import plan_shards
 from repro.core.streaming import (
     ColumnSpiller,
     ShardSpec,
@@ -55,14 +51,12 @@ __all__ = [
     "WorkerOutcome",
     "WorkerPool",
     "WorkerTask",
-    "ShardedStreamingExecutor",
     "ShardSpec",
     "StreamingRecorder",
     "StreamingRunSummary",
     "ColumnSpiller",
     "load_spilled_columns",
     "plan_shards",
-    "run_sharded_streaming",
     "HardwareProfile",
     "CPU",
     "GPU",

@@ -17,6 +17,7 @@ from repro.core.hardware import CPU, HardwareProfile
 from repro.core.results import RunResult
 from repro.core.scenario import Scenario
 from repro.core.sut import SystemUnderTest
+from repro.errors import RunnerError
 
 
 @dataclass
@@ -65,6 +66,7 @@ class Benchmark:
     ) -> None:
         """Build the facade and its underlying driver."""
         self.config = config or BenchmarkConfig()
+        self._tracer = tracer
         self._driver = VirtualClockDriver(self.config.driver_config(), tracer=tracer)
 
     def run(self, sut: SystemUnderTest, scenario: Scenario) -> RunResult:
@@ -107,27 +109,40 @@ class Benchmark:
         """Run one SUT through ``scenario`` across shard processes.
 
         Takes a factory rather than an instance — each shard process
-        builds its own SUT from it, so the factory must be picklable.
+        builds its own SUT from it, so the factory must be picklable;
+        this process never calls it. The run is one
+        :class:`~repro.core.sharded.ShardSession` on a pool with one slot
+        per planned shard — the dispatcher :meth:`serve` runs tenants on
+        (see :mod:`repro.core.sharded` for the equivalence contract).
         Returns the merged
-        :class:`~repro.core.streaming.StreamingRunSummary` (see
-        :class:`~repro.core.sharded.ShardedStreamingExecutor` for the
-        equivalence contract and hardening knobs).
+        :class:`~repro.core.streaming.StreamingRunSummary`; a shard that
+        exhausts ``max_attempts`` raises
+        :class:`~repro.errors.RunnerError` once the other shards finish.
         """
-        from repro.core.sharded import ShardedStreamingExecutor
+        from repro.core.sharded import ShardSession, run_shard_sessions
+        from repro.core.workers import WorkerPool
 
-        executor = ShardedStreamingExecutor(
-            config=self.config.driver_config(),
-            n_shards=shards,
-            max_attempts=max_attempts,
-            shard_timeout=shard_timeout,
-        )
-        return executor.run(
+        session = ShardSession.open(
+            scenario.name,
             sut_factory,
             scenario,
+            shards,
             accumulator_factory=accumulator_factory,
             sla=sla,
             spill_dir=spill_dir,
         )
+        pool = WorkerPool(
+            workers=len(session.plan),
+            max_attempts=max_attempts,
+            timeout=shard_timeout,
+        )
+        entries = [(session, shard) for shard in session.plan]
+        run_shard_sessions(
+            entries, self.config.driver_config(), pool, self._tracer
+        )
+        if session.error is not None:
+            raise RunnerError(session.error)
+        return session.summary
 
     def serve(
         self,
@@ -158,6 +173,7 @@ class Benchmark:
             registry=registry,
             max_attempts=max_attempts,
             tenant_timeout=tenant_timeout,
+            tracer=self._tracer,
         )
         return server.serve(tenants, sla=sla, spill_dir=spill_dir)
 

@@ -308,7 +308,7 @@ class VirtualClockDriver:
         """Execute one shard of ``scenario``; return its mergeable payload.
 
         The worker half of sharded streaming (see
-        :class:`~repro.core.sharded.ShardedStreamingExecutor`): runs the
+        :func:`~repro.core.sharded.run_shard_sessions`): runs the
         shard's slice through the normal streaming machinery, but
         instead of finalizing, snapshots every accumulator's
         ``state_dict()`` so the parent can merge shard states and

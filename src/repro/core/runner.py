@@ -37,9 +37,10 @@ must survive misbehaving jobs and interrupted invocations):
 
 The process transport, deadlines, retry budget, and crash isolation all
 live in the shared :class:`~repro.core.workers.WorkerPool` layer — the
-same pool :class:`~repro.core.sharded.ShardedStreamingExecutor` and the
-multi-tenant service run on; this module only keeps the matrix-specific
-bookkeeping (cache keys, manifests, checkpoints). See DESIGN.md §2/§11.
+same pool every sharded run and tenant session runs on (through
+:func:`~repro.core.sharded.run_shard_sessions`); this module only keeps
+the matrix-specific bookkeeping (cache keys, manifests, checkpoints).
+See DESIGN.md §2/§11.
 """
 
 from __future__ import annotations

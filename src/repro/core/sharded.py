@@ -11,6 +11,15 @@ accumulator is additive — see the ``merge`` methods in
 :mod:`repro.metrics`) and finalizes once, producing a
 :class:`~repro.core.streaming.StreamingRunSummary`.
 
+One dispatcher serves every sharded run: a :class:`ShardSession` is
+(SUT factory, scenario, shard plan), and :func:`run_shard_sessions`
+runs any number of them on one :class:`~repro.core.workers.WorkerPool`
+— a :class:`~repro.core.tenancy.BenchmarkServer` window's tenants, or
+the single session behind ``Benchmark.run_sharded_streaming``. The pool
+supplies the transport, kill deadlines, and exponential-backoff retry
+budget :class:`~repro.core.runner.MatrixRunner` runs on, so a crashed or
+wedged shard re-runs without poisoning the merge.
+
 Equivalence contract (pinned by ``benchmarks/bench_sharded.py`` and
 ``tests/core/test_sharded.py``): when every shard boundary drains — the
 previous shard's servers go idle before the next shard's first arrival
@@ -19,20 +28,15 @@ state, the merged summary's integer-count metrics are *bit-identical*
 to the unsharded ``run_streaming``; float ``fsum``-style summaries are
 bit-identical under segment sharding and agree to float tolerance under
 arrival slicing (block boundaries differ, so the ``np.sum`` partials
-differ). The executor records the drain check's verdict in the
-summary's ``sharding["boundaries_drained"]`` field rather than guessing.
-
-Process hardening is the shared :class:`~repro.core.workers.WorkerPool`
-layer — the same transport, kill deadlines, and exponential-backoff
-retry budget :class:`~repro.core.runner.MatrixRunner` runs on — so a
-crashed or wedged shard re-runs without poisoning the merge.
+differ). The merge records the drain check's verdict in the summary's
+``sharding["boundaries_drained"]`` field rather than guessing.
 """
-
 from __future__ import annotations
 
 import shutil
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario
@@ -43,15 +47,16 @@ from repro.core.streaming import (
     write_sharded_manifest,
 )
 from repro.core.sut import SystemUnderTest
-from repro.core.workers import WorkerPool, WorkerTask
+from repro.core.workers import WorkerOutcome, WorkerPool, WorkerTask
 from repro.errors import ConfigurationError, RunnerError
+from repro.observability import NULL_TRACER
 
 __all__ = [
-    "ShardedStreamingExecutor",
+    "ShardSession",
     "ensure_merge_protocol",
     "merge_shard_payloads",
     "plan_shards",
-    "run_sharded_streaming",
+    "run_shard_sessions",
     "shard_spill_directory",
 ]
 
@@ -135,25 +140,21 @@ def _build_accumulators(
 
 
 def _run_shard(
-    sut_factory: Callable[[], SystemUnderTest],
-    scenario: Scenario,
-    config: DriverConfig,
-    shard: ShardSpec,
-    accumulator_factory: Optional[Callable[[Scenario], Sequence[Any]]],
-    sla: Optional[float],
-    spill_dir,
+    session: ShardSession, config: DriverConfig, shard: ShardSpec
 ) -> dict:
-    """Execute one shard end to end (worker-side body)."""
+    """Execute one shard of ``session`` end to end (worker-side body)."""
     driver = VirtualClockDriver(config)
-    accumulators = _build_accumulators(scenario, accumulator_factory, sla)
+    accumulators = _build_accumulators(
+        session.scenario, session.accumulator_factory, session.sla
+    )
     spiller = (
-        ColumnSpiller(shard_spill_directory(spill_dir, shard.index))
-        if spill_dir is not None
+        ColumnSpiller(shard_spill_directory(session.spill_dir, shard.index))
+        if session.spill_dir is not None
         else None
     )
-    sut = sut_factory()
+    sut = session.sut_factory()
     return driver.run_streaming_shard(
-        sut, scenario, shard, accumulators, spiller
+        sut, session.scenario, shard, accumulators, spiller
     )
 
 
@@ -179,176 +180,125 @@ def ensure_merge_protocol(accumulators: Sequence[Any]) -> None:
             )
 
 
-class ShardedStreamingExecutor:
-    """Runs a scenario's shards in worker processes and merges the states.
+@dataclass(eq=False)
+class ShardSession:
+    """One SUT × scenario run as a shard plan, and how it resolved.
 
-    Args:
-        config: Driver knobs shared by every shard (default
-            :class:`~repro.core.driver.DriverConfig`).
-        n_shards: Requested shard count; :func:`plan_shards` may cap it
-            (segment count, arrival count).
-        max_attempts: Per-shard attempt budget — a crashed, failed, or
-            timed-out shard re-runs until the budget is spent, then the
-            whole run raises :class:`~repro.errors.RunnerError`.
-        shard_timeout: Optional per-attempt wall-clock kill deadline in
-            seconds.
-        retry_backoff: Base delay before a retry; doubles per attempt.
+    The unit :func:`run_shard_sessions` dispatches: one
+    :class:`~repro.core.tenancy.BenchmarkServer` tenant, or the single
+    session behind ``Benchmark.run_sharded_streaming``. Once it has run,
+    exactly one of ``summary`` and ``error`` is set.
     """
 
-    def __init__(
-        self,
-        config: Optional[DriverConfig] = None,
-        n_shards: int = 2,
-        max_attempts: int = 2,
-        shard_timeout: Optional[float] = None,
-        retry_backoff: float = 0.25,
-    ) -> None:
-        """Validate the knobs and bind the shared driver config."""
-        if n_shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {n_shards}")
-        if max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ConfigurationError("shard_timeout must be > 0")
-        if retry_backoff < 0:
-            raise ConfigurationError("retry_backoff must be >= 0")
-        self.config = config or DriverConfig()
-        self.n_shards = int(n_shards)
-        self.max_attempts = int(max_attempts)
-        self.shard_timeout = shard_timeout
-        self.retry_backoff = float(retry_backoff)
+    name: str
+    sut_factory: Callable[[], SystemUnderTest]
+    scenario: Scenario
+    plan: List[ShardSpec]
+    template: List[Any]
+    sla: Optional[float] = None
+    spill_dir: Optional[Path] = None
+    accumulator_factory: Optional[Callable[[Scenario], Sequence[Any]]] = None
+    outcomes: Dict[int, WorkerOutcome] = field(default_factory=dict)
+    summary: Optional[StreamingRunSummary] = None
+    error: Optional[str] = None
 
-    def run(
-        self,
+    @classmethod
+    def open(
+        cls,
+        name: str,
         sut_factory: Callable[[], SystemUnderTest],
         scenario: Scenario,
-        accumulator_factory: Optional[
-            Callable[[Scenario], Sequence[Any]]
-        ] = None,
+        shards: int,
+        accumulator_factory=None,
         sla: Optional[float] = None,
         spill_dir=None,
-        tracer=None,
-    ) -> StreamingRunSummary:
-        """Execute ``scenario`` across shards; return the merged summary.
+    ) -> "ShardSession":
+        """Plan a session; reject non-mergeable accumulators up front.
 
-        Args:
-            sut_factory: Zero-argument picklable callable building a
-                fresh SUT — each shard (and each retry) gets its own
-                instance, so SUT state never leaks across processes.
-            accumulator_factory: Optional picklable
-                ``scenario -> accumulators`` override; the produced
-                accumulators must implement the merge protocol
-                (``state_dict`` / ``from_state`` / ``merge``). Default:
-                :func:`repro.metrics.streaming_accumulators`.
-            sla: SLA threshold handed to the default accumulator set.
-            spill_dir: When set, each shard spills to a subdirectory and
-                the merged manifest stitches them back together (see
-                :func:`~repro.core.streaming.write_sharded_manifest`).
-            tracer: Optional :class:`~repro.observability.Tracer` handed
-                to the worker pool (``pool.*`` counters).
+        Never calls ``sut_factory`` — only the shard workers build SUTs.
+        With ``spill_dir`` set, the shards spill into ``shard-NNN/``
+        subdirectories of it and the merge writes the stitched manifest
+        there.
         """
         template = _build_accumulators(scenario, accumulator_factory, sla)
         ensure_merge_protocol(template)
-        shards = plan_shards(scenario, self.n_shards)
-        if spill_dir is not None:
-            Path(spill_dir).mkdir(parents=True, exist_ok=True)
-        if len(shards) == 1 and self.shard_timeout is None:
-            payloads = [
-                _run_shard(
-                    sut_factory,
-                    scenario,
-                    self.config,
-                    shards[0],
-                    accumulator_factory,
-                    sla,
-                    spill_dir,
-                )
-            ]
-            attempts = [1]
-        else:
-            payloads, attempts = self._run_pool(
-                sut_factory,
-                scenario,
-                shards,
-                accumulator_factory,
-                sla,
-                spill_dir,
-                tracer,
-            )
-        return merge_shard_payloads(
-            scenario, shards, payloads, attempts, template, spill_dir
+        return cls(
+            name,
+            sut_factory,
+            scenario,
+            plan_shards(scenario, shards),
+            template,
+            sla,
+            None if spill_dir is None else Path(spill_dir),
+            accumulator_factory,
         )
 
-    # -- process pool ----------------------------------------------------------------
+    @property
+    def attempts(self) -> List[int]:
+        """Per-shard attempt counts, in shard order."""
+        return [self.outcomes[shard.index].attempts for shard in self.plan]
 
-    def _run_pool(
-        self,
-        sut_factory,
-        scenario,
-        shards: List[ShardSpec],
-        accumulator_factory,
-        sla,
-        spill_dir,
-        tracer,
-    ):
-        """Run every shard on the shared :class:`WorkerPool`, fail-fast.
+    @property
+    def wall_seconds(self) -> float:
+        """Summed wall time of the shards' resolving attempts."""
+        return sum(self.outcomes[shard.index].wall_seconds for shard in self.plan)
 
-        One worker slot per shard (shards are the unit of scale-out);
-        retry-time spill cleanup rides the ``on_attempt`` hook, and an
-        exhausted budget raises :class:`~repro.errors.RunnerError`
-        through the ``on_outcome`` hook — the pool kills the surviving
-        shard processes on the way out.
-        """
-        tasks = [
-            WorkerTask(
-                fn=_run_shard,
-                args=(
-                    sut_factory,
-                    scenario,
-                    self.config,
-                    shard,
-                    accumulator_factory,
-                    sla,
-                    spill_dir,
-                ),
-                label=f"shard-{shard.index}",
-            )
-            for shard in shards
-        ]
-        pool = WorkerPool(
-            workers=len(tasks),
-            max_attempts=self.max_attempts,
-            timeout=self.shard_timeout,
-            retry_backoff=self.retry_backoff,
+
+def run_shard_sessions(
+    entries: Sequence[Tuple[ShardSession, ShardSpec]],
+    config: DriverConfig,
+    pool: WorkerPool,
+    tracer=None,
+) -> None:
+    """Run every ``(session, shard)`` entry on ``pool``; resolve each session.
+
+    The one place shard work becomes pool tasks. ``entries`` is the
+    dispatch order (the server interleaves its tenants' plans). A retry
+    first removes the partial ``shard-NNN`` spill its failed attempt
+    may have left. A failed shard fails only its own session, whose
+    ``error`` names the first such shard; every other session merges
+    its shard payloads into ``summary``.
+    """
+    tasks = [
+        WorkerTask(
+            fn=_run_shard,
+            args=(session, config, shard),
+            label=f"{session.name}/shard-{shard.index}",
         )
+        for session, shard in entries
+    ]
 
-        def on_attempt(index: int, attempt: int) -> None:
-            if attempt > 1 and spill_dir is not None:
-                # A failed attempt may have left partial shard files;
-                # the retry rebuilds the directory.
-                shutil.rmtree(
-                    shard_spill_directory(spill_dir, shards[index].index),
-                    ignore_errors=True,
-                )
+    def on_attempt(index: int, attempt: int) -> None:
+        session, shard = entries[index]
+        if attempt > 1 and session.spill_dir is not None:
+            shutil.rmtree(
+                shard_spill_directory(session.spill_dir, shard.index),
+                ignore_errors=True,
+            )
 
-        def on_outcome(outcome) -> None:
+    tracer = NULL_TRACER if tracer is None else tracer
+    outcomes = pool.run(tasks, on_attempt=on_attempt, tracer=tracer)
+    for outcome, (session, shard) in zip(outcomes, entries):
+        session.outcomes[shard.index] = outcome
+    for session in dict.fromkeys(session for session, _shard in entries):
+        ordered = [session.outcomes[shard.index] for shard in session.plan]
+        for shard, outcome in zip(session.plan, ordered):
             if outcome.error is not None:
-                raise RunnerError(
-                    f"shard {outcome.index} failed after "
-                    f"{outcome.attempts} attempts: {outcome.error}"
+                session.error = (
+                    f"shard {shard.index} failed after {outcome.attempts} "
+                    f"attempts: {outcome.error}"
                 )
-
-        outcomes = pool.run(
-            tasks, on_attempt=on_attempt, on_outcome=on_outcome, tracer=tracer
-        )
-        payloads = [outcome.payload for outcome in outcomes]
-        attempts = [outcome.attempts for outcome in outcomes]
-        missing = [i for i, payload in enumerate(payloads) if payload is None]
-        if missing:  # pragma: no cover — on_outcome raises first
-            raise RunnerError(f"shards {missing} produced no payload")
-        return payloads, attempts
+                break
+        else:
+            with tracer.span(f"merge:{session.name}", phase="report"):
+                session.summary = merge_shard_payloads(
+                    session.scenario,
+                    session.plan,
+                    [outcome.payload for outcome in ordered],
+                    session.attempts,
+                    session.template,
+                    session.spill_dir,
+                )
 
 
 def merge_shard_payloads(
@@ -363,10 +313,7 @@ def merge_shard_payloads(
 
     Shards merge in stream order — accumulator merges, count dict
     insertion order (which fixes the merged vocabularies), training
-    events, and spill manifests all rely on it. Shared by
-    :class:`ShardedStreamingExecutor` and the multi-tenant
-    :class:`~repro.core.tenancy.BenchmarkServer` (each tenant session is
-    a shard set merged exactly this way).
+    events, and spill manifests all rely on it.
     """
     names = [accumulator.name for accumulator in template]
     merged: Optional[List[Any]] = None
@@ -448,33 +395,4 @@ def merge_shard_payloads(
         metrics=metrics,
         spill=spill,
         sharding=sharding,
-    )
-
-
-def run_sharded_streaming(
-    sut_factory: Callable[[], SystemUnderTest],
-    scenario: Scenario,
-    shards: int = 2,
-    config: Optional[DriverConfig] = None,
-    accumulator_factory: Optional[Callable[[Scenario], Sequence[Any]]] = None,
-    sla: Optional[float] = None,
-    spill_dir=None,
-    max_attempts: int = 2,
-    shard_timeout: Optional[float] = None,
-    retry_backoff: float = 0.25,
-) -> StreamingRunSummary:
-    """One-call convenience around :class:`ShardedStreamingExecutor`."""
-    executor = ShardedStreamingExecutor(
-        config=config,
-        n_shards=shards,
-        max_attempts=max_attempts,
-        shard_timeout=shard_timeout,
-        retry_backoff=retry_backoff,
-    )
-    return executor.run(
-        sut_factory,
-        scenario,
-        accumulator_factory=accumulator_factory,
-        sla=sla,
-        spill_dir=spill_dir,
     )

@@ -880,7 +880,8 @@ class StreamingRunSummary:
         metrics: Finalized accumulator payloads keyed by ``name``.
         spill: The spill manifest, when columns were spilled.
         sharding: Shard plan and per-shard provenance when the run was
-            produced by ``run_sharded_streaming`` (``None`` otherwise;
+            merged from shards by ``Benchmark.run_sharded_streaming`` or
+            a ``BenchmarkServer`` tenant session (``None`` otherwise;
             absent from the wire format for unsharded runs so existing
             payloads are unchanged).
     """

@@ -5,8 +5,9 @@ evaluates systems on behalf of users. :class:`BenchmarkServer` is the
 scheduler for that mode: each *tenant* is one (SUT, scenario, seed)
 streaming session, and a single ``serve()`` call multiplexes every
 admitted tenant's shards onto one shared
-:class:`~repro.core.workers.WorkerPool` — the same hardened process
-layer the matrix runner and sharded executor use.
+:class:`~repro.core.workers.WorkerPool` through
+:func:`~repro.core.sharded.run_shard_sessions` — the same dispatcher
+``Benchmark.run_sharded_streaming`` runs its one session on.
 
 The serving pipeline, in order:
 
@@ -38,7 +39,6 @@ one-shot API are one code path.
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,17 +47,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.benchmark import BenchmarkConfig
 from repro.core.holdout import HoldoutRegistry
 from repro.core.scenario import Scenario
-from repro.core.sharded import (
-    _build_accumulators,
-    _run_shard,
-    ensure_merge_protocol,
-    merge_shard_payloads,
-    plan_shards,
-    shard_spill_directory,
-)
+from repro.core.sharded import ShardSession, run_shard_sessions
 from repro.core.streaming import ShardSpec, StreamingRunSummary
 from repro.core.sut import SystemUnderTest
-from repro.core.workers import WorkerOutcome, WorkerPool, WorkerTask
+from repro.core.workers import WorkerPool, format_task_error
 from repro.errors import HoldoutViolationError, TenancyError
 from repro.observability import NULL_TRACER
 
@@ -362,23 +355,6 @@ def sla_accounting(
     return report
 
 
-@dataclass
-class _Session:
-    """Parent-side state for one admitted tenant session."""
-
-    index: int
-    spec: TenantSpec
-    sut_name: str
-    scenario: Scenario
-    plan: List[ShardSpec]
-    template: List[Any]
-    sla: Optional[float]
-    fingerprint: str
-    spill_dir: Optional[Path] = None
-    accumulator_factory: Optional[Callable[..., Any]] = None
-    outcomes: Dict[int, WorkerOutcome] = field(default_factory=dict)
-
-
 class BenchmarkServer:
     """Long-running multi-tenant scheduler over the shared worker pool.
 
@@ -456,14 +432,26 @@ class BenchmarkServer:
         start = time.perf_counter()
         reports: List[Optional[TenantReport]] = [None] * len(specs)
         with self._tracer.span("serve", phase="serve", tenants=len(specs)):
-            sessions = self._admit(
+            planned = self._admit(
                 specs, reports, sla, spill_dir, accumulator_factory
             )
-            entries = _fair_share(sessions)
-            workers = self._pool_size(entries)
-            self._execute(entries, workers)
-            for session in sessions:
-                reports[session.index] = self._resolve(session)
+            entries = _fair_share([session for _i, _name, session in planned])
+            # The explicit setting, else bounded by cpus and shard load.
+            workers = self.workers or max(
+                1, min(os.cpu_count() or 1, len(entries))
+            )
+            if entries:
+                pool = WorkerPool(
+                    workers=workers,
+                    max_attempts=self.max_attempts,
+                    timeout=self.tenant_timeout,
+                    retry_backoff=self.retry_backoff,
+                )
+                run_shard_sessions(
+                    entries, self.config.driver_config(), pool, self._tracer
+                )
+            for i, sut_name, session in planned:
+                reports[i] = self._report(sut_name, session)
         ledger = [report for report in reports if report is not None]
         assert len(ledger) == len(specs)
         counts = {"rejected": 0, "violation": 0, "completed": 0, "failed": 0}
@@ -532,15 +520,16 @@ class BenchmarkServer:
         sla: Optional[float],
         spill_dir,
         accumulator_factory,
-    ) -> List[_Session]:
+    ) -> List[Tuple[int, str, ShardSession]]:
         """Admit tenants in arrival order; plan a session for each.
 
+        Returns ``(spec index, SUT name, session)`` per planned session.
         Rejected tenants get their report here and never touch the
-        hold-out vault; hold-out violations get theirs without aborting
-        the window.
+        hold-out vault; hold-out violations and factories that raise
+        get theirs without aborting the window.
         """
         bucket = TokenBucket(self.admission) if self.admission else None
-        sessions: List[_Session] = []
+        admitted: List[Tuple[int, str, ShardSession]] = []
         order = sorted(
             range(len(specs)), key=lambda i: (specs[i].arrival_time, i)
         )
@@ -559,7 +548,16 @@ class BenchmarkServer:
                 )
                 continue
             self._tracer.counter("service.admitted")
-            sut_name = spec.sut_factory().name
+            try:
+                sut_name = spec.sut_factory().name
+            except Exception as exc:  # isolation: only this tenant fails
+                self._tracer.counter("service.failed")
+                reports[i] = TenantReport(
+                    tenant=spec.name,
+                    status="failed",
+                    error=format_task_error(exc),
+                )
+                continue
             if spec.holdout is not None:
                 try:
                     scenario = self.registry.checkout(spec.holdout, sut_name)
@@ -578,142 +576,49 @@ class BenchmarkServer:
                 scenario = spec.scenario
                 if spec.seed is not None and spec.seed != scenario.seed:
                     scenario = replace(scenario, seed=spec.seed)
-            tenant_sla = spec.sla if spec.sla is not None else sla
-            template = _build_accumulators(
-                scenario, accumulator_factory, tenant_sla
-            )
-            ensure_merge_protocol(template)
-            tenant_spill = (
-                Path(spill_dir) / spec.name if spill_dir is not None else None
-            )
-            if tenant_spill is not None:
-                tenant_spill.mkdir(parents=True, exist_ok=True)
-            sessions.append(
-                _Session(
-                    index=i,
-                    spec=spec,
-                    sut_name=sut_name,
-                    scenario=scenario,
-                    plan=plan_shards(scenario, spec.shards),
-                    template=template,
-                    sla=tenant_sla,
-                    fingerprint=scenario.fingerprint(),
-                    spill_dir=tenant_spill,
-                    accumulator_factory=accumulator_factory,
-                )
-            )
-        return sessions
-
-    # -- execution ---------------------------------------------------------------------
-
-    def _pool_size(self, entries: List[Tuple[_Session, ShardSpec]]) -> int:
-        """Worker slots: the explicit setting, else cpu-vs-load bound."""
-        if self.workers is not None:
-            return self.workers
-        return max(1, min(os.cpu_count() or 1, len(entries)))
-
-    def _execute(
-        self,
-        entries: List[Tuple[_Session, ShardSpec]],
-        workers: int,
-    ) -> None:
-        """Run the interleaved shard entries on one shared pool.
-
-        Outcomes land on ``session.outcomes`` keyed by shard index; a
-        failed entry only fails its own tenant (no fail-fast hook).
-        """
-        if not entries:
-            return
-        tasks = [
-            WorkerTask(
-                fn=_run_shard,
-                args=(
-                    session.spec.sut_factory,
-                    session.scenario,
-                    self.config.driver_config(),
-                    shard,
-                    session.accumulator_factory,
-                    session.sla,
-                    session.spill_dir,
+            session = ShardSession.open(
+                spec.name,
+                spec.sut_factory,
+                scenario,
+                spec.shards,
+                accumulator_factory=accumulator_factory,
+                sla=spec.sla if spec.sla is not None else sla,
+                spill_dir=(
+                    Path(spill_dir) / spec.name
+                    if spill_dir is not None
+                    else None
                 ),
-                label=f"{session.spec.name}/shard-{shard.index}",
             )
-            for session, shard in entries
-        ]
-        pool = WorkerPool(
-            workers=workers,
-            max_attempts=self.max_attempts,
-            timeout=self.tenant_timeout,
-            retry_backoff=self.retry_backoff,
-        )
+            admitted.append((i, sut_name, session))
+        return admitted
 
-        def on_attempt(index: int, attempt: int) -> None:
-            session, shard = entries[index]
-            if attempt > 1 and session.spill_dir is not None:
-                shutil.rmtree(
-                    shard_spill_directory(session.spill_dir, shard.index),
-                    ignore_errors=True,
-                )
+    # -- reporting ---------------------------------------------------------------------
 
-        outcomes = pool.run(tasks, on_attempt=on_attempt, tracer=self._tracer)
-        for outcome, (session, shard) in zip(outcomes, entries):
-            session.outcomes[shard.index] = outcome
-
-    def _resolve(self, session: _Session) -> TenantReport:
-        """Merge one session's shard outcomes into its tenant report."""
-        spec = session.spec
-        ordered: List[WorkerOutcome] = [
-            session.outcomes[shard.index] for shard in session.plan
-        ]
-        attempts = [outcome.attempts for outcome in ordered]
-        wall = sum(outcome.wall_seconds for outcome in ordered)
-        base = dict(
-            tenant=spec.name,
-            sut_name=session.sut_name,
+    def _report(self, sut_name: str, session: ShardSession) -> TenantReport:
+        """One resolved session's tenant report."""
+        report = TenantReport(
+            tenant=session.name,
+            sut_name=sut_name,
             scenario_name=session.scenario.name,
             seed=session.scenario.seed,
-            attempts=attempts,
+            attempts=session.attempts,
             shards=len(session.plan),
-            wall_seconds=wall,
-            fingerprint=session.fingerprint,
+            wall_seconds=session.wall_seconds,
+            fingerprint=session.scenario.fingerprint(),
         )
-        failures = [
-            (shard, outcome)
-            for shard, outcome in zip(session.plan, ordered)
-            if outcome.error is not None
-        ]
-        if failures:
+        if session.error is not None:
             self._tracer.counter("service.failed")
-            shard, outcome = failures[0]
-            return TenantReport(
-                status="failed",
-                error=(
-                    f"shard {shard.index} failed after {outcome.attempts} "
-                    f"attempts: {outcome.error}"
-                ),
-                **base,
-            )
-        self._tracer.counter("service.completed")
-        with self._tracer.span(f"merge:{spec.name}", phase="report"):
-            summary = merge_shard_payloads(
-                session.scenario,
-                session.plan,
-                [outcome.payload for outcome in ordered],
-                attempts,
-                session.template,
-                session.spill_dir,
-            )
-        return TenantReport(
-            status="completed",
-            summary=summary,
-            sla_report=sla_accounting(summary, session.sla),
-            **base,
-        )
+            report.status, report.error = "failed", session.error
+        else:
+            self._tracer.counter("service.completed")
+            report.summary = session.summary
+            report.sla_report = sla_accounting(session.summary, session.sla)
+        return report
 
 
 def _fair_share(
-    sessions: List[_Session],
-) -> List[Tuple[_Session, ShardSpec]]:
+    sessions: List[ShardSession],
+) -> List[Tuple[ShardSession, ShardSpec]]:
     """Round-robin interleave of every session's shard plan.
 
     Shard 0 of every tenant dispatches before any tenant's shard 1, so
@@ -721,7 +626,7 @@ def _fair_share(
     whole plan first — fair share without a priority queue. (Execution
     order never affects results; sessions are deterministic per shard.)
     """
-    entries: List[Tuple[_Session, ShardSpec]] = []
+    entries: List[Tuple[ShardSession, ShardSpec]] = []
     width = max((len(session.plan) for session in sessions), default=0)
     for position in range(width):
         for session in sessions:

@@ -1,15 +1,14 @@
 """The shared process-worker layer.
 
-Every multi-process execution stack in the benchmark — the matrix
-runner's job pool (:class:`~repro.core.runner.MatrixRunner`), the
-sharded streaming executor
-(:class:`~repro.core.sharded.ShardedStreamingExecutor`), and the
-multi-tenant service (:class:`~repro.core.tenancy.BenchmarkServer`) —
-needs the same hardening: resident worker processes fed task indexes
-over one duplex pipe each, ``connection.wait`` multiplexing, wall-clock
-kill deadlines, an exponential-backoff retry budget shared by raises,
-crashes, and timeouts, and per-job
-:class:`~repro.observability.Tracer` threading.
+Both multi-process execution stacks in the benchmark — the matrix
+runner's job pool (:class:`~repro.core.runner.MatrixRunner`) and the
+shard-session dispatcher (:func:`~repro.core.sharded.run_shard_sessions`,
+behind ``Benchmark.run_sharded_streaming`` and the multi-tenant
+:class:`~repro.core.tenancy.BenchmarkServer`) — need the same
+hardening: resident worker processes fed task indexes over one duplex
+pipe each, ``connection.wait`` multiplexing, wall-clock kill deadlines,
+an exponential-backoff retry budget shared by raises, crashes, and
+timeouts, and per-job :class:`~repro.observability.Tracer` threading.
 
 A worker serves attempt after attempt for as long as every one of them
 succeeds, so a task gets fresh arguments (callers build a fresh SUT per
@@ -23,7 +22,7 @@ submit :class:`WorkerTask` s (a picklable ``fn`` plus positional args)
 and receive :class:`WorkerOutcome` s aligned with the task list; two
 optional hooks — ``on_attempt`` (fired before every execution) and
 ``on_outcome`` (fired at final resolution) — let callers keep their own
-bookkeeping (manifest records, checkpoints, fail-fast raises) without
+bookkeeping (manifest records, checkpoints, retry-time cleanup) without
 duplicating any transport, retry, or kill logic.
 
 Failure taxonomy (identical across callers, pinned by the runner's
@@ -279,8 +278,7 @@ class WorkerPool:
             on_outcome: Hook fired once per task at final resolution
                 (success or exhausted budget), in completion order. An
                 exception raised here aborts the pool: running workers
-                are killed and the exception propagates — the fail-fast
-                hook for callers that treat one failure as fatal.
+                are killed and the exception propagates.
             tracer: Optional :class:`~repro.observability.Tracer`; process
                 mode counts ``pool.forks``, ``pool.recycled`` (workers
                 retired by a failed attempt), ``pool.dispatches``,
@@ -467,7 +465,7 @@ class WorkerPool:
                             ),
                         )
         finally:
-            # Done or interrupted (KeyboardInterrupt, fail-fast hook, …):
+            # Done or interrupted (KeyboardInterrupt, a raising hook, …):
             # never leak worker processes.
             for conn, (_index, proc, _deadline) in running.items():
                 kill_process(proc)

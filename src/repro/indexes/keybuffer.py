@@ -243,14 +243,17 @@ def _snap_sorted(view: np.ndarray, needles: np.ndarray):
     The needles are searched in sorted order, which walks the view front
     to back instead of jumping through it, and scattered back. Clamped
     neighbours make both ends fall out of the tie rule: below the first
-    key or past the last, ``lo`` and ``hi`` coincide.
+    key or past the last, ``lo`` and ``hi`` coincide. Infinite keys and
+    needles can make ``inf - inf``; its NaN compares false and picks
+    ``hi``, so only the warning needs silencing.
     """
     order = np.argsort(needles)
     gaps = np.empty(needles.size, dtype=np.intp)
     gaps[order] = np.searchsorted(view, needles[order])
     lo = np.maximum(gaps - 1, 0)
     hi = np.minimum(gaps, view.size - 1)
-    ranks = np.where(needles - view[lo] <= view[hi] - needles, lo, hi)
+    with np.errstate(invalid="ignore"):
+        ranks = np.where(needles - view[lo] <= view[hi] - needles, lo, hi)
     return view[ranks], ranks, gaps
 
 

@@ -1,4 +1,9 @@
-"""Sharded streaming: plan shapes, merge equivalence, crash recovery."""
+"""Sharded streaming: plan shapes, merge equivalence, crash recovery.
+
+``Benchmark.run_sharded_streaming`` is one session on the dispatcher a
+:class:`~repro.core.tenancy.BenchmarkServer` window runs its tenants on,
+so both surfaces are held to the same summaries and failure rules here.
+"""
 
 from __future__ import annotations
 
@@ -13,16 +18,13 @@ import pytest
 from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
-from repro.core.sharded import (
-    ShardedStreamingExecutor,
-    plan_shards,
-    run_sharded_streaming,
-)
+from repro.core.sharded import plan_shards
 from repro.core.streaming import (
     ShardSpec,
     StreamingRunSummary,
     load_spilled_columns,
 )
+from repro.core.tenancy import BenchmarkServer, TenantSpec
 from repro.errors import ConfigurationError, RunnerError
 from repro.observability import Tracer
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -90,6 +92,12 @@ def _crashing_factory(marker):
 
 def _failing_factory():
     raise ValueError("boom")
+
+
+def _run_sharded(sut_factory, scenario, shards=2, **kwargs):
+    return Benchmark().run_sharded_streaming(
+        sut_factory, scenario, shards=shards, **kwargs
+    )
 
 
 class _SummingAccumulator:
@@ -182,7 +190,7 @@ class TestMergeEquivalence:
     def test_segment_sharded_run_matches_unsharded(self, shards):
         scenario_builder = partial(_multi_segment_scenario, 4)
         reference = self._reference(scenario_builder())
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             TraditionalKVStore, scenario_builder(), shards=shards
         )
         assert merged.num_queries == reference.num_queries
@@ -197,7 +205,7 @@ class TestMergeEquivalence:
 
     def test_arrival_sliced_run_matches_unsharded(self):
         reference = self._reference(_single_segment_scenario())
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             TraditionalKVStore, _single_segment_scenario(), shards=3
         )
         assert merged.num_queries == reference.num_queries
@@ -218,11 +226,10 @@ class TestMergeEquivalence:
 
     def test_run_hands_its_tracer_to_the_pool(self):
         tracer = Tracer()
-        executor = ShardedStreamingExecutor(n_shards=2)
-        traced = executor.run(
-            TraditionalKVStore, _multi_segment_scenario(), tracer=tracer
+        traced = Benchmark(tracer=tracer).run_sharded_streaming(
+            TraditionalKVStore, _multi_segment_scenario(), shards=2
         )
-        plain = executor.run(TraditionalKVStore, _multi_segment_scenario())
+        plain = _run_sharded(TraditionalKVStore, _multi_segment_scenario())
         assert tracer.counters["pool.forks"] == 2
         assert tracer.counters["pool.attempts.ok"] == 2
         assert traced.to_dict() == plain.to_dict()
@@ -235,7 +242,7 @@ class TestMergeEquivalence:
             _multi_segment_scenario(3),
             spill_dir=str(reference_dir),
         )
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             TraditionalKVStore,
             _multi_segment_scenario(3),
             shards=3,
@@ -262,7 +269,7 @@ class TestMergeEquivalence:
             ), f"column {name!r} diverged after shard merge"
 
     def test_summary_round_trips_with_sharding(self):
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             TraditionalKVStore, _multi_segment_scenario(), shards=2
         )
         payload = json.loads(json.dumps(merged.to_dict()))
@@ -277,7 +284,7 @@ class TestMergeEquivalence:
         assert "sharding" not in summary.to_dict()
 
     def test_custom_accumulator_protocol_is_honored(self):
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             TraditionalKVStore,
             _multi_segment_scenario(),
             shards=2,
@@ -286,13 +293,30 @@ class TestMergeEquivalence:
         assert merged.metrics["summing"]["total"] == merged.num_queries
 
     def test_accumulator_without_protocol_rejected_up_front(self):
-        executor = ShardedStreamingExecutor(n_shards=2)
         with pytest.raises(ConfigurationError, match="merge protocol"):
-            executor.run(
+            _run_sharded(
                 TraditionalKVStore,
                 _multi_segment_scenario(),
                 accumulator_factory=_no_protocol_factory,
             )
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_one_tenant_window_matches_the_facade(self, shards):
+        report = BenchmarkServer(retry_backoff=0.0).serve(
+            [
+                TenantSpec(
+                    name="only",
+                    sut_factory=TraditionalKVStore,
+                    scenario=_multi_segment_scenario(4),
+                    shards=shards,
+                )
+            ],
+            sla=0.01,
+        )
+        merged = _run_sharded(
+            TraditionalKVStore, _multi_segment_scenario(4), shards, sla=0.01
+        )
+        assert report.tenant("only").summary.to_dict() == merged.to_dict()
 
 
 class TestCrashRecovery:
@@ -301,12 +325,11 @@ class TestCrashRecovery:
         reference = VirtualClockDriver(DriverConfig()).run_streaming(
             TraditionalKVStore(), _multi_segment_scenario()
         )
-        merged = run_sharded_streaming(
+        merged = _run_sharded(
             partial(_crashing_factory, str(marker)),
             _multi_segment_scenario(),
             shards=2,
             max_attempts=3,
-            retry_backoff=0.0,
         )
         assert marker.exists()
         assert sum(merged.sharding["attempts"]) > merged.sharding["shards"]
@@ -315,20 +338,26 @@ class TestCrashRecovery:
 
     def test_exhausted_retry_budget_raises(self):
         with pytest.raises(RunnerError, match="failed after"):
-            run_sharded_streaming(
+            _run_sharded(
                 _failing_factory,
                 _multi_segment_scenario(),
                 shards=2,
                 max_attempts=1,
-                retry_backoff=0.0,
             )
 
-    def test_executor_validates_knobs(self):
-        with pytest.raises(ConfigurationError):
-            ShardedStreamingExecutor(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedStreamingExecutor(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            ShardedStreamingExecutor(shard_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            ShardedStreamingExecutor(retry_backoff=-1.0)
+    def test_one_shard_retries_then_raises_like_many(self):
+        calls = []
+
+        def failing_factory():
+            calls.append(None)
+            raise ValueError("boom")
+
+        # One shard runs inline (one pool slot, no deadline), so the
+        # factory's calls are counted here: one per attempt, none before.
+        with pytest.raises(
+            RunnerError, match="shard 0 failed after 2 attempts: ValueError: boom"
+        ):
+            _run_sharded(
+                failing_factory, _multi_segment_scenario(), 1, max_attempts=2
+            )
+        assert len(calls) == 2

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core import tenancy
+from repro.core import sharded
 from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.scenario import Scenario, Segment
 from repro.core.streaming import load_spilled_columns
@@ -255,8 +255,8 @@ class TestServeDeterminism:
             seen.setdefault(scenario.name, []).append(fields)
             return merge(scenario, plan, payloads, *rest)
 
-        merge = tenancy.merge_shard_payloads
-        monkeypatch.setattr(tenancy, "merge_shard_payloads", spy)
+        merge = sharded.merge_shard_payloads
+        monkeypatch.setattr(sharded, "merge_shard_payloads", spy)
         for workers in (1, 2, 4):
             for window in (probes + fillers, fillers + probes[::-1]):
                 tracer = Tracer()
@@ -392,6 +392,24 @@ class TestFailureIsolation:
         assert "db on fire" in bad.error
         assert report.completed == 1
         assert report.failed == 1
+        assert report.dropped == 0
+
+    def test_raising_factory_fails_only_its_tenant(self):
+        def broken():
+            raise ValueError("no such store")
+
+        tenants = [
+            TenantSpec(name="broken", sut_factory=broken, scenario=_scenario()),
+            TenantSpec(
+                name="good",
+                sut_factory=lambda: TinySUT("good"),
+                scenario=_scenario(),
+            ),
+        ]
+        report = BenchmarkServer(workers=1).serve(tenants)
+        assert [t.status for t in report.tenants] == ["failed", "completed"]
+        assert report.tenants[0].error.startswith("ValueError: no such store")
+        assert report.offered == report.admitted + report.rejected
         assert report.dropped == 0
 
     def test_failed_tenant_isolated_across_processes(self):

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from tests.reference_driver import ScalarReferenceDriver
 
+from repro.core.benchmark import Benchmark
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.phases import TrainingPhase
 from repro.core.scenario import Scenario, Segment
-from repro.core.sharded import run_sharded_streaming
 from repro.core.streaming import load_spilled_columns
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.observability import Tracer
@@ -285,7 +285,7 @@ class TestTicklessSUT:
             TraditionalKVStore(), _scenario(interval), spill_dir=tmp_path / "stream"
         )
         assert _columns_equal(load_spilled_columns(tmp_path / "stream"), reference)
-        merged = run_sharded_streaming(
+        merged = Benchmark().run_sharded_streaming(
             TraditionalKVStore,
             _scenario(interval),
             shards=2,

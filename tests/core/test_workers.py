@@ -1,7 +1,7 @@
 """The shared process-worker layer (`repro.core.workers`).
 
-Pins the pool semantics both `MatrixRunner` and
-`ShardedStreamingExecutor` (and the multi-tenant server) rely on: the
+Pins the pool semantics both `MatrixRunner` and the shard-session
+dispatcher (sharded runs and the multi-tenant server) rely on: the
 failure taxonomy, the retry budget, deadline kills, hook contracts, the
 inline fast path, and the resident-worker contract (a worker is reused
 until an attempt on it fails, then never again; nothing leaks).

@@ -286,6 +286,11 @@ def test_non_finite_needles_leak_no_warning():
         warnings.simplefilter("error")
         for call in (needles, needles[:3]):
             _assert_snaps_like_the_reference(buf, call)
+        # Non-finite stores: the tie rule subtracts infinities (inf - inf).
+        for store in ([-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf], [-np.inf, np.inf]):
+            _assert_snaps_like_the_reference(
+                SortedKeyBuffer(np.array(store)), [np.inf, -np.inf, 0.5, np.nan]
+            )
 
 
 WRITES = st.lists(
