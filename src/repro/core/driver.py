@@ -10,10 +10,13 @@ the SUT is slower than the offered load and drains as it specializes,
 which is what produces the characteristic "slow start, catches up"
 cumulative curve of Fig 1b.
 
-There is one execution path: each segment is served in interrupt-bounded
-slices through ``execute_batch``, the FIFO kernel and block appends. It
-is pinned bit-for-bit to a scalar oracle in ``tests/`` that serves one
-query at a time through a heap of server free times.
+There is one execution path. Each segment is executed in
+interrupt-bounded slices through ``execute_batch``; the returned service
+times are held and queued (FIFO kernel, block append) only where the
+server pool changes — before a retrain or a point fault is charged, and
+at the segment end — so ticks that ask for nothing cut no queue block.
+It is pinned bit-for-bit to a scalar oracle in ``tests/`` that serves
+one query at a time through a heap of server free times.
 
 Training placement:
 
@@ -48,7 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,14 +96,15 @@ class DriverConfig:
             *every* server (a stop-the-world rebuild).
         truncate_max_queries: When True, a run that would exceed
             ``max_queries`` is truncated mid-segment instead of raising.
-        block_size: Cap on queries per batched execution block: each
-            interrupt-free slice is chopped into sub-blocks of at most
-            this many queries before ``execute_batch``, bounding the
-            per-call working set. ``None`` (the default) means
-            :data:`DEFAULT_BLOCK_SIZE`, not "unbounded". Results are
-            bit-identical at any block size (the FIFO kernel carries
-            queue state across calls and fault perturbation is keyed on
-            arrival times); only tracer batch counters differ.
+        block_size: Cap on queries per block, of both kinds: each
+            interrupt-free slice is chopped into execute blocks of at
+            most this many queries before ``execute_batch``, and held
+            services are queued and appended before a queue block
+            would pass it, bounding both working sets. ``None`` (the
+            default) means :data:`DEFAULT_BLOCK_SIZE`, not "unbounded".
+            Results are bit-identical at any block size (the FIFO kernel
+            carries queue state across calls and fault perturbation is
+            keyed on arrival times); only tracer block counters differ.
     """
 
     online_hardware: HardwareProfile = CPU
@@ -550,91 +554,88 @@ class VirtualClockDriver:
         op_map: np.ndarray,
         training_events: List[TrainingEvent],
     ) -> List[float]:
-        """Serve one segment in interrupt-bounded slices.
+        """Serve one segment: execute blocks, then queue blocks.
 
         The scalar oracle fires every interrupt (tick or point fault) with
         ``time <= arrival`` before each arrival; slicing the arrival
         array at each interrupt with ``searchsorted(..., side="left")``
         reproduces that interleaving exactly — queries strictly before
         the interrupt run first, then it fires, and trailing interrupts
-        fill out to the segment end.
+        fill out to the segment end. ``execute_batch`` is called on each
+        such slice, chopped at ``block_size``.
+
+        The executed service times are held until the queue must settle:
+        before a tick that retrains is charged, before a point fault,
+        at the segment end, and before the held rows would pass
+        ``block_size``. Only then do the FIFO kernel, op interning and
+        ``recorder.append_block`` run, once over the whole held run of
+        rows. The kernel threads its free-time state through
+        consecutive calls and nothing the SUT sees depends on it, so
+        these cuts move no timestamp.
         """
         arrivals = batch.arrivals
         n = len(batch)
-        stream = self._interrupts(sut, seg_start, seg_end, scenario)
-        idx = 0
-        while stream.peek() < seg_end:
-            end = idx + int(
-                np.searchsorted(arrivals[idx:], stream.peek(), side="left")
-            )
-            if end > idx:
-                server_free = self._process_batch_slice(
-                    sut, batch, idx, end, segment_code, server_free,
-                    recorder, op_map,
-                )
-                idx = end
-            server_free = self._fire_interrupt(
-                sut, stream, server_free, training_events
-            )
-        if idx < n:
-            server_free = self._process_batch_slice(
-                sut, batch, idx, n, segment_code, server_free, recorder, op_map
-            )
-        return server_free
-
-    def _process_batch_slice(
-        self,
-        sut: SystemUnderTest,
-        batch: QueryBatch,
-        a: int,
-        b: int,
-        segment_code: int,
-        server_free: List[float],
-        recorder: ColumnarRecorder,
-        op_map: np.ndarray,
-    ) -> List[float]:
-        """Execute one interrupt-free slice in ``block_size``-bounded blocks.
-
-        Sub-slicing is exact: the FIFO kernel threads its free-time
-        state through consecutive calls and every per-query computation
-        (service execution, fault perturbation, op interning) depends
-        only on that query's own inputs, so any block boundary yields
-        the same timestamps.
-        """
         block = self.config.block_size or DEFAULT_BLOCK_SIZE
-        if b - a <= block:
-            return self._process_block(
-                sut, batch, a, b, segment_code, server_free, recorder, op_map
-            )
-        for lo in range(a, b, block):
-            server_free = self._process_block(
-                sut,
-                batch,
-                lo,
-                min(lo + block, b),
-                segment_code,
-                server_free,
-                recorder,
-                op_map,
-            )
-        return server_free
+        stream = self._interrupts(sut, seg_start, seg_end, scenario)
+        held: List[np.ndarray] = []  # services of rows [lo, idx), unqueued
+        lo = idx = 0
 
-    def _process_block(
-        self,
-        sut: SystemUnderTest,
-        batch: QueryBatch,
-        a: int,
-        b: int,
-        segment_code: int,
-        server_free: List[float],
-        recorder: ColumnarRecorder,
-        op_map: np.ndarray,
-    ) -> List[float]:
-        """Execute one contiguous block and append it to the recorder."""
+        def settle(server_free: List[float]) -> List[float]:
+            """Queue the held rows ``[lo, idx)`` and append them as a block."""
+            nonlocal lo
+            if idx == lo:
+                return server_free
+            self.tracer.counter("driver.queue_blocks")
+            rows = slice(lo, idx)
+            services = held[0] if len(held) == 1 else np.concatenate(held)
+            held.clear()
+            if self.config.servers == 1:
+                starts, completions, server_free[0] = fifo_single_server(
+                    arrivals[rows], services, server_free[0]
+                )
+            else:
+                starts, completions, server_free = fifo_multi_server(
+                    arrivals[rows], services, server_free
+                )
+            del services  # only the timestamps reach the recorder's fold
+            ops = batch.ops[rows]
+            op_codes = op_map[ops]
+            if (op_codes < 0).any():
+                # Intern the new ops in first-occurrence order (matches the
+                # scalar oracle's lazy first-sight vocabulary).
+                uniq, first = np.unique(ops, return_index=True)
+                for u in uniq[np.argsort(first)]:
+                    if op_map[u] < 0:
+                        op_map[u] = recorder.intern_op(batch.op_names[int(u)])
+                op_codes = op_map[ops]
+            recorder.append_block(
+                arrivals[rows], starts, completions, op_codes, segment_code
+            )
+            lo = idx
+            return server_free
+
+        while True:
+            at = stream.peek()
+            end = n if at >= seg_end else idx + int(
+                np.searchsorted(arrivals[idx:], at, side="left")
+            )
+            for a in range(idx, end, block):
+                b = min(a + block, end)
+                if b - lo > block:
+                    server_free = settle(server_free)
+                held.append(self._execute_block(sut, batch.slice(a, b)))
+                idx = b
+            if at >= seg_end:
+                return settle(server_free)
+            server_free = self._fire_interrupt(
+                sut, stream, server_free, training_events, settle
+            )
+
+    def _execute_block(self, sut: SystemUnderTest, sub: QueryBatch) -> np.ndarray:
+        """Run one execute block on the SUT; return its clamped services."""
         self.tracer.counter("driver.batches")
-        self.tracer.counter("driver.batched_queries", b - a)
-        sub = batch.slice(a, b)
-        with self.tracer.span("batch", phase="serve", queries=b - a):
+        self.tracer.counter("driver.batched_queries", len(sub))
+        with self.tracer.span("batch", phase="serve", queries=len(sub)):
             services = np.maximum(
                 self.config.min_service_time,
                 np.asarray(
@@ -646,25 +647,7 @@ class VirtualClockDriver:
                 self.config.min_service_time,
                 self._fault_clock.perturb_batch(services, sub.arrivals),
             )
-        if self.config.servers == 1:
-            starts, completions, server_free[0] = fifo_single_server(
-                sub.arrivals, services, server_free[0]
-            )
-        else:
-            starts, completions, server_free = fifo_multi_server(
-                sub.arrivals, services, server_free
-            )
-        op_codes = op_map[sub.ops]
-        if (op_codes < 0).any():
-            # Intern the new ops in first-occurrence order (matches the
-            # scalar oracle's lazy first-sight vocabulary).
-            uniq, first = np.unique(sub.ops, return_index=True)
-            for u in uniq[np.argsort(first)]:
-                if op_map[u] < 0:
-                    op_map[u] = recorder.intern_op(batch.op_names[int(u)])
-            op_codes = op_map[sub.ops]
-        recorder.append_block(sub.arrivals, starts, completions, op_codes, segment_code)
-        return server_free
+        return services
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -695,14 +678,23 @@ class VirtualClockDriver:
         stream: _InterruptStream,
         server_free: List[float],
         training_events: List[TrainingEvent],
+        settle: Optional[Callable[[List[float]], List[float]]] = None,
     ) -> List[float]:
-        """Consume and apply the stream's next interrupt."""
+        """Consume and apply the stream's next interrupt.
+
+        A tick is delivered first; ``settle`` (the segment's queue-block
+        cut, when given) runs only if the interrupt is about to change
+        the server pool — a tick that retrains, or a point fault.
+        """
         now, fault = stream.pop()
         if fault is None:
-            server_free, event = self._tick(sut, now, server_free)
-            if event is not None:
-                training_events.append(event)
-            return server_free
+            nominal = self._deliver_tick(sut, now)
+            if nominal is None:
+                return server_free
+        if settle is not None:
+            server_free = settle(server_free)
+        if fault is None:
+            return self._charge_tick(now, nominal, server_free, training_events)
         return self._fire_fault(sut, fault, server_free, training_events)
 
     def _fire_fault(
@@ -800,26 +792,35 @@ class VirtualClockDriver:
             span.attrs["training_event"] = event_to_telemetry(event)
         return event
 
-    def _tick(
-        self, sut: SystemUnderTest, now: float, server_free: List[float]
-    ) -> Tuple[List[float], Optional[TrainingEvent]]:
-        """Deliver one tick; apply any requested online retraining.
+    def _deliver_tick(self, sut: SystemUnderTest, now: float) -> Optional[float]:
+        """Deliver one tick; return the requested retrain's nominal time.
+
+        ``None`` when the SUT asks for nothing (or a non-positive time).
+        """
+        self.tracer.counter("driver.ticks")
+        nominal = sut.on_tick(now)
+        return float(nominal) if nominal and nominal > 0 else None
+
+    def _charge_tick(
+        self,
+        now: float,
+        nominal: float,
+        server_free: List[float],
+        training_events: List[TrainingEvent],
+    ) -> List[float]:
+        """Charge a tick's online retrain to every server.
 
         An online retrain is stop-the-world: it starts once the busiest
         server drains and blocks every server until it finishes.
         """
-        self.tracer.counter("driver.ticks")
-        nominal = sut.on_tick(now)
-        if not nominal or nominal <= 0:
-            return server_free, None
-        start = max(now, max(server_free))
         event = make_event(
-            start=start,
-            nominal_seconds=float(nominal),
+            start=max(now, max(server_free)),
+            nominal_seconds=nominal,
             hardware=self.config.online_hardware,
             online=True,
             label="online-retrain",
         )
+        training_events.append(event)
         # Marker span carrying the measured event; the SUT's own adapt
         # span (inside on_tick) holds the wall time of the rebuild.
         span = self.tracer.start_span("online-retrain", phase="adapt")
@@ -829,4 +830,4 @@ class VirtualClockDriver:
         self.tracer.counter("driver.online_retrains")
         blocked = [max(f, event.end) for f in server_free]
         heapq.heapify(blocked)
-        return blocked, event
+        return blocked

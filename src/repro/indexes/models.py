@@ -49,11 +49,15 @@ def fit_linear(keys: np.ndarray, positions: np.ndarray) -> LinearModel:
         return LinearModel(0.0, float(positions[0]))
     kx = np.asarray(keys, dtype=np.float64)
     py = np.asarray(positions, dtype=np.float64)
-    var = kx.var()
+    # ``kx.var()`` spelled out (same reductions, same bits), so the means
+    # and the key deviations serve the slope too.
+    mean_k, mean_p = kx.mean(), py.mean()
+    dk = kx - mean_k
+    var = (dk * dk).sum() / n
     if var <= 0.0:
-        return LinearModel(0.0, float(py.mean()))
-    slope = float(((kx - kx.mean()) * (py - py.mean())).sum() / (var * n))
-    intercept = float(py.mean() - slope * kx.mean())
+        return LinearModel(0.0, float(mean_p))
+    slope = float((dk * (py - mean_p)).sum() / (var * n))
+    intercept = float(mean_p - slope * mean_k)
     return LinearModel(slope, intercept)
 
 

@@ -191,15 +191,24 @@ class RecursiveModelIndex(OrderedIndex):
                 0,
                 self._fanout - 1,
             )
+        # The keys are sorted and the routing is non-decreasing, so each
+        # leaf's keys, ``keys[assignments == leaf]``, are one contiguous
+        # slice in the same order. Only a root fitted to a negative slope
+        # (excluded in exact arithmetic) could route out of order; a
+        # stable sort then groups the leaves the same way.
+        keys = self._keys
+        if (assignments[1:] < assignments[:-1]).any():
+            order = np.argsort(assignments, kind="stable")
+            keys, positions, assignments = (
+                keys[order], positions[order], assignments[order]
+            )
+        cuts = np.searchsorted(assignments, np.arange(self._fanout + 1)).tolist()
         self._leaves = []
         self._errors = []
-        for leaf_id in range(self._fanout):
-            mask = assignments == leaf_id
-            leaf_keys = self._keys[mask]
-            leaf_pos = positions[mask]
-            model = fit_linear(leaf_keys, leaf_pos)
+        for a, b in zip(cuts, cuts[1:]):
+            model = fit_linear(keys[a:b], positions[a:b])
             self._leaves.append(model)
-            self._errors.append(max_abs_error(model, leaf_keys, leaf_pos))
+            self._errors.append(max_abs_error(model, keys[a:b], positions[a:b]))
         self.stats.retrains += 1
 
     # -- lookup -------------------------------------------------------------------

@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.core.test_tick_contract import PLAN
+from tests.core.test_tick_contract import _scenario as _tick_scenario
 from tests.reference_driver import ScalarReferenceDriver
+from tests.reporting.test_report_fold import _BlockCount
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.queueing import fifo_single_server
@@ -258,6 +261,85 @@ class TestBatchedEqualsScalar:
             VirtualClockDriver(DriverConfig(max_queries=700)).run(
                 TraditionalKVStore(), _mixed_scenario()
             )
+
+
+def _acting_store(acting):
+    """Listens to every tick; only the ticks numbered in ``acting`` retrain.
+
+    Ticks are numbered from 0 in delivery order.
+    """
+    sut = TraditionalKVStore()
+    delivered = []
+
+    def on_tick(now):
+        delivered.append(now)
+        return 0.02 if len(delivered) - 1 in acting else None
+
+    sut.on_tick = on_tick
+    return sut
+
+
+class TestQueueBlocks:
+    """Execute blocks end at every tick; queue blocks only where one acts."""
+
+    #: Ticks of ``test_tick_contract``'s three 2 s segments at a 0.1 s
+    #: interval that fall at 0.5, 1.2, 2.7 and 5.0 s: inside a segment,
+    #: with rows on both sides of each.
+    ACTING = frozenset({5, 12, 27, 50})
+
+    @staticmethod
+    def _scenario(plan=None):
+        return _tick_scenario(0.1, plan)
+
+    def test_a_queue_block_per_segment_and_acting_tick(self):
+        tracer = Tracer()
+        result = VirtualClockDriver(tracer=tracer).run(
+            _acting_store(self.ACTING), self._scenario()
+        )
+        blocks = len(result.segments) + len(self.ACTING)
+        assert tracer.counters["driver.queue_blocks"] == blocks
+        assert tracer.counters["driver.online_retrains"] == len(self.ACTING)
+        assert tracer.counters["driver.batches"] > 5 * blocks
+        summary = VirtualClockDriver().run_streaming(
+            _acting_store(self.ACTING), self._scenario(), accumulators=[_BlockCount()]
+        )
+        assert summary.metrics["blocks"] == blocks
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("block_size", [1, 7, 4096, 10_000])
+    def test_columns_equal_the_scalar_oracle(self, block_size, faulted):
+        plan = PLAN if faulted else None
+        runs = [
+            driver_cls(DriverConfig(block_size=block_size)).run(
+                _acting_store(self.ACTING), self._scenario(plan)
+            )
+            for driver_cls in (VirtualClockDriver, ScalarReferenceDriver)
+        ]
+        _assert_identical(*runs)
+        assert sum(e.online for e in runs[0].training_events) == len(self.ACTING)
+
+    def test_queue_blocks_counter_on_a_grid(self):
+        """16 unjittered arrivals at 4 q/s (odd multiples of 1/8 s), a tick
+        every 0.5 s: eight execute blocks of two rows. ``block_size=7``
+        packs the queue 6 + 2 up to the acting tick at 2.0 s, then 6 + 2."""
+        spec = simple_spec("grid", UniformDistribution(0, 1000), rate=4.0)
+        scenario = Scenario(
+            name="grid",
+            segments=[Segment(spec=spec, duration=4.0)],
+            seed=3,
+            initial_keys=np.linspace(0, 1000, 500),
+            tick_interval=0.5,
+        )
+        tracer = Tracer()
+        config = DriverConfig(block_size=7, jitter_arrivals=False)
+        result = VirtualClockDriver(config, tracer=tracer).run(
+            _acting_store({4}), scenario
+        )
+        assert result.num_queries == 16
+        assert tracer.counters["driver.batches"] == 8
+        assert tracer.counters["driver.queue_blocks"] == 4
+        scalar = ScalarReferenceDriver(config).run(_acting_store({4}), scenario)
+        _assert_identical(result, scalar)
 
 
 class TestTracingInvariance:

@@ -4,7 +4,9 @@
 accumulators ``run_streaming`` folds block by block. When each segment
 reaches the accumulators as one driver block, every float partial (a
 segment's latency sum) is the same single partial on both paths, so
-every number must agree byte for byte: ``==``, no tolerance.
+every number must agree byte for byte: ``==``, no tolerance. A SUT that
+listens to ticks but never acts on one (``adapt=False``) is such a run
+too: a tick that asks for nothing does not cut the queue.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.core.scenario import Scenario, Segment
 from repro.metrics import streaming_accumulators
 from repro.metrics.adaptability import cumulative_curve
 from repro.reporting.report import build_report
+from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import simple_spec
@@ -57,13 +60,23 @@ def _scenario() -> Scenario:
 
 
 def test_report_equals_streaming_metrics_byte_for_byte():
+    _assert_report_equals_streaming(TraditionalKVStore)
+
+
+def test_report_equals_streaming_metrics_for_a_listening_sut():
+    _assert_report_equals_streaming(
+        lambda: LearnedKVStore(max_fanout=64, adapt=False)
+    )
+
+
+def _assert_report_equals_streaming(sut_factory) -> None:
     scenario = _scenario()
     assert scenario.fault_plan is None
-    result = VirtualClockDriver(DriverConfig()).run(TraditionalKVStore(), scenario)
+    result = VirtualClockDriver(DriverConfig()).run(sut_factory(), scenario)
     sla = float(np.percentile(result.latencies(), 75))
     report = build_report(result, scenario, sla=sla)
     summary = VirtualClockDriver(DriverConfig()).run_streaming(
-        TraditionalKVStore(),
+        sut_factory(),
         scenario,
         accumulators=[*streaming_accumulators(scenario, sla=sla), _BlockCount()],
     )
