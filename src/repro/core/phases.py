@@ -100,9 +100,10 @@ def event_to_telemetry(event: TrainingEvent) -> dict:
     The driver tags every train/adapt span with this under the
     ``training_event`` attribute, so a run's cost breakdown can be
     recomputed from its *trace* alone
-    (:func:`repro.metrics.cost.phases_from_trace`). Field-for-field the
-    same shape as :meth:`~repro.core.results.RunResult.to_dict`'s
-    ``training_events`` rows — one wire format, two carriers.
+    (:func:`repro.metrics.cost.phases_from_trace`). It also writes the
+    ``training_events`` rows of :meth:`~repro.core.results.RunResult.to_dict`
+    and of the streaming summary's ``to_dict``: one wire format, three
+    carriers.
     """
     return {
         "start": event.start,

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.phases import TrainingEvent
+from repro.core.phases import TrainingEvent, event_from_telemetry, event_to_telemetry
 from repro.errors import ReproError
 
 
@@ -364,18 +364,7 @@ class RunResult:
             "segments": [list(s) for s in self.segments],
             "scenario_description": self.scenario_description,
             "sut_description": self.sut_description,
-            "training_events": [
-                {
-                    "start": e.start,
-                    "duration": e.duration,
-                    "nominal_seconds": e.nominal_seconds,
-                    "hardware_name": e.hardware_name,
-                    "cost": e.cost,
-                    "online": e.online,
-                    "label": e.label,
-                }
-                for e in self.training_events
-            ],
+            "training_events": [event_to_telemetry(e) for e in self.training_events],
             "queries": query_rows,
         }
 
@@ -391,18 +380,7 @@ class RunResult:
             scenario_name=data["scenario_name"],
             columns=QueryColumns.from_rows(data["queries"]),
             segments=[tuple(s) for s in data["segments"]],
-            training_events=[
-                TrainingEvent(
-                    start=e["start"],
-                    duration=e["duration"],
-                    nominal_seconds=e["nominal_seconds"],
-                    hardware_name=e["hardware_name"],
-                    cost=e["cost"],
-                    online=e["online"],
-                    label=e.get("label", ""),
-                )
-                for e in data["training_events"]
-            ],
+            training_events=[event_from_telemetry(e) for e in data["training_events"]],
             scenario_description=data.get("scenario_description", {}),
             sut_description=data.get("sut_description", {}),
         )

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.phases import TrainingEvent
+from repro.core.phases import TrainingEvent, event_from_telemetry, event_to_telemetry
 from repro.core.results import QueryColumns
 from repro.errors import ConfigurationError
 from repro.observability import NULL_TRACER
@@ -929,18 +929,7 @@ class StreamingRunSummary:
             "segments": [list(s) for s in self.segments],
             "scenario_description": self.scenario_description,
             "sut_description": self.sut_description,
-            "training_events": [
-                {
-                    "start": e.start,
-                    "duration": e.duration,
-                    "nominal_seconds": e.nominal_seconds,
-                    "hardware_name": e.hardware_name,
-                    "cost": e.cost,
-                    "online": e.online,
-                    "label": e.label,
-                }
-                for e in self.training_events
-            ],
+            "training_events": [event_to_telemetry(e) for e in self.training_events],
             "num_queries": self.num_queries,
             "max_completion": self.max_completion,
             "op_counts": dict(self.op_counts),
@@ -959,18 +948,7 @@ class StreamingRunSummary:
             sut_name=data["sut_name"],
             scenario_name=data["scenario_name"],
             segments=[tuple(s) for s in data["segments"]],
-            training_events=[
-                TrainingEvent(
-                    start=e["start"],
-                    duration=e["duration"],
-                    nominal_seconds=e["nominal_seconds"],
-                    hardware_name=e["hardware_name"],
-                    cost=e["cost"],
-                    online=e["online"],
-                    label=e.get("label", ""),
-                )
-                for e in data.get("training_events", [])
-            ],
+            training_events=[event_from_telemetry(e) for e in data.get("training_events", [])],
             scenario_description=data.get("scenario_description", {}),
             sut_description=data.get("sut_description", {}),
             num_queries=data.get("num_queries", 0),

@@ -10,6 +10,8 @@ systems under test are built on:
 * :class:`~repro.indexes.rmi.RecursiveModelIndex` — two-layer RMI
   (Kraska et al., "The Case for Learned Index Structures").
 * :class:`~repro.indexes.pgm.PGMIndex` — piecewise-linear ε-bounded index.
+* :class:`~repro.indexes.delta.DeltaBufferedIndex` — the delta buffer,
+  tombstones and merge the RMI and PGM share; each adds only its model.
 * :class:`~repro.indexes.alex.AdaptiveLearnedIndex` — updatable learned
   index with gapped arrays (simplified ALEX).
 """

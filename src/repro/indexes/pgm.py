@@ -9,20 +9,19 @@ recursively by another PLA level until one segment remains.
 
 Lookups descend the levels, each time doing an ε-bounded binary search,
 so the worst-case probe cost is O(levels * log ε) instead of O(log n).
-Like the RMI here, inserts buffer into a delta and merge on retrain.
+Like the RMI here, writes go to the delta buffer of
+:class:`~repro.indexes.delta.DeltaBufferedIndex` and merge on retrain.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.indexes.base import OrderedIndex, sorted_unique_pairs
-from repro.indexes.keybuffer import SortedKeyBuffer
+from repro.errors import ConfigurationError
+from repro.indexes.delta import DeltaBufferedIndex
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def build_pla(keys: np.ndarray, epsilon: int) -> List[Segment]:
     return segments
 
 
-class PGMIndex(OrderedIndex):
+class PGMIndex(DeltaBufferedIndex):
     """Multi-level ε-bounded piecewise-linear learned index.
 
     Args:
@@ -90,22 +89,14 @@ class PGMIndex(OrderedIndex):
     """
 
     def __init__(self, epsilon: int = 32, max_delta: Optional[int] = 1024) -> None:
-        super().__init__()
+        super().__init__(max_delta)
         if epsilon < 1:
             raise ConfigurationError(f"epsilon must be >= 1, got {epsilon}")
         self._epsilon = epsilon
-        self._max_delta = max_delta
-        self._keys: np.ndarray = np.empty(0, dtype=np.float64)
-        self._values: List[Any] = []
         # levels[0] covers the data; levels[k] indexes level k-1's segments.
         self._levels: List[List[Segment]] = []
         # _level_keys[k] = the key0 array of level k's segments.
         self._level_keys: List[np.ndarray] = []
-        self._delta_keys: List[float] = []
-        # float64 copy of ``_delta_keys`` for ``bulk_lookup``, patched by writes.
-        self._delta_flat = SortedKeyBuffer()
-        self._delta_values: List[Any] = []
-        self._tombstones: set = set()
         # (retrains, gathered per-level segment params) for bulk lookups.
         self._param_cache: Optional[Tuple[int, list]] = None
 
@@ -124,41 +115,7 @@ class PGMIndex(OrderedIndex):
         """Number of bottom-level segments."""
         return len(self._levels[0]) if self._levels else 0
 
-    @property
-    def delta_size(self) -> int:
-        """Number of buffered (unlearned) inserts."""
-        return len(self._delta_keys)
-
     # -- build -----------------------------------------------------------------
-
-    def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        self._keys, self._values = sorted_unique_pairs(pairs)
-        self._delta_keys = []
-        self._delta_flat = SortedKeyBuffer()
-        self._delta_values = []
-        self._tombstones = set()
-        self.stats.inserts += len(self._keys)
-        self._train()
-
-    def retrain(self) -> None:
-        """Merge delta + tombstones into the base array and rebuild levels."""
-        if self._delta_keys or self._tombstones:
-            merged = {
-                float(k): v
-                for k, v in zip(self._keys.tolist(), self._values)
-                if k not in self._tombstones
-            }
-            for k, v in zip(self._delta_keys, self._delta_values):
-                if k not in self._tombstones:
-                    merged[k] = v
-            ordered = sorted(merged.items(), key=lambda kv: kv[0])
-            self._keys = np.asarray([k for k, _ in ordered], dtype=np.float64)
-            self._values = [v for _, v in ordered]
-            self._delta_keys = []
-            self._delta_flat = SortedKeyBuffer()
-            self._delta_values = []
-            self._tombstones = set()
-        self._train()
 
     def _train(self) -> None:
         self._levels = []
@@ -223,21 +180,13 @@ class PGMIndex(OrderedIndex):
         self.stats.node_accesses += 1
         return self._bounded_search(self._keys, key, pred)
 
-    def get(self, key: float) -> Any:
-        self.stats.lookups += 1
-        if key in self._tombstones:
-            raise KeyNotFoundError(key)
-        dpos = bisect.bisect_left(self._delta_keys, key)
-        self.stats.comparisons += max(1, len(self._delta_keys).bit_length())
-        if dpos < len(self._delta_keys) and self._delta_keys[dpos] == key:
-            return self._delta_values[dpos]
+    def _search(self, key: float) -> Optional[int]:
+        """Position of ``key`` in the learned array; None if absent."""
         n = len(self._keys)
         if n == 0:
-            raise KeyNotFoundError(key)
+            return None
         idx = self._rank(key)
-        if idx < n and self._keys[idx] == key:
-            return self._values[idx]
-        raise KeyNotFoundError(key)
+        return idx if idx < n and self._keys[idx] == key else None
 
     def _level_params(self) -> Optional[list]:
         """Per-level (key0, pos0, slope) arrays, cached per retrain."""
@@ -257,11 +206,12 @@ class PGMIndex(OrderedIndex):
         return payload
 
     def _vectorized_bounded_search(
-        self, seg_keys: np.ndarray, lk: np.ndarray, pred_f: np.ndarray
+        self, seg_keys: np.ndarray, lk: np.ndarray, pred_f: np.ndarray, ranks=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`_bounded_search`; returns (positions, windows).
 
         Counter updates are left to the caller (windows carry the widths).
+        ``ranks``, when given, is ``searchsorted(seg_keys, lk)``, proven.
         """
         n_k = seg_keys.size
         eps = self._epsilon
@@ -274,139 +224,49 @@ class PGMIndex(OrderedIndex):
             lo = np.where(widen_lo, 0, lo)
             widen_hi = (hi <= 0) | (seg_keys[np.maximum(hi - 1, 0)] < lk)
             hi = np.where(widen_hi, n_k, hi)
-        pos = np.clip(np.searchsorted(seg_keys, lk), lo, hi)
+        pos = np.clip(np.searchsorted(seg_keys, lk) if ranks is None else ranks, lo, hi)
         return pos, window
 
-    def bulk_lookup(self, keys, ranks=None) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized :meth:`get` over found keys; stats match exactly.
+    def _bulk_search(self, lk: np.ndarray, ranks: Optional[np.ndarray]):
+        """Vectorized :meth:`_search`; counts match the scalar loop's exactly.
 
         The level descent runs breadth-wise: every key advances one level
-        per pass, with segment params gathered from per-retrain caches.
+        per pass, with segment params gathered from per-retrain caches. A
+        proven ``ranks`` stands in for the bottom level's ``searchsorted``.
         """
-        if self._tombstones:
+        if not self._levels:
             return None
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        m = keys.size
-        d = len(self._delta_keys)
-        d_bits = max(1, d.bit_length())
-        comps = np.full(m, d_bits, dtype=np.int64)
-        na = np.zeros(m, dtype=np.int64)
-        me = np.zeros(m, dtype=np.int64)
-        last_window = None
-        if d:
-            darr = self._delta_flat.view
-            dpos = np.searchsorted(darr, keys)
-            delta_hit = (dpos < d) & (darr[np.minimum(dpos, d - 1)] == keys)
-        else:
-            delta_hit = np.zeros(m, dtype=bool)
-        learned = ~delta_hit
-        if m and learned.any():
-            n = len(self._keys)
-            if n == 0 or not self._levels:
-                return None
-            params = self._level_params()
-            lk = keys[learned]
-            lcomps = np.zeros(lk.size, dtype=np.int64)
-            depths = len(self._levels)
-            seg_idx = np.zeros(lk.size, dtype=np.int64)
-            for depth in range(depths - 1, 0, -1):
-                key0, pos0, slope = params[depth]
-                si = np.minimum(seg_idx, len(self._levels[depth]) - 1)
-                pred_f = slope[si] * (lk - key0[si]) + pos0[si]
-                if not np.isfinite(pred_f).all():
-                    return None
-                seg_keys = self._level_keys[depth - 1]
-                pos, window = self._vectorized_bounded_search(seg_keys, lk, pred_f)
-                lcomps += np.frexp(window.astype(np.float64))[1].astype(np.int64)
-                n_k = seg_keys.size
-                hit = (pos < n_k) & (seg_keys[np.minimum(pos, n_k - 1)] == lk)
-                seg_idx = np.where(hit, pos, np.maximum(0, pos - 1))
-                seg_idx = np.minimum(seg_idx, len(self._levels[depth - 1]) - 1)
-            key0, pos0, slope = params[0]
-            si = np.minimum(seg_idx, len(self._levels[0]) - 1)
+        n = len(self._keys)
+        params = self._level_params()
+        lcomps = np.zeros(lk.size, dtype=np.int64)
+        depths = len(self._levels)
+        seg_idx = np.zeros(lk.size, dtype=np.int64)
+        for depth in range(depths - 1, 0, -1):
+            key0, pos0, slope = params[depth]
+            si = np.minimum(seg_idx, len(self._levels[depth]) - 1)
             pred_f = slope[si] * (lk - key0[si]) + pos0[si]
             if not np.isfinite(pred_f).all():
                 return None
-            idx, window = self._vectorized_bounded_search(self._keys, lk, pred_f)
+            seg_keys = self._level_keys[depth - 1]
+            pos, window = self._vectorized_bounded_search(seg_keys, lk, pred_f)
             lcomps += np.frexp(window.astype(np.float64))[1].astype(np.int64)
-            found = (idx < n) & (self._keys[np.minimum(idx, n - 1)] == lk)
-            if not found.all():
-                return None
-            comps[learned] += lcomps
-            na[learned] += depths
-            me[learned] += depths
-            last_window = int(window[-1])
-        self.stats.lookups += m
-        self.stats.comparisons += int(comps.sum())
-        self.stats.node_accesses += int(na.sum())
-        self.stats.model_evaluations += int(me.sum())
-        if last_window is not None:
-            self.stats.last_search_window = last_window
-        return comps, na, me
+            n_k = seg_keys.size
+            hit = (pos < n_k) & (seg_keys[np.minimum(pos, n_k - 1)] == lk)
+            seg_idx = np.where(hit, pos, np.maximum(0, pos - 1))
+            seg_idx = np.minimum(seg_idx, len(self._levels[depth - 1]) - 1)
+        key0, pos0, slope = params[0]
+        si = np.minimum(seg_idx, len(self._levels[0]) - 1)
+        pred_f = slope[si] * (lk - key0[si]) + pos0[si]
+        if not np.isfinite(pred_f).all():
+            return None
+        idx, window = self._vectorized_bounded_search(self._keys, lk, pred_f, ranks)
+        lcomps += np.frexp(window.astype(np.float64))[1].astype(np.int64)
+        found = (idx < n) & (self._keys[np.minimum(idx, n - 1)] == lk)
+        if not found.all():
+            return None
+        return lcomps, depths, depths, int(window[-1])
 
-    # -- mutation ---------------------------------------------------------------
-
-    def insert(self, key: float, value: Any) -> None:
-        self.stats.inserts += 1
-        self._tombstones.discard(key)
-        dpos = bisect.bisect_left(self._delta_keys, key)
-        if dpos < len(self._delta_keys) and self._delta_keys[dpos] == key:
-            self._delta_values[dpos] = value
-        else:
-            self._delta_keys.insert(dpos, key)
-            self._delta_flat.insert_at(dpos, key)
-            self._delta_values.insert(dpos, value)
-        self.stats.node_accesses += 1
-        if self._max_delta is not None and len(self._delta_keys) > self._max_delta:
-            self.retrain()
-
-    def delete(self, key: float) -> None:
-        dpos = bisect.bisect_left(self._delta_keys, key)
-        if dpos < len(self._delta_keys) and self._delta_keys[dpos] == key:
-            del self._delta_keys[dpos]
-            self._delta_flat.delete_at(dpos)
-            del self._delta_values[dpos]
-            self.stats.deletes += 1
-            return
-        n = len(self._keys)
-        idx = self._rank(key) if n else n
-        if idx >= n or self._keys[idx] != key or key in self._tombstones:
-            raise KeyNotFoundError(key)
-        self._tombstones.add(key)
-        self.stats.deletes += 1
-
-    # -- range / iteration ---------------------------------------------------------
-
-    def range(self, low: float, high: float) -> List[Tuple[float, Any]]:
-        self.stats.range_scans += 1
-        out = dict()
-        if len(self._keys):
-            lo = int(np.searchsorted(self._keys, low, side="left"))
-            hi = int(np.searchsorted(self._keys, high, side="right"))
-            self.stats.node_accesses += max(1, hi - lo)
-            for i in range(lo, hi):
-                k = float(self._keys[i])
-                if k not in self._tombstones:
-                    out[k] = self._values[i]
-        dlo = bisect.bisect_left(self._delta_keys, low)
-        dhi = bisect.bisect_right(self._delta_keys, high)
-        for i in range(dlo, dhi):
-            out[self._delta_keys[i]] = self._delta_values[i]
-        return sorted(out.items(), key=lambda kv: kv[0])
-
-    def items(self) -> Iterator[Tuple[float, Any]]:
-        return iter(self.range(float("-inf"), float("inf")))
-
-    def size_bytes(self) -> int:
-        """Key array + value pointers + 3 params per segment per level."""
-        base = len(self._keys) * 16
+    def _model_bytes(self) -> int:
+        """3 params per segment per level, and the level key arrays."""
         segments = sum(len(level) for level in self._levels) * 24
-        level_keys = sum(arr.size for arr in self._level_keys) * 8
-        delta = len(self._delta_keys) * 16
-        return base + segments + level_keys + delta
-
-    def __len__(self) -> int:
-        base_keys = set(self._keys.tolist())
-        live_base = len(base_keys - self._tombstones)
-        extra = sum(1 for k in self._delta_keys if k not in base_keys)
-        return live_base + extra
+        return segments + sum(arr.size for arr in self._level_keys) * 8

@@ -1,14 +1,14 @@
 """Sorted-array index with binary search.
 
-The simplest ordered baseline: keys live in one sorted Python list and
-lookups binary-search it. Inserts shift elements, which is O(n) — exactly
-the trade-off a B+ tree or an updatable learned index is meant to beat,
-so this structure anchors the cost-model calibration.
+The simplest ordered baseline: keys live in one sorted float64 buffer
+(:class:`~repro.indexes.keybuffer.SortedKeyBuffer`) and lookups
+binary-search it. Inserts shift elements, which is O(n) — exactly the
+trade-off a B+ tree or an updatable learned index is meant to beat, so
+this structure anchors the cost-model calibration.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -23,28 +23,28 @@ class SortedArrayIndex(OrderedIndex):
 
     def __init__(self) -> None:
         super().__init__()
-        self._keys: List[float] = []
+        self._keys = SortedKeyBuffer()
         self._values: List[Any] = []
-        # float64 copy of ``_keys`` for ``bulk_lookup``, patched by writes.
-        self._flat = SortedKeyBuffer()
 
-    def _locate(self, key: float) -> int:
-        """Return the insertion point for ``key``, counting comparisons."""
-        lo, hi = 0, len(self._keys)
+    def _locate(self, key: float) -> Tuple[int, bool]:
+        """``key``'s insertion point and whether it is stored, counting comparisons."""
+        keys = memoryview(self._keys.view)  # plain floats, no numpy scalars
+        lo, hi, steps = 0, len(keys), 0
         while lo < hi:
             mid = (lo + hi) // 2
-            self.stats.comparisons += 1
-            if self._keys[mid] < key:
+            steps += 1
+            if keys[mid] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        return lo
+        self.stats.comparisons += steps
+        return lo, lo < len(keys) and keys[lo] == key
 
     def get(self, key: float) -> Any:
         self.stats.lookups += 1
         self.stats.node_accesses += 1
-        pos = self._locate(key)
-        if pos < len(self._keys) and self._keys[pos] == key:
+        pos, found = self._locate(key)
+        if found:
             return self._values[pos]
         raise KeyNotFoundError(key)
 
@@ -57,7 +57,7 @@ class SortedArrayIndex(OrderedIndex):
         n = len(self._keys)
         if n == 0:
             return None
-        arr = self._flat.view
+        arr = self._keys.view
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         m = keys.size
         lo = np.zeros(m, dtype=np.int64)
@@ -80,45 +80,39 @@ class SortedArrayIndex(OrderedIndex):
         return comps, np.ones(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
 
     def insert(self, key: float, value: Any) -> None:
-        pos = self._locate(key)
-        if pos < len(self._keys) and self._keys[pos] == key:
+        pos, found = self._locate(key)
+        if found:
             self._values[pos] = value
         else:
-            self._keys.insert(pos, key)
+            self._keys.insert_at(pos, key)
             self._values.insert(pos, value)
-            self._flat.insert_at(pos, key)
         self.stats.inserts += 1
         self.stats.node_accesses += 1
 
     def delete(self, key: float) -> None:
-        pos = self._locate(key)
-        if pos >= len(self._keys) or self._keys[pos] != key:
+        pos, found = self._locate(key)
+        if not found:
             raise KeyNotFoundError(key)
-        del self._keys[pos]
+        self._keys.delete_at(pos)
         del self._values[pos]
-        self._flat.delete_at(pos)
         self.stats.deletes += 1
 
     def range(self, low: float, high: float) -> List[Tuple[float, Any]]:
         self.stats.range_scans += 1
-        lo = bisect.bisect_left(self._keys, low)
-        hi = bisect.bisect_right(self._keys, high)
-        self.stats.comparisons += max(1, (len(self._keys)).bit_length() * 2)
+        keys = self._keys.view
+        lo = int(keys.searchsorted(low, side="left"))
+        hi = int(keys.searchsorted(high, side="right"))
+        self.stats.comparisons += max(1, (len(keys)).bit_length() * 2)
         self.stats.node_accesses += max(1, hi - lo)
-        return list(zip(self._keys[lo:hi], self._values[lo:hi]))
+        return list(zip(keys[lo:hi].tolist(), self._values[lo:hi]))
 
     def items(self) -> Iterator[Tuple[float, Any]]:
-        return iter(zip(list(self._keys), list(self._values)))
+        return iter(zip(self._keys.view.tolist(), list(self._values)))
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
         keys, self._values = sorted_unique_pairs(pairs)  # last value wins
-        self._keys = keys.tolist()
-        self._flat = SortedKeyBuffer(keys)
+        self._keys = SortedKeyBuffer(keys)
         self.stats.inserts += len(self._keys)
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def position_of(self, key: float) -> int:
-        """Return the rank of ``key`` (insertion point), without stats."""
-        return bisect.bisect_left(self._keys, key)

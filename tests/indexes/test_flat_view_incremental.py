@@ -7,9 +7,10 @@ tree in ``tests/indexes/reference_btree.py`` is its oracle, and its walk
 random write / read interleavings and demand, after *every* write, that
 the B+ tree's arrays equal the oracle's walk and that bulk reads count
 exactly what the oracle's scalar ``get`` sequence counts; the sorted
-array's buffer must equal its list. The KV-level tests do the same for
-``execute_batch`` against the ``execute`` loop, and the last test counts
-full builds so per-write O(n) work cannot return unnoticed.
+array's key buffer must stay strictly ascending and equal the test's
+own model of the key set. The KV-level tests do the same for ``execute_batch``
+against the ``execute`` loop, and the last test counts full builds so
+per-write O(n) work cannot return unnoticed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from tests.reference_driver import ScalarReferenceDriver
 
 from repro.core.benchmark import Benchmark, BenchmarkConfig
 from repro.core.scenario import Scenario, Segment
+from repro.indexes.base import strictly_ascending
 from repro.indexes.btree import BPlusTree
 from repro.indexes.sorted_array import SortedArrayIndex
 from repro.observability import Tracer
@@ -61,10 +63,10 @@ SETTINGS = settings(
 )
 
 
-def _assert_flat_is_fresh(index: SortedArrayIndex, twin=None) -> None:
-    np.testing.assert_array_equal(
-        index._flat.view, np.asarray(index._keys, dtype=np.float64)
-    )
+def _assert_buffer_is_fresh(index: SortedArrayIndex, twin, stored) -> None:
+    view = index._keys.view
+    assert strictly_ascending(view)
+    np.testing.assert_array_equal(view, np.asarray(stored, dtype=np.float64))
 
 
 def _scalar_rows(index, probe):
@@ -79,13 +81,17 @@ def _scalar_rows(index, probe):
 
 
 def _drive(make_index, make_twin, assert_fresh, initial, ops):
-    """Apply ``ops`` to a bulk-read index and its scalar-read twin."""
+    """Apply ``ops`` to a bulk-read index and its scalar-read twin.
+
+    ``assert_fresh(bulk, scalar, stored)`` runs after every write;
+    ``stored`` is the test's own model of the key set, ascending.
+    """
     bulk, scalar = make_index(), make_twin()
     pairs = [(float(k), i) for i, k in enumerate(initial)]
     bulk.bulk_load(pairs)
     scalar.bulk_load(pairs)
-    assert_fresh(bulk, scalar)
     stored = sorted({float(k) for k in initial})
+    assert_fresh(bulk, scalar, stored)
     for step, (op, arg) in enumerate(ops):
         if op == "insert":
             key = float(arg) + 0.5 * (step % 2)
@@ -104,7 +110,7 @@ def _drive(make_index, make_twin, assert_fresh, initial, ops):
             scalar.delete(key)
             stored.remove(key)
         if op != "lookup":
-            assert_fresh(bulk, scalar)
+            assert_fresh(bulk, scalar, stored)
             continue
         probe = np.asarray(stored[arg % len(stored) :: 3], dtype=np.float64)
         out = bulk.bulk_lookup(probe)
@@ -112,7 +118,7 @@ def _drive(make_index, make_twin, assert_fresh, initial, ops):
         rows = list(zip(*(col.tolist() for col in out)))
         assert rows == _scalar_rows(scalar, probe)
         assert bulk.stats == scalar.stats
-        assert_fresh(bulk, scalar)
+        assert_fresh(bulk, scalar, stored)
     assert len(bulk) == len(stored)
     if stored:
         everything = np.asarray(stored, dtype=np.float64)
@@ -131,7 +137,7 @@ def test_btree_view_tracks_every_write(order, initial, ops):
     _drive(
         lambda: BPlusTree(order=order),
         lambda: TextbookBPlusTree(order=order),
-        _assert_same_leaf_level,
+        lambda tree, oracle, stored: _assert_same_leaf_level(tree, oracle),
         initial,
         ops,
     )
@@ -140,7 +146,7 @@ def test_btree_view_tracks_every_write(order, initial, ops):
 @given(initial=INITIAL, ops=OPS)
 @SETTINGS
 def test_sorted_array_view_tracks_every_write(initial, ops):
-    _drive(SortedArrayIndex, SortedArrayIndex, _assert_flat_is_fresh, initial, ops)
+    _drive(SortedArrayIndex, SortedArrayIndex, _assert_buffer_is_fresh, initial, ops)
 
 
 @pytest.mark.parametrize("order", ORDERS)

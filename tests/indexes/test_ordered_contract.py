@@ -123,6 +123,18 @@ class TestDelete:
         index.insert(7.0, "b")
         assert index.get(7.0) == "b"
 
+    def test_delete_after_overwrite_removes_key(self, index):
+        """A delete removes an overwritten key, not just its newest value:
+        a delta-buffered index must not bring the loaded value back."""
+        index.bulk_load([(float(i), f"base{i}") for i in range(100)])
+        index.insert(5.0, "new")
+        index.delete(5.0)
+        with pytest.raises(KeyNotFoundError):
+            index.get(5.0)
+        assert len(index) == 99
+        assert 5.0 not in [k for k, _ in index.items()]
+        assert index.range(4.0, 6.0) == [(4.0, "base4"), (6.0, "base6")]
+
 
 class TestRange:
     def test_range_returns_sorted_inclusive(self, index, small_pairs):
