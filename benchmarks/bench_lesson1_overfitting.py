@@ -9,12 +9,16 @@ catches the overfit system that a fixed benchmark would certify.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from bench_common import bench_once, dataset, make_static, make_traditional
 from repro.core.benchmark import Benchmark
 from repro.core.scenario import Scenario, Segment
-from repro.core.service import BenchmarkService
+from repro.core.streaming import load_spilled_columns
+from repro.core.tenancy import BenchmarkServer, TenantSpec
 from repro.scenarios import expected_access_sample, hotspot
 from repro.workloads.generators import simple_spec
 
@@ -66,9 +70,16 @@ def test_lesson1_overfitting(benchmark, figure_sink):
 
     # Hold-out service: the overfit store gets one shot at a sealed
     # scenario it has never seen — its out-of-sample numbers are honest.
-    service = BenchmarkService()
-    service.publish_holdout(_fixed_scenario(ds, 0.85, "sealed-holdout"))
-    (holdout_report,) = service.submit(lambda: make_static(sample))
+    server = BenchmarkServer(workers=1)
+    server.publish_holdout(_fixed_scenario(ds, 0.85, "sealed-holdout"))
+    with tempfile.TemporaryDirectory() as spill_dir:
+        (holdout,) = server.serve(
+            [TenantSpec(name="overfit", sut_factory=lambda: make_static(sample),
+                        holdout="sealed-holdout")],
+            spill_dir=spill_dir,
+        ).tenants
+        columns = load_spilled_columns(Path(spill_dir) / "overfit")
+    holdout_p99 = float(np.percentile(columns.latencies, 99))
 
     rows = [
         "Lesson 1 — overfitting to a fixed benchmark",
@@ -81,8 +92,8 @@ def test_lesson1_overfitting(benchmark, figure_sink):
         stats[name] = (tp, latency)
         rows.append(f"{name:<24s} {tp:9.1f} {latency*1000:10.3f}ms")
     rows.append(
-        f"{'overfit@sealed-holdout':<24s} {holdout_report.mean_throughput:9.1f} "
-        f"{holdout_report.p99_latency*1000:10.3f}ms (p99)"
+        f"{'overfit@sealed-holdout':<24s} {holdout.summary.mean_throughput():9.1f} "
+        f"{holdout_p99*1000:10.3f}ms (p99)"
     )
 
     # Shape checks: hero numbers on the fixed benchmark, collapse off it.

@@ -23,7 +23,6 @@ from repro.core.runner import (
     run_matrix,
 )
 from repro.core.scenario import Scenario, Segment
-from repro.core.service import BenchmarkService, HoldoutReport
 from repro.core.sharded import plan_shards
 from repro.core.streaming import (
     ColumnSpiller,
@@ -80,6 +79,4 @@ __all__ = [
     "matrix_jobs",
     "run_matrix",
     "HoldoutRegistry",
-    "BenchmarkService",
-    "HoldoutReport",
 ]

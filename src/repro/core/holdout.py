@@ -70,10 +70,12 @@ class HoldoutRegistry:
     def release(self, name: str, sut_name: str) -> None:
         """Refund a checkout that never produced a result.
 
-        The service layer calls this when an evaluation fails before the
-        SUT observed the scenario (worker crash, mid-submission abort):
-        the single-shot budget only burns on runs that could have leaked
-        information, so an unconsumed checkout is returned to the vault.
+        :class:`~repro.core.tenancy.BenchmarkServer` calls this for a
+        hold-out tenant whose session ends ``"failed"`` (a shard spent
+        its retry budget, whether the SUT raised, crashed or timed out)
+        and for every checkout of a ``serve`` call that raises. The
+        single-shot budget burns only on runs that return a report, so
+        a fixed SUT under the same name may run the hold-out again.
         """
         self._consumed.discard((name, sut_name))
 

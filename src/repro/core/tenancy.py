@@ -18,7 +18,10 @@ The serving pipeline, in order:
 2. **Hold-out vault.** A tenant naming a sealed ``holdout`` checks it
    out of the :class:`~repro.core.holdout.HoldoutRegistry`; the
    single-shot rule surfaces as a ``"violation"`` tenant status rather
-   than aborting the other tenants.
+   than aborting the other tenants. A hold-out tenant that ends
+   ``"failed"`` has its checkout refunded, and so does every hold-out
+   of a serve call that raises. Its report is sealed: no seed, and the
+   summary's scenario description is only the name and fingerprint.
 3. **Fair-share scheduling.** Every tenant's shard plan is interleaved
    round-robin — shard 0 of every tenant, then shard 1, … — so one
    large tenant cannot starve the rest of the pool.
@@ -31,9 +34,6 @@ The serving pipeline, in order:
 Per-tenant results are deterministic at fixed seeds: each shard runs on
 the virtual clock in its own process, so the concurrency level changes
 wall time but never a summary (pinned by ``tests/core/test_tenancy.py``).
-:class:`~repro.core.service.BenchmarkService` runs its batch hold-out
-evaluations on these same tenant sessions, so the live service and the
-one-shot API are one code path.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ class TenantReport:
             — the factory is never invoked for them).
         scenario_name: Name of the scenario streamed ("" if the tenant
             never reached one).
-        seed: The effective scenario seed, when a scenario was resolved.
+        seed: The effective scenario seed, when a scenario was resolved;
+            ``None`` for hold-out tenants (sealed).
         status: ``"completed"``, ``"failed"`` (a shard exhausted its
             retry budget), ``"rejected"`` (admission control), or
             ``"violation"`` (hold-out single-shot rule).
@@ -176,6 +177,8 @@ class TenantReport:
         fingerprint: The scenario's content hash (verifiable
             provenance; always published for hold-out tenants).
         summary: The merged streaming summary for completed sessions.
+            A hold-out tenant's ``scenario_description`` is only
+            ``{"name", "fingerprint"}``.
         sla_report: :func:`sla_accounting` distillation for completed
             sessions.
     """
@@ -363,8 +366,7 @@ class BenchmarkServer:
         workers: Concurrent worker-process slots for the shared pool;
             ``None`` sizes to ``min(cpu_count, total shards)``. ``1``
             (with no ``tenant_timeout``) runs sessions inline, which
-            keeps non-picklable SUT factories working — the mode
-            :class:`~repro.core.service.BenchmarkService` uses.
+            keeps non-picklable SUT factories (lambdas) working.
         admission: Token-bucket admission policy; ``None`` disables
             admission control (every tenant is admitted).
         registry: The hold-out vault tenants may check scenarios out
@@ -431,27 +433,40 @@ class BenchmarkServer:
         self._validate(specs)
         start = time.perf_counter()
         reports: List[Optional[TenantReport]] = [None] * len(specs)
-        with self._tracer.span("serve", phase="serve", tenants=len(specs)):
-            planned = self._admit(
-                specs, reports, sla, spill_dir, accumulator_factory
-            )
-            entries = _fair_share([session for _i, _name, session in planned])
-            # The explicit setting, else bounded by cpus and shard load.
-            workers = self.workers or max(
-                1, min(os.cpu_count() or 1, len(entries))
-            )
-            if entries:
-                pool = WorkerPool(
-                    workers=workers,
-                    max_attempts=self.max_attempts,
-                    timeout=self.tenant_timeout,
-                    retry_backoff=self.retry_backoff,
+        checkouts: List[Tuple[str, str]] = []
+        try:
+            with self._tracer.span("serve", phase="serve", tenants=len(specs)):
+                planned = self._admit(
+                    specs, reports, sla, spill_dir, accumulator_factory,
+                    checkouts,
                 )
-                run_shard_sessions(
-                    entries, self.config.driver_config(), pool, self._tracer
+                entries = _fair_share(
+                    [session for _i, _name, session in planned]
                 )
-            for i, sut_name, session in planned:
-                reports[i] = self._report(sut_name, session)
+                # The explicit setting, else bounded by cpus and shard load.
+                workers = self.workers or max(
+                    1, min(os.cpu_count() or 1, len(entries))
+                )
+                if entries:
+                    pool = WorkerPool(
+                        workers=workers,
+                        max_attempts=self.max_attempts,
+                        timeout=self.tenant_timeout,
+                        retry_backoff=self.retry_backoff,
+                    )
+                    run_shard_sessions(
+                        entries, self.config.driver_config(), pool,
+                        self._tracer,
+                    )
+                for i, sut_name, session in planned:
+                    reports[i] = self._report(
+                        sut_name, session, specs[i].holdout
+                    )
+        except BaseException:
+            # A call that raises returns no report: refund its hold-outs.
+            for holdout, sut_name in checkouts:
+                self.registry.release(holdout, sut_name)
+            raise
         ledger = [report for report in reports if report is not None]
         assert len(ledger) == len(specs)
         counts = {"rejected": 0, "violation": 0, "completed": 0, "failed": 0}
@@ -520,10 +535,12 @@ class BenchmarkServer:
         sla: Optional[float],
         spill_dir,
         accumulator_factory,
+        checkouts: List[Tuple[str, str]],
     ) -> List[Tuple[int, str, ShardSession]]:
         """Admit tenants in arrival order; plan a session for each.
 
-        Returns ``(spec index, SUT name, session)`` per planned session.
+        Returns ``(spec index, SUT name, session)`` per planned session
+        and appends every hold-out checkout it makes to ``checkouts``.
         Rejected tenants get their report here and never touch the
         hold-out vault; hold-out violations and factories that raise
         get theirs without aborting the window.
@@ -572,6 +589,7 @@ class BenchmarkServer:
                         fingerprint=self.registry.fingerprint(spec.holdout),
                     )
                     continue
+                checkouts.append((spec.holdout, sut_name))
             else:
                 scenario = spec.scenario
                 if spec.seed is not None and spec.seed != scenario.seed:
@@ -594,25 +612,41 @@ class BenchmarkServer:
 
     # -- reporting ---------------------------------------------------------------------
 
-    def _report(self, sut_name: str, session: ShardSession) -> TenantReport:
-        """One resolved session's tenant report."""
+    def _report(
+        self, sut_name: str, session: ShardSession, holdout: Optional[str]
+    ) -> TenantReport:
+        """One resolved session's tenant report.
+
+        A failed hold-out session is refunded: it produced no result,
+        so the same SUT name may run the hold-out again. A hold-out
+        report is sealed — it carries the SUT's results but neither the
+        seed nor ``scenario.describe()``.
+        """
+        fingerprint = session.scenario.fingerprint()
         report = TenantReport(
             tenant=session.name,
             sut_name=sut_name,
             scenario_name=session.scenario.name,
-            seed=session.scenario.seed,
+            seed=None if holdout is not None else session.scenario.seed,
             attempts=session.attempts,
             shards=len(session.plan),
             wall_seconds=session.wall_seconds,
-            fingerprint=session.scenario.fingerprint(),
+            fingerprint=fingerprint,
         )
         if session.error is not None:
             self._tracer.counter("service.failed")
             report.status, report.error = "failed", session.error
-        else:
-            self._tracer.counter("service.completed")
-            report.summary = session.summary
-            report.sla_report = sla_accounting(session.summary, session.sla)
+            if holdout is not None:
+                self.registry.release(holdout, sut_name)
+            return report
+        self._tracer.counter("service.completed")
+        report.summary = session.summary
+        if holdout is not None:
+            report.summary = replace(
+                session.summary,
+                scenario_description={"name": holdout, "fingerprint": fingerprint},
+            )
+        report.sla_report = sla_accounting(session.summary, session.sla)
         return report
 
 

@@ -2,9 +2,9 @@
 
 Pins the serve contract: deterministic per-tenant results at fixed
 seeds regardless of concurrency, replayable token-bucket admission,
-hold-out single-shot enforcement through the service API, tenant
-failure isolation, and the ledger reconciliation the smoke benchmark
-gates on.
+hold-out single-shot enforcement, refunds and sealed reports through
+the service API, tenant failure isolation, and the ledger
+reconciliation the smoke benchmark gates on.
 """
 
 import json
@@ -26,7 +26,8 @@ from repro.core.tenancy import (
     TokenBucket,
     sla_accounting,
 )
-from repro.errors import TenancyError
+from repro.errors import ConfigurationError, TenancyError
+from repro.metrics import streaming_accumulators
 from repro.observability import Tracer
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -90,6 +91,10 @@ def _tenants(n, shards=1, seed_base=10, arrival_spacing=0.0):
         )
         for i in range(n)
     ]
+
+
+def _holdout_tenant(name, holdout, sut_factory):
+    return TenantSpec(name=name, sut_factory=sut_factory, holdout=holdout)
 
 
 def _probe_tenant(name, sut_factory):
@@ -367,6 +372,81 @@ class TestHoldoutVault:
         assert report.tenant("t2").status == "violation"
         assert report.tenant("t3").ok
         assert report.completed == 2 and report.violations == 1
+
+    def test_failed_holdout_tenant_is_refunded(self):
+        server = BenchmarkServer(workers=1, retry_backoff=0.0)
+        server.publish_holdout(_scenario("sealed"))
+        failed = server.serve(
+            [_holdout_tenant("t1", "sealed", lambda: AngrySUT("fixable"))]
+        ).tenant("t1")
+        assert failed.status == "failed"
+        assert "db on fire" in failed.error
+        assert not server.registry.has_run("sealed", "fixable")
+        retry = server.serve(
+            [_holdout_tenant("t2", "sealed", lambda: TinySUT("fixable"))]
+        ).tenant("t2")
+        assert retry.ok and retry.summary.num_queries > 0
+        assert server.registry.has_run("sealed", "fixable")
+
+    def test_failing_sut_burns_no_holdout(self):
+        server = BenchmarkServer(workers=1, retry_backoff=0.0)
+        server.publish_holdout(_scenario("h1"))
+        server.publish_holdout(_scenario("h2"))
+        report = server.serve(
+            [
+                _holdout_tenant(name, name, lambda: AngrySUT("a"))
+                for name in ("h1", "h2")
+            ]
+        )
+        assert report.failed == 2
+        assert not server.registry.has_run("h1", "a")
+        assert not server.registry.has_run("h2", "a")
+
+    def test_raising_serve_refunds_every_checkout(self):
+        class Opaque:
+            name = "opaque"  # no state_dict(): cannot merge across shards
+
+        def accumulators(scenario):
+            if scenario.name == "h2":
+                return [Opaque()]
+            return streaming_accumulators(scenario)
+
+        server = BenchmarkServer(workers=1)
+        server.publish_holdout(_scenario("h1"))
+        server.publish_holdout(_scenario("h2"))
+        tenants = [
+            _holdout_tenant(name, name, lambda: TinySUT("a"))
+            for name in ("h1", "h2")
+        ]
+        with pytest.raises(ConfigurationError, match="opaque"):
+            server.serve(tenants, accumulator_factory=accumulators)
+        assert not server.registry.has_run("h1", "a")
+        assert not server.registry.has_run("h2", "a")
+
+    def test_holdout_report_is_sealed(self):
+        sealed = _scenario("sealed", seed=918273645)
+        key_drift = json.dumps(sealed.segments[0].spec.describe()["key_drift"])
+        server = BenchmarkServer(workers=1, retry_backoff=0.0)
+        fingerprint = server.publish_holdout(sealed)
+        report = server.serve(
+            [
+                _holdout_tenant("good", "sealed", lambda: TinySUT("good")),
+                _holdout_tenant("bad", "sealed", lambda: AngrySUT("bad")),
+            ]
+        )
+        assert report.tenant("good").ok
+        assert report.tenant("bad").status == "failed"
+        payload = json.dumps(report.to_dict())
+        assert key_drift not in payload and '"key_drift"' not in payload
+        assert "918273645" not in payload
+        for tenant in report.tenants:
+            assert tenant.seed is None and tenant.fingerprint == fingerprint
+        assert report.tenant("good").summary.scenario_description == {
+            "name": "sealed",
+            "fingerprint": fingerprint,
+        }
+        restored = ServiceReport.from_dict(json.loads(payload))
+        assert restored.to_dict() == report.to_dict()
 
 
 class TestFailureIsolation:

@@ -110,8 +110,9 @@ class TestChainedYCSB:
 class TestHoldoutCatchesOverfit:
     """The Lesson-1 mechanism end to end at small scale."""
 
-    def test_out_of_sample_worse_than_in_sample(self, dataset):
-        from repro.core.service import BenchmarkService
+    def test_out_of_sample_worse_than_in_sample(self, dataset, tmp_path):
+        from repro.core.streaming import load_spilled_columns
+        from repro.core.tenancy import BenchmarkServer, TenantSpec
         from repro.scenarios import expected_access_sample
 
         def scenario(position, name):
@@ -137,8 +138,13 @@ class TestHoldoutCatchesOverfit:
                                         expected_access_sample=sample)
 
         in_sample = Benchmark().run(factory(), published)
-        service = BenchmarkService()
-        service.publish_holdout(scenario(0.9, "sealed"))
-        (report,) = service.submit(factory)
+        server = BenchmarkServer(workers=1)
+        server.publish_holdout(scenario(0.9, "sealed"))
+        server.serve(
+            [TenantSpec(name="vendor", sut_factory=factory, holdout="sealed")],
+            spill_dir=tmp_path,
+        )
+        columns = load_spilled_columns(tmp_path / "vendor")
+        out_p99 = float(np.percentile(columns.latencies, 99))
         in_p99 = float(np.percentile(in_sample.latencies(), 99))
-        assert report.p99_latency > in_p99 * 2
+        assert out_p99 > in_p99 * 2
