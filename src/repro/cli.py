@@ -232,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> int:
     """``repro run-matrix``: parallel (SUT × scenario × seed) matrix.
 
     Jobs fan out across a process pool; results land in a
@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--resume", action="store_true",
                      help="reuse completed jobs from --checkpoint "
                           "(results served from the cache)")
-    mat.set_defaults(func=cmd_run_matrix)
+    mat.set_defaults(func=cmd_matrix)
 
     srv = sub.add_parser(
         "serve",

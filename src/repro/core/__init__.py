@@ -20,7 +20,6 @@ from repro.core.runner import (
     ResultCache,
     RunManifest,
     matrix_jobs,
-    run_matrix,
 )
 from repro.core.scenario import Scenario, Segment
 from repro.core.sharded import plan_shards
@@ -77,6 +76,5 @@ __all__ = [
     "ResultCache",
     "RunManifest",
     "matrix_jobs",
-    "run_matrix",
     "HoldoutRegistry",
 ]

@@ -77,6 +77,10 @@ from repro.workloads.generators import QueryBatch
 #: SUT that is never ticked is otherwise one block as long as the segment.
 DEFAULT_BLOCK_SIZE = 65_536
 
+#: Lower clamp on every service time a SUT reports (and on its
+#: fault-perturbed value), so no query completes in zero time.
+MIN_SERVICE_TIME = 1e-9
+
 
 @dataclass
 class DriverConfig:
@@ -88,14 +92,11 @@ class DriverConfig:
             dedicate for online training" — here, which resources).
         max_queries: Safety valve on total queries per run.
         jitter_arrivals: Randomize arrival offsets within each second.
-        min_service_time: Lower clamp on reported service times.
         servers: Number of parallel service slots. 1 models a single
             worker; higher values model a concurrency level, letting
             scenarios exercise the "fluctuations in query load and
             concurrency" the paper lists. Online retraining blocks
             *every* server (a stop-the-world rebuild).
-        truncate_max_queries: When True, a run that would exceed
-            ``max_queries`` is truncated mid-segment instead of raising.
         block_size: Cap on queries per block, of both kinds: each
             interrupt-free slice is chopped into execute blocks of at
             most this many queries before ``execute_batch``, and held
@@ -110,9 +111,7 @@ class DriverConfig:
     online_hardware: HardwareProfile = CPU
     max_queries: int = 2_000_000
     jitter_arrivals: bool = True
-    min_service_time: float = 1e-9
     servers: int = 1
-    truncate_max_queries: bool = False
     block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -135,9 +134,7 @@ class DriverConfig:
             "online_hardware": self.online_hardware.name,
             "max_queries": self.max_queries,
             "jitter_arrivals": self.jitter_arrivals,
-            "min_service_time": self.min_service_time,
             "servers": self.servers,
-            "truncate_max_queries": self.truncate_max_queries,
         }
         if self.block_size is not None:
             out["block_size"] = self.block_size
@@ -480,10 +477,7 @@ class VirtualClockDriver:
                 projected = workload.spec.arrivals.projected_count(
                     0.0, segment.duration
                 )
-                if (
-                    total_queries + projected > self.config.max_queries
-                    and not self.config.truncate_max_queries
-                ):
+                if total_queries + projected > self.config.max_queries:
                     raise DriverError(
                         f"scenario generates > {self.config.max_queries} queries "
                         f"(segment {segment.label!r} alone projects {projected}); "
@@ -506,13 +500,6 @@ class VirtualClockDriver:
                     )
                     arrivals = batch.arrivals
                 else:
-                    if (
-                        self.config.truncate_max_queries
-                        and total_queries + arrivals.size > self.config.max_queries
-                    ):
-                        arrivals = arrivals[
-                            : max(0, self.config.max_queries - total_queries)
-                        ]
                     batch = workload.next_batch(arrivals)
                 total_queries += arrivals.size
                 if op_map is None:
@@ -637,14 +624,14 @@ class VirtualClockDriver:
         self.tracer.counter("driver.batched_queries", len(sub))
         with self.tracer.span("batch", phase="serve", queries=len(sub)):
             services = np.maximum(
-                self.config.min_service_time,
+                MIN_SERVICE_TIME,
                 np.asarray(
                     sut.execute_batch(sub, float(sub.arrivals[0])), dtype=np.float64
                 ),
             )
         if self._fault_clock is not None and self._fault_clock.has_window_faults:
             services = np.maximum(
-                self.config.min_service_time,
+                MIN_SERVICE_TIME,
                 self._fault_clock.perturb_batch(services, sub.arrivals),
             )
         return services

@@ -53,19 +53,13 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.results import RunResult
 from repro.core.scenario import Scenario
 from repro.core.sut import SystemUnderTest
-from repro.core.workers import (  # noqa: F401 — re-exported for compat
-    WorkerOutcome,
-    WorkerPool,
-    WorkerTask,
-    kill_process,
-    mp_context,
-)
+from repro.core.workers import WorkerOutcome, WorkerPool, WorkerTask
 from repro.errors import RunnerError
 from repro.observability import Trace
 
@@ -435,9 +429,8 @@ class MatrixRunner:
         driver_config: Driver knobs shared by every job.
         workers: Process-pool size; ``1`` (or a single-job matrix) runs
             in-process. ``None`` picks ``min(cpu_count, len(jobs))``.
-        cache_dir: Result-cache directory; ``None`` disables caching.
-        use_cache: Master switch (lets callers keep ``cache_dir``
-            configured while forcing re-execution).
+        cache_dir: Result-cache directory; ``None`` disables caching
+            (every job executes).
         max_attempts: Executions per job before it is marked failed.
             Hard worker crashes, timeouts, and in-worker exceptions all
             consume attempts; the final failure records the last
@@ -467,7 +460,6 @@ class MatrixRunner:
         driver_config: Optional[DriverConfig] = None,
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         max_attempts: int = 2,
         job_timeout: Optional[float] = None,
         retry_backoff: float = 0.25,
@@ -487,8 +479,7 @@ class MatrixRunner:
             raise RunnerError("resume=True requires a checkpoint path")
         self.driver_config = driver_config or DriverConfig()
         self.workers = workers
-        self.use_cache = use_cache and cache_dir is not None
-        self.cache = ResultCache(cache_dir) if self.use_cache else None
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_attempts = max_attempts
         self.job_timeout = job_timeout
         self.retry_backoff = retry_backoff
@@ -525,7 +516,7 @@ class MatrixRunner:
                 )
                 continue
             key = job_cache_key(job, self.driver_config, sut.describe())
-            if key in prior and self.use_cache:
+            if key in prior and self.cache is not None:
                 # Resume: reuse the checkpointed record verbatim (wall
                 # time, worker, trace, attempts) when the cache can
                 # still serve the result — the manifest ends up
@@ -544,7 +535,7 @@ class MatrixRunner:
                 status="pending",
             )
             records[index] = record
-            cached = self.cache.load(key) if self.use_cache else None
+            cached = self.cache.load(key) if self.cache is not None else None
             if cached is not None:
                 record.status = "cached"
                 results[index] = cached
@@ -695,30 +686,3 @@ class MatrixRunner:
                     "wall_seconds": outcome.wall_seconds,
                 },
             )
-
-
-def run_matrix(
-    jobs: Iterable[MatrixJob],
-    driver_config: Optional[DriverConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    max_attempts: int = 2,
-    job_timeout: Optional[float] = None,
-    retry_backoff: float = 0.25,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-) -> MatrixOutcome:
-    """One-call convenience wrapper around :class:`MatrixRunner`."""
-    runner = MatrixRunner(
-        driver_config=driver_config,
-        workers=workers,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        max_attempts=max_attempts,
-        job_timeout=job_timeout,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
-    return runner.run(list(jobs))

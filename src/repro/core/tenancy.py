@@ -20,8 +20,9 @@ The serving pipeline, in order:
    single-shot rule surfaces as a ``"violation"`` tenant status rather
    than aborting the other tenants. A hold-out tenant that ends
    ``"failed"`` has its checkout refunded, and so does every hold-out
-   of a serve call that raises. Its report is sealed: no seed, and the
-   summary's scenario description is only the name and fingerprint.
+   of a serve call that raises. Its report is sealed: no seed, no spill
+   manifest, and the summary's scenario description is only the name
+   and fingerprint.
 3. **Fair-share scheduling.** Every tenant's shard plan is interleaved
    round-robin — shard 0 of every tenant, then shard 1, … — so one
    large tenant cannot starve the rest of the pool.
@@ -178,7 +179,7 @@ class TenantReport:
             provenance; always published for hold-out tenants).
         summary: The merged streaming summary for completed sessions.
             A hold-out tenant's ``scenario_description`` is only
-            ``{"name", "fingerprint"}``.
+            ``{"name", "fingerprint"}`` and its ``spill`` is ``None``.
         sla_report: :func:`sla_accounting` distillation for completed
             sessions.
     """
@@ -620,7 +621,8 @@ class BenchmarkServer:
         A failed hold-out session is refunded: it produced no result,
         so the same SUT name may run the hold-out again. A hold-out
         report is sealed — it carries the SUT's results but neither the
-        seed nor ``scenario.describe()``.
+        seed, ``scenario.describe()`` nor the spill manifest (the
+        operator reads the columns from ``spill_dir/<tenant>``).
         """
         fingerprint = session.scenario.fingerprint()
         report = TenantReport(
@@ -645,6 +647,7 @@ class BenchmarkServer:
             report.summary = replace(
                 session.summary,
                 scenario_description={"name": holdout, "fingerprint": fingerprint},
+                spill=None,
             )
         report.sla_report = sla_accounting(session.summary, session.sla)
         return report

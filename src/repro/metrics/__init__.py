@@ -88,108 +88,45 @@ from repro.metrics.specialization import (
 def streaming_accumulators(
     scenario,
     sla: Optional[float] = None,
-    interval: float = 1.0,
-    resolution: float = 1.0,
-    change_time: Optional[float] = None,
-    adjustment_queries: int = 1000,
     plan=None,
-    window: float = 5.0,
-    recovery_fraction: float = 0.9,
 ) -> List[object]:
     """The default accumulator set for a streaming run of ``scenario``.
 
     Always includes throughput, the Fig 1b cumulative curve, latency
-    summary stats, and per-segment stats. A recovery probe (and, with an
-    SLA, adjustment speed) is added at ``change_time`` — defaulting to
-    the first segment boundary when the scenario has several segments.
-    An SLA adds Fig 1c latency bands; a fault ``plan`` adds resilience.
+    summary stats, and per-segment stats, each at its constructor's
+    default grid (1 s buckets and samples). A scenario with several
+    segments adds a recovery probe at the first segment boundary (5 s
+    window, 90 % of pre-change throughput) and, with an SLA, adjustment
+    speed over the 1,000 queries after it. An SLA adds Fig 1c latency
+    bands; a fault ``plan`` adds resilience. A run that needs other
+    settings passes its own accumulators.
 
     Args:
         scenario: The scenario the run executes.
         sla: SLA threshold in seconds (enables band + adjustment/mass
             accumulators).
-        interval: Bucket width for throughput/band/segment grids.
-        resolution: Sample spacing for the cumulative curve.
-        change_time: Distribution-change instant for recovery and
-            adjustment speed; ``None`` picks the first segment boundary
-            (skipped entirely for single-segment scenarios).
-        adjustment_queries: N for the adjustment-speed window.
         plan: Optional :class:`~repro.faults.FaultPlan` to score.
-        window: Recovery-probe window width in seconds.
-        recovery_fraction: Fraction of pre-change throughput that counts
-            as recovered.
     """
     accumulators: List[object] = [
-        OnlineThroughput(interval=interval),
-        OnlineCumulativeCurve(resolution=resolution),
+        OnlineThroughput(),
+        OnlineCumulativeCurve(),
         OnlineLatencyStats(),
-        OnlineSegmentStats(scenario, interval=interval),
+        OnlineSegmentStats(scenario),
     ]
-    if change_time is None:
-        boundaries = scenario.segment_boundaries()
-        if len(boundaries) > 1:
-            change_time = float(boundaries[1][1])
+    boundaries = scenario.segment_boundaries()
+    change_time = float(boundaries[1][1]) if len(boundaries) > 1 else None
     if change_time is not None:
-        accumulators.append(
-            OnlineRecovery(
-                change_time, window=window, recovery_fraction=recovery_fraction
-            )
-        )
+        accumulators.append(OnlineRecovery(change_time))
     if sla is not None:
-        accumulators.append(OnlineLatencyBands(sla, interval=interval))
+        accumulators.append(OnlineLatencyBands(sla))
         if change_time is not None:
-            accumulators.append(
-                OnlineAdjustmentSpeed(change_time, adjustment_queries, sla)
-            )
+            accumulators.append(OnlineAdjustmentSpeed(change_time, 1000, sla))
     if plan is not None:
-        accumulators.append(
-            OnlineResilience(
-                plan,
-                sla=sla,
-                window=window,
-                recovery_fraction=recovery_fraction,
-            )
-        )
+        accumulators.append(OnlineResilience(plan, sla=sla))
     return accumulators
 
 
-#: Streaming accumulator classes keyed by their ``name`` attribute —
-#: the registry :func:`accumulator_from_state` uses to rebuild merged
-#: accumulators from shard wire payloads.
-STREAMING_ACCUMULATOR_TYPES = {
-    cls.name: cls
-    for cls in (
-        OnlineThroughput,
-        OnlineCumulativeCurve,
-        OnlineRecovery,
-        OnlineLatencyStats,
-        OnlineLatencyBands,
-        OnlineAdjustmentSpeed,
-        OnlineSegmentStats,
-        OnlineResilience,
-    )
-}
-
-
-def accumulator_from_state(name: str, state: dict) -> object:
-    """Rebuild a streaming accumulator from a ``(name, state)`` pair.
-
-    ``name`` is the accumulator's ``name`` attribute as carried in a
-    shard payload; ``state`` is its ``state_dict()``. Raises
-    :class:`~repro.errors.ConfigurationError` for unregistered names
-    (custom accumulators must be reconstructed by their own factory).
-    """
-    from repro.errors import ConfigurationError
-
-    cls = STREAMING_ACCUMULATOR_TYPES.get(name)
-    if cls is None:
-        raise ConfigurationError(f"unknown streaming accumulator {name!r}")
-    return cls.from_state(state)
-
-
 __all__ = [
-    "STREAMING_ACCUMULATOR_TYPES",
-    "accumulator_from_state",
     "BoxStats",
     "RunningStats",
     "box_stats",

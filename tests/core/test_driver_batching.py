@@ -161,17 +161,6 @@ class TestBatchedEqualsScalar:
         )
         _assert_identical(batched, scalar)
 
-    def test_truncate_max_queries_mid_batch(self):
-        """Truncation cuts the same arrivals in the driver and the oracle."""
-        batched, scalar = _run_both(
-            TraditionalKVStore,
-            _mixed_scenario,
-            max_queries=700,
-            truncate_max_queries=True,
-        )
-        _assert_identical(batched, scalar)
-        assert batched.columns.arrivals.size == 700
-
     @pytest.mark.parametrize("interrupt", ["tick", "fault"])
     def test_interrupts_tied_with_arrivals(self, interrupt):
         """An interrupt at an arrival's exact time fires before that query.

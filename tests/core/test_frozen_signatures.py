@@ -7,8 +7,10 @@ editing this pin — and saying which two callers need different values.
 The FIFO kernel is pinned too: ``perf/layers.py`` probes it by name and
 replays run columns through it.
 
-The driver's own knobs are pinned the same way: ``DriverConfig``'s
-fields and the ``AnalyticDriver`` and ``StreamingRecorder`` constructors.
+The harness's own knobs are pinned the same way: ``DriverConfig``'s
+fields, the ``AnalyticDriver``, ``StreamingRecorder`` and
+``MatrixRunner`` constructors, and ``streaming_accumulators``, whose
+settings are the accumulators' constructor defaults.
 
 So are the Fig 1 metric entry points that fold a run through their
 online accumulator as one block, and the ``StreamBlock`` constructor
@@ -29,9 +31,11 @@ from repro.core.benchmark import Benchmark
 from repro.core.driver import DriverConfig
 from repro.core.queueing import fifo_single_server
 from repro.core.results import RunResult
+from repro.core.runner import MatrixRunner
 from repro.core.streaming import StreamBlock, StreamingRecorder, load_spilled_columns
 from repro.indexes.base import OrderedIndex
 from repro.indexes.keybuffer import SortedKeyBuffer
+from repro.metrics import streaming_accumulators
 from repro.metrics.adaptability import (
     adaptability_report,
     area_vs_ideal,
@@ -70,6 +74,12 @@ FROZEN = [
     (AnalyticDriver.__init__, ("self", "seed", "tracer", "fault_plan")),
     (StreamingRecorder.__init__, ("self", "accumulators", "spiller")),
     (
+        MatrixRunner.__init__,
+        ("self", "driver_config", "workers", "cache_dir", "max_attempts",
+         "job_timeout", "retry_backoff", "checkpoint", "resume"),
+    ),
+    (streaming_accumulators, ("scenario", "sla", "plan")),
+    (
         StreamBlock.__init__,
         ("self", "arrivals", "starts", "completions", "op_codes", "segment_codes"),
     ),
@@ -98,9 +108,7 @@ DRIVER_CONFIG_FIELDS = (
     "online_hardware",
     "max_queries",
     "jitter_arrivals",
-    "min_service_time",
     "servers",
-    "truncate_max_queries",
     "block_size",
 )
 

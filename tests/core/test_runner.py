@@ -16,7 +16,6 @@ from repro.core.runner import (
     RunManifest,
     job_cache_key,
     matrix_jobs,
-    run_matrix,
 )
 from repro.core.scenario import Scenario, Segment
 from repro.core.sut import SystemUnderTest
@@ -119,8 +118,8 @@ class TestCaching:
     def test_hit_on_unchanged_inputs(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"counting": CountingSUT}, [_scenario()], seeds=[1, 2])
-        cold = run_matrix(jobs, cache_dir=cache)
-        warm = run_matrix(jobs, cache_dir=cache)
+        cold = MatrixRunner(cache_dir=cache).run(jobs)
+        warm = MatrixRunner(cache_dir=cache).run(jobs)
         assert cold.manifest.executed == 2 and cold.manifest.hits == 0
         assert warm.manifest.hits == 2 and warm.manifest.executed == 0
         for a, b in zip(cold.results, warm.results):
@@ -129,34 +128,24 @@ class TestCaching:
     def test_invalidated_by_driver_config(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"counting": CountingSUT}, [_scenario()])
-        run_matrix(jobs, cache_dir=cache)
-        changed = run_matrix(
-            jobs, driver_config=DriverConfig(servers=2), cache_dir=cache
-        )
+        MatrixRunner(cache_dir=cache).run(jobs)
+        changed = MatrixRunner(
+            driver_config=DriverConfig(servers=2), cache_dir=cache
+        ).run(jobs)
         assert changed.manifest.hits == 0 and changed.manifest.executed == 1
 
     def test_invalidated_by_scenario_change(self, tmp_path):
         cache = str(tmp_path / "cache")
-        run_matrix(
-            matrix_jobs({"c": CountingSUT}, [_scenario(rate=60.0)]),
-            cache_dir=cache,
-        )
-        changed = run_matrix(
-            matrix_jobs({"c": CountingSUT}, [_scenario(rate=61.0)]),
-            cache_dir=cache,
-        )
+        runner = MatrixRunner(cache_dir=cache)
+        runner.run(matrix_jobs({"c": CountingSUT}, [_scenario(rate=60.0)]))
+        changed = runner.run(matrix_jobs({"c": CountingSUT}, [_scenario(rate=61.0)]))
         assert changed.manifest.hits == 0 and changed.manifest.executed == 1
 
     def test_invalidated_by_seed(self, tmp_path):
         cache = str(tmp_path / "cache")
-        run_matrix(
-            matrix_jobs({"c": CountingSUT}, [_scenario()], seeds=[1]),
-            cache_dir=cache,
-        )
-        changed = run_matrix(
-            matrix_jobs({"c": CountingSUT}, [_scenario()], seeds=[2]),
-            cache_dir=cache,
-        )
+        runner = MatrixRunner(cache_dir=cache)
+        runner.run(matrix_jobs({"c": CountingSUT}, [_scenario()], seeds=[1]))
+        changed = runner.run(matrix_jobs({"c": CountingSUT}, [_scenario()], seeds=[2]))
         assert changed.manifest.hits == 0
 
     def test_invalidated_by_sut_description(self):
@@ -169,18 +158,18 @@ class TestCaching:
     def test_no_cache_flag_forces_execution(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
-        run_matrix(jobs, cache_dir=cache)
-        forced = run_matrix(jobs, cache_dir=cache, use_cache=False)
+        MatrixRunner(cache_dir=cache).run(jobs)
+        forced = MatrixRunner(cache_dir=None).run(jobs)
         assert forced.manifest.executed == 1 and forced.manifest.hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
-        cold = run_matrix(jobs, cache_dir=cache)
+        cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
         with open(os.path.join(cache, f"{key}.json"), "w") as handle:
             handle.write("{ torn write")
-        again = run_matrix(jobs, cache_dir=cache)
+        again = MatrixRunner(cache_dir=cache).run(jobs)
         assert again.manifest.executed == 1
         assert again.results[0].to_json() == cold.results[0].to_json()
 
@@ -188,7 +177,7 @@ class TestCaching:
         """An entry written under another schema version is not served."""
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
-        cold = run_matrix(jobs, cache_dir=cache)
+        cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
         path = os.path.join(cache, f"{key}.json")
         with open(path) as handle:
@@ -197,13 +186,13 @@ class TestCaching:
         with open(path, "w") as handle:
             json.dump(payload, handle)
         assert ResultCache(cache).load(key) is None
-        again = run_matrix(jobs, cache_dir=cache)
+        again = MatrixRunner(cache_dir=cache).run(jobs)
         assert again.manifest.executed == 1 and again.manifest.hits == 0
 
     def test_missing_format_field_is_a_miss(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
-        cold = run_matrix(jobs, cache_dir=cache)
+        cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
         path = os.path.join(cache, f"{key}.json")
         with open(path) as handle:
@@ -252,8 +241,8 @@ class TestFailureReporting:
     def test_failed_jobs_never_cached(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = [MatrixJob(sut_factory=ExplodingSUT, scenario=_scenario())]
-        run_matrix(jobs, cache_dir=cache)
-        again = run_matrix(jobs, cache_dir=cache)
+        MatrixRunner(cache_dir=cache).run(jobs)
+        again = MatrixRunner(cache_dir=cache).run(jobs)
         assert again.manifest.hits == 0
         assert again.manifest.jobs[0].status == "failed"
 
@@ -265,7 +254,7 @@ class TestFailureReporting:
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()], seeds=[1, 2])
-        outcome = run_matrix(jobs, cache_dir=str(tmp_path / "cache"))
+        outcome = MatrixRunner(cache_dir=str(tmp_path / "cache")).run(jobs)
         path = str(tmp_path / "manifest.json")
         outcome.manifest.save(path)
         loaded = RunManifest.load(path)
@@ -307,8 +296,8 @@ class TestTelemetry:
     def test_cached_jobs_have_no_trace(self, tmp_path):
         cache = str(tmp_path / "cache")
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
-        run_matrix(jobs, cache_dir=cache)
-        warm = run_matrix(jobs, cache_dir=cache)
+        MatrixRunner(cache_dir=cache).run(jobs)
+        warm = MatrixRunner(cache_dir=cache).run(jobs)
         record = warm.manifest.jobs[0]
         assert record.status == "cached" and record.trace is None
         assert warm.manifest.telemetry()["traced_jobs"] == 0

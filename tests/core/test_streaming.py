@@ -753,9 +753,7 @@ class TestDriverStreaming:
             "online_hardware": "cpu",
             "max_queries": 2_000_000,
             "jitter_arrivals": True,
-            "min_service_time": 1e-9,
             "servers": 1,
-            "truncate_max_queries": False,
         }
 
     def test_run_columns_invariant_under_block_size(self):

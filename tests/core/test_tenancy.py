@@ -448,6 +448,33 @@ class TestHoldoutVault:
         restored = ServiceReport.from_dict(json.loads(payload))
         assert restored.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_holdout_report_hides_the_spill_path(self, tmp_path, shards):
+        """The operator reads the columns; the report names no directory."""
+        sealed = Scenario(
+            name="sealed",
+            segments=[
+                Segment(
+                    spec=simple_spec(label, UniformDistribution(0, 1000), rate=200.0),
+                    duration=2.0,
+                )
+                for label in ("a", "b")
+            ],
+            seed=5,
+            initial_keys=np.linspace(0.0, 1000.0, 500),
+        )
+        server = BenchmarkServer(workers=1)
+        server.publish_holdout(sealed)
+        tenant = TenantSpec(
+            name="t", sut_factory=TraditionalKVStore, holdout="sealed", shards=shards
+        )
+        report = server.serve([tenant], spill_dir=tmp_path)
+        sealed_report = report.tenant("t")
+        assert sealed_report.ok and sealed_report.summary.spill is None
+        assert str(tmp_path) not in json.dumps(report.to_dict())
+        columns = load_spilled_columns(tmp_path / "t")
+        assert columns.arrivals.size == sealed_report.summary.num_queries > 0
+
 
 class TestFailureIsolation:
     def test_failed_tenant_does_not_abort_others(self):

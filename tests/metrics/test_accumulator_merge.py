@@ -29,13 +29,8 @@ from hypothesis import strategies as st
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
 from repro.core.streaming import StreamBlock
-from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, LatencyFault, StallFault
-from repro.metrics import (
-    STREAMING_ACCUMULATOR_TYPES,
-    accumulator_from_state,
-    streaming_accumulators,
-)
+from repro.metrics import streaming_accumulators
 from repro.metrics._buckets import GridCounts
 from repro.metrics.descriptive import RunningStats
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -168,12 +163,9 @@ class TestShardMergeEquivalence:
             _fold_slice(accumulators, cols, lo, hi, block_size)
             if round_trip:
                 # The exact wire trip a shard payload takes: state_dict
-                # -> JSON -> registry rebuild in the parent process.
+                # -> JSON -> from_state rebuild in the parent process.
                 accumulators = [
-                    accumulator_from_state(
-                        acc.name,
-                        json.loads(json.dumps(acc.state_dict())),
-                    )
+                    type(acc).from_state(json.loads(json.dumps(acc.state_dict())))
                     for acc in accumulators
                 ]
             if merged is None:
@@ -183,14 +175,6 @@ class TestShardMergeEquivalence:
                     mine.merge(theirs)
         got = {acc.name: acc.finalize(horizon) for acc in merged}
         _assert_payloads_match(got, want)
-
-    def test_registry_covers_default_accumulator_set(self):
-        names = {acc.name for acc in _fresh_accumulators(faults=True)}
-        assert names <= set(STREAMING_ACCUMULATOR_TYPES)
-
-    def test_registry_rejects_unknown_names(self):
-        with pytest.raises(ConfigurationError):
-            accumulator_from_state("no-such-accumulator", {})
 
 
 class TestGridCountsMerge:

@@ -17,7 +17,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.driver import VirtualClockDriver
+from repro.core.driver import MIN_SERVICE_TIME, VirtualClockDriver
 
 
 class ScalarReferenceDriver(VirtualClockDriver):
@@ -38,7 +38,6 @@ class ScalarReferenceDriver(VirtualClockDriver):
     ):
         stream = self._interrupts(sut, seg_start, seg_end, scenario)
         fault_clock = self._fault_clock
-        min_service = self.config.min_service_time
         n = len(batch)
         arrivals = np.empty(n, dtype=np.float64)
         starts = np.empty(n, dtype=np.float64)
@@ -54,14 +53,14 @@ class ScalarReferenceDriver(VirtualClockDriver):
                 )
             free = heapq.heappop(server_free)
             start = max(arrival, free)
-            service = max(min_service, float(sut.execute(batch.query(i), arrival)))
+            service = max(MIN_SERVICE_TIME, float(sut.execute(batch.query(i), arrival)))
             if fault_clock is not None:
                 # The driver's own kernel on length-1 arrays: the same
                 # IEEE-754 operations as the batched perturbation.
                 perturbed = fault_clock.perturb_batch(
                     np.array([service]), np.array([arrival])
                 )
-                service = max(min_service, float(perturbed[0]))
+                service = max(MIN_SERVICE_TIME, float(perturbed[0]))
             completion = start + service
             heapq.heappush(server_free, completion)
             arrivals[i] = arrival

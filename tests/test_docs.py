@@ -24,6 +24,14 @@ MKDOCS_YML = os.path.join(REPO_ROOT, "mkdocs.yml")
 #: Markdown inline links: [text](target). Images and autolinks excluded.
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 
+#: The body of a fenced Python code block.
+_PY_FENCE_RE = re.compile(r"^```py(?:thon)?[ \t]*\n(.*?)^```", re.S | re.M)
+
+#: A ``from repro… import …`` statement, parenthesised continuation included.
+_REPRO_IMPORT_RE = re.compile(
+    r"^[ \t]*from repro[\w.]* import (?:\([^)]*\)|[^\n]*)", re.M
+)
+
 
 def _nav_files(nav) -> list:
     """Flatten mkdocs nav (list of {title: target-or-sublist}) to paths."""
@@ -119,6 +127,31 @@ class TestDocsLinks:
         )
         with open(fixture) as handle:
             assert handle.readline().strip() == "# repro-trace v1"
+
+
+class TestDocsImports:
+    def test_repro_imports_in_code_blocks_resolve(self):
+        """Every name a docs or README code block imports from repro exists."""
+        pages = [
+            os.path.join(DOCS_DIR, name)
+            for name in sorted(os.listdir(DOCS_DIR))
+            if name.endswith(".md")
+        ] + [os.path.join(REPO_ROOT, "README.md")]
+        statements = []
+        for page in pages:
+            with open(page) as handle:
+                text = handle.read()
+            for block in _PY_FENCE_RE.findall(text):
+                for match in _REPRO_IMPORT_RE.finditer(block):
+                    statements.append((page, match.group(0).strip()))
+        assert statements, "no repro imports found in docs code blocks"
+        broken = []
+        for page, statement in statements:
+            try:
+                exec(statement, {})
+            except ImportError as exc:
+                broken.append(f"{os.path.relpath(page, REPO_ROOT)}: {exc}")
+        assert not broken, f"docs import names that do not exist: {broken}"
 
 
 class TestDocstringGate:
