@@ -101,9 +101,9 @@ def event_to_telemetry(event: TrainingEvent) -> dict:
     ``training_event`` attribute, so a run's cost breakdown can be
     recomputed from its *trace* alone
     (:func:`repro.metrics.cost.phases_from_trace`). It also writes the
-    ``training_events`` rows of :meth:`~repro.core.results.RunResult.to_dict`
-    and of the streaming summary's ``to_dict``: one wire format, three
-    carriers.
+    ``training_events`` rows of a result-cache entry's header
+    (:class:`~repro.core.runner.ResultCache`) and of the streaming
+    summary's ``to_dict``: one wire format, three carriers.
     """
     return {
         "start": event.start,

@@ -3,11 +3,13 @@
 A :class:`RunResult` is the complete record of one benchmark run: every
 query's arrival/start/completion timestamps, segment boundaries, and all
 training events. The Fig 1 metrics are pure functions of this record, so
-results can be persisted as JSON and re-analyzed without re-running.
+results can be persisted and re-analyzed without re-running: the matrix
+runner's result cache stores each as one spill-format column file
+(:func:`repro.core.streaming.write_column_file`).
 
 Storage is *columnar*: the query log lives in NumPy arrays (one column
 per field, see :class:`QueryColumns`), built by the driver's
-:class:`ColumnarRecorder` or from wire rows. Derived views the metric
+:class:`ColumnarRecorder`. Derived views the metric
 kernels need — completion-sorted timestamps, latencies, the run as one
 streaming block — are built once per result and cached; every Fig 1
 kernel folds that block through its online accumulator, so the full
@@ -16,23 +18,14 @@ metric suite over a multi-million-query run costs one sort.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.phases import TrainingEvent, event_from_telemetry, event_to_telemetry
+from repro.core.phases import TrainingEvent
 from repro.errors import ReproError
-
-
-def _intern(labels: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, ...]]:
-    """(codes, vocab) encoding of a string sequence (vocab sorted)."""
-    if not len(labels):
-        return np.zeros(0, dtype=np.int32), ()
-    vocab, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    return codes.astype(np.int32), tuple(str(v) for v in vocab)
 
 
 @dataclass(eq=False)
@@ -79,25 +72,6 @@ class QueryColumns:
         """Per-query segment labels (decoded)."""
         vocab = self.segment_vocab
         return [vocab[i] for i in self.segment_codes.tolist()]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Any]]) -> "QueryColumns":
-        """Build columns from wire rows ``[arrival, start, completion, op, segment]``."""
-        n = len(rows)
-        numeric = np.asarray(
-            [row[:3] for row in rows], dtype=np.float64
-        ).reshape(n, 3)
-        op_codes, op_vocab = _intern([row[3] for row in rows])
-        seg_codes, seg_vocab = _intern([row[4] for row in rows])
-        return cls(
-            arrivals=np.ascontiguousarray(numeric[:, 0]),
-            starts=np.ascontiguousarray(numeric[:, 1]),
-            completions=np.ascontiguousarray(numeric[:, 2]),
-            op_codes=op_codes,
-            op_vocab=op_vocab,
-            segment_codes=seg_codes,
-            segment_vocab=seg_vocab,
-        )
 
 
 class ColumnarRecorder:
@@ -337,55 +311,3 @@ class RunResult:
     def total_training_nominal_seconds(self) -> float:
         """Nominal CPU-seconds of training across all events."""
         return sum(e.nominal_seconds for e in self.training_events)
-
-    # -- persistence ---------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict of the full result.
-
-        This is the canonical wire format: the matrix runner ships results
-        across process boundaries and stores them in its on-disk cache as
-        exactly this payload (see :mod:`repro.serialization`).
-        """
-        cols = self.columns
-        query_rows = [
-            [arrival, start, completion, op, segment]
-            for arrival, start, completion, op, segment in zip(
-                cols.arrivals.tolist(),
-                cols.starts.tolist(),
-                cols.completions.tolist(),
-                cols.ops(),
-                cols.segment_names(),
-            )
-        ]
-        return {
-            "sut_name": self.sut_name,
-            "scenario_name": self.scenario_name,
-            "segments": [list(s) for s in self.segments],
-            "scenario_description": self.scenario_description,
-            "sut_description": self.sut_description,
-            "training_events": [event_to_telemetry(e) for e in self.training_events],
-            "queries": query_rows,
-        }
-
-    def to_json(self) -> str:
-        """Serialize the full result to a JSON string."""
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Reconstruct a result from :meth:`to_dict` output."""
-        return cls(
-            sut_name=data["sut_name"],
-            scenario_name=data["scenario_name"],
-            columns=QueryColumns.from_rows(data["queries"]),
-            segments=[tuple(s) for s in data["segments"]],
-            training_events=[event_from_telemetry(e) for e in data["training_events"]],
-            scenario_description=data.get("scenario_description", {}),
-            sut_description=data.get("sut_description", {}),
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "RunResult":
-        """Reconstruct a result from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(payload))

@@ -51,20 +51,22 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
+from repro.core.phases import event_from_telemetry, event_to_telemetry
 from repro.core.results import RunResult
 from repro.core.scenario import Scenario
+from repro.core.streaming import read_column_file, write_column_file
 from repro.core.sut import SystemUnderTest
 from repro.core.workers import WorkerOutcome, WorkerPool, WorkerTask
-from repro.errors import RunnerError
+from repro.errors import ConfigurationError, RunnerError
 from repro.observability import Trace
 
 #: Manifest/cache schema version (bump to invalidate old cache entries).
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 @lru_cache(maxsize=1)
@@ -191,20 +193,7 @@ class JobRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready payload (inverse of :meth:`from_dict`)."""
-        return {
-            "label": self.label,
-            "sut_name": self.sut_name,
-            "scenario_name": self.scenario_name,
-            "seed": self.seed,
-            "cache_key": self.cache_key,
-            "status": self.status,
-            "wall_seconds": self.wall_seconds,
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "error": self.error,
-            "trace": self.trace,
-            "phi": self.phi,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
@@ -315,8 +304,17 @@ class RunManifest:
         )
 
 
+#: The :class:`RunResult` fields a cache header holds as they are.
+_RESULT_FIELDS = ("sut_name", "scenario_name", "scenario_description", "sut_description")
+
+
 class ResultCache:
-    """Content-addressed on-disk store of :class:`RunResult` payloads."""
+    """Content-addressed on-disk store of :class:`RunResult` s.
+
+    One file per entry, ``<key>.npz``: the spill's column file
+    (:func:`~repro.core.streaming.write_column_file`) whose header holds
+    the cache format, the ``meta`` block and the result's other fields.
+    """
 
     def __init__(self, root: str) -> None:
         """Open (creating if needed) the cache directory ``root``."""
@@ -325,36 +323,46 @@ class ResultCache:
 
     def path(self, key: str) -> str:
         """On-disk location for cache entry ``key``."""
-        return os.path.join(self.root, f"{key}.json")
+        return os.path.join(self.root, f"{key}.npz")
 
     def load(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or ``None`` on miss/corruption."""
+        """The cached result for ``key``; a missing, damaged or other-format entry is ``None``."""
         try:
-            with open(self.path(key)) as handle:
-                payload = json.load(handle)
-            if payload.get("format") != CACHE_FORMAT:
-                # An entry written by a different schema version is a
-                # miss: its payload may not deserialize correctly.
+            columns, header = read_column_file(self.path(key))
+            if header.get("format") != CACHE_FORMAT:
                 return None
-            return RunResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError):
-            # A torn/stale entry is a miss, never an error.
+            return RunResult(
+                columns=columns,
+                segments=[tuple(s) for s in header["segments"]],
+                training_events=map(event_from_telemetry, header["training_events"]),
+                **{name: header[name] for name in _RESULT_FIELDS},
+            )
+        except (ConfigurationError, KeyError, TypeError, ValueError):
             return None
 
     def store(self, key: str, result: RunResult, meta: Dict[str, Any]) -> None:
         """Atomically persist ``result`` under ``key``."""
-        payload = {"format": CACHE_FORMAT, "meta": meta, "result": result.to_dict()}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        header = {
+            "format": CACHE_FORMAT,
+            "meta": meta,
+            "segments": result.segments,
+            "training_events": [event_to_telemetry(e) for e in result.training_events],
+            **{name: getattr(result, name) for name in _RESULT_FIELDS},
+        }
+        _publish(self.path(key), lambda tmp: write_column_file(tmp, result.columns, header))
+
+
+def _publish(path: str, write: Callable[[str], None]) -> None:
+    """Atomically (re)write ``path``: ``write`` fills a temporary file beside it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def job_cache_key(
@@ -380,18 +388,14 @@ def _matrix_job_body(
     scenario: Scenario,
     config: DriverConfig,
     tracer,
-) -> Dict[str, Any]:
-    """The pool task body: run one matrix job, return its result dict.
+) -> RunResult:
+    """The pool task body: run one matrix job, return its result.
 
-    Results travel as :meth:`RunResult.to_dict` payloads so transport is
-    identical to the cache format (and cheap to pickle). The pool
-    threads the per-attempt ``tracer`` in (``WorkerTask.traced``); its
-    finished trace lands on the job's manifest record.
+    The pool pickles the result, so its columns travel as NumPy arrays
+    with the driver's own codes. The per-attempt ``tracer``'s finished
+    trace lands on the job's manifest record.
     """
-    sut = factory()
-    result = VirtualClockDriver(config, tracer=tracer).run(sut, scenario)
-    with tracer.span("serialize-result", phase="report"):
-        return result.to_dict()
+    return VirtualClockDriver(config, tracer=tracer).run(factory(), scenario)
 
 
 @dataclass
@@ -643,16 +647,7 @@ class MatrixRunner:
             workers=self._checkpoint_workers,
             cache_dir=self.cache.root if self.cache else None,
         )
-        directory = os.path.dirname(os.path.abspath(self.checkpoint))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(manifest.to_dict(), handle, indent=2)
-            os.replace(tmp, self.checkpoint)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _publish(self.checkpoint, manifest.save)
 
     def _absorb(
         self,
@@ -671,13 +666,12 @@ class MatrixRunner:
             record.status = "failed"
             record.error = outcome.error
             return
-        result = RunResult.from_dict(outcome.payload)
         record.status = "ok"
-        results[index] = result
+        results[index] = outcome.payload
         if self.cache is not None:
             self.cache.store(
                 record.cache_key,
-                result,
+                outcome.payload,
                 meta={
                     "label": record.label,
                     "sut": record.sut_name,

@@ -43,6 +43,8 @@ __all__ = [
     "ShardSpec",
     "StreamingRunSummary",
     "load_spilled_columns",
+    "read_column_file",
+    "write_column_file",
     "write_sharded_manifest",
 ]
 
@@ -383,14 +385,16 @@ class ColumnSpiller:
         return manifest
 
 
-def _write_npz_shard(path: Path, columns: Dict[str, np.ndarray]) -> None:
+def _write_npz_shard(
+    path: Path, columns: Dict[str, np.ndarray], header: Optional[bytes] = None
+) -> None:
     """Write one shard as a zip of ``.npy`` members in the ``fifo-planes`` layout.
 
     ``np.savez_compressed`` can set neither the deflate level nor a
     member's compression, so this is its body with both chosen here. The
     derived ``starts`` is freed before any planes exist, and one column is
     encoded and written at a time, so at most one encoding is alive beside
-    the raw columns.
+    the raw columns. ``header`` bytes become one more member.
     """
     starts_rows = _starts_exceptions(columns)
     with zipfile.ZipFile(
@@ -408,6 +412,8 @@ def _write_npz_shard(path: Path, columns: Dict[str, np.ndarray]) -> None:
             if codes.size and 0 <= codes.min() and codes.max() < 256:
                 codes = codes.astype(np.uint8)
             _write_member(archive, key, codes)
+        if header is not None:
+            _write_member(archive, "header", np.frombuffer(header, dtype=np.uint8))
 
 
 def _plane_names(key: str) -> List[str]:
@@ -537,11 +543,11 @@ def _assemble(
         starts=_cat("starts", np.float64),
         completions=_cat("completions", np.float64),
         op_codes=_cat("op_codes", np.int32),
-        op_vocab=manifest["op_vocab"],
+        op_vocab=tuple(manifest["op_vocab"]),
         segment_codes=_cat("segment_codes", np.int32),
-        segment_vocab=manifest["segment_vocab"],
+        segment_vocab=tuple(manifest["segment_vocab"]),
     )
-    if columns.size != manifest["rows"]:
+    if columns.size != int(manifest["rows"]):
         raise ConfigurationError(
             f"spill {directory} holds {columns.size} rows, "
             f"manifest says {manifest['rows']}"
@@ -561,16 +567,8 @@ def _load_sharded_columns(directory: Path, manifest: dict) -> QueryColumns:
             )
         for key in _FLOAT_COLUMNS:
             parts[key].append(getattr(shard, key))
-        op_map = np.asarray(entry["op_map"], dtype=np.int32)
-        segment_map = np.asarray(entry["segment_map"], dtype=np.int32)
-        parts["op_codes"].append(
-            op_map[shard.op_codes] if shard.size else shard.op_codes
-        )
-        parts["segment_codes"].append(
-            segment_map[shard.segment_codes]
-            if shard.size
-            else shard.segment_codes
-        )
+        for key, remap in (("op_codes", "op_map"), ("segment_codes", "segment_map")):
+            parts[key].append(np.asarray(entry[remap], dtype=np.int32)[getattr(shard, key)])
     return _assemble(parts, manifest, directory)
 
 
@@ -592,21 +590,32 @@ def _shard_members(encoding: Optional[str], files: Sequence[str]) -> List[str]:
 
 
 def _read_npz_shard(path: Path, encoding: Optional[str]) -> Dict[str, np.ndarray]:
-    """One npz shard's five columns, floats decoded, shapes checked."""
+    """One npz shard's five columns, floats decoded, shapes checked.
+
+    A ``header`` member (:func:`write_column_file`) rides along as is.
+    """
     try:
-        loaded = np.load(path, allow_pickle=False)
-        if not isinstance(loaded, np.lib.npyio.NpzFile):
-            raise ValueError("not an npz archive")
-        with loaded as shard:
-            raw = {key: shard[key] for key in _shard_members(encoding, shard.files)}
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+            files = [name[:-4] for name in archive.namelist() if name.endswith(".npy")]
+            members = _shard_members(encoding, files)
+            if "header" in files:
+                members.append("header")
+            raw = {}
+            for key in members:
+                with archive.open(f"{key}.npy") as member:
+                    raw[key] = np.lib.format.read_array(member, allow_pickle=False)
     except (
         OSError,
         EOFError,
         KeyError,
         ValueError,
+        NotImplementedError,
+        RuntimeError,
         zipfile.BadZipFile,
         zlib.error,
     ) as exc:
+        # zipfile raises NotImplementedError for a damaged compression
+        # method or flag bits, RuntimeError for a damaged encryption bit.
         raise ConfigurationError(
             f"cannot read spill shard {path.name!r} in {path.parent}: {exc!r}"
         ) from exc
@@ -671,6 +680,11 @@ def _read_npz_shard(path: Path, encoding: Optional[str]) -> Dict[str, np.ndarray
         columns["starts"][rows] = values
     for key in _CODE_COLUMNS:
         columns[key] = _vector(key, False, "an integer (rows,) column")
+    sizes = {key: int(values.shape[0]) for key, values in columns.items()}
+    if len(set(sizes.values())) != 1:
+        raise ConfigurationError(f"{where} has columns of unequal length: {sizes}")
+    if "header" in raw:
+        columns["header"] = raw["header"]
     return columns
 
 
@@ -709,15 +723,35 @@ def load_spilled_columns(directory) -> QueryColumns:
     for name in manifest["shards"]:
         path = _inside(directory, name)
         shard = _read_npz_shard(path, encoding)
-        sizes = {key: int(values.shape[0]) for key, values in shard.items()}
-        if len(set(sizes.values())) != 1:
-            raise ConfigurationError(
-                f"spill shard {name!r} in {directory} has columns of "
-                f"unequal length: {sizes}"
-            )
-        for key, values in shard.items():
-            parts[key].append(values)
+        for key in _COLUMNS:
+            parts[key].append(shard[key])
     return _assemble(parts, manifest, directory)
+
+
+def write_column_file(path, columns: QueryColumns, header: Dict[str, Any]) -> None:
+    """Write ``columns`` as one spill shard with a ``header`` member.
+
+    The member holds ``header``, plus the row count and both
+    vocabularies, as UTF-8 JSON. The zip CRC covers it like every column.
+    """
+    vocabularies = {"op_vocab": columns.op_vocab, "segment_vocab": columns.segment_vocab}
+    payload = json.dumps({**header, "rows": columns.size, **vocabularies})
+    _write_npz_shard(Path(path), {k: getattr(columns, k) for k in _COLUMNS}, payload.encode())
+
+
+def read_column_file(path) -> Tuple[QueryColumns, Dict[str, Any]]:
+    """``(columns, header)`` of a :func:`write_column_file` file.
+
+    Raises :class:`~repro.errors.ConfigurationError` for any file it cannot decode.
+    """
+    path = Path(path)
+    shard = _read_npz_shard(path, _ENCODING)
+    try:
+        header = json.loads(shard.pop("header").tobytes())
+        parts = {key: [values] for key, values in shard.items()}
+        return _assemble(parts, header, path), header
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"malformed header in {path}: {exc!r}") from exc
 
 
 class StreamingRecorder:

@@ -59,6 +59,7 @@ from repro.metrics.similarity import (
     workload_phi,
 )
 from repro.metrics.sla import (
+    ADJUSTMENT_QUERIES,
     LatencyBand,
     OnlineAdjustmentSpeed,
     OnlineLatencyBands,
@@ -97,9 +98,9 @@ def streaming_accumulators(
     default grid (1 s buckets and samples). A scenario with several
     segments adds a recovery probe at the first segment boundary (5 s
     window, 90 % of pre-change throughput) and, with an SLA, adjustment
-    speed over the 1,000 queries after it. An SLA adds Fig 1c latency
-    bands; a fault ``plan`` adds resilience. A run that needs other
-    settings passes its own accumulators.
+    speed over the ``ADJUSTMENT_QUERIES`` (1,000) queries after it. An
+    SLA adds Fig 1c latency bands; a fault ``plan`` adds resilience. A
+    run that needs other settings passes its own accumulators.
 
     Args:
         scenario: The scenario the run executes.
@@ -120,7 +121,7 @@ def streaming_accumulators(
     if sla is not None:
         accumulators.append(OnlineLatencyBands(sla))
         if change_time is not None:
-            accumulators.append(OnlineAdjustmentSpeed(change_time, 1000, sla))
+            accumulators.append(OnlineAdjustmentSpeed(change_time, ADJUSTMENT_QUERIES, sla))
     if plan is not None:
         accumulators.append(OnlineResilience(plan, sla=sla))
     return accumulators

@@ -212,6 +212,11 @@ class OnlineLatencyBands:
         }
 
 
+#: Fig 1c's N: the adjustment speed of a report and of a streamed run
+#: counts the first this many arrivals after the change.
+ADJUSTMENT_QUERIES = 1000
+
+
 class OnlineAdjustmentSpeed:
     """Fig 1c's adjustment speed: over-SLA mass of the first N arrivals.
 

@@ -22,7 +22,12 @@ from repro.metrics.adaptability import (
 )
 from repro.metrics.cost import CostBreakdown, cost_breakdown
 from repro.metrics.descriptive import box_stats
-from repro.metrics.sla import LatencyBand, OnlineAdjustmentSpeed, OnlineLatencyBands
+from repro.metrics.sla import (
+    ADJUSTMENT_QUERIES,
+    LatencyBand,
+    OnlineAdjustmentSpeed,
+    OnlineLatencyBands,
+)
 from repro.metrics.specialization import (
     OnlineSegmentStats,
     SpecializationReport,
@@ -129,8 +134,6 @@ def build_report(
     result: RunResult,
     scenario: Scenario,
     sla: Optional[float] = None,
-    band_interval: float = 1.0,
-    adjustment_n: int = 1000,
     trace=None,
 ) -> BenchmarkReport:
     """Assemble the full report for one run.
@@ -138,9 +141,9 @@ def build_report(
     Args:
         result: The run record.
         scenario: The scenario that produced it.
-        sla: SLA threshold for the Fig 1c bands (None skips them).
-        band_interval: Band width in virtual seconds.
-        adjustment_n: N for the adjustment-speed metric.
+        sla: SLA threshold for the Fig 1c bands (1 s wide) and the
+            adjustment speed over ``ADJUSTMENT_QUERIES`` arrivals (None
+            skips both).
         trace: Optional :class:`~repro.observability.Trace` from the run;
             folds its per-phase wall-time totals into the report.
     """
@@ -148,10 +151,10 @@ def build_report(
     adaptability = _adaptability_accumulators(result, None, 1.0)
     bands = adjustment = None
     if sla is not None:
-        bands = OnlineLatencyBands(sla, interval=band_interval)
+        bands = OnlineLatencyBands(sla)
         if len(result.segments) > 1:
             change = result.segments[0][2]
-            adjustment = OnlineAdjustmentSpeed(change, adjustment_n, sla)
+            adjustment = OnlineAdjustmentSpeed(change, ADJUSTMENT_QUERIES, sla)
     result.fold(segments, *adaptability, bands, adjustment)
     return BenchmarkReport(
         result=result,

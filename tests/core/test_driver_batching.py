@@ -20,6 +20,7 @@ from tests.core.test_tick_contract import PLAN
 from tests.core.test_tick_contract import _scenario as _tick_scenario
 from tests.reference_driver import ScalarReferenceDriver
 from tests.reporting.test_report_fold import _BlockCount
+from tests.result_helpers import assert_same_result
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.queueing import fifo_single_server
@@ -344,19 +345,16 @@ class TestTracingInvariance:
 
     @pytest.mark.parametrize("tracer_factory", [None, NullTracer, Tracer])
     def test_result_payload_identical_across_tracers(self, tracer_factory):
-        """No tracer, NullTracer, and full Tracer: byte-identical results."""
-        import json
-
+        """No tracer, NullTracer, and full Tracer: bit-identical results."""
         config = DriverConfig()
         tracer = tracer_factory() if tracer_factory is not None else None
         result = VirtualClockDriver(config, tracer=tracer).run(
             LearnedKVStore(), _mixed_scenario()
         )
-        payload = json.dumps(result.to_dict(), sort_keys=True)
         baseline = VirtualClockDriver(DriverConfig()).run(
             LearnedKVStore(), _mixed_scenario()
         )
-        assert payload == json.dumps(baseline.to_dict(), sort_keys=True)
+        assert_same_result(result, baseline)
 
     def test_trace_counts_agree_with_result(self):
         """The trace's driver counters match the run record exactly."""

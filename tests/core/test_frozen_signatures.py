@@ -67,7 +67,7 @@ FROZEN = [
     ),
     (
         build_report,
-        ("result", "scenario", "sla", "band_interval", "adjustment_n", "trace"),
+        ("result", "scenario", "sla", "trace"),
     ),
     (load_spilled_columns, ("directory",)),
     (fifo_single_server, ("arrivals", "services", "free")),

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
-import os
+import struct
+import zipfile
 
+import numpy as np
 import pytest
+from tests.result_helpers import assert_same_result
 
 from repro.core.driver import DriverConfig
 from repro.core.runner import (
@@ -58,6 +62,26 @@ def _raising_factory():
     raise ValueError("factory cannot build")
 
 
+def _edit_header(path, **changes):
+    """Rewrite a cache entry's JSON header; a ``None`` value deletes the key."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    raw = np.lib.format.read_array(io.BytesIO(members["header.npy"]))
+    header = json.loads(raw.tobytes())
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    out = io.BytesIO()
+    encoded = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.lib.format.write_array(out, encoded)
+    members["header.npy"] = out.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
 def _scenario(rate=60.0, duration=3.0, seed=5, name="matrix-test"):
     return Scenario(
         name=name,
@@ -101,7 +125,7 @@ class TestDeterminism:
         parallel = MatrixRunner(workers=4).run(jobs)
         assert all(r is not None for r in serial.results)
         for a, b in zip(serial.results, parallel.results):
-            assert a.to_json() == b.to_json()
+            assert_same_result(a, b)
 
     def test_results_aligned_with_jobs(self):
         jobs = matrix_jobs({"counting": CountingSUT}, [_scenario()], seeds=[7, 8])
@@ -123,7 +147,7 @@ class TestCaching:
         assert cold.manifest.executed == 2 and cold.manifest.hits == 0
         assert warm.manifest.hits == 2 and warm.manifest.executed == 0
         for a, b in zip(cold.results, warm.results):
-            assert a.to_json() == b.to_json()
+            assert_same_result(a, b)
 
     def test_invalidated_by_driver_config(self, tmp_path):
         cache = str(tmp_path / "cache")
@@ -167,11 +191,11 @@ class TestCaching:
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
         cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
-        with open(os.path.join(cache, f"{key}.json"), "w") as handle:
+        with open(ResultCache(cache).path(key), "w") as handle:
             handle.write("{ torn write")
         again = MatrixRunner(cache_dir=cache).run(jobs)
         assert again.manifest.executed == 1
-        assert again.results[0].to_json() == cold.results[0].to_json()
+        assert_same_result(again.results[0], cold.results[0])
 
     def test_wrong_format_version_is_a_miss(self, tmp_path):
         """An entry written under another schema version is not served."""
@@ -179,12 +203,10 @@ class TestCaching:
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
         cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
-        path = os.path.join(cache, f"{key}.json")
-        with open(path) as handle:
-            payload = json.load(handle)
-        payload["format"] = CACHE_FORMAT + 1
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        path = ResultCache(cache).path(key)
+        _edit_header(path, format=CACHE_FORMAT)
+        assert_same_result(ResultCache(cache).load(key), cold.results[0])
+        _edit_header(path, format=CACHE_FORMAT + 1)
         assert ResultCache(cache).load(key) is None
         again = MatrixRunner(cache_dir=cache).run(jobs)
         assert again.manifest.executed == 1 and again.manifest.hits == 0
@@ -194,13 +216,57 @@ class TestCaching:
         jobs = matrix_jobs({"c": CountingSUT}, [_scenario()])
         cold = MatrixRunner(cache_dir=cache).run(jobs)
         key = cold.manifest.jobs[0].cache_key
-        path = os.path.join(cache, f"{key}.json")
-        with open(path) as handle:
-            payload = json.load(handle)
-        del payload["format"]
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+        _edit_header(ResultCache(cache).path(key), format=None)
         assert ResultCache(cache).load(key) is None
+
+
+class TestDamagedCacheEntry:
+    """Any damaged entry is a miss or loads bit-identical; load never raises."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        cache = ResultCache(str(tmp_path_factory.mktemp("cache")))
+        outcome = MatrixRunner(workers=1).run(
+            matrix_jobs({"c": CountingSUT}, [_scenario()])
+        )
+        result = outcome.results[0]
+        cache.store("key", result, meta={"label": "c"})
+        with open(cache.path("key"), "rb") as handle:
+            return cache, result, handle.read()
+
+    def _check(self, stored, damaged):
+        cache, result, _ = stored
+        with open(cache.path("key"), "wb") as handle:
+            handle.write(damaged)
+        loaded = cache.load("key")
+        if loaded is not None:
+            assert_same_result(loaded, result)
+        return loaded is None
+
+    def test_truncations(self, stored):
+        data = stored[2]
+        misses = [self._check(stored, data[:size]) for size in range(0, len(data), 13)]
+        assert all(misses)
+
+    def test_bit_flips_in_central_directory(self, stored):
+        data = stored[2]
+        end = data.rindex(b"PK\x05\x06")
+        (start,) = struct.unpack_from("<I", data, end + 16)
+        misses = 0
+        for offset in range(start, len(data)):
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << (offset % 8)
+            misses += self._check(stored, bytes(damaged))
+        assert 0 < misses < len(data) - start
+
+    def test_bit_flips_in_data(self, stored):
+        data = stored[2]
+        (start,) = struct.unpack_from("<I", data, data.rindex(b"PK\x05\x06") + 16)
+        rng = np.random.default_rng(0)
+        for offset in rng.choice(start, size=64, replace=False):
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << int(rng.integers(8))
+            self._check(stored, bytes(damaged))
 
 
 class TestFailureReporting:

@@ -7,8 +7,15 @@ import os
 import time
 
 import pytest
+from tests.result_helpers import assert_same_result
 
-from repro.core.runner import MatrixJob, MatrixRunner, RunManifest, matrix_jobs
+from repro.core.runner import (
+    MatrixJob,
+    MatrixRunner,
+    ResultCache,
+    RunManifest,
+    matrix_jobs,
+)
 from repro.core.scenario import Scenario, Segment
 from repro.core.sut import SystemUnderTest
 from repro.errors import RunnerError
@@ -204,7 +211,7 @@ class TestCheckpointResume:
         with open(ckpt) as handle:
             payload = json.load(handle)
         dropped = payload["jobs"].pop()
-        os.unlink(os.path.join(cache, f"{dropped['cache_key']}.json"))
+        os.unlink(ResultCache(cache).path(dropped["cache_key"]))
         with open(ckpt, "w") as handle:
             json.dump(payload, handle)
 
@@ -218,7 +225,7 @@ class TestCheckpointResume:
         assert (resumed.manifest.canonical_dict()
                 == reference.manifest.canonical_dict())
         for ours, ref in zip(resumed.results, reference.results):
-            assert ours.to_json() == ref.to_json()
+            assert_same_result(ours, ref)
 
     def test_resume_with_stale_cache_reexecutes(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.result_helpers import assert_same_result, rows_to_columns
 
 from repro.core.phases import TrainingEvent, TrainingPhase
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
+from repro.core.runner import ResultCache
 from repro.core.scenario import Scenario, Segment
 from repro.errors import ReproError, ScenarioError
 from repro.workloads.distributions import UniformDistribution
@@ -70,7 +72,7 @@ def _result():
     return RunResult(
         sut_name="sut",
         scenario_name="scn",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, 5.0), ("b", 5.0, 10.0)],
         training_events=[
             TrainingEvent(start=-1.0, duration=1.0, nominal_seconds=1.0,
@@ -81,7 +83,7 @@ def _result():
 
 class TestRunResult:
     def test_latency(self):
-        columns = QueryColumns.from_rows([(1.0, 2.0, 3.0, "read", "a")])
+        columns = rows_to_columns([(1.0, 2.0, 3.0, "read", "a")])
         assert columns.latencies.tolist() == [2.0]
         assert columns.service_times.tolist() == [1.0]
 
@@ -112,14 +114,11 @@ class TestRunResult:
         assert result.total_training_cost() == pytest.approx(0.01)
         assert result.total_training_nominal_seconds() == pytest.approx(1.0)
 
-    def test_json_round_trip(self):
+    def test_cache_round_trip(self, tmp_path):
         result = _result()
-        restored = RunResult.from_json(result.to_json())
-        assert restored.sut_name == result.sut_name
-        assert restored.num_queries == result.num_queries
-        assert restored.columns.completions[3] == result.columns.completions[3]
-        assert restored.segments == result.segments
-        assert restored.training_events[0].cost == pytest.approx(0.01)
+        cache = ResultCache(str(tmp_path))
+        cache.store("key", result, meta={})
+        assert_same_result(cache.load("key"), result)
 
 
 class TestRecorderAmortization:

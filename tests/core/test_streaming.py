@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -581,6 +582,30 @@ class TestLoadSpilledColumns:
         victim = tmp_path / "s" / "shard-00000.npz"
         data = bytearray(victim.read_bytes())
         data[100:140] = bytes(40)
+        victim.write_bytes(bytes(data))
+        with pytest.raises(ConfigurationError, match="shard-00000.npz"):
+            load_spilled_columns(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "field, bit",
+        [(10, 0x01), (8, 0x01), (8, 0x20), (8, 0x40)],
+        ids=["compression-method", "encrypted", "patched-data", "strong-encryption"],
+    )
+    def test_damaged_central_directory_flags_rejected(self, tmp_path, field, bit):
+        # zipfile raises NotImplementedError (unknown compression method,
+        # patched data, strong encryption) or RuntimeError (encrypted, no
+        # password) for these fields; the loader must still name the shard.
+        spiller = ColumnSpiller(tmp_path / "s")
+        spiller.write(_block(600))
+        spiller.finish(["read"], ["a"])
+        victim = tmp_path / "s" / "shard-00000.npz"
+        data = bytearray(victim.read_bytes())
+        end = data.rindex(b"PK\x05\x06")
+        count, _, entry = struct.unpack_from("<HII", data, end + 10)
+        for _ in range(count):
+            data[entry + field] ^= bit
+            name, extra, comment = struct.unpack_from("<HHH", data, entry + 28)
+            entry += 46 + name + extra + comment
         victim.write_bytes(bytes(data))
         with pytest.raises(ConfigurationError, match="shard-00000.npz"):
             load_spilled_columns(tmp_path / "s")

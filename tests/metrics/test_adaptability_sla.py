@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from tests.result_helpers import rows_to_columns
 
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.metrics.adaptability import (
     adaptability_report,
@@ -35,7 +36,7 @@ def _steady_result(rate=10.0, duration=20.0, latency=0.01, name="steady"):
     return RunResult(
         sut_name=name,
         scenario_name="scn",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, duration / 2), ("b", duration / 2, duration)],
     )
 
@@ -56,7 +57,7 @@ def _stalled_result(rate=10.0, duration=20.0, stall_at=10.0, stall_len=4.0):
     return RunResult(
         sut_name="stalled",
         scenario_name="scn",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
     )
 
@@ -197,7 +198,7 @@ class TestLatencyTimeline:
 
         result = RunResult(
             sut_name="x", scenario_name="s",
-            columns=QueryColumns.from_rows([(0.0, 0.0, 0.5, "read", "a")]),
+            columns=rows_to_columns([(0.0, 0.0, 0.5, "read", "a")]),
             segments=[("a", 0.0, 5.0)],
         )
         _, series = latency_timeline(result, interval=1.0)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.result_helpers import rows_to_columns
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.hardware import CPU
 from repro.core.phases import TrainingEvent, TrainingPhase, event_to_telemetry
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.core.scenario import Scenario, Segment
 from repro.errors import ConfigurationError
 from repro.metrics.cost import (
@@ -70,7 +71,7 @@ class TestCostBreakdown:
         return RunResult(
             sut_name="x",
             scenario_name="s",
-            columns=QueryColumns.from_rows(rows),
+            columns=rows_to_columns(rows),
             segments=[("a", 0.0, 100.0)],
             training_events=[
                 TrainingEvent(start=-1, duration=1, nominal_seconds=1,
@@ -126,7 +127,7 @@ class TestPhasesFromTrace:
         rows = [(float(i), float(i), float(i) + 0.1, "read", "a") for i in range(50)]
         result = RunResult(
             sut_name="x", scenario_name="s",
-            columns=QueryColumns.from_rows(rows),
+            columns=rows_to_columns(rows),
             segments=[("a", 0.0, 50.0)], training_events=events,
         )
         from_result = cost_breakdown(result)

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.result_helpers import assert_same_result, columns_to_rows, rows_to_columns
 
 from repro.core.queueing import fifo_multi_server
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
+from repro.core.runner import ResultCache
 from repro.core.scenario import Scenario, Segment
 from repro.metrics.adaptability import (
     area_vs_ideal,
@@ -210,7 +212,7 @@ def random_run(seed: int, n: int = 250, tie_edges: bool = True) -> RunResult:
     return RunResult(
         sut_name=f"rand-{seed}",
         scenario_name="golden",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, 25.0), ("b", 25.0, DURATION)],
     )
 
@@ -218,7 +220,7 @@ def random_run(seed: int, n: int = 250, tie_edges: bool = True) -> RunResult:
 def empty_run() -> RunResult:
     return RunResult(
         sut_name="empty", scenario_name="golden",
-        columns=QueryColumns.from_rows([]),
+        columns=rows_to_columns([]),
         segments=[("a", 0.0, 10.0)],
     )
 
@@ -226,7 +228,7 @@ def empty_run() -> RunResult:
 def single_query_run() -> RunResult:
     return RunResult(
         sut_name="one", scenario_name="golden",
-        columns=QueryColumns.from_rows([(1.5, 1.5, 3.0, "read", "a")]),
+        columns=rows_to_columns([(1.5, 1.5, 3.0, "read", "a")]),
         segments=[("a", 0.0, 10.0)],
     )
 
@@ -234,14 +236,14 @@ def single_query_run() -> RunResult:
 def _run(name, rows, segments=(("a", 0.0, 25.0), ("b", 25.0, DURATION))):
     return RunResult(
         sut_name=name, scenario_name="golden",
-        columns=QueryColumns.from_rows(rows), segments=segments,
+        columns=rows_to_columns(rows), segments=segments,
     )
 
 
 def shuffled_run(seed: int) -> RunResult:
     """``random_run``'s rows in a shuffled record order (arrivals unsorted)."""
     base = random_run(seed)
-    rows = base.to_dict()["queries"]
+    rows = columns_to_rows(base.columns)
     order = np.random.default_rng(seed + 1000).permutation(len(rows))
     return _run(f"shuffled-{seed}", [rows[i] for i in order])
 
@@ -265,7 +267,7 @@ def repeated_label_run(seed: int) -> RunResult:
     base = random_run(seed)
     rows = [
         row[:4] + ["b" if 20.0 <= row[0] < 40.0 else "a"]
-        for row in base.to_dict()["queries"]
+        for row in columns_to_rows(base.columns)
     ]
     segments = [("a", 0.0, 20.0), ("b", 20.0, 40.0), ("a", 40.0, DURATION)]
     return _run(f"repeated-label-{seed}", rows, segments)
@@ -433,19 +435,20 @@ class TestColumnarRepresentations:
     """The two construction paths must be observationally identical."""
 
     @pytest.mark.parametrize("result", RUNS, ids=RUN_IDS)
-    def test_wire_round_trip_is_byte_identical(self, result):
-        payload = result.to_json()
-        assert RunResult.from_json(payload).to_json() == payload
+    def test_cache_round_trip_is_bit_identical(self, result, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.store("key", result, meta={})
+        assert_same_result(cache.load("key"), result)
 
     def test_columns_round_trip_records(self):
         result = random_run(7)
         rebuilt = RunResult(
             sut_name=result.sut_name,
             scenario_name=result.scenario_name,
-            columns=result.columns,
+            columns=rows_to_columns(columns_to_rows(result.columns)),
             segments=result.segments,
         )
-        assert rebuilt.to_dict()["queries"] == result.to_dict()["queries"]
+        assert_same_result(rebuilt, result)
 
     def test_lazy_views_sorted(self):
         result = random_run(11)

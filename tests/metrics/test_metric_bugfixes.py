@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.result_helpers import rows_to_columns
 
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.metrics.adaptability import area_between_systems, recovery_time
 from repro.metrics.sla import latency_bands, multi_latency_bands
 
@@ -29,7 +30,7 @@ def _one_query_run(completion: float, horizon: float, name: str) -> RunResult:
     return RunResult(
         sut_name=name,
         scenario_name="s",
-        columns=QueryColumns.from_rows([(0.0, 0.0, completion, "read", "a")]),
+        columns=rows_to_columns([(0.0, 0.0, completion, "read", "a")]),
         segments=[("a", 0.0, horizon)],
     )
 
@@ -44,14 +45,14 @@ class TestRecoveryTimeIdleBaseline:
         result = RunResult(
             sut_name="x",
             scenario_name="s",
-            columns=QueryColumns.from_rows(rows),
+            columns=rows_to_columns(rows),
             segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
         )
         assert recovery_time(result, change_time=10.0, window=5.0) is None
 
     def test_empty_run_returns_none(self):
         result = RunResult(
-            sut_name="x", scenario_name="s", columns=QueryColumns.from_rows([]),
+            sut_name="x", scenario_name="s", columns=rows_to_columns([]),
             segments=[("a", 0.0, 10.0)],
         )
         assert recovery_time(result, change_time=5.0) is None
@@ -64,7 +65,7 @@ class TestRecoveryTimeIdleBaseline:
         result = RunResult(
             sut_name="x",
             scenario_name="s",
-            columns=QueryColumns.from_rows(rows),
+            columns=rows_to_columns(rows),
             segments=[("a", 0.0, 10.0), ("b", 10.0, 20.0)],
         )
         assert recovery_time(result, change_time=10.0, window=2.0) == 0.0
@@ -90,7 +91,7 @@ class TestBandEdgesMatchThroughputSeries:
         return RunResult(
             sut_name="x",
             scenario_name="s",
-            columns=QueryColumns.from_rows(rows),
+            columns=rows_to_columns(rows),
             segments=[("a", 0.0, self.HORIZON)],
         )
 
@@ -133,7 +134,7 @@ class TestAreaBetweenSystemsExact:
             return RunResult(
                 sut_name=name,
                 scenario_name="s",
-                columns=QueryColumns.from_rows(
+                columns=rows_to_columns(
                     [(0.0, 0.0, c, "read", "a") for c in completions]
                 ),
                 segments=[("a", 0.0, 10.0)],

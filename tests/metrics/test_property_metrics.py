@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.result_helpers import rows_to_columns
 
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.metrics.adaptability import (
     area_between_systems,
     area_vs_ideal,
@@ -39,7 +40,7 @@ def run_results(draw, max_queries=120):
     return RunResult(
         sut_name="rand",
         scenario_name="rand",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, horizon)],
     )
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tests.result_helpers import rows_to_columns
 
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.errors import ConfigurationError
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
 from repro.metrics.resilience import (
@@ -41,7 +42,7 @@ def _result(rate=8.0, duration=20.0, stall_at=None, stall_len=0.0,
     return RunResult(
         sut_name=name,
         scenario_name="scn",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, duration)],
         scenario_description=(
             {"faults": faults.describe()} if faults else None

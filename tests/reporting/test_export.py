@@ -6,9 +6,10 @@ import csv
 import io
 
 import pytest
+from tests.result_helpers import rows_to_columns
 
 from repro.core.phases import TrainingEvent
-from repro.core.results import QueryColumns, RunResult
+from repro.core.results import RunResult
 from repro.metrics.sla import latency_bands
 from repro.reporting.export import (
     bands_csv,
@@ -26,7 +27,7 @@ def result():
     return RunResult(
         sut_name="x",
         scenario_name="s",
-        columns=QueryColumns.from_rows(rows),
+        columns=rows_to_columns(rows),
         segments=[("a", 0.0, 20.0)],
         training_events=[
             TrainingEvent(start=-1.0, duration=1.0, nominal_seconds=1.0,
