@@ -110,6 +110,11 @@ class ShardSpec:
 _FLOAT_COLUMNS = ("arrivals", "starts", "completions")
 _CODE_COLUMNS = ("op_codes", "segment_codes")
 _COLUMNS = _FLOAT_COLUMNS + _CODE_COLUMNS
+#: Each code column, its sharded manifest's remap and its vocabulary.
+_CODE_VOCABS = (
+    ("op_codes", "op_map", "op_vocab"),
+    ("segment_codes", "segment_map", "segment_vocab"),
+)
 
 #: Manifest ``"encoding"`` of the npz writer. Each float64 column is
 #: stored as the eight byte planes of its bit-pattern deltas
@@ -567,9 +572,40 @@ def _load_sharded_columns(directory: Path, manifest: dict) -> QueryColumns:
             )
         for key in _FLOAT_COLUMNS:
             parts[key].append(getattr(shard, key))
-        for key, remap in (("op_codes", "op_map"), ("segment_codes", "segment_map")):
-            parts[key].append(np.asarray(entry[remap], dtype=np.int32)[getattr(shard, key)])
+        for key, remap, vocab in _CODE_VOCABS:
+            table = _code_map(entry, remap, len(getattr(shard, vocab)), len(manifest[vocab]))
+            parts[key].append(table[getattr(shard, key)])
     return _assemble(parts, manifest, directory)
+
+
+def _code_map(entry: dict, remap: str, local: int, merged: int) -> np.ndarray:
+    """A sharded manifest entry's ``remap`` as a table: one code in
+    ``[0, merged)`` for each of the shard's ``local`` codes."""
+    try:
+        table = np.asarray(entry[remap], dtype=np.int32)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        table = None
+    if (
+        table is None
+        or table.shape != (local,)
+        or (local and (table.min() < 0 or table.max() >= merged))
+    ):
+        raise ConfigurationError(
+            f"shard {entry['directory']!r}: {remap} {entry.get(remap)!r} does not "
+            f"map its {local} codes into the merged vocabulary of {merged}"
+        )
+    return table
+
+
+def _check_codes(columns: Dict[str, np.ndarray], vocabularies: dict, path: Path) -> None:
+    """Refuse a code column of ``path`` holding a code outside its vocabulary."""
+    for key, _, vocab in _CODE_VOCABS:
+        codes, size = columns[key], len(vocabularies[vocab])
+        if codes.size and (codes.min() < 0 or codes.max() >= size):
+            raise ConfigurationError(
+                f"spill shard {path.name!r} in {path.parent}: column {key!r} holds "
+                f"codes in [{codes.min()}, {codes.max()}], outside its {size}-name {vocab}"
+            )
 
 
 def _shard_members(encoding: Optional[str], files: Sequence[str]) -> List[str]:
@@ -723,6 +759,7 @@ def load_spilled_columns(directory) -> QueryColumns:
     for name in manifest["shards"]:
         path = _inside(directory, name)
         shard = _read_npz_shard(path, encoding)
+        _check_codes(shard, manifest, path)
         for key in _COLUMNS:
             parts[key].append(shard[key])
     return _assemble(parts, manifest, directory)
@@ -748,6 +785,7 @@ def read_column_file(path) -> Tuple[QueryColumns, Dict[str, Any]]:
     shard = _read_npz_shard(path, _ENCODING)
     try:
         header = json.loads(shard.pop("header").tobytes())
+        _check_codes(shard, header, path)
         parts = {key: [values] for key, values in shard.items()}
         return _assemble(parts, header, path), header
     except (ValueError, KeyError, TypeError) as exc:

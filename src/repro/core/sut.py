@@ -60,7 +60,11 @@ class KeyColumnPairs(Sequence):
 
     Args:
         keys: The keys, in load order (copied; the column is immutable).
-        values: One value per key; default: each key's rank ``0..n-1``.
+        values: One value per key; default: each key's rank ``0..n-1``,
+            as a ``range``. Held, not copied: a load of strictly
+            ascending keys may keep this very sequence as the index's
+            read-only values (the B+ tree and the delta layer do), so do
+            not write to it after handing it over.
     """
 
     __slots__ = ("key_column", "values")

@@ -112,6 +112,8 @@ class AdaptiveLearnedIndex(OrderedIndex):
         self._boundaries: List[float] = []  # boundaries[i] = min key of nodes[i+1]
         # float64 copy of ``_boundaries`` for ``bulk_lookup`` routing.
         self._boundary_flat = SortedKeyBuffer()
+        # Every stored key, ascending (:meth:`key_buffer`).
+        self._live = SortedKeyBuffer()
         self._size = 0
 
     @property
@@ -214,6 +216,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
             self._rebuild_or_split(node_idx, extra=(key, value))
         else:
             self._place(node, slot, key, value)
+        self._live.add(key)
         self._size += 1
         if node.count > self._node_capacity:
             self._rebuild_or_split(node_idx, extra=None)
@@ -295,6 +298,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
         node.occupied[slot] = False
         node.vals[slot] = None
         node.count -= 1
+        self._live.delete_at(int(self._live.view.searchsorted(key)))
         self._size -= 1
         self.stats.deletes += 1
 
@@ -327,6 +331,7 @@ class AdaptiveLearnedIndex(OrderedIndex):
         self._nodes = []
         self._boundaries = []
         self._boundary_flat = SortedKeyBuffer()
+        self._live = SortedKeyBuffer(keys)
         self._size = len(dedup)
         self.stats.inserts += len(dedup)
         chunk_size = max(8, int(self._node_capacity * self._density))
@@ -344,6 +349,9 @@ class AdaptiveLearnedIndex(OrderedIndex):
             self._nodes.append(node)
         self._boundary_flat = SortedKeyBuffer(self._boundaries)
         self.stats.retrains += 1
+
+    def key_buffer(self) -> SortedKeyBuffer:
+        return self._live
 
     def size_bytes(self) -> int:
         """Gapped slots (keys + values + occupancy) + models + routing."""

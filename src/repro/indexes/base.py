@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 def key_column(pairs) -> np.ndarray:
@@ -37,17 +39,22 @@ def strictly_ascending(keys: np.ndarray) -> bool:
     return bool((keys[1:] > keys[:-1]).all())
 
 
-def sorted_unique_pairs(pairs) -> Tuple[np.ndarray, List[Any]]:
+def sorted_unique_pairs(pairs) -> Tuple[np.ndarray, Sequence[Any]]:
     """Ascending unique float64 keys of ``pairs`` and their values.
 
     The one load-time sort every ``bulk_load`` shares: a stable argsort
     keeps equal keys in input order, so keeping the last of each run is
-    "last value wins". Strictly ascending keys are returned as they are.
+    "last value wins". Strictly ascending keys of a column-backed
+    sequence come back as they are, key column and value sequence alike
+    (the driver's ``range`` of ranks stays a ``range``): treat both as
+    read-only, and copy the values before writing to them. A tuple list
+    yields a new values list, and an unsorted or duplicated load new
+    keys and a new values list.
     """
     keys = key_column(pairs)
     values = pairs.values if hasattr(pairs, "key_column") else [v for _, v in pairs]
     if strictly_ascending(keys):
-        return keys, list(values)
+        return keys, values
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     last = np.ones(keys.size, dtype=bool)
@@ -174,6 +181,19 @@ class OrderedIndex(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Number of keys stored."""
+
+    def key_buffer(self) -> SortedKeyBuffer:
+        """The stored keys, ascending, as a live :class:`SortedKeyBuffer`.
+
+        Exact after every operation: the index's own ``bulk_load``,
+        ``insert``, ``bulk_apply`` and ``delete`` keep it, and keeping it
+        counts nothing in :attr:`stats`. Writing a key equal to a stored
+        one (``0.0`` onto ``-0.0``) keeps the stored one. Callers read and snap
+        against it, never write it. The key-value stores snap, scan and
+        count against it; every index in :mod:`repro.indexes` supplies
+        one (a B+ tree or a sorted array hands over its own key array).
+        """
+        raise NotImplementedError(f"{type(self).__name__} keeps no key buffer")
 
     # -- optional interface --------------------------------------------------
 

@@ -9,16 +9,19 @@ at ``order`` entries.
 The leaf level is laid out column-wise, like the array B+ trees that
 updatable learned indexes are measured against. Every key sits in one
 sorted :class:`SortedKeyBuffer`, and leaf ``i`` is the span
-``[ends[i-1], ends[i])`` of it. Values sit in one list, each at the slot
-a parallel column names for its key's position: a new key's value is
-appended, so adding keys moves slot numbers, never Python objects. Only
-inner nodes are objects. A key's leaf number is the count of separators
-at or below it, which is the child a ``bisect_right`` descent picks
-level by level. A leaf split inserts a boundary into ``ends`` and a
+``[ends[i-1], ends[i])`` of it. Values sit in one slot column
+(:class:`_ValueSlots`), each at the slot a parallel column names for its
+key's position: a new key's value is appended, so adding keys moves slot
+numbers, never Python objects. The column reads the loaded values in
+place and records only the slots written since, so a load of ranks
+builds no per-key object. Only inner nodes are objects. A key's leaf
+number is the count of separators at or below it, which is the child a
+``bisect_right`` descent picks level by level. A leaf split inserts a boundary into ``ends`` and a
 separator into the parent, and no key moves. The vectorized reads and
 writes (:meth:`BPlusTree.bulk_lookup`, :meth:`BPlusTree.bulk_apply`)
-search the same arrays, so there is no second copy of the keys to keep
-in step.
+search the same arrays, and the key-value store snaps against the same
+key buffer (:meth:`BPlusTree.key_buffer`), so there is no second copy of
+the keys to keep in step.
 
 Deletes never merge or rebalance: a leaf may go sparse or empty, and
 separators stay where they are.
@@ -27,7 +30,7 @@ separators stay where they are.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +60,57 @@ def _search_comps(sizes: np.ndarray) -> np.ndarray:
     return np.maximum(1, np.frexp(sizes.astype(np.float64))[1].astype(np.int64))
 
 
+class _ValueSlots:
+    """The value of every slot: the load's values, then the slots written since.
+
+    ``base`` is the value sequence the load handed over (a ``range`` of
+    ranks, say), read in place and never written; ``written`` holds every
+    slot written or appended since, and wins over ``base``. Slots
+    ``[0, len)`` are live.
+    """
+
+    __slots__ = ("base", "written", "size")
+
+    def __init__(self, base: Sequence[Any]) -> None:
+        self.base = base
+        self.written: Dict[int, Any] = {}
+        self.size = len(base)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, slot: int) -> Any:
+        written = self.written
+        return written[slot] if slot in written else self.base[slot]
+
+    def __setitem__(self, slot: int, value: Any) -> None:
+        self.written[slot] = value
+
+    def at(self, slots: List[int]) -> List[Any]:
+        """The values of ``slots``, in order."""
+        written, base = self.written, self.base
+        if not written:
+            return list(map(base.__getitem__, slots))
+        return [written[s] if s in written else base[s] for s in slots]
+
+    def append(self, value: Any) -> None:
+        self.written[self.size] = value
+        self.size += 1
+
+    def extend(self, count: int) -> None:
+        """Append ``count`` slots holding ``None``."""
+        self.written.update(dict.fromkeys(range(self.size, self.size + count)))
+        self.size += count
+
+    def move_last(self, freed: int) -> None:
+        """Free slot ``freed``: the last slot's value moves into it."""
+        last = self.size - 1
+        if freed != last:
+            self.written[freed] = self[last]
+        self.written.pop(last, None)
+        self.size = last
+
+
 def _earlier_in_group(groups: np.ndarray, marked: np.ndarray) -> np.ndarray:
     """Per row, how many ``marked`` rows before it share its group.
 
@@ -82,7 +136,7 @@ class BPlusTree(OrderedIndex):
             conscious in-memory tree.
 
     The leaf level is five arrays in key order: ``_keys`` (every stored
-    key), ``_slot`` (each position's index into ``_values``), ``_leaf_of``
+    key), ``_slot`` (each position's slot in ``_values``), ``_leaf_of``
     (each position's leaf number), ``_ends`` (each leaf's end position)
     and ``_seps`` (every separator, one per leaf boundary). ``_path``
     holds, per leaf, the comparisons of the inner nodes on the way down
@@ -136,7 +190,7 @@ class BPlusTree(OrderedIndex):
         self.stats.lookups += 1
         _, pos, found = self._search(key)
         if found:
-            return self._values[self._slot.view[pos]]
+            return self._values[self._slot.view.item(pos)]
         raise KeyNotFoundError(key)
 
     # -- bulk reads and writes -------------------------------------------------
@@ -223,14 +277,15 @@ class BPlusTree(OrderedIndex):
             self._leaf_of.merge(points, new_leaves)
             appended = len(self._values)
             self._slot.merge(points, np.arange(appended, appended + new_keys.size))
-            self._values.extend([None] * new_keys.size)
+            self._values.extend(new_keys.size)
             self._ends += np.cumsum(np.bincount(new_leaves, minlength=sizes.size))
         write_rows = np.flatnonzero(writes)
         # A write's position after the merge: before it, plus the new keys below it.
         final = pos[write_rows] + new_keys.searchsorted(keys[write_rows])
-        stored = self._values
-        for slot, row in zip(self._slot.view[final].tolist(), write_rows.tolist()):
-            stored[slot] = values[row]
+        # In row order, so a repeated key keeps its last value.
+        self._values.written.update(
+            zip(self._slot.view[final].tolist(), map(values.__getitem__, write_rows.tolist()))
+        )
         return counts
 
     # -- insert ---------------------------------------------------------------
@@ -239,7 +294,7 @@ class BPlusTree(OrderedIndex):
         self.stats.inserts += 1
         leaf, pos, found = self._search(key)
         if found:
-            self._values[self._slot.view[pos]] = value
+            self._values[self._slot.view.item(pos)] = value
             return
         self._keys.insert_at(pos, key)
         self._leaf_of.insert_at(pos, leaf)
@@ -311,11 +366,10 @@ class BPlusTree(OrderedIndex):
         pos, found = self._locate(key)
         if not found:
             raise KeyNotFoundError(key)
-        slots, values = self._slot.view, self._values
-        freed, last = int(slots[pos]), len(values) - 1
-        slots[slots == last] = freed
-        values[freed] = values[last]
-        values.pop()
+        slots = self._slot.view
+        freed = int(slots[pos])
+        slots[slots == len(self._values) - 1] = freed
+        self._values.move_last(freed)
         self._keys.delete_at(pos)
         self._leaf_of.delete_at(pos)
         self._slot.delete_at(pos)
@@ -342,18 +396,26 @@ class BPlusTree(OrderedIndex):
 
     def _values_at(self, start: int, stop: int) -> List[Any]:
         """The values of positions ``[start, stop)``, in key order."""
-        return list(map(self._values.__getitem__, self._slot.view[start:stop].tolist()))
+        return self._values.at(self._slot.view[start:stop].tolist())
 
     def items(self) -> Iterator[Tuple[float, Any]]:
         return zip(self._keys.view.tolist(), self._values_at(0, len(self)))
 
+    def key_buffer(self) -> SortedKeyBuffer:
+        """The leaf level's own key array, ``_keys``."""
+        return self._keys
+
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        """Build bottom-up from sorted pairs (deduplicated by last wins)."""
+        """Build bottom-up from sorted pairs (deduplicated by last wins).
+
+        The value sequence is kept as handed over, as the read-only base
+        of the slot column: no per-key object is built.
+        """
         keys, values = sorted_unique_pairs(pairs)
         self.stats.inserts += keys.size
         self._build(keys, values)
 
-    def _build(self, keys: np.ndarray, values: List[Any]) -> None:
+    def _build(self, keys: np.ndarray, values: Sequence[Any]) -> None:
         """Lay out ``keys`` (ascending, unique) in half-full leaves, then the
         inner levels over them: groups of ``(order + 1) // 2 + 1`` children,
         a lone trailing child folded into the group before it."""
@@ -361,7 +423,7 @@ class BPlusTree(OrderedIndex):
         n = keys.size
         n_leaves = max(1, -(-n // per_leaf))
         self._keys = SortedKeyBuffer(keys)
-        self._values = values
+        self._values = _ValueSlots(values)
         self._slot = PositionTagBuffer(np.arange(n))
         self._leaf_of = PositionTagBuffer(np.arange(n) // per_leaf)
         self._ends = np.minimum(np.arange(1, n_leaves + 1) * per_leaf, n)

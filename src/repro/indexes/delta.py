@@ -14,14 +14,17 @@ key tombstones the base key too, so the old value cannot come back.
 A retrain merges delta and tombstones into the base (a shadowing key
 keeps the base key's bits: ``-0.0`` stays ``-0.0`` under ``0.0``) and
 rebuilds the model; so does an insert that grows the delta past
-``max_delta``. A subclass supplies only its model: ``_train``,
-``_search``, ``_bulk_search`` and ``_model_bytes``.
+``max_delta``. Beside them, one more key buffer holds every live key
+(:meth:`~repro.indexes.base.OrderedIndex.key_buffer`), kept by load,
+insert and delete; a merge leaves the live set as it is. A subclass
+supplies only its model: ``_train``, ``_search``, ``_bulk_search`` and
+``_model_bytes``.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +53,8 @@ class DeltaBufferedIndex(OrderedIndex):
         super().__init__()
         self._max_delta = max_delta
         self._keys: np.ndarray = np.empty(0, dtype=np.float64)
-        self._values: List[Any] = []
+        self._values: Sequence[Any] = []
+        self._live = SortedKeyBuffer()
         self._clear_delta()
 
     def _clear_delta(self) -> None:
@@ -87,8 +91,13 @@ class DeltaBufferedIndex(OrderedIndex):
     # -- build ----------------------------------------------------------------------
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        """Sort, dedupe (last value wins) and train on ``pairs``."""
+        """Sort, dedupe (last value wins) and train on ``pairs``.
+
+        The base values are kept as handed over: the base is never
+        written in place, only replaced by a merge.
+        """
         self._keys, self._values = sorted_unique_pairs(pairs)
+        self._live = SortedKeyBuffer(self._keys)
         self._clear_delta()
         self.stats.inserts += len(self._keys)
         self._train()
@@ -189,6 +198,7 @@ class DeltaBufferedIndex(OrderedIndex):
         else:
             self._delta.insert_at(dpos, key)
             self._delta_values.insert(dpos, value)
+            self._live.add(key)
         self.stats.node_accesses += 1
         if self._max_delta is not None and len(self._delta) > self._max_delta:
             self.retrain()
@@ -202,6 +212,7 @@ class DeltaBufferedIndex(OrderedIndex):
             raise KeyNotFoundError(key)
         if _held(self._keys, key):
             self._tombstones.add(key)  # a base copy goes too, shadowed or not
+        self._live.delete_at(int(self._live.view.searchsorted(key)))
         self.stats.deletes += 1
 
     # -- range / iteration ----------------------------------------------------------
@@ -218,10 +229,12 @@ class DeltaBufferedIndex(OrderedIndex):
     def items(self) -> Iterator[Tuple[float, Any]]:
         return iter(self.range(float("-inf"), float("inf")))
 
+    def key_buffer(self) -> SortedKeyBuffer:
+        return self._live
+
     def size_bytes(self) -> int:
         """Base and delta keys with value pointers, plus the model."""
         return 16 * (len(self._keys) + len(self._delta)) + self._model_bytes()
 
     def __len__(self) -> int:
-        shadowing = int(_held(self._keys, self._delta.view).sum())
-        return len(self._keys) - len(self._tombstones) + len(self._delta) - shadowing
+        return len(self._live)

@@ -7,6 +7,10 @@ move inside a buffer with spare capacity, and a sorted batch of new keys
 moves each stretch of the old ones once, so the flat view is never stale
 and never costs O(n) Python work per write.
 
+A buffer of ``n`` initial keys starts with room for ``n + n // 8`` (an
+empty one for 16), so the first writes after a load fit without copying
+the buffer; once full, capacity at least doubles.
+
 A large snap (:meth:`SortedKeyBuffer.snap`) reads a *bucket directory*:
 a position model over the view with a bounded last-mile search, the
 learned-index idea applied to the harness itself, and exact.
@@ -54,17 +58,20 @@ class SortedKeyBuffer:
     """Sorted, duplicate-free float64 keys in a capacity-doubling buffer.
 
     Args:
-        keys: Initial keys, already sorted and unique. The first buffer
-            is exactly this size; capacity doubles when an insert finds
-            it full.
+        keys: Initial keys, already sorted and unique (copied). The first
+            buffer holds ``n + n // 8`` keys (16 when empty); capacity at
+            least doubles when a write finds it full.
     """
 
     __slots__ = ("_buf", "_n", "_directory")
     _dtype = np.float64
 
     def __init__(self, keys=()) -> None:
-        self._buf = np.array(keys, dtype=self._dtype)
-        self._n = self._buf.size
+        keys = np.asarray(keys, dtype=self._dtype)
+        n = keys.size
+        self._buf = np.empty(n + n // 8 if n else 16, dtype=self._dtype)
+        self._buf[:n] = keys
+        self._n = n
         self._directory = None
 
     def __len__(self) -> int:

@@ -109,9 +109,14 @@ class SortedArrayIndex(OrderedIndex):
     def items(self) -> Iterator[Tuple[float, Any]]:
         return iter(zip(self._keys.view.tolist(), list(self._values)))
 
+    def key_buffer(self) -> SortedKeyBuffer:
+        """The index's own key array, ``_keys``."""
+        return self._keys
+
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        keys, self._values = sorted_unique_pairs(pairs)  # last value wins
+        keys, values = sorted_unique_pairs(pairs)  # last value wins
         self._keys = SortedKeyBuffer(keys)
+        self._values = list(values)  # insert and delete write it in place
         self.stats.inserts += len(self._keys)
 
     def __len__(self) -> int:

@@ -6,6 +6,9 @@ convention that operations target existing records, the base SUT *snaps*
 each requested key to the nearest stored key (driver-side bookkeeping, no
 virtual time charged) and then executes the real operation on the real
 index; the index's stats delta is what gets priced into service time.
+Snaps, scan bounds and the key count read the index's own sorted key
+buffer (:meth:`~repro.indexes.base.OrderedIndex.key_buffer`), which the
+index keeps exact through its writes: the store holds no key set of its own.
 
 Batched execution serves maximal runs of READs through the index's
 ``bulk_lookup`` kernel. When the index implements ``bulk_apply``, a run
@@ -21,8 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.sut import SystemUnderTest
-from repro.indexes.base import OrderedIndex, key_column, strictly_ascending
-from repro.indexes.keybuffer import SortedKeyBuffer
+from repro.indexes.base import OrderedIndex
 from repro.suts.cost_models import KVCostModel
 from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryBatch
 
@@ -53,27 +55,16 @@ class KVStoreBase(SystemUnderTest):
         self.index = index
         self.cost_model = cost_model or KVCostModel()
         self.tuning_level = tuning_level
-        # Sorted copy of the index's key set, for snapping and scan bounds.
-        self._mirror = SortedKeyBuffer()
 
     # -- lifecycle --------------------------------------------------------------
 
     def setup(self, pairs: List[Tuple[float, object]]) -> None:
         self.index.bulk_load(pairs)
-        keys = key_column(pairs)
-        self._mirror = SortedKeyBuffer(
-            keys if strictly_ascending(keys) else np.unique(keys)
-        )
 
     def inject(self, pairs: List[Tuple[float, object]]) -> None:
-        """Bulk data injection: loads the index, skips the clock.
-
-        The mirror takes the new keys in one merge.
-        """
+        """Bulk data injection: loads the index, skips the clock."""
         for key, value in pairs:
             self.index.insert(key, value)
-        keys = key_column(pairs)
-        self._merge_new_keys(keys, self._mirror.view.searchsorted(keys))
 
     def teardown(self) -> None:
         # Flush the index's cumulative work counters into the run's
@@ -83,13 +74,12 @@ class KVStoreBase(SystemUnderTest):
         self.tracer.counter("index.model_evaluations", stats.model_evaluations)
         self.tracer.counter("index.retrains", stats.retrains)
         self.tracer.counter("index.node_accesses", stats.node_accesses)
-        self._mirror = SortedKeyBuffer()
 
     # -- key snapping --------------------------------------------------------------
 
     def _snap(self, key: float) -> Optional[float]:
         """Nearest stored key to ``key`` (None when the store is empty)."""
-        keys = self._mirror.view
+        keys = self.index.key_buffer().view
         n = keys.size
         if not n:
             return None
@@ -106,16 +96,16 @@ class KVStoreBase(SystemUnderTest):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`_snap` (caller guarantees a non-empty store).
 
-        Returns the snapped keys, each one's rank in the mirror, so the
-        index can be told where its keys are instead of searching again,
-        and each key's gap (its insertion point in the mirror); see
-        :meth:`SortedKeyBuffer.snap`.
+        Returns the snapped keys, each one's rank among the stored keys,
+        so the index can be told where its keys are instead of searching
+        again, and each key's gap (its insertion point among them); see
+        :meth:`~repro.indexes.keybuffer.SortedKeyBuffer.snap`.
         """
-        return self._mirror.snap(keys)
+        return self.index.key_buffer().snap(keys)
 
     def _scan_bounds(self, key: float, length: int) -> Tuple[float, float]:
         """Start/end stored keys covering ``length`` items from ``key``."""
-        keys = self._mirror.view
+        keys = self.index.key_buffer().view
         pos = min(int(keys.searchsorted(key)), keys.size - 1)
         end = min(pos + max(1, length) - 1, keys.size - 1)
         return keys.item(pos), keys.item(end)
@@ -138,10 +128,9 @@ class KVStoreBase(SystemUnderTest):
                 writes = 1
         elif query.op == KVOperation.INSERT:
             self.index.insert(query.key, now)
-            self._mirror.add(query.key)
             writes = 1
         elif query.op == KVOperation.SCAN:
-            if self._mirror:
+            if self.stored_keys:
                 low, high = self._scan_bounds(query.key, query.scan_length)
                 scanned = len(self.index.range(low, high))
         elif query.op == KVOperation.READ_MODIFY_WRITE:
@@ -248,15 +237,15 @@ class KVStoreBase(SystemUnderTest):
     ) -> Optional[int]:
         """Serve one bulk run from ``a``; return its end, or ``None``.
 
-        The run is snapped once against the mirror and priced once: a
-        write's ``writes`` is 1, as :meth:`execute` prices it, a read's
+        The run is snapped once against the stored keys and priced once:
+        a write's ``writes`` is 1, as :meth:`execute` prices it, a read's
         0, and each write stores its arrival, as :meth:`execute` does.
         With INSERTs the run ends before the first READ/UPDATE whose gap
-        (insertion point in the mirror) an earlier INSERT of the run
-        landed in: only there could the scalar snap differ. The mirror
-        then takes the run's new keys in one merge. ``None`` means the
-        index declined (or the store was empty under an INSERT), with
-        nothing served.
+        (insertion point among the stored keys) an earlier INSERT of the
+        run landed in: only there could the scalar snap differ. The
+        index's ``bulk_apply`` adds the run's new keys to its key buffer.
+        ``None`` means the index declined (or the store was empty under
+        an INSERT), with nothing served.
         """
         self.tracer.counter("kv.read_runs")
         cost = self.cost_model
@@ -265,7 +254,7 @@ class KVStoreBase(SystemUnderTest):
         writes = ops != _READ_CODE
         inserts = ops == _INSERT_CODE
         n_inserts = int(np.count_nonzero(inserts))
-        if not self._mirror:
+        if not self.stored_keys:
             if n_inserts:
                 return None
             # Empty store: every read and update is a snap-miss costing
@@ -297,8 +286,6 @@ class KVStoreBase(SystemUnderTest):
         services[a:b] = cost.service_time_arrays(
             *counts, writes=writes if n_writes else 0, tuning_level=tuning
         )
-        if n_inserts:
-            self._merge_new_keys(keys[inserts], gaps[inserts])
         self.tracer.counter("kv.bulk_hit_runs")
         self.tracer.counter("kv.bulk_hit_queries", b - a - n_writes)
         if n_writes > n_inserts:
@@ -307,17 +294,6 @@ class KVStoreBase(SystemUnderTest):
             self.tracer.counter("kv.bulk_insert_queries", n_inserts)
         self._after_execute_slice(batch, a, b)
         return b
-
-    def _merge_new_keys(self, keys: np.ndarray, gaps: np.ndarray) -> None:
-        """Add the ``keys`` (with their ``gaps``) the mirror lacks, in one
-        merge; of equal keys, the first wins, as a loop of ``add`` keeps it."""
-        mirror = self._mirror.view
-        if not mirror.size:
-            new = np.ones(keys.size, dtype=bool)
-        else:
-            new = mirror[np.minimum(gaps, mirror.size - 1)] != keys
-        new_keys, first = np.unique(keys[new], return_index=True)
-        self._mirror.merge(gaps[new][first], new_keys)
 
     def _after_execute_slice(self, batch: QueryBatch, a: int, b: int) -> None:
         """Fire :meth:`_after_execute` for queries ``[a, b)``, in order.
@@ -337,7 +313,7 @@ class KVStoreBase(SystemUnderTest):
     @property
     def stored_keys(self) -> int:
         """Number of keys currently stored."""
-        return len(self._mirror)
+        return len(self.index.key_buffer())
 
     def describe(self) -> dict:
         out = super().describe()

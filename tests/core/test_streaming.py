@@ -15,12 +15,16 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
 from repro.core.scenario import Scenario, Segment
+from repro.core.results import QueryColumns
 from repro.core.streaming import (
     ColumnSpiller,
     StreamBlock,
     StreamingRecorder,
     StreamingRunSummary,
     load_spilled_columns,
+    read_column_file,
+    write_column_file,
+    write_sharded_manifest,
 )
 from repro.errors import ConfigurationError, DriverError
 from repro.faults import CrashFault, FaultPlan, LatencyFault, StallFault
@@ -705,6 +709,61 @@ class TestLoadSpilledColumns:
             ConfigurationError, match="unknown spill format 'parquet'.*'npz'"
         ):
             load_spilled_columns(tmp_path / "s")
+
+
+class TestCodesWithinVocabularies:
+    """A code that is negative or past its vocabulary is refused naming
+    the shard, instead of raising ``IndexError`` or loading and failing
+    later in ``QueryColumns.ops()``."""
+
+    @staticmethod
+    def _spill(directory, op=0, segment=0):
+        spiller = ColumnSpiller(directory)
+        spiller.write(_block(10, op=op, segment=segment))
+        return spiller.finish(["read"], ["a"])
+
+    @pytest.mark.parametrize("op, segment", [(5, 0), (-1, 0), (0, 1), (0, -3)])
+    def test_flat_spill(self, tmp_path, op, segment):
+        self._spill(tmp_path / "s", op, segment)
+        with pytest.raises(ConfigurationError, match="shard-00000.npz.*code"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_sharded_spill(self, tmp_path):
+        shard = self._spill(tmp_path / "s" / "shard-0", op=5)
+        write_sharded_manifest(tmp_path / "s", [shard], ["read"], ["a"])
+        where = r"shard-00000.npz' in \S*shard-0: column 'op_codes' holds code"
+        with pytest.raises(ConfigurationError, match=where):
+            load_spilled_columns(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "remap, value", [("op_map", [1]), ("op_map", [-1]), ("segment_map", [0, 0]),
+                         ("op_map", []), ("segment_map", "a"), ("op_map", None)]
+    )
+    def test_sharded_remap_outside_the_merged_vocabulary(self, tmp_path, remap, value):
+        shard = self._spill(tmp_path / "s" / "shard-0")
+        write_sharded_manifest(tmp_path / "s", [shard], ["read"], ["a"])
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        manifest["shards"][0][remap] = value
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match=f"shard 'shard-0'.*{remap}"):
+            load_spilled_columns(tmp_path / "s")
+
+    def test_sharded_spill_with_valid_codes_still_loads(self, tmp_path):
+        shard = self._spill(tmp_path / "s" / "shard-0")
+        write_sharded_manifest(tmp_path / "s", [shard], ["scan", "read"], ["z", "a"])
+        loaded = load_spilled_columns(tmp_path / "s")
+        assert loaded.ops() == ["read"] * 10 and loaded.segment_names() == ["a"] * 10
+
+    def test_column_file(self, tmp_path):
+        block = _block(10, op=5)
+        columns = QueryColumns(
+            arrivals=block.arrivals, starts=block.starts, completions=block.completions,
+            op_codes=block.op_codes, op_vocab=("read",),
+            segment_codes=block.segment_codes, segment_vocab=("a",),
+        )
+        write_column_file(tmp_path / "entry.npz", columns, {})
+        with pytest.raises(ConfigurationError, match="entry.npz.*code"):
+            read_column_file(tmp_path / "entry.npz")
 
 
 class TestSpillTracing:

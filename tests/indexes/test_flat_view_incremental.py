@@ -266,7 +266,7 @@ def _spec(mix, rate):
 
 def _assert_batch_on_twins(make, pairs, batch, tracer=None):
     """One ``execute_batch`` against the ``execute`` loop on a twin store:
-    services, counters, key counts, stored values, the snap mirror and
+    services, counters, key counts, stored values, the key buffer and
     hook calls."""
     batched, looped = make(), make()
     if tracer is not None:
@@ -282,7 +282,7 @@ def _assert_batch_on_twins(make, pairs, batch, tracer=None):
     assert batched.index.stats == looped.index.stats
     assert batched.stored_keys == looped.stored_keys == len(batched.index)
     assert list(batched.index.items()) == list(looped.index.items())
-    assert batched._mirror.view.tolist() == looped._mirror.view.tolist()
+    assert batched.index.key_buffer().view.tolist() == looped.index.key_buffer().view.tolist()
     assert getattr(batched, "log", None) == getattr(looped, "log", None)
 
 
@@ -492,7 +492,7 @@ def test_inserts_in_other_gaps_do_not_cut():
     trace = tracer.finish()
     assert trace.counter("kv.run_cuts") == 0
     assert trace.counter("kv.bulk_hit_runs") == 1
-    assert sut._mirror.view.tolist() == sorted([k for k, _ in TENS] + [0.0, 15.0, 101.0])
+    assert sut.index.key_buffer().view.tolist() == sorted([k for k, _ in TENS] + [0.0, 15.0, 101.0])
     assert sut.index.get(15.0) == 3.0  # the repeat's arrival
 
 

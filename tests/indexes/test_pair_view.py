@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sut import KeyColumnPairs
+from repro.errors import KeyNotFoundError
 from repro.indexes import (
     AdaptiveLearnedIndex,
     BPlusTree,
@@ -124,11 +125,64 @@ def test_store_mirror_is_the_sorted_unique_keys(keys):
     for pairs in (KeyColumnPairs(keys), [(k, i) for i, k in enumerate(keys)]):
         store = TraditionalKVStore()
         store.setup(pairs)
-        assert store._mirror.view.tolist() == sorted(set(keys))
+        assert store.index.key_buffer().view.tolist() == sorted(set(keys))
         assert store.stored_keys == len(store.index)
 
 
 def test_ascending_column_is_handed_over_unsorted_and_uncopied():
+    """Keys and values alike: the default ranks stay a ``range``."""
     view = KeyColumnPairs(np.linspace(0.0, 1e9, 1000))
     keys, values = sorted_unique_pairs(view)
-    assert keys is view.key_column and values == list(range(1000))
+    assert keys is view.key_column and values is view.values
+    assert values == range(1000)
+
+
+@pytest.mark.parametrize("order", [4, 64])
+@given(
+    keys=st.lists(st.integers(0, 200), min_size=1, max_size=60, unique=True).map(sorted),
+    fresh=st.lists(st.integers(201, 300), max_size=10, unique=True),
+    overwrite=st.lists(st.integers(0, 59), max_size=8),
+    drop=st.lists(st.integers(0, 80), max_size=20),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_btree_rank_values_read_like_an_explicit_rank_list(order, keys, fresh, overwrite, drop):
+    """The B+ tree keeps a rank load's ``range`` as its values' base. After
+    a ``bulk_apply``, inserts and deletes that free slots below and above
+    the load size (each moving the last slot), it answers ``get``,
+    ``items()`` and ``range()`` exactly as a load of ``[(k, i), ...]``."""
+    keys = [float(k) for k in keys]
+    lazy, listed = BPlusTree(order=order), BPlusTree(order=order)
+    lazy.bulk_load(KeyColumnPairs(keys))
+    listed.bulk_load([(k, i) for i, k in enumerate(keys)])
+    assert isinstance(lazy._values.base, range)
+    model = dict(zip(keys, range(len(keys))))
+    written = [keys[i % len(keys)] for i in overwrite]
+    run = np.asarray(written + [float(k) for k in fresh[: len(fresh) // 2]])
+    values = [f"bulk{i}" for i in range(run.size)]
+    for tree in (lazy, listed):
+        out = tree.bulk_apply(run, None, np.ones(run.size, dtype=bool), values)
+    if out is not None:
+        model.update(zip(run.tolist(), values))
+    for k in fresh[len(fresh) // 2 :]:
+        for tree in (lazy, listed):
+            tree.insert(float(k), f"ins{k}")
+        model[float(k)] = f"ins{k}"
+    stored = sorted(model)
+    for i in drop:
+        if not stored:
+            break
+        victim = stored.pop(i % len(stored))
+        for tree in (lazy, listed):
+            tree.delete(victim)
+        del model[victim]
+    assert list(lazy.items()) == list(listed.items()) == sorted(model.items())
+    for k in keys + [float(k) for k in fresh]:
+        if k in model:
+            assert lazy.get(k) == listed.get(k) == model[k]
+        else:
+            for tree in (lazy, listed):
+                with pytest.raises(KeyNotFoundError):
+                    tree.get(k)
+    for low, high in [(-1.0, 301.0), (0.0, 100.0), (50.5, 250.0), (201.0, 300.0)]:
+        assert lazy.range(low, high) == listed.range(low, high)
+    assert lazy.stats == listed.stats

@@ -78,7 +78,7 @@ class TestKVBase:
         assert sut.stored_keys == len(pairs) + 2
 
     def test_duplicate_keys_are_stored_once(self):
-        """The snap mirror follows the index: a re-inserted key overwrites."""
+        """The snapped key set is the index's: a re-inserted key overwrites."""
         sut = TraditionalKVStore()
         sut.setup([(float(k), None) for k in range(10)] + [(7.0, "again")])
         assert sut.stored_keys == len(sut.index) == 10
@@ -94,22 +94,23 @@ class TestKVBase:
            injected=st.lists(st.integers(-10, 60), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_inject_merges_like_a_loop_of_adds(self, stored, injected):
-        """One merge into the mirror, as the per-key ``add`` loop left it:
-        into an empty store too, with repeats and keys already stored."""
+        """The index's key buffer after an inject is what a per-key
+        ``add`` loop leaves: into an empty store too, with repeats and
+        keys already stored."""
         sut = TraditionalKVStore()
         sut.setup([(float(k), None) for k in stored])
-        model = SortedKeyBuffer(sut._mirror.view.copy())
+        model = SortedKeyBuffer(sut.index.key_buffer().view.copy())
         for k in injected:
             model.add(float(k))
         sut.inject([(float(k), None) for k in injected])
-        assert sut._mirror.view.tolist() == model.view.tolist()
-        assert sut._mirror.view.tolist() == [k for k, _ in sut.index.items()]
+        assert sut.index.key_buffer().view.tolist() == model.view.tolist()
+        assert sut.index.key_buffer().view.tolist() == [k for k, _ in sut.index.items()]
 
     def test_inject_keeps_the_first_of_equal_keys(self):
         sut = TraditionalKVStore()
         sut.setup([])
         sut.inject([(-0.0, None), (0.0, None), (1.0, None)])
-        assert np.signbit(sut._mirror.view).tolist() == [True, False]
+        assert np.signbit(sut.index.key_buffer().view).tolist() == [True, False]
 
 
 class TestSnapBatch:
@@ -132,10 +133,10 @@ class TestSnapBatch:
         snapped, ranks, gaps = sut._snap_batch(needles)
         assert snapped.tolist() == [sut._snap(float(k)) for k in needles]
         assert snapped.dtype == np.float64 and ranks.dtype == gaps.dtype == np.intp
-        mirror = sut._mirror.view
-        assert mirror[ranks].tolist() == snapped.tolist()
-        assert ranks.tolist() == np.searchsorted(mirror, snapped).tolist()
-        assert gaps.tolist() == np.searchsorted(mirror, needles).tolist()
+        stored = sut.index.key_buffer().view
+        assert stored[ranks].tolist() == snapped.tolist()
+        assert ranks.tolist() == np.searchsorted(stored, snapped).tolist()
+        assert gaps.tolist() == np.searchsorted(stored, needles).tolist()
 
     @given(stored=STORED, needles=NEEDLES)
     @settings(max_examples=200, deadline=None)
@@ -166,17 +167,17 @@ class TestSnapBatch:
     def test_a_call_of_an_eighth_of_the_store_reads_the_directory(self):
         sut = self._store(self.EVEN)
         self._check(sut, np.arange(-3.0, 403.0, 0.75)[::17])
-        assert sut._mirror._directory.table is not None
+        assert sut.index.key_buffer()._directory.table is not None
 
     def test_a_smaller_call_on_a_dropped_directory_takes_the_general_path(self):
         sut = self._store(self.EVEN)
         self._check(sut, np.arange(-3.0, 403.0, 0.75))
         sut.execute(_query(KVOperation.INSERT, 101.0), 0.0)
-        assert sut._mirror._directory is None
+        assert sut.index.key_buffer()._directory is None
         self._check(sut, [100.5, 101.0, 101.5, 100.0, 102.0, -3.0, 999.0])
-        assert sut._mirror._directory is None
+        assert sut.index.key_buffer()._directory is None
         self._check(sut, np.arange(99.0, 103.0, 0.125))
-        assert sut._mirror._directory is not None
+        assert sut.index.key_buffer()._directory is not None
 
     def test_non_finite_needles_leak_no_warning(self):
         sut = self._store(self.EVEN)
