@@ -80,6 +80,31 @@ def verified_ranks(ranks, sorted_keys: np.ndarray, keys: np.ndarray) -> Optional
     return ranks.astype(np.intp, copy=False) if proven else None
 
 
+def verified_gaps(ranks, sorted_keys: np.ndarray, keys: np.ndarray) -> Optional[np.ndarray]:
+    """``ranks`` if it provably is each of ``keys``' insertion point, else ``None``.
+
+    The insertion point is ``searchsorted(sorted_keys, keys)`` (left): a
+    stored key's position, an unstored key's gap. ``ranks`` is the same
+    untrusted hint :func:`verified_ranks` checks, returned only after its
+    type, shape and bounds have been checked and
+    ``sorted_keys[r - 1] < key <= sorted_keys[r]`` holds for every key,
+    with no bound below a rank of 0 and none above ``len(sorted_keys)``.
+    """
+    n = sorted_keys.size
+    if not (
+        isinstance(ranks, np.ndarray)
+        and ranks.dtype.kind in "iu"
+        and ranks.shape == keys.shape
+        and n
+        and (not keys.size or (ranks.min() >= 0 and ranks.max() <= n))
+    ):
+        return None
+    ranks = ranks.astype(np.intp, copy=False)
+    below = (ranks == 0) | (sorted_keys.take(ranks - 1, mode="clip") < keys)
+    above = (ranks == n) | (keys <= sorted_keys.take(ranks, mode="clip"))
+    return ranks if (below & above).all() else None
+
+
 @dataclass
 class IndexStats:
     """Cumulative operation counters for an index.
@@ -224,18 +249,23 @@ class OrderedIndex(ABC):
         Row ``i`` is a :meth:`get` of ``keys[i]`` when ``writes[i]`` is
         false, else an :meth:`insert` of ``keys[i]`` → ``values[i]``: a
         new key, or an overwrite when the key is stored or an earlier row
-        wrote it (a repeated key keeps its last value). Contract: when
-        supported, perform the rows in order, commit exactly the counter
-        increments that call sequence would have made (``lookups`` for
-        reads, ``inserts`` for writes, plus comparisons and node
-        accesses), and return a ``(comparisons, node_accesses,
-        model_evaluations)`` tuple of per-row int arrays. Return ``None``
-        — with :attr:`stats`, every value and the key set untouched — when
-        the bulk path is unsupported, a read's key is not stored at the
-        start of the call, or the index cannot stay exact (a B+ tree leaf
-        split, say). ``ranks`` is the same untrusted hint
-        :meth:`bulk_lookup` takes, as positions in the key set before the
-        call. Default: unsupported.
+        wrote it (a repeated key keeps its last value). A read may be of a
+        stored key or of one an earlier row wrote. Contract: when
+        supported, perform the rows in order up to the first row the
+        index cannot serve exactly (a B+ tree leaf split, say), commit
+        exactly the counter increments that call sequence would have made
+        (``lookups`` for reads, ``inserts`` for writes, plus comparisons
+        and node accesses), and return a ``(comparisons, node_accesses,
+        model_evaluations)`` tuple of per-row int arrays for the rows
+        served, a prefix of the call. Return ``None`` — with
+        :attr:`stats`, every value and the key set untouched — when the
+        bulk path is unsupported, row 0 cannot be served, or a read's key
+        is neither stored at the start of the call nor written by an
+        earlier row. ``ranks`` is an untrusted hint of each key's
+        insertion point in the key set before the call (a stored key's
+        position, an unstored key's gap); an index may skip its own
+        search only after :func:`verified_gaps` has proved it. Default:
+        unsupported.
 
         An index that overrides this promises that a row's cost depends
         only on the rows before it in the call, never on later ones: the

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
-from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_ranks
+from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_gaps, verified_ranks
 from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
 
 
@@ -114,12 +114,14 @@ class _ValueSlots:
 def _earlier_in_group(groups: np.ndarray, marked: np.ndarray) -> np.ndarray:
     """Per row, how many ``marked`` rows before it share its group.
 
-    A running count over the rows sorted by group (stable, so row order
-    holds within a group), minus the count where the group starts.
+    A running count over the rows sorted by group, then row (one sort
+    of distinct ``group * rows + row`` keys), minus the count where the
+    group starts.
     """
-    is_marked = np.zeros(groups.size, dtype=np.int64)
+    n = groups.size
+    is_marked = np.zeros(n, dtype=np.int64)
     is_marked[marked] = 1
-    order = np.argsort(groups, kind="stable")
+    order = np.argsort(groups * n + np.arange(n))
     grouped = groups[order]
     before = np.cumsum(is_marked[order]) - is_marked[order]
     out = np.empty_like(before)
@@ -227,18 +229,23 @@ class BPlusTree(OrderedIndex):
     def bulk_apply(
         self, keys, ranks, writes, values
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Gets and inserts in row order, each priced at its leaf's size then.
+        """Gets and inserts in row order up to the first split, each priced
+        at its leaf's size then.
 
         Without a split, a ``get`` and an ``insert`` descend the same
         path and search their leaf over the keys it holds *before* the
         row: the pre-run size plus the new keys earlier rows routed there.
         A write is *new* if its key was not stored before the run and no
-        earlier row wrote it; every other write overwrites. A stored key's
+        earlier row wrote it; every other write overwrites. A read is of a
+        stored key or of a new key an earlier row wrote. A stored key's
         leaf is its position's; a new key's is where the separators route
-        it. New keys are merged into the key arrays at once, with new
-        value slots, and every write then stores its value at its
-        position's slot. Declines, touching nothing, when a read's key is
-        not stored or a new key would split its leaf.
+        it. The rows before the first new key that would split its leaf
+        are served: their new keys are merged into the key arrays at once,
+        with new value slots, and every write then stores its value at its
+        position's slot. ``ranks`` stands in for the search once
+        :func:`verified_gaps` proves it. Declines, touching nothing, when
+        a read's key is neither stored nor written by an earlier row, or
+        when row 0 would split.
         """
         all_keys = self._keys.view
         if not all_keys.size:
@@ -247,26 +254,40 @@ class BPlusTree(OrderedIndex):
         writes = np.asarray(writes, dtype=bool)
         if len(values) != keys.size:
             raise ValueError(f"{keys.size} keys but {len(values)} values")
-        # ``verified_ranks`` can only prove a run whose every key is stored.
-        pos = verified_ranks(ranks, all_keys, keys)
+        pos = verified_gaps(ranks, all_keys, keys)
         if pos is None:
             pos = np.searchsorted(all_keys, keys)
         at = np.minimum(pos, all_keys.size - 1)
         fresh = all_keys[at] != keys
-        if (fresh & ~writes).any():
-            return None
         leaf = self._leaf_of.view[at]
         sizes = np.diff(self._ends, prepend=0)
         size_at = sizes[leaf]
         new_keys = np.empty(0)
         if fresh.any():
             rows = np.flatnonzero(fresh)
+            added = rows[writes[rows]]
+            new_keys, first = np.unique(keys[added], return_index=True)
+            new_rows = added[first]
+            reads = rows[~writes[rows]]
+            if reads.size:
+                # Each must read a new key that an earlier row wrote.
+                if not new_keys.size:
+                    return None
+                which = np.minimum(new_keys.searchsorted(keys[reads]), new_keys.size - 1)
+                if ((new_keys[which] != keys[reads]) | (new_rows[which] > reads)).any():
+                    return None
             leaf[rows] = self._seps.searchsorted(keys[rows], side="right")
-            new_keys, first = np.unique(keys[rows], return_index=True)
-            new_rows = rows[first]
             size_at = sizes[leaf] + _earlier_in_group(leaf, new_rows)
-            if (size_at[new_rows] >= self._order).any():
-                return None  # a split reshapes the inner nodes
+            splits = new_rows[size_at[new_rows] >= self._order]
+            if splits.size:
+                # A split reshapes the inner nodes: serve the rows before it.
+                served = int(splits.min())
+                if not served:
+                    return None
+                keys, writes, pos = keys[:served], writes[:served], pos[:served]
+                leaf, size_at = leaf[:served], size_at[:served]
+                kept = new_rows < served
+                new_keys, new_rows = new_keys[kept], new_rows[kept]
         counts = self._charge(self._path[leaf] + _search_comps(size_at))
         n_writes = int(np.count_nonzero(writes))
         self.stats.lookups += keys.size - n_writes

@@ -63,12 +63,13 @@ class HashIndex(OrderedIndex):
         return iter(sorted(self._table.items(), key=lambda kv: kv[0]))
 
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
-        for key, value in pairs:
-            self._table[key] = value
+        """Store ``pairs`` (last value wins), counting each key kept once."""
+        loaded = dict(pairs)
+        self._table.update(loaded)
         self._live = SortedKeyBuffer(
             np.sort(np.fromiter(self._table, np.float64, len(self._table)))
         )
-        self.stats.inserts += len(pairs)
+        self.stats.inserts += len(loaded)
 
     def key_buffer(self) -> SortedKeyBuffer:
         return self._live

@@ -259,9 +259,15 @@ def _snap_sorted(view: np.ndarray, needles: np.ndarray):
     gaps[order] = np.searchsorted(view, needles[order])
     lo = np.maximum(gaps - 1, 0)
     hi = np.minimum(gaps, view.size - 1)
-    with np.errstate(invalid="ignore"):
-        ranks = np.where(needles - view[lo] <= view[hi] - needles, lo, hi)
+    ranks = np.where(lower_is_nearest(needles, view[lo], view[hi]), lo, hi)
     return view[ranks], ranks, gaps
+
+
+def lower_is_nearest(needles: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The snap's tie rule: whether each needle snaps to its ``lower``
+    neighbour rather than its ``upper`` one (ties go to the lower)."""
+    with np.errstate(invalid="ignore"):
+        return needles - lower <= upper - needles
 
 
 class PositionTagBuffer(SortedKeyBuffer):

@@ -12,9 +12,11 @@ index keeps exact through its writes: the store holds no key set of its own.
 
 Batched execution serves maximal runs of READs through the index's
 ``bulk_lookup`` kernel. When the index implements ``bulk_apply``, a run
-takes UPDATEs and INSERTs too, cut only where an INSERT could move a
-later read's snap. Every other operation goes through the scalar path,
-with the same service times and counters as the per-query loop.
+takes UPDATEs and INSERTs too: a READ or UPDATE whose snap an earlier
+INSERT of the run moves is snapped again in place, and the run ends only
+where the index stops serving it (a B+ tree leaf split). Every other
+operation goes through the scalar path, with the same service times and
+counters as the per-query loop.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.core.sut import SystemUnderTest
 from repro.indexes.base import OrderedIndex
+from repro.indexes.keybuffer import lower_is_nearest
 from repro.suts.cost_models import KVCostModel
 from repro.workloads.generators import KV_OP_CODES, KVOperation, KVQuery, QueryBatch
 
@@ -35,6 +38,10 @@ _INSERT_CODE = KV_OP_CODES[KVOperation.INSERT]
 
 class KVStoreBase(SystemUnderTest):
     """A key-value SUT wrapping one :class:`OrderedIndex`.
+
+    :meth:`execute` is the per-query path; :meth:`execute_batch` serves
+    each span of READ, UPDATE and INSERT as one bulk run, snapped once,
+    with the same results.
 
     Args:
         name: SUT name.
@@ -163,13 +170,12 @@ class KVStoreBase(SystemUnderTest):
         A bulk run is a maximal span of READs, served by the index's
         ``bulk_lookup`` kernel. When the index overrides ``bulk_apply``,
         UPDATEs and INSERTs join the span, and a span holding a write goes
-        to that kernel as one or more runs, cut where an INSERT could move
-        a later snap (see :meth:`_execute_run`); a READ-only span stays on
-        ``bulk_lookup``. SCAN and READ_MODIFY_WRITE — and every write on
-        an index that does not opt in — are scalar barriers. When the
-        index declines a run, the rest of its span is served as if
-        INSERTs did not join runs (see :meth:`_serve_declined`). Results
-        match the per-query loop exactly.
+        to that kernel as one run (see :meth:`_execute_run`); a READ-only
+        span stays on ``bulk_lookup``. SCAN and READ_MODIFY_WRITE — and
+        every write on an index that does not opt in — are scalar
+        barriers. The rows of a span the index does not serve are served
+        as if INSERTs did not join runs (see :meth:`_serve_declined`).
+        Results match the per-query loop exactly.
         """
         ops = batch.ops
         joins = ops == _READ_CODE
@@ -188,39 +194,23 @@ class KVStoreBase(SystemUnderTest):
         barriers.append(b)
         for barrier in barriers:
             if barrier > a:
-                self._execute_span(batch, a, barrier, services)
+                end = self._execute_run(batch, a, barrier, services)
+                if end < barrier:
+                    self._serve_declined(batch, end, barrier, services)
             if barrier < b:
                 services[barrier] = self.execute(
                     batch.query(barrier), float(batch.arrivals[barrier])
                 )
             a = barrier + 1
 
-    def _execute_span(
-        self, batch: QueryBatch, a: int, b: int, services: np.ndarray
-    ) -> None:
-        """Serve the span ``[a, b)`` as consecutive bulk runs.
-
-        A run is snapped over a look-ahead window: the whole span first,
-        then twice the rows the last run served. A span cut into many
-        short runs is so snapped at most three times over in all, not
-        once per run.
-        """
-        window = b - a
-        while a < b:
-            end = self._execute_run(batch, a, min(b, a + window), services)
-            if end is None:
-                self._serve_declined(batch, a, b, services)
-                return
-            window, a = 2 * (end - a), end
-
     def _serve_declined(
         self, batch: QueryBatch, a: int, b: int, services: np.ndarray
     ) -> None:
-        """The rest of a span whose run the index declined.
+        """The rows ``[a, b)`` of a span that its bulk run did not serve.
 
         With INSERTs, they become scalar barriers and the READ/UPDATE
         runs between them, which add no key, go back to bulk. Without,
-        the span goes through scalar :meth:`execute` calls.
+        the rows go through scalar :meth:`execute` calls.
         """
         self.tracer.counter("kv.bulk_fallback_runs")
         inserts = batch.ops[a:b] == _INSERT_CODE
@@ -234,18 +224,19 @@ class KVStoreBase(SystemUnderTest):
 
     def _execute_run(
         self, batch: QueryBatch, a: int, b: int, services: np.ndarray
-    ) -> Optional[int]:
-        """Serve one bulk run from ``a``; return its end, or ``None``.
+    ) -> int:
+        """Serve the span ``[a, b)`` as one bulk run; return where it ended.
 
         The run is snapped once against the stored keys and priced once:
         a write's ``writes`` is 1, as :meth:`execute` prices it, a read's
         0, and each write stores its arrival, as :meth:`execute` does.
-        With INSERTs the run ends before the first READ/UPDATE whose gap
-        (insertion point among the stored keys) an earlier INSERT of the
-        run landed in: only there could the scalar snap differ. The
-        index's ``bulk_apply`` adds the run's new keys to its key buffer.
-        ``None`` means the index declined (or the store was empty under
-        an INSERT), with nothing served.
+        A READ/UPDATE whose gap (insertion point among the stored keys)
+        holds the new key of an earlier INSERT of the run is snapped
+        again over those keys (:func:`_resnap`), as the loop would snap
+        it. The index's ``bulk_apply`` adds the run's new keys to its key
+        buffer; it may serve only the rows before its first leaf split,
+        and the run ends there. An end of ``a`` means the index declined
+        (or the store was empty under an INSERT), with nothing served.
         """
         self.tracer.counter("kv.read_runs")
         cost = self.cost_model
@@ -256,7 +247,7 @@ class KVStoreBase(SystemUnderTest):
         n_inserts = int(np.count_nonzero(inserts))
         if not self.stored_keys:
             if n_inserts:
-                return None
+                return a
             # Empty store: every read and update is a snap-miss costing
             # base overhead.
             services[a:b] = cost.service_time_arrays(0, 0, 0, tuning_level=tuning)
@@ -265,13 +256,7 @@ class KVStoreBase(SystemUnderTest):
         keys = batch.keys[a:b]
         targets, ranks, gaps = self._snap_batch(keys)
         if n_inserts:
-            end = _conflict_free_prefix(gaps, inserts)
-            if end < b - a:
-                self.tracer.counter("kv.run_cuts")
-                b = a + end
-                keys, targets, ranks, gaps = keys[:end], targets[:end], ranks[:end], gaps[:end]
-                writes, inserts = writes[:end], inserts[:end]
-                n_inserts = int(np.count_nonzero(inserts))
+            _resnap(self.index.key_buffer().view, keys, gaps, inserts, targets, ranks)
             targets = np.where(inserts, keys, targets)
             ranks = np.where(inserts, gaps, ranks)
         n_writes = int(np.count_nonzero(writes))
@@ -282,18 +267,23 @@ class KVStoreBase(SystemUnderTest):
         else:
             counts = self.index.bulk_lookup(targets, ranks)
         if counts is None:
-            return None
-        services[a:b] = cost.service_time_arrays(
+            return a
+        served = counts[0].size
+        if served < b - a:
+            writes, inserts = writes[:served], inserts[:served]
+            n_writes = int(np.count_nonzero(writes))
+            n_inserts = int(np.count_nonzero(inserts))
+        services[a : a + served] = cost.service_time_arrays(
             *counts, writes=writes if n_writes else 0, tuning_level=tuning
         )
         self.tracer.counter("kv.bulk_hit_runs")
-        self.tracer.counter("kv.bulk_hit_queries", b - a - n_writes)
+        self.tracer.counter("kv.bulk_hit_queries", served - n_writes)
         if n_writes > n_inserts:
             self.tracer.counter("kv.bulk_update_queries", n_writes - n_inserts)
         if n_inserts:
             self.tracer.counter("kv.bulk_insert_queries", n_inserts)
-        self._after_execute_slice(batch, a, b)
-        return b
+        self._after_execute_slice(batch, a, a + served)
+        return a + served
 
     def _after_execute_slice(self, batch: QueryBatch, a: int, b: int) -> None:
         """Fire :meth:`_after_execute` for queries ``[a, b)``, in order.
@@ -321,18 +311,85 @@ class KVStoreBase(SystemUnderTest):
         return out
 
 
-def _conflict_free_prefix(gaps: np.ndarray, inserts: np.ndarray) -> int:
-    """Rows before the first READ/UPDATE whose gap an earlier INSERT holds.
+def _resnap(
+    view: np.ndarray,
+    keys: np.ndarray,
+    gaps: np.ndarray,
+    inserts: np.ndarray,
+    targets: np.ndarray,
+    ranks: np.ndarray,
+) -> None:
+    """Snap again, in place, each READ/UPDATE whose gap an earlier INSERT added a key to.
 
-    A snap reads only the two stored keys bounding its gap, so it can
-    change only when a new key lands in that same gap first. Each gap's
-    earliest INSERT row is found by a stable sort of the INSERTs by gap.
+    ``targets``, ``ranks`` and ``gaps`` are the run's snap of ``keys``
+    against the stored ``view``. The loop snaps such a row after those
+    INSERTs, over the stored keys plus their new keys. A snap reads only
+    the nearest key below its needle and the nearest at or above it, and
+    a new key of the row's gap lies between the gap's two stored keys, so
+    the row's neighbours are the nearest new keys on each side that an
+    earlier row added, else the gap's stored keys (one side is missing
+    at gap 0 and at the last gap, as in the store's snap). The tie rule
+    is the store's (:func:`lower_is_nearest`). A new key's rank is its
+    gap; a stored key's its position.
     """
+    n = view.size
     rows = np.flatnonzero(inserts)
-    order = np.argsort(gaps[rows], kind="stable")
-    insert_gaps, first_rows = gaps[rows][order], rows[order]
-    at = np.minimum(np.searchsorted(insert_gaps, gaps), rows.size - 1)
-    conflicts = np.flatnonzero(
-        (insert_gaps[at] == gaps) & (first_rows[at] < np.arange(gaps.size)) & ~inserts
+    rows = rows[view[np.minimum(gaps[rows], n - 1)] != keys[rows]]  # INSERTs of new keys
+    if not rows.size:
+        return
+    first = np.full(n + 1, gaps.size)  # per gap, the first row that adds a key to it
+    np.minimum.at(first, gaps[rows], rows)
+    conflicts = np.flatnonzero((first[gaps] < np.arange(gaps.size)) & ~inserts)
+    if not conflicts.size:
+        return
+    hot = np.zeros(n + 1, dtype=bool)
+    hot[gaps[conflicts]] = True
+    rows = rows[hot[gaps[rows]]]  # only the new keys of those gaps matter
+    new_keys, index = np.unique(keys[rows], return_index=True)
+    born = rows[index]  # the row that adds each new key
+    new_gaps = gaps[born]  # ascending, as the new keys are
+    needles, gap = keys[conflicts], gaps[conflicts]
+    low, high = new_gaps.searchsorted(gap), new_gaps.searchsorted(gap, side="right")
+    # New keys ``[low, split)`` of the row's gap lie below its needle, ``[split, high)`` not.
+    split = np.clip(new_keys.searchsorted(needles), low, high)
+    table = _earliest_table(born)
+    below = _last_added_before(table, low, split, conflicts)
+    size = born.size
+    above = size - 1 - _last_added_before(
+        [level[::-1] for level in table], size - high, size - split, conflicts
     )
-    return int(conflicts[0]) if conflicts.size else gaps.size
+    has_below, has_above = below >= low, above < high
+    lower = np.where(has_below, new_keys.take(below, mode="clip"), view.take(gap - 1, mode="clip"))
+    lower_rank = np.where(has_below, gap, gap - 1)
+    upper = np.where(has_above, new_keys.take(above, mode="clip"), view.take(gap, mode="clip"))
+    # Below the first key or past the last, both neighbours are the one there is.
+    no_lower, no_upper = ~has_below & (gap == 0), ~has_above & (gap == n)
+    lower, lower_rank = np.where(no_lower, upper, lower), np.where(no_lower, gap, lower_rank)
+    upper, upper_rank = np.where(no_upper, lower, upper), np.where(no_upper, lower_rank, gap)
+    nearest_lower = lower_is_nearest(needles, lower, upper)
+    targets[conflicts] = np.where(nearest_lower, lower, upper)
+    ranks[conflicts] = np.where(nearest_lower, lower_rank, upper_rank)
+
+
+def _earliest_table(born: np.ndarray) -> List[np.ndarray]:
+    """A sparse table: level ``k`` holds the earliest of each ``2**k`` consecutive rows."""
+    table = [born]
+    while 2 ** len(table) <= born.size:
+        width = 2 ** (len(table) - 1)
+        table.append(np.minimum(table[-1][:-width], table[-1][width:]))
+    return table
+
+
+def _last_added_before(
+    table: List[np.ndarray], start: np.ndarray, stop: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Per row, the last ``q`` in ``[start, stop)`` with ``table[0][q] < row``
+    (``start - 1`` if none): a binary descent from ``stop`` over blocks
+    whose keys were all added at or after the row."""
+    end = stop.copy()
+    for k in reversed(range(len(table))):
+        step = end - 2**k
+        later = step >= start
+        later[later] = table[k][step[later]] > rows[later]
+        end[later] = step[later]
+    return end - 1

@@ -164,9 +164,18 @@ class OperationMix:
         return self._ops[int(rng.choice(len(self._ops), p=self._probs))]
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` operation codes (see :data:`KV_OPERATIONS`) at once."""
-        idx = rng.choice(len(self._ops), size=n, p=self._probs)
-        return self._codes[idx]
+        """Draw ``n`` operation codes (see :data:`KV_OPERATIONS`) at once.
+
+        The draws of ``rng.choice(len(ops), n, p=probs)``, spelled out:
+        one uniform per row looked up in the normalised CDF. A one-op mix
+        skips the lookup but still draws, so the generator advances alike.
+        """
+        uniforms = rng.random(n)
+        if self._codes.size == 1:
+            return np.full(n, self._codes[0])
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        return self._codes[cdf.searchsorted(uniforms, side="right")]
 
     def proportions(self) -> Dict[KVOperation, float]:
         """Return a copy of the normalized proportions."""

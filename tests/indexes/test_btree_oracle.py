@@ -5,7 +5,9 @@ Both trees run the same generated operation sequence, and after every
 operation the test demands the same return value or the same exception,
 the same :class:`IndexStats`, length, height, ``size_bytes`` and
 ``items()``, the same inner nodes, and leaf arrays equal to the oracle's
-flattened walk. After every operation it also reads back a stride of the
+flattened walk. A ``bulk_apply`` the tree serves up to its first split is
+the oracle's ``bulk_apply`` of the rows served, one row short of one the
+oracle declines. After every operation it also reads back a stride of the
 stored keys in bulk, with the true ranks as a hint and with a wrong one,
 and a probe with one absent key, which both trees must decline with
 nothing counted.
@@ -185,10 +187,24 @@ def _apply(tree, oracle, step, op):
         low, high = args[0] / 2, args[1] / 2 + ABSENT * (step % 2)
         _same(tree.range(low, high), oracle.range(low, high))
     elif kind == "bulk_apply":
+        # The tree serves the rows before its first split, which the
+        # oracle declines as a whole: the served prefix is the oracle's
+        # ``bulk_apply`` of that prefix, and one row more it declines.
         keys, writes = _bulk_rows(stored, *args[0])
         values = [f"{step}-{i}" for i in range(keys.size)]
         hint = np.searchsorted(stored, keys) if args[1] else None
-        _same(tree.bulk_apply(keys, hint, writes, values), oracle.bulk_apply(keys, None, writes, values))
+        got = tree.bulk_apply(keys, hint, writes, values)
+        if got is None:
+            assert oracle.bulk_apply(keys, None, writes, values) is None
+            # Only an absent read or a split at row 0 declines the call.
+            if args[0][1] is None:
+                assert oracle.bulk_apply(keys[:1], None, writes[:1], values[:1]) is None
+            return
+        served = got[0].size
+        if served < keys.size:
+            more = served + 1
+            assert oracle.bulk_apply(keys[:more], None, writes[:more], values[:more]) is None
+        _same(got, oracle.bulk_apply(keys[:served], None, writes[:served], values[:served]))
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -5,9 +5,10 @@ Row ``i`` of ``BPlusTree.bulk_apply(keys, ranks, writes, values)`` is a
 loop on a twin textbook tree (``tests/indexes/reference_btree.py``). Each
 case compares the per-row (comparisons, node accesses, model
 evaluations), the final :class:`IndexStats`, ``items()``, the size, and
-the leaf arrays against the twin's walk. A run whose loop would split a
-leaf, or that reads a key not stored when it starts, must be declined
-with nothing touched.
+the leaf arrays against the twin's walk. The rows before the first one
+whose loop would split a leaf are served; a call whose row 0 would
+split, or that reads a key neither stored when it starts nor written by
+an earlier row, must be declined with nothing touched.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ GROWTH = st.lists(st.integers(min_value=301, max_value=450), min_size=40, max_si
 # ("read" | "overwrite", i): the i-th stored key. ("new", k): the key
 # k / 2 - 10, on a half grid reaching past both ends of the stored keys,
 # so it is new, a repeat of an earlier row or a stored key.
+# ("reread" | "rewrite", i): a read or an overwrite of the key of the i-th
+# earlier "new" row (of the i-th stored key when there is none).
 ROWS = st.lists(
-    st.tuples(st.sampled_from(["read", "overwrite", "new", "new"]), st.integers(0, 940)),
+    st.tuples(
+        st.sampled_from(["read", "overwrite", "new", "new", "reread", "rewrite"]),
+        st.integers(0, 940),
+    ),
     min_size=1,
     max_size=80,
 )
@@ -50,10 +56,16 @@ def _tree(order, stored, growth=(), kind=BPlusTree):
 def _rows(stored, growth, rows):
     """The run's keys and write flags, and the keys stored before it."""
     everything = sorted({float(k) for k in stored} | {float(k) for k in growth})
-    keys, writes = [], []
+    keys, writes, written = [], [], []
     for kind, arg in rows:
-        keys.append(arg / 2 - 10 if kind == "new" else everything[arg % len(everything)])
-        writes.append(kind != "read")
+        if kind == "new":
+            written.append(arg / 2 - 10)
+            keys.append(written[-1])
+        elif kind in ("reread", "rewrite") and written:
+            keys.append(written[arg % len(written)])
+        else:
+            keys.append(everything[arg % len(everything)])
+        writes.append(kind not in ("read", "reread"))
     return np.asarray(keys), np.asarray(writes), np.asarray(everything)
 
 
@@ -85,29 +97,43 @@ def _state(tree):
     return tree.stats.snapshot(), list(tree.items()), len(tree)
 
 
+def _first_split(order, stored, growth, keys, writes, values):
+    """The first row whose loop splits a leaf (``keys.size`` if none)."""
+    tree = _tree(order, stored, growth, TextbookBPlusTree)
+    leaves = _leaf_count(tree)
+    for row, (key, write, value) in enumerate(zip(keys.tolist(), writes.tolist(), values)):
+        if write:
+            tree.insert(key, value)
+        else:
+            tree.get(key)
+        if _leaf_count(tree) != leaves:
+            return row
+    return keys.size
+
+
 def _assert_is_the_loop(order, stored, growth, keys, writes, hints=None):
-    """``bulk_apply`` on a fresh tree == the row loop on its textbook twin,
-    for every hint; declined with nothing touched iff the loop splits."""
+    """``bulk_apply`` on a fresh tree == the row loop on its textbook twin
+    up to the first row that splits a leaf, for every hint: those rows'
+    counts, and the loop's state after them. Declined with nothing
+    touched iff row 0 splits. Returns the rows served."""
     values = [f"row-{i}" for i in range(keys.size)]
+    served = _first_split(order, stored, growth, keys, writes, values)
     scalar = _tree(order, stored, growth, TextbookBPlusTree)
-    leaves = _leaf_count(scalar)
-    want = _loop(scalar, keys, writes, values)
-    splits = _leaf_count(scalar) != leaves
-    untouched = _tree(order, stored, growth, TextbookBPlusTree)
+    want = _loop(scalar, keys[:served], writes[:served], values[:served])
     for label, hint in [("none", None), *(hints or {}).items()]:
         tree = _tree(order, stored, growth)
         out = tree.bulk_apply(keys, hint, writes, values)
-        _assert_same_leaf_level(tree, untouched if splits else scalar)
-        if splits:
+        _assert_same_leaf_level(tree, scalar)
+        if not served:
             assert out is None, label
-            assert _state(tree) == _state(untouched), label
+            assert _state(tree) == _state(scalar), label
             continue
         assert out is not None, label
         assert list(zip(*(col.tolist() for col in out))) == want, label
         assert tree.stats == scalar.stats, label
         assert list(tree.items()) == list(scalar.items()), label
         assert len(tree) == len(scalar), label
-    return not splits
+    return served
 
 
 def _hints(keys, everything):
@@ -147,6 +173,21 @@ def test_a_read_of_an_unstored_key_is_declined(order, stored, rows, absent_at):
     _assert_same_tree(tree, _tree(order, stored, (), TextbookBPlusTree))
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_read_of_a_key_only_a_later_row_writes_is_declined(order):
+    """A read may be of a key an earlier row wrote, not of one a later row
+    writes: the loop's ``get`` would raise there."""
+    tree = _tree(order, range(20))
+    untouched = _state(tree)
+    for keys, writes in [
+        ([3.0, 4.5, 4.5, 4.5], [False, False, True, False]),
+        ([7.5, 4.5, 7.5, 4.5], [True, False, False, True]),
+    ]:
+        assert tree.bulk_apply(np.asarray(keys), None, np.asarray(writes), [None] * 4) is None
+        assert _state(tree) == untouched
+    _assert_same_tree(tree, _tree(order, range(20), (), TextbookBPlusTree))
+
+
 @pytest.mark.parametrize("order", [8, 64])
 def test_a_leaf_filled_to_order_is_served_and_one_more_key_is_declined(order):
     """``bulk_load`` leaves hold ``(order + 1) // 2`` keys. Filling the
@@ -160,13 +201,20 @@ def test_a_leaf_filled_to_order_is_served_and_one_more_key_is_declined(order):
     news = second + 1.0 + 2.0 * np.arange(room)  # odd keys inside that leaf
     keys = np.ravel(np.column_stack([news, np.full(room, second)]))
     writes = np.tile([True, False], room)
-    assert _assert_is_the_loop(order, stored, [], keys, writes)
+    assert _assert_is_the_loop(order, stored, [], keys, writes) == keys.size
     tree = _tree(order, stored)
     assert tree.bulk_apply(keys, None, writes, [None] * keys.size) is not None
     assert np.diff(tree._ends, prepend=0).max() == order
-    # One new key past ``order``, behind an overwrite: declined, untouched.
+    # One new key past ``order``, behind an overwrite: every row before it
+    # is served, the new key is not added, and as row 0 it is declined.
     over = np.append(keys, [second, second - 0.5 + 2.0 * per_leaf])
-    assert not _assert_is_the_loop(order, stored, [], over, np.append(writes, [True, True]))
+    over_writes = np.append(writes, [True, True])
+    assert _assert_is_the_loop(order, stored, [], over, over_writes) == over.size - 1
+    tree = _tree(order, stored)
+    tree.bulk_apply(keys, None, writes, [None] * keys.size)
+    untouched = _state(tree)
+    assert tree.bulk_apply(over[-1:], None, over_writes[-1:], [None]) is None
+    assert _state(tree) == untouched
 
 
 def test_repeats_within_the_run_and_of_stored_keys():
@@ -174,7 +222,7 @@ def test_repeats_within_the_run_and_of_stored_keys():
     stored key overwrite, the last value winning."""
     keys = np.asarray([4.5, 4.0, 4.5, 4.0, 4.5, 5.0, 4.0])
     writes = np.asarray([True, False, True, True, True, False, False])
-    assert _assert_is_the_loop(8, range(20), [], keys, writes)
+    assert _assert_is_the_loop(8, range(20), [], keys, writes) == keys.size
     tree = _tree(8, range(20))
     tree.bulk_apply(keys, None, writes, list("abcdefg"))
     assert len(tree) == 21

@@ -29,6 +29,7 @@ from repro.indexes.base import strictly_ascending
 from repro.indexes.btree import BPlusTree
 from repro.indexes.sorted_array import SortedArrayIndex
 from repro.observability import Tracer
+from repro.suts import kv_base
 from repro.suts.kv_base import KVStoreBase
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -284,6 +285,7 @@ def _assert_batch_on_twins(make, pairs, batch, tracer=None):
     assert list(batched.index.items()) == list(looped.index.items())
     assert batched.index.key_buffer().view.tolist() == looped.index.key_buffer().view.tolist()
     assert getattr(batched, "log", None) == getattr(looped, "log", None)
+    return looped
 
 
 def _assert_batch_equals_loop(store, mix, seed, tracer=None):
@@ -404,19 +406,17 @@ def test_bulk_counters_on_a_write_mix(make, writes_in_bulk):
         assert trace.counter("kv.bulk_hit_queries") == ops.count("read")
         assert trace.counter("kv.bulk_update_queries") == ops.count("update")
         assert trace.counter("kv.bulk_insert_queries") == ops.count("insert")
-        # A run ends at a cut, at its look-ahead window or at the span's end.
-        assert 0 < trace.counter("kv.run_cuts") < trace.counter("kv.bulk_hit_runs")
     else:
         assert trace.counter("kv.bulk_hit_queries") <= ops.count("read")
         assert trace.counter("kv.bulk_update_queries") == 0
         assert trace.counter("kv.bulk_insert_queries") == 0
-        assert trace.counter("kv.run_cuts") == 0
 
 
-def test_the_repo_benchmark_write_mix_op_is_three_bulk_runs(tmp_path):
+def test_the_repo_benchmark_write_mix_op_is_one_bulk_run(tmp_path):
     """One ``write_mix`` op of ``perf/`` at seed 1 (753 READs, 432
-    UPDATEs, 315 INSERTs over 50k keys): three bulk runs, two snap-conflict
-    cuts, every INSERT in a run and no scalar ``execute`` at all."""
+    UPDATEs, 315 INSERTs over 50k keys): one bulk run, its snap conflicts
+    snapped again in place, every INSERT in it and no scalar ``execute``
+    at all."""
     from perf.workloads import WORKLOADS
 
     workload = WORKLOADS["write_mix"](1, 1.0, tmp_path)
@@ -426,8 +426,7 @@ def test_the_repo_benchmark_write_mix_op_is_three_bulk_runs(tmp_path):
         patch.setattr(KVStoreBase, "execute", lambda *args: pytest.fail("scalar execute"))
         Benchmark(workload.config, tracer=tracer).run(sut, workload.scenario)
     trace = tracer.finish()
-    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 3
-    assert trace.counter("kv.run_cuts") == 2
+    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 1
     assert trace.counter("kv.bulk_hit_queries") == 753
     assert trace.counter("kv.bulk_update_queries") == 432
     assert trace.counter("kv.bulk_insert_queries") == 315
@@ -462,9 +461,10 @@ def _batch(rows):
 def test_a_snap_conflict_cuts_the_run(op, inserted, probe):
     """Before the INSERT, ``probe`` snaps to a neighbour of its gap; after
     it, to the inserted key (the middle case moves it to another leaf, the
-    UPDATE to another key). The run is cut right before ``probe`` and the
-    rest is snapped again: one cut, two runs, the loop's result. An
-    INSERT of a stored key (an overwrite) cuts too: conservative, exact."""
+    UPDATE to another key). The conflict no longer cuts the run:
+    ``probe`` is snapped again over its gap's stored keys and the
+    inserted one, in one run, with the loop's result. An INSERT of a
+    stored key (an overwrite) adds no key to snap to."""
     rows = [
         (READ, 33.0), (UPDATE, 71.0), (INSERT, inserted), (READ, 12.0),
         (op, probe), (READ, 47.0), (INSERT, 61.5), (UPDATE, 95.0),
@@ -472,9 +472,9 @@ def test_a_snap_conflict_cuts_the_run(op, inserted, probe):
     tracer = Tracer()
     _assert_batch_on_twins(_LoggedKV, TENS, _batch(rows), tracer)
     trace = tracer.finish()
-    assert trace.counter("kv.run_cuts") == 1
-    assert trace.counter("kv.bulk_hit_runs") == 2
+    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 1
     assert trace.counter("kv.bulk_insert_queries") == 2
+    assert trace.counter("kv.bulk_fallback_runs") == 0
 
 
 def test_inserts_in_other_gaps_do_not_cut():
@@ -490,32 +490,85 @@ def test_inserts_in_other_gaps_do_not_cut():
     sut.setup(TENS)
     sut.execute_batch(_batch(rows), 0.0)
     trace = tracer.finish()
-    assert trace.counter("kv.run_cuts") == 0
-    assert trace.counter("kv.bulk_hit_runs") == 1
+    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 1
     assert sut.index.key_buffer().view.tolist() == sorted([k for k, _ in TENS] + [0.0, 15.0, 101.0])
     assert sut.index.get(15.0) == 3.0  # the repeat's arrival
 
 
 def test_a_span_cut_many_times_is_snapped_a_bounded_number_of_times(monkeypatch):
-    """Hot keys make a snap conflict every few rows. Each run snaps a
-    look-ahead window of twice the rows the last run served, so the span
-    is snapped at most three times over, not once per run."""
+    """Hot keys make a snap conflict every few rows. The span is snapped
+    once (the bound is one) and served as one run; the conflicting rows
+    are snapped again in place, and many of them move to a key an earlier
+    INSERT added."""
     spec = _spec(WRITE_MIX, 400.0)
     spec.key_drift = NoDrift(NormalDistribution(0.0, 1000.0, mean=500.0, std=10.0))
     batch = spec.build_workload(7).next_batch(np.arange(400) / 400.0)
     pairs = [(float(k), None) for k in np.linspace(0.0, 1000.0, 2000)]
-    snapped = []
-    real = KVStoreBase._snap_batch
+    snapped, moved = [], []
+    real_snap, real_resnap = KVStoreBase._snap_batch, kv_base._resnap
     monkeypatch.setattr(
-        KVStoreBase, "_snap_batch", lambda self, keys: snapped.append(keys.size) or real(self, keys)
+        KVStoreBase,
+        "_snap_batch",
+        lambda self, keys: snapped.append(keys.size) or real_snap(self, keys),
     )
+
+    def counted_resnap(view, keys, gaps, inserts, targets, ranks):
+        before = targets.copy()
+        real_resnap(view, keys, gaps, inserts, targets, ranks)
+        moved.append(int(np.count_nonzero(targets != before)))
+
+    monkeypatch.setattr(kv_base, "_resnap", counted_resnap)
     tracer = Tracer()
     # Leaves of 128 keys: the ~80 new hot keys fit without a split.
     _assert_batch_on_twins(lambda: TraditionalKVStore(order=256), pairs, batch, tracer)
     trace = tracer.finish()
-    assert trace.counter("kv.run_cuts") >= 10
+    assert snapped == [len(batch)]
+    assert sum(moved) >= 10
+    assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 1
     assert trace.counter("kv.bulk_fallback_runs") == 0
-    assert sum(snapped) <= 3 * len(batch)
+
+
+# Stored keys on a whole grid (``±0.0`` among them as ``0.0``), needles on a
+# quarter grid around it: many in one gap, at both ends, on stored keys and
+# halfway between two keys (equal-distance ties), INSERTs repeating each
+# other and stored keys. Infinite keys and ``-0.0`` are drawn as such.
+GRID_KEY = st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 4),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+)
+GRID_ROWS = st.lists(
+    st.tuples(st.sampled_from([READ, UPDATE, INSERT, INSERT]), GRID_KEY), min_size=1, max_size=60
+)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(
+    stored=st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True),
+    rows=GRID_ROWS,
+    nan_read=st.one_of(st.none(), st.integers(0, 59)),
+)
+@SETTINGS
+def test_dense_same_gap_inserts_are_one_run_equal_to_the_loop(order, stored, rows, nan_read):
+    """``execute_batch`` == the ``execute`` loop on spans crowded with
+    INSERTs into the gaps later READs and UPDATEs snap in, and a READ of
+    NaN. A span is one bulk run, and the rows after a split the rest of
+    it: a second pass only where the loop splits a leaf."""
+    if nan_read is not None:
+        rows[nan_read % len(rows)] = (READ, np.nan)
+    pairs = [(float(k), f"load-{k}") for k in stored]
+    tracer = Tracer()
+    looped = _assert_batch_on_twins(
+        lambda: TraditionalKVStore(order=order), pairs, _batch(rows), tracer
+    )
+    fresh = TraditionalKVStore(order=order)
+    fresh.setup(pairs)
+    trace = tracer.finish()
+    assert trace.counter("kv.read_runs") >= 1
+    if looped.index._ends.size == fresh.index._ends.size:  # the loop split no leaf
+        assert trace.counter("kv.bulk_hit_runs") == trace.counter("kv.read_runs") == 1
+        assert trace.counter("kv.bulk_fallback_runs") == 0
+    else:
+        assert trace.counter("kv.bulk_fallback_runs") == 1
 
 
 # -- no clock needed: count the full rebuilds ------------------------------------

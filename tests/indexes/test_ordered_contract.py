@@ -73,6 +73,10 @@ class TestBulkLoadAndGet:
         assert index.get(1.0) == "c"
         assert len(index) == 2
 
+    def test_bulk_load_counts_each_kept_key_once(self, index):
+        index.bulk_load([(1.0, "a"), (2.0, "b"), (1.0, "c")])
+        assert index.stats.inserts == 2
+
 
 class TestInsert:
     def test_insert_then_get(self, index):

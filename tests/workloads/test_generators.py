@@ -50,6 +50,22 @@ class TestOperationMix:
         with pytest.raises(ConfigurationError):
             OperationMix({KVOperation.READ: -1.0})
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 100_000])
+    def test_sample_array_draws_what_rng_choice_draws(self, k, n):
+        """Codes, their dtype and the generator's next draw equal those of
+        ``rng.choice(k, n, p=probs)``, for even and skewed proportions."""
+        ops = list(KVOperation)[:k]
+        for weights in ([1.0] * k, [0.1 * (i + 1) ** 2 for i in range(k)]):
+            mix = OperationMix(dict(zip(ops, weights)))
+            for seed in (0, 1, 7, 2024):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = mix.sample_array(got_rng, n)
+                want = mix._codes[want_rng.choice(k, size=n, p=mix._probs)]
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
 
 class TestWorkloadSignature:
     def test_identical_specs_same_signature(self):
