@@ -7,21 +7,29 @@ separator keys, a lookup descends one node per level, and nodes split
 at ``order`` entries.
 
 The leaf level is laid out column-wise, like the array B+ trees that
-updatable learned indexes are measured against. Every key sits in one
-sorted :class:`SortedKeyBuffer`, and leaf ``i`` is the span
-``[ends[i-1], ends[i])`` of it. Values sit in one slot column
-(:class:`_ValueSlots`), each at the slot a parallel column names for its
-key's position: a new key's value is appended, so adding keys moves slot
-numbers, never Python objects. The column reads the loaded values in
-place and records only the slots written since, so a load of ranks
-builds no per-key object. Only inner nodes are objects. A key's leaf
-number is the count of separators at or below it, which is the child a
-``bisect_right`` descent picks level by level. A leaf split inserts a boundary into ``ends`` and a
-separator into the parent, and no key moves. The vectorized reads and
-writes (:meth:`BPlusTree.bulk_lookup`, :meth:`BPlusTree.bulk_apply`)
-search the same arrays, and the key-value store snaps against the same
-key buffer (:meth:`BPlusTree.key_buffer`), so there is no second copy of
-the keys to keep in step.
+updatable learned indexes are measured against, in three arrays. Every
+key sits in one sorted :class:`SortedKeyBuffer`, ``ends`` holds each
+leaf's end position in it, so leaf ``i`` is the span
+``[ends[i-1], ends[i])``, and ``seps`` holds the separators, one per leaf
+boundary. A position's leaf is the span of ``ends`` that holds it, and a
+key's leaf is the count of separators at or below it, which is the child
+a ``bisect_right`` descent picks level by level. Only inner nodes are
+objects. A leaf split inserts a boundary into ``ends`` and a separator
+into the parent, and no key moves.
+
+Values live by key, not by position. The load's value sequence is read
+in place at each loaded key's rank among the loaded keys (the driver's
+``range`` of ranks stays a ``range``), and one dict holds the value of
+every key written since, ahead of the load's. A load builds no per-key
+object, and a new key moves one array, the keys. NaN equals no key, not
+even itself, so every NaN insert stores one more NaN key: those sort to
+the tail of the keys, and their values are a short list in position
+order beside the dict.
+
+The vectorized reads and writes (:meth:`BPlusTree.bulk_lookup`,
+:meth:`BPlusTree.bulk_apply`) search the same arrays, and the key-value
+store snaps against the same key buffer (:meth:`BPlusTree.key_buffer`),
+so there is no second copy of the keys to keep in step.
 
 Deletes never merge or rebalance: a leaf may go sparse or empty, and
 separators stay where they are.
@@ -30,13 +38,13 @@ separators stay where they are.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_gaps, verified_ranks
-from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 class _Node:
@@ -58,57 +66,6 @@ def _search_comps(sizes: np.ndarray) -> np.ndarray:
     """``max(1, bit_length)`` of each leaf size: a leaf search's comparisons."""
     # frexp's exponent of a positive integer is its bit_length.
     return np.maximum(1, np.frexp(sizes.astype(np.float64))[1].astype(np.int64))
-
-
-class _ValueSlots:
-    """The value of every slot: the load's values, then the slots written since.
-
-    ``base`` is the value sequence the load handed over (a ``range`` of
-    ranks, say), read in place and never written; ``written`` holds every
-    slot written or appended since, and wins over ``base``. Slots
-    ``[0, len)`` are live.
-    """
-
-    __slots__ = ("base", "written", "size")
-
-    def __init__(self, base: Sequence[Any]) -> None:
-        self.base = base
-        self.written: Dict[int, Any] = {}
-        self.size = len(base)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, slot: int) -> Any:
-        written = self.written
-        return written[slot] if slot in written else self.base[slot]
-
-    def __setitem__(self, slot: int, value: Any) -> None:
-        self.written[slot] = value
-
-    def at(self, slots: List[int]) -> List[Any]:
-        """The values of ``slots``, in order."""
-        written, base = self.written, self.base
-        if not written:
-            return list(map(base.__getitem__, slots))
-        return [written[s] if s in written else base[s] for s in slots]
-
-    def append(self, value: Any) -> None:
-        self.written[self.size] = value
-        self.size += 1
-
-    def extend(self, count: int) -> None:
-        """Append ``count`` slots holding ``None``."""
-        self.written.update(dict.fromkeys(range(self.size, self.size + count)))
-        self.size += count
-
-    def move_last(self, freed: int) -> None:
-        """Free slot ``freed``: the last slot's value moves into it."""
-        last = self.size - 1
-        if freed != last:
-            self.written[freed] = self[last]
-        self.written.pop(last, None)
-        self.size = last
 
 
 def _earlier_in_group(groups: np.ndarray, marked: np.ndarray) -> np.ndarray:
@@ -137,15 +94,19 @@ class BPlusTree(OrderedIndex):
             deeper trees, useful for testing; 64 approximates a cache-line
             conscious in-memory tree.
 
-    The leaf level is five arrays in key order: ``_keys`` (every stored
-    key), ``_slot`` (each position's slot in ``_values``), ``_leaf_of``
-    (each position's leaf number), ``_ends`` (each leaf's end position)
-    and ``_seps`` (every separator, one per leaf boundary). ``_path``
-    holds, per leaf, the comparisons of the inner nodes on the way down
-    to it; every leaf is ``height`` nodes from the root.
+    The leaf level is three arrays in key order: ``_keys`` (every stored
+    key), ``_ends`` (each leaf's end position in it) and ``_seps`` (every
+    separator, one per leaf boundary). ``_path`` holds, per leaf, the
+    comparisons of the inner nodes on the way down to it; every leaf is
+    ``height`` nodes from the root. Values live by key: ``_written`` maps
+    every key written since the load to its value, any other stored key
+    reads ``_base`` (the load's values) at its rank in ``_loaded`` (the
+    load's keys), and ``_nan_values`` holds the values of the NaN keys at
+    the tail of ``_keys``, in position order.
     """
 
     def __init__(self, order: int = 64) -> None:
+        """An empty tree: one empty leaf, no inner node."""
         super().__init__()
         if order < 3:
             raise ConfigurationError(f"B+ tree order must be >= 3, got {order}")
@@ -189,11 +150,21 @@ class BPlusTree(OrderedIndex):
         return (leaf, *self._locate(key))
 
     def get(self, key: float) -> Any:
+        """The value stored under ``key``, counted as a descent and a leaf search.
+
+        Raises:
+            KeyNotFoundError: If ``key`` is not stored (NaN never is).
+        """
         self.stats.lookups += 1
-        _, pos, found = self._search(key)
+        _, _, found = self._search(key)
         if found:
-            return self._values[self._slot.view.item(pos)]
+            return self._value(key)
         raise KeyNotFoundError(key)
+
+    def _value(self, key: float) -> Any:
+        """The value of the stored, non-NaN ``key``."""
+        written = self._written
+        return written[key] if key in written else self._base[int(self._loaded.searchsorted(key))]
 
     # -- bulk reads and writes -------------------------------------------------
 
@@ -223,8 +194,12 @@ class BPlusTree(OrderedIndex):
                 return None
         self.stats.lookups += pos.size
         # Every row of a leaf costs the same: price each leaf once.
-        per_leaf = self._path + _search_comps(np.diff(self._ends, prepend=0))
-        return self._charge(per_leaf[self._leaf_of.view[pos]])
+        sizes = np.diff(self._ends, prepend=0)
+        per_leaf = self._path + _search_comps(sizes)
+        # Spread the prices over the positions in the narrowest dtype that
+        # holds them, so the table the rows gather from stays in cache.
+        spread = np.repeat(per_leaf.astype(np.min_scalar_type(per_leaf.max())), sizes)
+        return self._charge(spread[pos].astype(np.int64))
 
     def bulk_apply(
         self, keys, ranks, writes, values
@@ -237,15 +212,16 @@ class BPlusTree(OrderedIndex):
         row: the pre-run size plus the new keys earlier rows routed there.
         A write is *new* if its key was not stored before the run and no
         earlier row wrote it; every other write overwrites. A read is of a
-        stored key or of a new key an earlier row wrote. A stored key's
-        leaf is its position's; a new key's is where the separators route
-        it. The rows before the first new key that would split its leaf
-        are served: their new keys are merged into the key arrays at once,
-        with new value slots, and every write then stores its value at its
-        position's slot. ``ranks`` stands in for the search once
-        :func:`verified_gaps` proves it. Declines, touching nothing, when
-        a read's key is neither stored nor written by an earlier row, or
-        when row 0 would split.
+        stored key or of a new key an earlier row wrote. Every key's leaf
+        is where the separators route it, which for a stored key is the
+        leaf whose span holds its position. The rows before the first new
+        key that would split its leaf, and before the first write of NaN
+        (which equals no key, so each such write adds one), are served:
+        their new keys are merged into the key array at once, and every
+        write then stores its value under its key. ``ranks`` stands in for
+        the search once :func:`verified_gaps` proves it. Declines, touching
+        nothing, when a read's key is neither stored nor written by an
+        earlier row, or when row 0 would split or writes NaN.
         """
         all_keys = self._keys.view
         if not all_keys.size:
@@ -254,12 +230,19 @@ class BPlusTree(OrderedIndex):
         writes = np.asarray(writes, dtype=bool)
         if len(values) != keys.size:
             raise ValueError(f"{keys.size} keys but {len(values)} values")
+        nan_writes = np.flatnonzero(writes & np.isnan(keys))
+        if nan_writes.size:  # the merge below would fold NaN keys into one
+            served = int(nan_writes[0])
+            if not served:
+                return None
+            keys, writes = keys[:served], writes[:served]
+            ranks = ranks[:served] if isinstance(ranks, np.ndarray) else None
         pos = verified_gaps(ranks, all_keys, keys)
         if pos is None:
             pos = np.searchsorted(all_keys, keys)
         at = np.minimum(pos, all_keys.size - 1)
         fresh = all_keys[at] != keys
-        leaf = self._leaf_of.view[at]
+        leaf = self._seps.searchsorted(keys, side="right")
         sizes = np.diff(self._ends, prepend=0)
         size_at = sizes[leaf]
         new_keys = np.empty(0)
@@ -276,7 +259,6 @@ class BPlusTree(OrderedIndex):
                 which = np.minimum(new_keys.searchsorted(keys[reads]), new_keys.size - 1)
                 if ((new_keys[which] != keys[reads]) | (new_rows[which] > reads)).any():
                     return None
-            leaf[rows] = self._seps.searchsorted(keys[rows], side="right")
             size_at = sizes[leaf] + _earlier_in_group(leaf, new_rows)
             splits = new_rows[size_at[new_rows] >= self._order]
             if splits.size:
@@ -293,34 +275,33 @@ class BPlusTree(OrderedIndex):
         self.stats.lookups += keys.size - n_writes
         self.stats.inserts += n_writes
         if new_keys.size:
-            points, new_leaves = pos[new_rows], leaf[new_rows]
-            self._keys.merge(points, new_keys)
-            self._leaf_of.merge(points, new_leaves)
-            appended = len(self._values)
-            self._slot.merge(points, np.arange(appended, appended + new_keys.size))
-            self._values.extend(new_keys.size)
-            self._ends += np.cumsum(np.bincount(new_leaves, minlength=sizes.size))
+            self._keys.merge(pos[new_rows], new_keys)
+            self._ends += np.cumsum(np.bincount(leaf[new_rows], minlength=sizes.size))
         write_rows = np.flatnonzero(writes)
-        # A write's position after the merge: before it, plus the new keys below it.
-        final = pos[write_rows] + new_keys.searchsorted(keys[write_rows])
         # In row order, so a repeated key keeps its last value.
-        self._values.written.update(
-            zip(self._slot.view[final].tolist(), map(values.__getitem__, write_rows.tolist()))
+        self._written.update(
+            zip(keys[write_rows].tolist(), map(values.__getitem__, write_rows.tolist()))
         )
         return counts
 
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: float, value: Any) -> None:
+        """Store ``value`` under ``key``, counted as :meth:`get` counts it.
+
+        A new key may split its leaf. A NaN key is always new: it goes in
+        front of the NaN keys already at the tail.
+        """
         self.stats.inserts += 1
         leaf, pos, found = self._search(key)
         if found:
-            self._values[self._slot.view.item(pos)] = value
+            self._written[key] = value
             return
         self._keys.insert_at(pos, key)
-        self._leaf_of.insert_at(pos, leaf)
-        self._slot.insert_at(pos, len(self._values))
-        self._values.append(value)
+        if key != key:
+            self._nan_values.insert(0, value)
+        else:
+            self._written[key] = value
         self._ends[leaf:] += 1
         start, end = self._span(leaf)
         if end - start > self._order:
@@ -330,13 +311,12 @@ class BPlusTree(OrderedIndex):
         """Split ``leaf`` before position ``cut``, whose key becomes the separator.
 
         The upper half becomes leaf ``leaf + 1``: one more boundary in
-        ``ends``, one more leaf number past ``cut``. Then the separator
-        goes into the parent, and every inner node that overflows splits
-        in turn, the root last. A node that gains a separator, or is
-        halved, changes the comparisons of the leaves below it.
+        ``ends``. Then the separator goes into the parent, and every inner
+        node that overflows splits in turn, the root last. A node that
+        gains a separator, or is halved, changes the comparisons of the
+        leaves below it.
         """
         sep = float(self._keys.view[cut])
-        self._leaf_of.view[cut:] += 1
         self._ends = np.insert(self._ends, leaf, cut)
         self._seps = np.insert(self._seps, leaf, sep)
         self._path = np.insert(self._path, leaf, self._path[leaf])
@@ -378,22 +358,13 @@ class BPlusTree(OrderedIndex):
     # -- delete ---------------------------------------------------------------
 
     def delete(self, key: float) -> None:
-        """Remove ``key``; the descent is counted, the leaf search is not.
-
-        The last value slot moves into the freed one, so ``_values``
-        holds exactly the stored keys' values.
-        """
+        """Remove ``key``; the descent is counted, the leaf search is not."""
         leaf = self._descend(key)
         pos, found = self._locate(key)
         if not found:
             raise KeyNotFoundError(key)
-        slots = self._slot.view
-        freed = int(slots[pos])
-        slots[slots == len(self._values) - 1] = freed
-        self._values.move_last(freed)
+        self._written.pop(key, None)
         self._keys.delete_at(pos)
-        self._leaf_of.delete_at(pos)
-        self._slot.delete_at(pos)
         self._ends[leaf:] -= 1
         self.stats.deletes += 1
 
@@ -417,9 +388,19 @@ class BPlusTree(OrderedIndex):
 
     def _values_at(self, start: int, stop: int) -> List[Any]:
         """The values of positions ``[start, stop)``, in key order."""
-        return self._values.at(self._slot.view[start:stop].tolist())
+        first_nan = len(self._keys) - len(self._nan_values)
+        keys = self._keys.view[start : min(stop, first_nan)]
+        ranks = self._loaded.searchsorted(keys).tolist()
+        base, written = self._base, self._written
+        if written:
+            pairs = zip(keys.tolist(), ranks)
+            values = [written[k] if k in written else base[r] for k, r in pairs]
+        else:
+            values = list(map(base.__getitem__, ranks))
+        return values + self._nan_values[max(start - first_nan, 0) : max(stop - first_nan, 0)]
 
     def items(self) -> Iterator[Tuple[float, Any]]:
+        """Every ``(key, value)`` pair, in key order, uncounted."""
         return zip(self._keys.view.tolist(), self._values_at(0, len(self)))
 
     def key_buffer(self) -> SortedKeyBuffer:
@@ -429,8 +410,8 @@ class BPlusTree(OrderedIndex):
     def bulk_load(self, pairs: List[Tuple[float, Any]]) -> None:
         """Build bottom-up from sorted pairs (deduplicated by last wins).
 
-        The value sequence is kept as handed over, as the read-only base
-        of the slot column: no per-key object is built.
+        The key column and the value sequence are kept as handed over,
+        read in place and never written: no per-key object is built.
         """
         keys, values = sorted_unique_pairs(pairs)
         self.stats.inserts += keys.size
@@ -444,9 +425,8 @@ class BPlusTree(OrderedIndex):
         n = keys.size
         n_leaves = max(1, -(-n // per_leaf))
         self._keys = SortedKeyBuffer(keys)
-        self._values = _ValueSlots(values)
-        self._slot = PositionTagBuffer(np.arange(n))
-        self._leaf_of = PositionTagBuffer(np.arange(n) // per_leaf)
+        self._loaded, self._base, self._written = keys, values, {}
+        self._nan_values = [values[i] for i in range(int(keys.searchsorted(np.nan)), n)]
         self._ends = np.minimum(np.arange(1, n_leaves + 1) * per_leaf, n)
         self._seps = keys[per_leaf::per_leaf].copy()
         self._path = np.zeros(n_leaves, dtype=np.int64)

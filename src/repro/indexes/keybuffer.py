@@ -67,6 +67,7 @@ class SortedKeyBuffer:
     _dtype = np.float64
 
     def __init__(self, keys=()) -> None:
+        """Copy ``keys`` into a fresh buffer with an eighth of headroom."""
         keys = np.asarray(keys, dtype=self._dtype)
         n = keys.size
         self._buf = np.empty(n + n // 8 if n else 16, dtype=self._dtype)
@@ -269,13 +270,3 @@ def lower_is_nearest(needles: np.ndarray, lower: np.ndarray, upper: np.ndarray) 
     with np.errstate(invalid="ignore"):
         return needles - lower <= upper - needles
 
-
-class PositionTagBuffer(SortedKeyBuffer):
-    """One ``intp`` tag per position of a key buffer, moved in step with it.
-
-    The B+ tree keeps each flat-view position's leaf number here; tags of
-    consecutive positions are non-decreasing, not unique.
-    """
-
-    __slots__ = ()
-    _dtype = np.intp

@@ -227,7 +227,7 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ConfigurationError("cannot summarize no data")
-    q1, median, q3 = (float(np.percentile(arr, q)) for q in (25, 50, 75))
+    q1, median, q3 = np.percentile(arr, (25, 50, 75)).tolist()
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr
     high_fence = q3 + 1.5 * iqr

@@ -40,8 +40,10 @@ def jaccard_similarity(a: Union[Set, FrozenSet], b: Union[Set, FrozenSet]) -> fl
 
 def ks_statistic(sample_a: Iterable[float], sample_b: Iterable[float]) -> float:
     """Two-sample Kolmogorov–Smirnov statistic (sup CDF distance)."""
-    a = np.sort(np.asarray(list(sample_a), dtype=np.float64))
-    b = np.sort(np.asarray(list(sample_b), dtype=np.float64))
+    a, b = (
+        np.sort(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.float64))
+        for s in (sample_a, sample_b)
+    )
     if a.size == 0 or b.size == 0:
         raise ConfigurationError("KS statistic requires non-empty samples")
     return float(ks_statistics(a, b[None, :])[0])

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.indexes.base import OrderedIndex, sorted_unique_pairs, verified_ranks
-from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
+from repro.indexes.keybuffer import SortedKeyBuffer
 
 
 class _Node:
@@ -37,6 +37,14 @@ class _Node:
         self.children: List["_Node"] = []
         self.values: List[Any] = []
         self.next: Optional["_Node"] = None
+
+
+class _LeafNumbers(SortedKeyBuffer):
+    """One ``intp`` leaf number per position of the flat view's keys,
+    moved in step with them (non-decreasing, not unique)."""
+
+    __slots__ = ()
+    _dtype = np.intp
 
 
 class _FlatView(NamedTuple):
@@ -54,7 +62,7 @@ class _FlatView(NamedTuple):
 
     seps: np.ndarray
     keys: SortedKeyBuffer
-    leaf_of: PositionTagBuffer
+    leaf_of: _LeafNumbers
     ends: np.ndarray
     leaf_comps: np.ndarray
     leaf_na: np.ndarray
@@ -201,7 +209,7 @@ class BPlusTree(OrderedIndex):
         # agree iff every separator's insertion point is its leaf boundary.
         if not np.array_equal(np.searchsorted(all_keys, sep_arr), ends[:-1]):
             return False
-        leaf_of = PositionTagBuffer(np.repeat(np.arange(sizes.size), sizes))
+        leaf_of = _LeafNumbers(np.repeat(np.arange(sizes.size), sizes))
         leaf_comps = np.asarray(path_comps, dtype=np.int64) + _search_comps(sizes)
         leaf_na = np.asarray(depths, dtype=np.int64) + 1
         return _FlatView(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, KeyNotFoundError
@@ -112,6 +113,37 @@ class TestDelete:
         assert list(tree.items()) == items
         assert (len(tree), tree.height, tree.size_bytes()) == shape
         assert tree.get(202.0) == 202
+
+
+class TestNaNKeys:
+    """NaN equals no key, not even itself: every insert of it stores one
+    more key, at the front of the NaN keys at the tail, with its own value."""
+
+    def test_each_nan_insert_stores_one_more_key_newest_first(self):
+        tree = BPlusTree(order=8)
+        tree.bulk_load([(float(k), f"load-{k}") for k in range(10, 110, 10)])
+        tree.insert(float("nan"), "first")
+        tree.insert(55.0, "new")
+        tree.insert(float("nan"), "second")
+        assert len(tree) == 13
+        keys, values = zip(*tree.items())
+        assert list(keys[:11]) == sorted([float(k) for k in range(10, 110, 10)] + [55.0])
+        assert np.isnan(keys[11:]).all()
+        loaded = [f"load-{k}" for k in range(10, 110, 10)]
+        assert list(values) == loaded[:5] + ["new"] + loaded[5:] + ["second", "first"]
+        assert [v for _, v in tree.range(95.0, float("nan"))] == ["load-100", "second", "first"]
+        with pytest.raises(KeyNotFoundError):
+            tree.get(float("nan"))
+        with pytest.raises(KeyNotFoundError):
+            tree.delete(float("nan"))
+        assert len(tree) == 13 and tree.get(55.0) == "new"
+
+    def test_loaded_nan_keys_keep_their_values(self):
+        tree = BPlusTree(order=4)
+        tree.bulk_load([(float("nan"), "a"), (2.0, "b"), (float("nan"), "c"), (1.0, "d")])
+        tree.insert(float("nan"), "e")
+        assert [v for _, v in tree.items()] == ["d", "b", "e", "a", "c"]
+        assert len(tree) == 5
 
 
 class TestNodeAccounting:

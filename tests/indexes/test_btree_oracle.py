@@ -108,14 +108,17 @@ def _assert_same_tree(tree, oracle):
 
 
 def _assert_same_leaf_level(tree, oracle):
-    """The leaf arrays equal the oracle's flattened walk."""
+    """The leaf arrays equal the oracle's flattened walk, and each stored
+    key's leaf, whether derived from ``_ends`` by position or routed by
+    ``_seps``, is the walk's leaf of its position."""
     assert tree.height == oracle.height
     walk = oracle._build_bulk_cache()
     sizes = np.diff(tree._ends, prepend=0)
     for got, want in [
         (tree._seps, walk.seps),
         (tree._keys.view, walk.keys.view),
-        (tree._leaf_of.view, walk.leaf_of.view),
+        (np.repeat(np.arange(sizes.size), sizes), walk.leaf_of.view),
+        (tree._seps.searchsorted(tree._keys.view, side="right"), walk.leaf_of.view),
         (tree._ends, walk.ends),
         (tree._path + np.maximum(1, [int(s).bit_length() for s in sizes]), walk.leaf_comps),
         (np.full(sizes.size, tree.height), walk.leaf_na),

@@ -242,10 +242,10 @@ def test_new_keys_at_both_ends(order):
 
 def test_a_run_without_a_new_key_keeps_the_view():
     """Reads and overwrites change no leaf's shape: the same keys and leaf
-    ends, values written into the same list, and a run of only reads
+    ends, values written into the same dict, and a run of only reads
     commits ``lookups`` alone."""
     tree = _tree(8, range(0, 400, 2))
-    keys_before, ends_before, values = tree._keys.view.copy(), tree._ends.copy(), tree._values
+    keys_before, ends_before, written = tree._keys.view.copy(), tree._ends.copy(), tree._written
     keys = np.asarray([0.0, 398.0, 0.0])
     before = tree.stats.snapshot()
     assert tree.bulk_apply(keys, None, [False, False, False], [None] * 3) is not None
@@ -253,5 +253,29 @@ def test_a_run_without_a_new_key_keeps_the_view():
     assert tree.bulk_apply(keys, None, [False, True, True], ["a", "b", "c"]) is not None
     np.testing.assert_array_equal(tree._keys.view, keys_before)
     np.testing.assert_array_equal(tree._ends, ends_before)
-    assert tree._values is values
+    assert tree._written is written
     assert tree.get(0.0) == "c" and tree.get(398.0) == "b"
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
+@pytest.mark.parametrize("order", [8, 64])
+@pytest.mark.parametrize("first", [0, 1, 3])
+def test_rows_from_the_first_nan_write_on_are_not_served(order, first, hinted):
+    """A NaN write adds a key each time (NaN equals no key), which the
+    run's one merge cannot do: the rows before the first are served as
+    the loop serves them, and a NaN write at row 0 is declined untouched."""
+    keys = np.append(np.insert([10.0, 12.5, 20.0, 35.5], first, np.nan), [np.nan, 30.0])
+    writes = keys != 20.0
+    values = [f"row-{i}" for i in range(keys.size)]
+    hint = np.searchsorted(np.arange(10.0, 40.0), keys) if hinted else None
+    tree, scalar = _tree(order, range(10, 40)), _tree(order, range(10, 40), (), TextbookBPlusTree)
+    before = tree.stats.snapshot()
+    out = tree.bulk_apply(keys, hint, writes, values)
+    if not first:
+        assert out is None and tree.stats == before
+        assert list(tree.items()) == list(scalar.items())
+        return
+    assert list(zip(*(col.tolist() for col in out))) == _loop(
+        scalar, keys[:first], writes[:first], values[:first]
+    )
+    _assert_same_tree(tree, scalar)

@@ -142,14 +142,14 @@ def test_values_must_match_keys(order):
 
 def test_bulk_update_keeps_the_view_live():
     """An overwrite is not a structural change: keys and leaf ends stay as
-    they are, the values list is written in place, and later bulk reads
-    still see every key."""
+    they are, the written-values dict is updated in place, and later bulk
+    reads still see every key."""
     tree = _tree(8, range(0, 400, 2), [])
-    keys, ends, values = tree._keys.view.copy(), tree._ends.copy(), tree._values
+    keys, ends, written = tree._keys.view.copy(), tree._ends.copy(), tree._written
     assert _update_run(tree, np.asarray([0.0, 398.0]), None, ["a", "b"]) is not None
     np.testing.assert_array_equal(tree._keys.view, keys)
     np.testing.assert_array_equal(tree._ends, ends)
-    assert tree._values is values
+    assert tree._written is written
     assert tree.get(0.0) == "a" and tree.get(398.0) == "b"
     assert tree.bulk_lookup(np.arange(0.0, 400.0, 2.0)) is not None
 

@@ -495,6 +495,31 @@ def test_inserts_in_other_gaps_do_not_cut():
     assert sut.index.get(15.0) == 3.0  # the repeat's arrival
 
 
+@pytest.mark.parametrize("first", [0, 2, 5])
+def test_nan_inserts_are_served_like_the_loop(first):
+    """NaN equals no key, so the loop stores one NaN key per INSERT of it.
+    The bulk run serves the rows before the first such INSERT, and the
+    rest of the span goes the scalar way: two NaN INSERTs, two NaN keys.
+    NaN keys compare unequal, so keys are compared on their bits."""
+    rows = [(READ, 33.0), (UPDATE, 71.0), (INSERT, 61.5), (READ, 12.0), (UPDATE, 95.0)]
+    rows.insert(first, (INSERT, np.nan))
+    rows += [(READ, 47.0), (INSERT, np.nan), (INSERT, 104.0), (UPDATE, 99.0)]
+    batch = _batch(rows)
+    batched, looped = TraditionalKVStore(order=8), TraditionalKVStore(order=8)
+    batched.setup(TENS)
+    looped.setup(TENS)
+    services = batched.execute_batch(batch, 0.0)
+    expected = [looped.execute(batch.query(i), float(batch.arrivals[i])) for i in range(len(batch))]
+    assert services.tolist() == expected
+    assert batched.index.stats == looped.index.stats
+    assert len(batched.index) == len(looped.index) == len(TENS) + 4
+    for tree in (batched.index, looped.index):
+        assert np.isnan(tree.key_buffer().view[-2:]).all()
+    got, want = (np.asarray([k for k, _ in t.index.items()]) for t in (batched, looped))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert [v for _, v in batched.index.items()] == [v for _, v in looped.index.items()]
+
+
 def test_a_span_cut_many_times_is_snapped_a_bounded_number_of_times(monkeypatch):
     """Hot keys make a snap conflict every few rows. The span is snapped
     once (the bound is one) and served as one run; the conflicting rows

@@ -1,10 +1,10 @@
-"""``SortedKeyBuffer`` and ``PositionTagBuffer`` against a Python list.
+"""``SortedKeyBuffer`` against a Python list.
 
-The buffers shift their tail in place on every insert and delete, place
-a batch in one back-to-front pass on a merge, start with an eighth of
-headroom, and double their capacity when full. A list with ``insert`` / ``pop`` / ``bisect.insort`` is the
-model: after every operation the live view must equal it, at the front,
-the back and the middle, across growth.
+The buffer shifts its tail in place on every insert and delete, places
+a batch in one back-to-front pass on a merge, starts with an eighth of
+headroom, and doubles its capacity when full. A list with ``insert`` /
+``pop`` / ``bisect.insort`` is the model: after every operation the live
+view must equal it, at the front, the back and the middle, across growth.
 
 ``SortedKeyBuffer.snap`` is held to ``searchsorted`` plus the nearest-key
 tie rule, through its bucket directory and its general fallback alike.
@@ -21,9 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.indexes import keybuffer
-from repro.indexes.keybuffer import PositionTagBuffer, SortedKeyBuffer
+from repro.indexes.keybuffer import SortedKeyBuffer
 
-BUFFERS = {"keys": SortedKeyBuffer, "tags": PositionTagBuffer}
+BUFFERS = {"keys": SortedKeyBuffer}
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )

@@ -147,14 +147,14 @@ def test_ascending_column_is_handed_over_unsorted_and_uncopied():
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_btree_rank_values_read_like_an_explicit_rank_list(order, keys, fresh, overwrite, drop):
     """The B+ tree keeps a rank load's ``range`` as its values' base. After
-    a ``bulk_apply``, inserts and deletes that free slots below and above
-    the load size (each moving the last slot), it answers ``get``,
-    ``items()`` and ``range()`` exactly as a load of ``[(k, i), ...]``."""
+    a ``bulk_apply``, inserts and deletes of loaded and new keys, it
+    answers ``get``, ``items()`` and ``range()`` exactly as a load of
+    ``[(k, i), ...]``."""
     keys = [float(k) for k in keys]
     lazy, listed = BPlusTree(order=order), BPlusTree(order=order)
     lazy.bulk_load(KeyColumnPairs(keys))
     listed.bulk_load([(k, i) for i, k in enumerate(keys)])
-    assert isinstance(lazy._values.base, range)
+    assert isinstance(lazy._base, range)
     model = dict(zip(keys, range(len(keys))))
     written = [keys[i % len(keys)] for i in overwrite]
     run = np.asarray(written + [float(k) for k in fresh[: len(fresh) // 2]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,23 @@ class TestBoxStats:
             assert outlier < stats.q1 - 1.5 * stats.iqr - 1e-12 or (
                 outlier > stats.q3 + 1.5 * stats.iqr - 1e-12
             )
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e300, 1e300), st.integers(-5, 5)),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quartiles_are_the_three_percentile_calls_bit_for_bit(self, values):
+        """One ``np.percentile`` call for all three quartiles is the three
+        single-quartile calls, to the last bit (ties and huge spreads too)."""
+        arr = np.asarray(values, dtype=np.float64)
+        stats = box_stats(values)
+        got = np.asarray([stats.q1, stats.median, stats.q3])
+        want = np.asarray([np.percentile(arr, q) for q in (25, 50, 75)])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestPercentile:

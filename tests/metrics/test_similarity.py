@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,19 @@ class TestKS:
         a = rng.normal(0, 1, 500)
         b = rng.normal(1, 2, 700)
         assert ks_statistic(a, b) == pytest.approx(ks_statistic(b, a))
+
+    def test_any_iterable_reads_like_its_array(self, rng):
+        """Arrays are read as they are, and left unsorted; lists, tuples,
+        generators and float32 arrays give the statistic of their float64
+        arrays."""
+        a = rng.normal(0, 1, 300)
+        b = rng.normal(0.5, 1, 200).astype(np.float32)
+        a_before, b_before = a.copy(), b.copy()
+        want = ks_statistic(a, b.astype(np.float64))
+        assert ks_statistic(a, b) == want
+        assert ks_statistic(a.tolist(), b) == want
+        assert ks_statistic(tuple(a), (float(x) for x in b)) == want
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 class TestMMD:
